@@ -258,7 +258,10 @@ def _format_table(manifest: dict, columns: Sequence[str], rows: Sequence[Sequenc
         doc = {
             "manifest": dict(sorted(manifest.items())),
             "columns": list(columns),
-            "rows": [[v for v in row] for row in rows],
+            # failed rows carry NaN, which JSON has no literal for; the
+            # error column says why the value is missing
+            "rows": [[None if isinstance(v, float) and math.isnan(v) else v for v in row]
+                     for row in rows],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     raise CliError(f"unknown output format {fmt!r}; use csv or json")

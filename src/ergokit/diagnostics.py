@@ -166,23 +166,22 @@ def ec_profile(process, f: TestFunction, z, xs: Sequence, T: float, t_max: float
     plan = SamplingPlan(process, initials, tuple(grid), (f,), mc.n_samples, mc.seed,
                         confidence=_split_confidence(mc.confidence, len(initials) * len(grid)))
     results = run_batch(plan, workers=mc.workers)
-    means = {}
     for cell in results:
         if cell.error is not None:
             raise RuntimeError(f"cell {cell.cell_index} failed: {cell.error}")
-        means[(cell.initial, cell.time)] = cell.estimate
+    # cells are read by grid position: distinct starts may share a label
+    n_t = len(grid)
+    z_row = results[len(xs) * n_t:]
     report = DiagnosticReport(_base_metadata(process, "ec_profile", mc))
     report.metadata.update(mode="monte-carlo", window=window, grid=grid, f=f.name,
                            z=process.state_label(z))
-    z_label = process.state_label(z)
-    for x in xs:
-        x_label = process.state_label(x)
+    for i, x in enumerate(xs):
         gap, hw = 0.0, 0.0
-        for t in grid:
-            ex, ez = means[(x_label, t)], means[(z_label, t)]
+        for cx, cz in zip(results[i * n_t:(i + 1) * n_t], z_row):
+            ex, ez = cx.estimate, cz.estimate
             gap = max(gap, abs(ex.mean - ez.mean))
             hw = max(hw, ex.half_width + ez.half_width)
-        report.add("ec_gap_max", x_label, window, gap, hw)
+        report.add("ec_gap_max", process.state_label(x), window, gap, hw)
     return report
 
 
@@ -255,20 +254,21 @@ def lower_bound_scan(process, z, eps: float, x_grid: Sequence, t_grid: Sequence[
     report = DiagnosticReport(_base_metadata(process, "lower_bound_scan", mc))
     report.metadata.update(z=f"{anchor:g}", eps=eps, t_grid=t_grid,
                            x_grid=[process.state_label(x) for x in x_grid])
+    # keyed by position in x_grid: distinct starts may share a label
     by_initial: dict = {}
     failures = []
     for cell in results:
         if cell.error is not None:
             failures.append(cell)
             continue
-        cur = by_initial.get(cell.initial)
+        i = cell.cell_index // len(t_grid)
+        cur = by_initial.get(i)
         if cur is None or cell.estimate.mean < cur[0]:
-            by_initial[cell.initial] = (cell.estimate.mean, cell.time, cell.estimate.half_width)
-    for x in x_grid:
-        label = process.state_label(x)
-        if label in by_initial:
-            m, t_at, hw = by_initial[label]
-            report.add("hit_prob_min", label, f"{t_at:g}", m, hw)
+            by_initial[i] = (cell.estimate.mean, cell.time, cell.estimate.half_width)
+    for i, x in enumerate(x_grid):
+        if i in by_initial:
+            m, t_at, hw = by_initial[i]
+            report.add("hit_prob_min", process.state_label(x), f"{t_at:g}", m, hw)
     for cell in failures:
         report.add("hit_prob_min", cell.initial, f"{cell.time:g}", math.nan, 0.0,
                    error=cell.error)

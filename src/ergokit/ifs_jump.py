@@ -47,6 +47,12 @@ __all__ = [
 
 PROB_SUM_TOL = 1e-9
 
+# Uniforms taken from a trajectory's stream per refill. numpy fills a block
+# with the doubles that as many scalar ``random()`` calls would return; a
+# block of 64 costs about as much as three scalar calls, and a trajectory
+# discards at most 63 unused words.
+BLOCK = 64
+
 
 def check_prob_vector(weights: np.ndarray, where: str = "") -> np.ndarray:
     """Validate a probability vector (nonnegative, sums to one)."""
@@ -122,63 +128,101 @@ class IfsModel:
 
         Stops drawing once the state hits an exact absorbing point; the
         result is identical to interpolating a fully recorded trajectory.
+        The stream belongs to this one trajectory and is read ``BLOCK``
+        uniforms at a time, so its position after the call is unspecified.
         """
         if t < 0.0:
             raise ValueError("time must be nonnegative")
         x = as_state(x0)
         if t == 0.0:
             return x
+        return self._jump_loop(x, t, stream, self.absorbing, None)
+
+    def _jump_loop(self, x: float, t: float, stream: np.random.Generator, stop: tuple,
+                   record) -> float:
+        """One trajectory from the valid state x up to time t.
+
+        Returns the state at time t, or the first state reached in ``stop``.
+        A jump takes two uniforms, one for the exponential waiting time and
+        one for the inverse-CDF map choice at the pre-jump point, in the
+        order repeated ``stream.random()`` calls would return them. The
+        probability vector is validated inline with plain float arithmetic
+        because this is the hot path. Flowed points (pre-jump and terminal)
+        and map outputs must be finite and nonnegative. ``record``, if not
+        None, is four lists that receive each jump's time, pre-jump point,
+        map index (1-based) and post-jump point.
+        """
         rate = self.rate
         flow = self.flow
-        absorbing = self.absorbing
-        rnd = stream.random
+        moving = not isinstance(flow, IdentityFlow)
+        field = self.prob_field
+        n_maps = len(self.maps)
+        if record is not None:
+            taus, xis, idxs, phis = (lst.append for lst in record)
+        buf = ()
+        i = BLOCK
         now = 0.0
-        while True:
-            if x in absorbing:
-                return x
-            gap = -math.log1p(-rnd()) / rate
+        while x not in stop:
+            if i == BLOCK:
+                buf = stream.random(BLOCK).tolist()
+                i = 0
+            gap = -math.log1p(-buf[i]) / rate
+            i += 1
             if gap <= 0.0:  # u == 0 draw, probability ~2^-53
                 continue
             if now + gap > t:
-                return flow(t - now, x)
+                return self._flowed(t - now, x) if moving else x
             now += gap
-            pre = flow(gap, x)
-            x = self.apply_map(self._draw_index(pre, rnd), pre)
-
-    def _draw_index(self, x: float, rnd) -> int:
-        """Inverse-CDF draw from the selection probabilities at x (1-based).
-
-        Validates the probability vector inline with plain float arithmetic;
-        this sits on the jump hot path, so no numpy reductions here.
-        """
-        w = self.prob_field(x)
-        if isinstance(w, np.ndarray):
-            w = w.tolist()
-        if len(w) != len(self.maps):
-            raise ValueError(f"prob_field returned {len(w)} weights for "
-                             f"{len(self.maps)} maps at x={x!r}")
-        u = rnd()
-        acc = 0.0
-        chosen = 0
-        k = 0
-        for p in w:
-            k += 1
-            if p < 0.0:
+            pre = self._flowed(gap, x) if moving else x
+            w = field(pre)
+            if isinstance(w, np.ndarray):
+                w = w.tolist()
+            if len(w) != n_maps:
+                raise ValueError(f"prob_field returned {len(w)} weights for "
+                                 f"{n_maps} maps at x={pre!r}")
+            if i == BLOCK:
+                buf = stream.random(BLOCK).tolist()
+                i = 0
+            u = buf[i]
+            i += 1
+            acc = 0.0
+            chosen = 0
+            k = 0
+            for p in w:
+                k += 1
+                if p < 0.0:
+                    raise ValueError(
+                        f"negative selection probability {p!r} at x={pre!r} in model {self.name!r}")
+                acc += p
+                if chosen == 0 and u < acc:
+                    chosen = k
+            if not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
                 raise ValueError(
-                    f"negative selection probability {p!r} at x={x!r} in model {self.name!r}")
-            acc += p
-            if chosen == 0 and u < acc:
-                chosen = k
-        if not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
-            raise ValueError(
-                f"selection probabilities sum to {acc!r} at x={x!r} in model {self.name!r}")
-        if chosen:
-            return chosen
-        # float slack: fall back to the last map with positive weight
-        for k in range(len(self.maps), 0, -1):
-            if w[k - 1] > 0.0:
-                return k
-        raise RuntimeError(f"degenerate probability vector at x={x!r}")
+                    f"selection probabilities sum to {acc!r} at x={pre!r} in model {self.name!r}")
+            if not chosen:
+                # float slack: fall back to the last map with positive weight
+                for k in range(n_maps, 0, -1):
+                    if w[k - 1] > 0.0:
+                        chosen = k
+                        break
+                else:
+                    raise RuntimeError(f"degenerate probability vector at x={pre!r}")
+            x = self.apply_map(chosen, pre)
+            if record is not None:
+                taus(now)
+                xis(pre)
+                idxs(chosen)
+                phis(x)
+        return x
+
+    def _flowed(self, s: float, x: float) -> float:
+        """Flow x for time s and validate the point reached."""
+        y = self.flow(s, x)
+        if not 0.0 <= y < math.inf:
+            name = getattr(self.flow, "__qualname__", None) or repr(self.flow)
+            raise RuntimeError(f"flow {name} of model {self.name!r} produced invalid "
+                               f"state {y!r} from x={x!r} after time {s!r}")
+        return y
 
     @staticmethod
     def state_label(x0: float) -> str:
@@ -214,29 +258,16 @@ def sample_jump_chain(model: IfsModel, x: float, horizon: float,
 
     Waiting times are i.i.d. exponential with the model rate, drawn by
     inverse CDF; the map index at each jump is drawn from the selection
-    probabilities evaluated at the pre-jump point.
+    probabilities evaluated at the pre-jump point. Jumps keep being recorded
+    at absorbing points. The stream belongs to this one trajectory and is
+    read ``BLOCK`` uniforms at a time, so its position after the call is
+    unspecified.
     """
     if not (horizon >= 0.0 and math.isfinite(horizon)):
         raise ValueError("horizon must be a finite nonnegative real")
     x = as_state(x)
-    taus, xis, idxs, phis = [], [], [], []
-    rnd = stream.random
-    now = 0.0
-    cur = x
-    while True:
-        gap = -math.log1p(-rnd()) / model.rate
-        if gap <= 0.0:  # u == 0 draw, probability ~2^-53
-            continue
-        if now + gap > horizon:
-            break
-        now += gap
-        pre = model.flow(gap, cur)
-        k = model._draw_index(pre, rnd)
-        cur = model.apply_map(k, pre)
-        taus.append(now)
-        xis.append(pre)
-        idxs.append(k)
-        phis.append(cur)
+    taus, xis, idxs, phis = record = ([], [], [], [])
+    model._jump_loop(x, horizon, stream, (), record)
     return Trajectory(
         x0=x,
         horizon=float(horizon),

@@ -333,6 +333,35 @@ def test_registered_custom_model_usable(tmp_path, capsys):
         _MODELS.pop("thirds", None)
 
 
+def test_json_output_writes_failed_values_as_null(capsys):
+    from ergokit.cli import register_model, _MODELS
+    from ergokit.ifs_jump import IfsModel
+
+    def broken(x):
+        return math.nan
+
+    def builder(lam):
+        return IfsModel(name="broken", maps=(broken,), prob_field=lambda x: (1.0,),
+                        rate=lam), None
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    register_model("broken", builder)
+    try:
+        code, out, _ = run_cli(capsys, "estimate", "--model", "broken", "--x0", "1",
+                               "--times", "0,5", "--f", "xmin1", "--samples", "20",
+                               "--format", "json")
+    finally:
+        _MODELS.pop("broken", None)
+    assert code == 1
+    doc = json.loads(out, parse_constant=reject)
+    ok, bad = doc["rows"]
+    assert ok[3] == 1.0 and ok[-1] == ""
+    assert bad[3] is None and bad[4] is None and bad[7] is None
+    assert "w1" in bad[-1]
+
+
 def test_assumptions_with_c2_and_radius_list(capsys):
     code, out, _ = run_cli(capsys, "diagnose", "assumptions", "--model", "halving",
                            "--x-grid", "0.1,0.125", "--c2", "true", "--eps", "0.2,0.4",

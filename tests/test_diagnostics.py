@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ergokit.core import EmpiricalMeasure, xmin1
+from ergokit.core import Ball, EmpiricalMeasure, xmin1
 from ergokit.diagnostics import (
     DiagnosticReport,
     McSettings,
@@ -24,6 +24,7 @@ from ergokit.ifs_jump import (
     halving_tv_modulus,
     linear_modulus,
 )
+from ergokit.montecarlo import estimate_hit, estimate_ptf
 
 from oracles import flip_expectation_xmin1
 
@@ -71,6 +72,21 @@ def test_ec_monte_carlo_gap_at_anchor_within_noise():
     report = ec_profile(model, F, 1.0, [1.0], 5.0, 10.0, [5.0, 10.0], mc)
     row = report.rows[0]
     assert row.value <= row.half_width
+
+
+def test_ec_start_sharing_the_anchor_label_keeps_its_own_cells():
+    # 0.5000001 prints as "0.5", like the anchor; its gap must come from its
+    # own cells (0, 1), not from the anchor's cells (2, 3)
+    model = example_flip(1.0)
+    mc = McSettings(n_samples=400, seed=8)
+    grid = [5.0, 10.0]
+    report = ec_profile(model, F, 0.5, [0.5000001, 3.0], 5.0, 10.0, grid, mc)
+    want = max(abs(estimate_ptf(model, 0.5000001, t, F, 400, 8, cell=j).mean
+                   - estimate_ptf(model, 0.5, t, F, 400, 8, cell=4 + j).mean)
+               for j, t in enumerate(grid))
+    assert want > 0.0
+    assert report.rows[0].x == "0.5"
+    assert report.rows[0].value == want
 
 
 def test_ec_rejects_bad_grids():
@@ -155,6 +171,20 @@ def test_scan_monotone_in_radius():
     large = lower_bound_scan(model, 0.0, 0.1, *grids, mc)
     for a, b in zip(small.values("hit_prob_min"), large.values("hit_prob_min")):
         assert b >= a
+
+
+def test_scan_starts_sharing_a_label_keep_their_own_minimum():
+    model, _ = example_halving(1.0)
+    mc = McSettings(n_samples=400, seed=6)
+    x_grid, t_grid = [1.0, 1.0000001], [2.0, 4.0]
+    report = lower_bound_scan(model, 0.0, 0.3, x_grid, t_grid, mc)
+    rows = [r for r in report.rows if r.label == "hit_prob_min"]
+    want = [min(estimate_hit(model, x, t, Ball(0.0, 0.3), 400, 6, cell=2 * i + j).mean
+                for j, t in enumerate(t_grid))
+            for i, x in enumerate(x_grid)]
+    assert want[0] != want[1]
+    assert [r.x for r in rows] == ["1", "1"]
+    assert [r.value for r in rows] == want
 
 
 def test_scan_validation():

@@ -161,6 +161,16 @@ def test_map_failure_names_the_map():
         model.terminal_state(0.5, 10.0, StreamFactory(0).stream(0, 0))
 
 
+def test_overflowing_pre_jump_point_names_the_flow():
+    model = IfsModel(name="blowup", maps=(lambda x: x,), prob_field=lambda x: (1.0,),
+                     rate=1.0, flow=ExponentialFlow(100.0))
+    # the first waiting time, -log(1 - 0.5), lands well before t = 50
+    with pytest.raises(RuntimeError, match=r"flow ExponentialFlow.*'blowup'.*from x=1e\+300"):
+        model.terminal_state(1e300, 50.0, _StubStream([0.5, 0.5]))
+    with pytest.raises(RuntimeError, match=r"flow ExponentialFlow.*'blowup'"):
+        sample_jump_chain(model, 1e300, 50.0, _StubStream([0.5, 0.5]))
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 
@@ -297,3 +307,184 @@ def test_assumption_set_validation():
     with pytest.raises(ValueError):
         AssumptionSet(anchor=0.0, r=lambda x: 1.0, omega=linear_modulus,
                       m_start=0, eta=1.0, gamma=1.5, alpha=0.0, rate=1.0)
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the per-draw reference loop
+#
+# The library loop reads each trajectory's stream in blocks. The functions
+# below are the earlier loop that called ``stream.random()`` once per
+# uniform; they are the reference the block loop must match bit for bit.
+
+
+def _ref_draw_index(model, x, rnd):
+    w = model.prob_field(x)
+    if isinstance(w, np.ndarray):
+        w = w.tolist()
+    if len(w) != len(model.maps):
+        raise ValueError("weight count")
+    u = rnd()
+    acc = 0.0
+    chosen = 0
+    k = 0
+    for p in w:
+        k += 1
+        if p < 0.0:
+            raise ValueError("negative weight")
+        acc += p
+        if chosen == 0 and u < acc:
+            chosen = k
+    if not (1.0 - 1e-9 <= acc <= 1.0 + 1e-9):
+        raise ValueError("weight sum")
+    if chosen:
+        return chosen
+    for k in range(len(model.maps), 0, -1):
+        if w[k - 1] > 0.0:
+            return k
+    raise RuntimeError("degenerate")
+
+
+def _ref_terminal_state(model, x0, t, stream):
+    if t < 0.0:
+        raise ValueError("time must be nonnegative")
+    x = float(x0)
+    if t == 0.0:
+        return x
+    rnd = stream.random
+    now = 0.0
+    while True:
+        if x in model.absorbing:
+            return x
+        gap = -math.log1p(-rnd()) / model.rate
+        if gap <= 0.0:
+            continue
+        if now + gap > t:
+            return model.flow(t - now, x)
+        now += gap
+        pre = model.flow(gap, x)
+        x = model.apply_map(_ref_draw_index(model, pre, rnd), pre)
+
+
+def _ref_jump_chain(model, x, horizon, stream):
+    taus, xis, idxs, phis = [], [], [], []
+    rnd = stream.random
+    now = 0.0
+    cur = float(x)
+    while True:
+        gap = -math.log1p(-rnd()) / model.rate
+        if gap <= 0.0:
+            continue
+        if now + gap > horizon:
+            break
+        now += gap
+        pre = model.flow(gap, cur)
+        k = _ref_draw_index(model, pre, rnd)
+        cur = model.apply_map(k, pre)
+        taus.append(now)
+        xis.append(pre)
+        idxs.append(k)
+        phis.append(cur)
+    return (np.array(taus, dtype=float), np.array(xis, dtype=float),
+            np.array(idxs, dtype=int), np.array(phis, dtype=float))
+
+
+def _expflow_model():
+    return IfsModel(name="expflow", maps=(lambda x: x / 2.0, lambda x: (x + 1.0) / 2.0),
+                    prob_field=lambda x: (0.5, 0.5), rate=1.5, flow=ExponentialFlow(0.1))
+
+
+_REF_MODELS = {
+    "flip": lambda: example_flip(1.3),
+    "halving": lambda: example_halving(1.0)[0],
+    "expflow": _expflow_model,
+}
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_REF_MODELS))
+@pytest.mark.parametrize("x0", [0.0, 0.3, 1.0, 4.0])
+@pytest.mark.parametrize("t", [0.0, 0.5, 7.0, 150.0])
+def test_terminal_state_matches_reference_bit_for_bit(name, x0, t):
+    # t = 150 takes ~300 uniforms at rate 1: several block refills
+    model = _REF_MODELS[name]()
+    got, want = [], []
+    for seed in (0, 1, 77):
+        factory = StreamFactory(seed)
+        for k in range(20):
+            got.append(model.terminal_state(x0, t, factory.stream(3, k)))
+            want.append(_ref_terminal_state(model, x0, t, factory.stream(3, k)))
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(_REF_MODELS))
+@pytest.mark.parametrize("x0", [0.0, 0.3, 4.0])
+@pytest.mark.parametrize("horizon", [0.0, 0.5, 7.0, 150.0])
+def test_jump_chain_matches_reference_bit_for_bit(name, x0, horizon):
+    # x0 = 0 is absorbing for flip and halving: jumps keep being recorded
+    model = _REF_MODELS[name]()
+    for seed in (0, 1, 77):
+        factory = StreamFactory(seed)
+        for k in range(10):
+            traj = sample_jump_chain(model, x0, horizon, factory.stream(1, k))
+            tau, xi, index, phi = _ref_jump_chain(model, x0, horizon, factory.stream(1, k))
+            assert _same_bits(traj.tau, tau) and _same_bits(traj.xi, xi)
+            assert _same_bits(traj.phi, phi)
+            assert traj.index.dtype == index.dtype and np.array_equal(traj.index, index)
+            if x0 == 0.0 and name != "expflow" and horizon >= 7.0:
+                assert len(traj) > 0
+
+
+class _StubStream:
+    """Stream stand-in that replays fixed uniforms, in blocks or one by one."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.pos = 0
+
+    def random(self, size=None):
+        if size is None:
+            self.pos += 1
+            return self.values[self.pos - 1]
+        out = self.values[self.pos:self.pos + size]
+        self.pos += size
+        return np.array(out + [0.5] * (size - len(out)))
+
+
+def test_zero_uniform_is_skipped_like_the_reference():
+    # a 0.0 waiting-time uniform gives gap 0 and is skipped; the next
+    # uniform is the waiting time, and the one after it picks the map
+    model, _ = example_halving(1.0)
+    values = [0.0, 0.5, 0.2, 0.0, 0.0, 0.3, 0.9, 0.999]
+    got = model.terminal_state(1.0, 3.0, _StubStream(values))
+    assert got == _ref_terminal_state(model, 1.0, 3.0, _StubStream(values))
+    traj = sample_jump_chain(model, 1.0, 3.0, _StubStream(values))
+    tau, xi, index, phi = _ref_jump_chain(model, 1.0, 3.0, _StubStream(values))
+    assert _same_bits(traj.tau, tau) and _same_bits(traj.phi, phi)
+    assert traj.index.tolist() == index.tolist() == [1, 2]
+    assert traj.tau[0] == -math.log1p(-0.5)
+
+
+def test_float_slack_falls_back_to_last_positive_weight():
+    # weights sum to 1 - 1e-12, within tolerance; a uniform above that sum
+    # picks the last map with positive weight, here w2
+    model = IfsModel(name="slack", maps=(lambda x: 1.0, lambda x: 2.0, lambda x: 3.0),
+                     prob_field=lambda x: (0.5, 0.5 - 1e-12, 0.0), rate=1.0)
+    values = [0.5, 1.0 - 1e-13, 0.999]
+    assert model.terminal_state(0.7, 1.0, _StubStream(values)) == 2.0
+    assert _ref_terminal_state(model, 0.7, 1.0, _StubStream(values)) == 2.0
+
+
+@pytest.mark.parametrize("field, match", [
+    (lambda x: (1.0,), "returned 1 weights for 2 maps"),
+    (lambda x: np.array([1.5, -0.5]), "negative selection probability -0.5"),
+    (lambda x: (0.5, 0.4), "selection probabilities sum to 0.9"),
+])
+def test_jump_loop_rejects_bad_selection_probabilities(field, match):
+    model = IfsModel(name="bad", maps=(lambda x: x, lambda x: x), prob_field=field, rate=1.0)
+    with pytest.raises(ValueError, match=match):
+        model.terminal_state(0.5, 50.0, StreamFactory(0).stream(0, 0))
+    with pytest.raises(ValueError, match=match):
+        sample_jump_chain(model, 0.5, 50.0, StreamFactory(0).stream(0, 0))

@@ -5,7 +5,7 @@ import pytest
 
 from ergokit.core import Ball, xmin1
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
-from ergokit.ifs_jump import IfsModel, example_flip, example_halving
+from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_flip, example_halving
 from ergokit.montecarlo import (
     Estimate,
     SamplingPlan,
@@ -144,6 +144,20 @@ def test_sampler_failure_carries_trajectory_index():
     model = IfsModel(name="nanmap", maps=(bad,), prob_field=lambda x: np.array([1.0]), rate=5.0)
     with pytest.raises(RuntimeError, match=r"trajectory 0 of cell 3"):
         sample_terminals(model, 1.0, 10.0, 4, seed=0, cell=3)
+
+
+def test_overflowing_flow_fails_instead_of_returning_inf():
+    # at rate 1e-3 most trajectories never jump, and their terminal point
+    # flow(100, 1e10) = 1e10 * exp(700) overflows to inf
+    model = IfsModel(name="blowup", maps=(lambda x: x,), prob_field=lambda x: (1.0,),
+                     rate=1e-3, flow=ExponentialFlow(7.0))
+    msg = r"flow ExponentialFlow\(alpha=7\.0\) of model 'blowup'"
+    with pytest.raises(RuntimeError, match=msg + r".* from x=10000000000\.0 after time 100\.0"):
+        sample_terminals(model, 1e10, 100.0, 20, seed=0)
+    with pytest.raises(RuntimeError, match=msg):
+        estimate_ptf(model, 1e10, 100.0, F, 20, seed=0)
+    with pytest.raises(RuntimeError, match=msg):
+        estimate_hit(model, 1e10, 100.0, Ball(0.0, 1.0), 20, seed=0)
 
 
 # ---------------------------------------------------------------------------
