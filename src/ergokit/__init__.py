@@ -4,7 +4,6 @@ nonnegative half-line."""
 from .core import (
     Ball,
     EmpiricalMeasure,
-    StatePoint,
     TestFunction,
     bl_distance,
     bump_function,

@@ -353,6 +353,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     x0 = settings.get("x0", parse=lambda s: _parse_initial(name, s), required=True)
     horizon = settings.get("horizon", 10.0, _nonneg_float)
     count = settings.get("trajectories", 1, _positive_int)
+    settings.get("workers", None, _positive_int)  # validated only: simulate runs in one process
     seed = settings.get("seed", 0, _seed)
     fmt = settings.get("format", "csv")
     factory = StreamFactory(seed)

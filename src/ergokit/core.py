@@ -14,10 +14,6 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-# A point of the state space. Plain floats keep the samplers fast; validation
-# happens at construction boundaries (measures, balls, models).
-StatePoint = float
-
 WEIGHT_TOL = 1e-12
 
 
@@ -166,10 +162,6 @@ class EmpiricalMeasure:
             raise ValueError("cannot build a measure from an empty sample")
         support, counts = np.unique(arr, return_counts=True)
         return EmpiricalMeasure(support, counts / arr.size)
-
-    def mass_in(self, ball: Ball) -> float:
-        inside = np.abs(self.support - ball.center) < ball.radius
-        return float(np.sum(self.weights[inside]))
 
 
 def pair(f: Union[TestFunction, Callable[[float], float]], mu: EmpiricalMeasure) -> float:

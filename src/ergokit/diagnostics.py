@@ -21,13 +21,7 @@ import numpy as np
 from .core import Ball, EmpiricalMeasure, TestFunction, bl_distance
 from .exact_ctmc import CtmcProcess
 from .ifs_jump import AssumptionSet, IfsModel, j_n
-from .montecarlo import (
-    SamplingPlan,
-    estimate_ptf,
-    hoeffding_half_width,
-    run_batch,
-    sample_terminals,
-)
+from .montecarlo import SamplingPlan, _estimate, hoeffding_half_width, run_batch, sample_cells
 
 __all__ = [
     "McSettings",
@@ -111,6 +105,15 @@ def _mcdiarmid_half_width(n: int, confidence: float, n_empirical: int) -> float:
     around its own expectation (one sample swap moves the value by <= 2/n)."""
     delta = 1.0 - confidence
     return math.sqrt(2.0 * n_empirical * math.log(2.0 / delta) / n)
+
+
+def _sample_or_raise(process, cells: list, mc: McSettings) -> list:
+    """Terminal samples of every cell; the first failed cell raises."""
+    samples = sample_cells(process, cells, mc.n_samples, mc.seed, mc.workers)
+    for values in samples:
+        if isinstance(values, str):
+            raise RuntimeError(values)
+    return samples
 
 
 def _window_label(lo: float, hi: float) -> str:
@@ -211,13 +214,12 @@ def eproperty_witness(process, f: TestFunction, z, pairs: Sequence,
     mc = mc or McSettings()
     report = DiagnosticReport(_base_metadata(process, "eproperty_witness", mc))
     report.metadata.update(mode="monte-carlo", f=f.name, z=process.state_label(z))
-    conf_pair = mc.confidence
+    # cells 2k and 2k+1 hold the k-th pair's start and the anchor
+    samples = _sample_or_raise(process, [c for x, t in pairs for c in ((x, t), (z, t))], mc)
+    hw = _difference_half_width(f.value_bound, mc.n_samples, mc.confidence)
     for k, (x, t) in enumerate(pairs):
-        ex = estimate_ptf(process, x, t, f, mc.n_samples, mc.seed,
-                          cell=2 * k, confidence=conf_pair)
-        ez = estimate_ptf(process, z, t, f, mc.n_samples, mc.seed,
-                          cell=2 * k + 1, confidence=conf_pair)
-        hw = _difference_half_width(f.value_bound, mc.n_samples, conf_pair)
+        ex = _estimate(samples[2 * k], f, mc.confidence)
+        ez = _estimate(samples[2 * k + 1], f, mc.confidence)
         report.add("witness", process.state_label(x), f"{t:g}", ex.mean - ez.mean, hw)
     return report
 
@@ -305,23 +307,24 @@ def stability_report(process, initials: Sequence, t_grid: Sequence[float],
                            initials=[process.state_label(x) for x in initials])
     hw1 = _mcdiarmid_half_width(mc.n_samples, mc.confidence, 1)
     hw2 = _mcdiarmid_half_width(mc.n_samples, mc.confidence, 2)
-    cells = list(enumerate(product(initials, t_grid)))
-    laws: dict = {}
-    for idx, (x, t) in cells:
+    cells = list(product(initials, t_grid))
+    samples = sample_cells(process, cells, mc.n_samples, mc.seed, mc.workers)
+    laws = []  # by cell index: distinct starts may share a label
+    for (x, t), values in zip(cells, samples):
         label = process.state_label(x)
-        try:
-            values = sample_terminals(process, x, t, mc.n_samples, mc.seed, cell=idx)
-        except Exception as exc:
-            report.add("bl_to_ref", label, f"{t:g}", math.nan, 0.0, error=str(exc))
+        if isinstance(values, str):
+            report.add("bl_to_ref", label, f"{t:g}", math.nan, 0.0, error=values)
+            laws.append(None)
             continue
         law = EmpiricalMeasure.from_samples(values)
-        laws[(label, t)] = law
+        laws.append(law)
         report.add("bl_to_ref", label, f"{t:g}", bl_distance(law, reference), hw1)
     labels = [process.state_label(x) for x in initials]
-    for t in t_grid:
+    n_t = len(t_grid)
+    for c, t in enumerate(t_grid):
         for i in range(len(labels)):
             for j in range(i + 1, len(labels)):
-                a, b = laws.get((labels[i], t)), laws.get((labels[j], t))
+                a, b = laws[i * n_t + c], laws[j * n_t + c]
                 if a is None or b is None:
                     continue
                 report.add("bl_between", f"{labels[i]}|{labels[j]}", f"{t:g}",
@@ -457,25 +460,21 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
     report.metadata.update(z=f"{anchor:g}", t_search=t_search, t_grid=t_grid,
                            eps_list=list(eps_list),
                            x_grid=[process.state_label(x) for x in x_grid])
-    hit_prob: dict = {}
-    for idx, (x, t) in enumerate(product(x_grid, t_grid)):
-        values = sample_terminals(process, x, t, mc.n_samples, mc.seed, cell=idx)
-        dists = np.abs(values - anchor)
-        for eps in eps_list:
-            hit_prob[(eps, process.state_label(x), t)] = float(np.mean(dists < eps))
+    samples = _sample_or_raise(process, list(product(x_grid, t_grid)), mc)
+    n_t = len(t_grid)
     for eps in eps_list:
-        best: dict = {}
-        for x in x_grid:
+        best = []
+        for i, x in enumerate(x_grid):
             label = process.state_label(x)
-            probs = [(hit_prob[(eps, label, t)], t) for t in t_grid]
+            probs = [(float(np.mean(np.abs(values - anchor) < eps)), t)
+                     for values, t in zip(samples[i * n_t:(i + 1) * n_t], t_grid)]
             m_x = max(p for p, _ in probs)
+            best.append(m_x)
             if m_x <= 0.0:
                 report.add("c2_first_hit", label, f">{t_search:g}", 0.0, hw,
                            error="no hit within t_search")
-                best[label] = 0.0
                 continue
             t_first = min(t for p, t in probs if p >= m_x)
             report.add("c2_first_hit", label, f"{t_first:g}", m_x, hw)
-            best[label] = m_x
-        report.add("c2_beta", f"eps={eps:g}", f"<={t_search:g}", min(best.values()), hw)
+        report.add("c2_beta", f"eps={eps:g}", f"<={t_search:g}", min(best), hw)
     return report

@@ -247,10 +247,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.tau.size
 
-    @property
-    def records(self):
-        return list(zip(self.tau, self.xi, self.index, self.phi))
-
 
 def sample_jump_chain(model: IfsModel, x: float, horizon: float,
                       stream: np.random.Generator) -> Trajectory:

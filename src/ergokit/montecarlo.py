@@ -6,7 +6,9 @@ the master seed alone. Streams are therefore disjoint by construction, any
 (cell, trajectory) pair is reproducible in isolation, and results cannot
 depend on how work is scheduled. Reductions always run in trajectory order
 inside a cell and in declared cell order across a batch, so a batch output
-is bitwise identical for any worker count.
+is bitwise identical for any worker count. ``sample_cells`` is the one
+place where cells get their streams: every batch estimate and Monte Carlo
+diagnostic samples its (initial, time) cells through it.
 
 Confidence half-widths use the Hoeffding bound for means of variables with
 a known range, never a normal approximation: conservative but valid at
@@ -35,6 +37,7 @@ __all__ = [
     "estimate_ptf",
     "estimate_hit",
     "sample_terminals",
+    "sample_cells",
     "run_batch",
     "resolve_workers",
 ]
@@ -135,37 +138,55 @@ def sample_terminals(process, x0, t: float, n: int, seed: int, *,
     return out
 
 
+def _sample_cell(job):
+    process, x0, t, n, seed, cell = job
+    try:
+        return sample_terminals(process, x0, t, n, seed, cell=cell)
+    except Exception as exc:
+        return str(exc)
+
+
+def sample_cells(process, cells, n: int, seed: int, workers: Optional[int] = None) -> list:
+    """Terminal states of n trajectories from every ``(x0, t)`` cell, in cell order.
+
+    Cell i draws ``sample_terminals(process, x0, t, n, seed, cell=i)``. A
+    failed cell yields its error message in place of the array and never
+    aborts its siblings. Cells are self-contained, so the result is bitwise
+    independent of the worker count.
+    """
+    workers = resolve_workers(workers)
+    jobs = [(process, x0, t, n, seed, i) for i, (x0, t) in enumerate(cells)]
+    if workers == 1 or len(jobs) <= 1:
+        return [_sample_cell(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        return list(pool.map(_sample_cell, jobs))
+
+
+def _estimate(values, functional: Union[TestFunction, Ball], confidence: float) -> Estimate:
+    """Mean of a test function, or hit fraction of a ball, over the samples
+    in trajectory order, with its Hoeffding half-width."""
+    n = len(values)
+    if isinstance(functional, Ball):
+        total, bound = sum(1 for v in values if functional.contains(v)), 1.0
+    else:
+        total, bound = 0.0, functional.value_bound
+        for v in values:  # fixed trajectory order
+            total += functional(v)
+    return Estimate(mean=total / n, n_samples=n,
+                    half_width=hoeffding_half_width(bound, n, confidence),
+                    confidence=confidence, value_bound=bound)
+
+
 def estimate_ptf(process, x0, t: float, f: TestFunction, n: int, seed: int, *,
                  cell: int = 0, confidence: float = 0.999) -> Estimate:
     """Empirical mean of f at the time-t state from x0 over n trajectories."""
-    values = sample_terminals(process, x0, t, n, seed, cell=cell)
-    total = 0.0
-    for v in values:  # fixed trajectory order
-        total += f(v)
-    return Estimate(
-        mean=total / n,
-        n_samples=n,
-        half_width=hoeffding_half_width(f.value_bound, n, confidence),
-        confidence=confidence,
-        value_bound=f.value_bound,
-    )
+    return _estimate(sample_terminals(process, x0, t, n, seed, cell=cell), f, confidence)
 
 
 def estimate_hit(process, x0, t: float, ball: Ball, n: int, seed: int, *,
                  cell: int = 0, confidence: float = 0.999) -> Estimate:
     """Empirical probability that the time-t state lands in the ball."""
-    values = sample_terminals(process, x0, t, n, seed, cell=cell)
-    hits = 0
-    for v in values:
-        if ball.contains(v):
-            hits += 1
-    return Estimate(
-        mean=hits / n,
-        n_samples=n,
-        half_width=hoeffding_half_width(1.0, n, confidence),
-        confidence=confidence,
-        value_bound=1.0,
-    )
+    return _estimate(sample_terminals(process, x0, t, n, seed, cell=cell), ball, confidence)
 
 
 @dataclass(frozen=True)
@@ -203,35 +224,25 @@ class CellResult:
     error: Optional[str] = None
 
 
-def _functional_label(functional: Union[TestFunction, Ball]) -> str:
-    return functional.label if isinstance(functional, Ball) else functional.name
-
-
-def _run_cell(args) -> CellResult:
-    plan, cell_index, x0, t, functional = args
-    label = plan.process.state_label(x0)
-    try:
-        if isinstance(functional, Ball):
-            est = estimate_hit(plan.process, x0, t, functional, plan.n_samples,
-                               plan.seed, cell=cell_index, confidence=plan.confidence)
-        else:
-            est = estimate_ptf(plan.process, x0, t, functional, plan.n_samples,
-                               plan.seed, cell=cell_index, confidence=plan.confidence)
-        return CellResult(cell_index, label, float(t), _functional_label(functional), est)
-    except Exception as exc:
-        return CellResult(cell_index, label, float(t), _functional_label(functional),
-                          None, error=str(exc))
-
-
 def run_batch(plan: SamplingPlan, workers: Optional[int] = None) -> list[CellResult]:
     """Evaluate every cell of the plan; failures never abort sibling cells.
 
     Results come back in cell order and are bitwise independent of the
     worker count because cells are self-contained and reduced in order.
     """
-    workers = resolve_workers(workers)
-    jobs = [(plan, idx, x0, t, fn) for idx, (x0, t, fn) in plan.cells()]
-    if workers == 1 or len(jobs) == 1:
-        return [_run_cell(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(_run_cell, jobs))
+    cells = plan.cells()
+    samples = sample_cells(plan.process, [(x0, t) for _, (x0, t, _) in cells],
+                           plan.n_samples, plan.seed, workers)
+    results = []
+    for (idx, (x0, t, fn)), values in zip(cells, samples):
+        est, error = None, None
+        if isinstance(values, str):
+            error = values
+        else:
+            try:
+                est = _estimate(values, fn, plan.confidence)
+            except Exception as exc:  # a functional failing on a sample
+                error = str(exc)
+        name = fn.label if isinstance(fn, Ball) else fn.name
+        results.append(CellResult(idx, plan.process.state_label(x0), float(t), name, est, error))
+    return results

@@ -91,6 +91,13 @@ def test_simulate_deterministic_bytes(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_rejects_bad_worker_count(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--model", "halving", "--x0", "1",
+                           "--workers", "abc")
+    assert code == 2
+    assert "workers" in err
+
+
 def test_simulate_rejects_ctmc(capsys):
     code, _, err = run_cli(capsys, "simulate", "--model", "ctmc", "--x0", "zero")
     assert code == 2
@@ -255,12 +262,20 @@ def test_plot_svg_written(tmp_path, capsys):
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):
-    args = ["diagnose", "lowerbound", "--model", "halving", "--z", "0", "--eps", "0.1",
-            "--x-grid", "0.5,1,2", "--t-grid", "15,30", "--samples", "400", "--seed", "21"]
-    out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
-    assert main(args + ["--workers", "2", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    commands = [
+        ["diagnose", "lowerbound", "--model", "halving", "--z", "0", "--eps", "0.1",
+         "--x-grid", "0.5,1,2", "--t-grid", "15,30", "--samples", "400", "--seed", "21"],
+        ["diagnose", "stability", "--model", "halving", "--initials", "0.5,2",
+         "--t-grid", "4,8", "--samples", "300", "--seed", "22"],
+        ["diagnose", "eprop", "--model", "flip", "--samples", "300", "--seed", "23"],
+        ["diagnose", "assumptions", "--x-grid", "0.5,1", "--c2", "true", "--t-search", "8",
+         "--samples", "200", "--seed", "24"],
+    ]
+    for i, args in enumerate(commands):
+        out1, out2 = tmp_path / f"{i}-w1.csv", tmp_path / f"{i}-w2.csv"
+        assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
+        assert main(args + ["--workers", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes(), args[:2]
 
 
 def test_json_output_is_deterministic(tmp_path):

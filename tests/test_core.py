@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,3 +239,13 @@ def test_test_function_default_range_is_symmetric():
     assert f.lower == -1.0 and f.upper == 1.0
     assert f.value_bound == 2.0
     assert xmin1().value_bound == 1.0
+
+
+def test_oracles_do_not_import_the_library():
+    # exact oracles stay independent of the code they check
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    nodes = list(ast.walk(tree))
+    imported = [a.name for n in nodes if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)]
+    assert "numpy" in imported  # the walk saw the module's imports
+    assert not [m for m in imported if m.split(".")[0] == "ergokit"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ergokit.core import Ball, EmpiricalMeasure, xmin1
+from ergokit.core import Ball, EmpiricalMeasure, bl_distance, xmin1
 from ergokit.diagnostics import (
     DiagnosticReport,
     McSettings,
@@ -24,7 +24,7 @@ from ergokit.ifs_jump import (
     halving_tv_modulus,
     linear_modulus,
 )
-from ergokit.montecarlo import estimate_hit, estimate_ptf
+from ergokit.montecarlo import estimate_hit, estimate_ptf, sample_terminals
 
 from oracles import flip_expectation_xmin1
 
@@ -220,6 +220,20 @@ def test_stability_ctmc_nearly_absorbed():
     assert report.values("bl_to_ref")[0] <= 2e-3
 
 
+def test_stability_starts_sharing_a_label_keep_their_own_laws():
+    # 0.5000001 prints as "0.5": the pairwise row must compare the laws of
+    # cells 0 and 1, not one law with itself
+    model, _ = example_halving(1.0)
+    mc = McSettings(n_samples=200, seed=3)
+    report = stability_report(model, [0.5, 0.5000001], [4.0],
+                              EmpiricalMeasure.point_mass(0.0), mc)
+    a, b = (EmpiricalMeasure.from_samples(sample_terminals(model, x, 4.0, 200, 3, cell=i))
+            for i, x in enumerate([0.5, 0.5000001]))
+    want = bl_distance(a, b)
+    assert want > 0.0
+    assert report.values("bl_between") == [want]
+
+
 def test_stability_pairwise_rows():
     model = example_flip(1.0)
     mc = McSettings(n_samples=300, seed=2)
@@ -371,6 +385,16 @@ def test_c2_reports_failures():
     assert len(failed) == 1
     assert "no hit within" in failed[0].error
     assert failed[0].value == 0.0
+
+
+def test_c2_starts_sharing_a_label_keep_their_own_hits():
+    # 1.0000001 prints as "1"; the row of x = 1.0 and the floor must come
+    # from the cells of x = 1.0 (0.25), not from those of 1.0000001 (0.27)
+    model, _ = example_halving(1.0)
+    mc = McSettings(n_samples=200, seed=3)
+    report = check_c2(model, 0.0, [0.1], [1.0, 1.0000001], t_search=4.0, mc=mc)
+    assert report.values("c2_first_hit") == [0.25, 0.27]
+    assert report.values("c2_beta") == [0.25]
 
 
 def test_c2_radius_monotone_via_shared_trajectories():

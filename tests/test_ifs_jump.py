@@ -105,7 +105,7 @@ def test_trajectory_invariants(seed):
     assert np.all(np.diff(np.concatenate([[0.0], traj.tau])) > 0.0)
     assert traj.tau.size == 0 or traj.tau[-1] <= traj.horizon
     prev = traj.x0
-    for tau, xi, idx, phi in traj.records:
+    for tau, xi, idx, phi in zip(traj.tau, traj.xi, traj.index, traj.phi):
         assert xi == prev  # identity flow
         assert phi == model.maps[idx - 1](xi)
         prev = phi

@@ -15,6 +15,7 @@ from ergokit.montecarlo import (
     hoeffding_half_width,
     resolve_workers,
     run_batch,
+    sample_cells,
     sample_terminals,
 )
 
@@ -158,6 +159,43 @@ def test_overflowing_flow_fails_instead_of_returning_inf():
         estimate_ptf(model, 1e10, 100.0, F, 20, seed=0)
     with pytest.raises(RuntimeError, match=msg):
         estimate_hit(model, 1e10, 100.0, Ball(0.0, 1.0), 20, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the cell engine
+
+
+HALVING_CELLS = [(1.0, 2.0), (4.0, 2.0), (1.0, 8.0), (0.0, 3.0)]
+
+
+def test_sample_cells_draw_each_cell_from_its_own_stream():
+    model, _ = example_halving(1.0)
+    samples = sample_cells(model, HALVING_CELLS, 60, 17)
+    assert len(samples) == len(HALVING_CELLS)
+    for i, (x0, t) in enumerate(HALVING_CELLS):
+        want = sample_terminals(model, x0, t, 60, 17, cell=i)
+        assert samples[i].tobytes() == want.tobytes()
+    # cell order, not (x0, t): the repeated start 1.0 draws other streams
+    assert samples[0].tobytes() != sample_terminals(model, 1.0, 2.0, 60, 17, cell=2).tobytes()
+
+
+def test_sample_cells_failure_does_not_abort_siblings():
+    model = IfsModel(name="blowup", maps=(lambda x: x,), prob_field=lambda x: (1.0,),
+                     rate=1e-3, flow=ExponentialFlow(7.0))
+    cells = [(1.0, 2.0), (1e10, 100.0), (2.0, 2.0)]
+    samples = sample_cells(model, cells, 5, 0)
+    assert isinstance(samples[1], str)
+    assert samples[1].startswith("trajectory 0 of cell 1: flow ExponentialFlow")
+    for i in (0, 2):
+        want = sample_terminals(model, *cells[i], 5, 0, cell=i)
+        assert samples[i].tobytes() == want.tobytes()
+
+
+def test_sample_cells_bitwise_identical_across_worker_counts():
+    model, _ = example_halving(1.0)
+    serial = sample_cells(model, HALVING_CELLS, 80, 5, workers=1)
+    parallel = sample_cells(model, HALVING_CELLS, 80, 5, workers=2)
+    assert [a.tobytes() for a in serial] == [b.tobytes() for b in parallel]
 
 
 # ---------------------------------------------------------------------------
