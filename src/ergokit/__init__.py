@@ -59,4 +59,4 @@ from .diagnostics import (
     stability_report,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -8,6 +8,7 @@ metric, which keeps every quantity in this package exactly computable.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Sequence, Union
@@ -183,26 +184,93 @@ def _max_signed_pairing(support: np.ndarray, d: np.ndarray) -> float:
     # Maximize sum_i d_i f_i subject to |f_i| <= 1 and
     # |f_{i+1} - f_i| <= support_{i+1} - support_i. On a line the adjacent
     # slope constraints imply all pairwise ones, so this value is the exact
-    # supremum over 1-bounded 1-Lipschitz functions. Solved by propagating
-    # the concave piecewise-linear value function of the last coordinate;
-    # a sliding max of a concave function is the same function split at its
-    # peak, shifted outward, with a flat plateau in between.
-    phis = np.array([-1.0, 1.0])
-    vals = np.array([-d[0], d[0]])
-    for i in range(1, support.size):
-        delta = support[i] - support[i - 1]
-        vmax = vals.max()
-        peak = np.nonzero(vals == vmax)[0]
-        a, b = peak[0], peak[-1]
-        phis = np.concatenate([phis[: a + 1] - delta, phis[b:] + delta])
-        vals = np.concatenate([vals[: a + 1], vals[b:]])
-        lo = np.interp(-1.0, phis, vals)
-        hi = np.interp(1.0, phis, vals)
-        keep = (phis > -1.0) & (phis < 1.0)
-        phis = np.concatenate([[-1.0], phis[keep], [1.0]])
-        vals = np.concatenate([[lo], vals[keep], [hi]])
-        vals = vals + d[i] * phis
-    return float(vals.max())
+    # supremum over 1-bounded 1-Lipschitz functions.
+    #
+    # Dynamic programme over the support: V(phi) is the best partial sum
+    # with f_i = phi, a concave piecewise-linear function on [-1, 1]. It is
+    # held as its peak plateau [pa, pb] with value `peak`, plus two deques of
+    # (length, slope) segments, `left` and `right`, each ordered from the
+    # peak outward. Every stored slope is read as slope + `offset`, so
+    # adding d_i * phi to V adds d_i to `offset` instead of touching each
+    # segment; left slopes read >= 0 and right slopes <= 0. One step is:
+    #   * sliding max over |phi' - phi| <= delta: the plateau widens by
+    #     delta on each side, the segments shift outward unchanged;
+    #   * clipping back to [-1, 1]: delta of length is trimmed from the
+    #     outer end of each deque (all of it once the plateau reaches +-1);
+    #   * adding d_i * phi: the plateau becomes a segment of slope d_i on
+    #     the side the peak moves away from, and the segments whose slope
+    #     changes sign move across, until the peak sits where slope is zero.
+    # Each step adds at most one segment, clipping drops whole segments,
+    # and a move costs O(1). The inputs are read through memoryviews, one
+    # Python float at a time, so the deques are the only per-call buffers.
+    left: deque = deque()
+    right: deque = deque()
+    pa, pb, peak, offset = -1.0, 1.0, 0.0, 0.0
+    prev = float(support[0])
+    for x, di in zip(memoryview(support), memoryview(d)):
+        delta = x - prev
+        prev = x
+        pa -= delta
+        if pa <= -1.0:
+            pa = -1.0
+            left.clear()
+        else:
+            trim = delta
+            while left:
+                length, slope = left[-1]
+                if length > trim:
+                    left[-1] = (length - trim, slope)
+                    break
+                trim -= length
+                left.pop()
+        pb += delta
+        if pb >= 1.0:
+            pb = 1.0
+            right.clear()
+        else:
+            trim = delta
+            while right:
+                length, slope = right[-1]
+                if length > trim:
+                    right[-1] = (length - trim, slope)
+                    break
+                trim -= length
+                right.pop()
+        if di > 0.0:
+            if pb > pa:
+                left.appendleft((pb - pa, -offset))
+            offset += di
+            peak += di * pb
+            pa = pb
+            while right:
+                length, slope = right[0]
+                rise = slope + offset
+                if rise < 0.0:
+                    break
+                right.popleft()
+                pb += length
+                if rise > 0.0:
+                    left.appendleft((length, slope))
+                    peak += length * rise
+                    pa = pb
+        elif di < 0.0:
+            if pb > pa:
+                right.appendleft((pb - pa, -offset))
+            offset += di
+            peak += di * pa
+            pb = pa
+            while left:
+                length, slope = left[0]
+                rise = slope + offset
+                if rise > 0.0:
+                    break
+                left.popleft()
+                pa -= length
+                if rise < 0.0:
+                    right.appendleft((length, slope))
+                    peak -= length * rise
+                    pb = pa
+    return peak
 
 
 def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -211,6 +279,14 @@ def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     Supremum of ``|<f, mu> - <f, nu>|`` over functions with sup-norm at most 1
     and Lipschitz constant at most 1. Computed exactly on the merged support;
     always in ``[0, 2]``, and equal to ``min(2, |x - y|)`` for point masses.
+
+    The value comes from a dynamic programme over the merged support that
+    keeps the concave value function as a peak plateau plus two deques of
+    (length, slope) segments under one shared slope offset. A support point
+    costs O(1) pure-Python work plus one step per segment that crosses the
+    peak. A segment crosses only when the running sum of the signed weights
+    passes the level at which the segment was made, which is rare for the
+    laws of sampled measures: there n support points cost amortized O(n).
     """
     support, d = _merged_signed_weights(mu, nu)
     if not np.any(d):

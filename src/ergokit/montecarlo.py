@@ -51,7 +51,13 @@ _KEY_SALT = np.uint64(0x9E3779B97F4A7C15)
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Explicit argument, else the ERGOKIT_WORKERS variable, else 1."""
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+        raw = os.environ.get(WORKERS_ENV_VAR, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}")
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     return workers

@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import ergokit
 from ergokit.cli import main
 
 
@@ -96,6 +98,15 @@ def test_simulate_rejects_bad_worker_count(capsys):
                            "--workers", "abc")
     assert code == 2
     assert "workers" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bad_workers_variable_is_named(monkeypatch, capsys, raw):
+    monkeypatch.setenv("ERGOKIT_WORKERS", raw)
+    code, _, err = run_cli(capsys, "estimate", "--model", "flip", "--x0", "1",
+                           "--times", "2", "--f", "xmin1", "--samples", "10")
+    assert code == 2
+    assert "ERGOKIT_WORKERS" in err and repr(raw) in err
 
 
 def test_simulate_rejects_ctmc(capsys):
@@ -291,6 +302,25 @@ def test_unknown_model_rejected(capsys):
     code, _, err = run_cli(capsys, "simulate", "--model", "mystery", "--x0", "1")
     assert code == 2
     assert "unknown model" in err
+
+
+def test_version_flag_and_manifest_match_package_version(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.strip() == f"ergokit {ergokit.__version__}"
+    code, out, _ = run_cli(capsys, "exact-ctmc", "--n", "2", "--t", "1")
+    assert code == 0
+    manifest, _, _ = parse_csv(out)
+    assert manifest["version"] == ergokit.__version__
+
+
+def test_package_metadata_reads_the_version_from_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "ergokit.__version__"}
 
 
 def test_manifest_reruns_to_identical_bytes(tmp_path):

@@ -9,6 +9,8 @@ from ergokit.core import (
     Ball,
     EmpiricalMeasure,
     TestFunction,
+    _max_signed_pairing,
+    _merged_signed_weights,
     bl_distance,
     bump_function,
     constant,
@@ -125,6 +127,121 @@ def test_bl_positive_for_distinct_measures(seed):
     if np.allclose(w1, w2):
         return
     assert bl_distance(measure(support, w1), measure(support, w2)) > 0.0
+
+
+def reference_max_signed_pairing(support, d):
+    # The breakpoint-array form of the same dynamic programme, rebuilt with
+    # numpy at every support point (O(n * breakpoints)); kept as the
+    # reference the segment-deque form must match.
+    phis = np.array([-1.0, 1.0])
+    vals = np.array([-d[0], d[0]])
+    for i in range(1, support.size):
+        delta = support[i] - support[i - 1]
+        vmax = vals.max()
+        peak = np.nonzero(vals == vmax)[0]
+        a, b = peak[0], peak[-1]
+        phis = np.concatenate([phis[: a + 1] - delta, phis[b:] + delta])
+        vals = np.concatenate([vals[: a + 1], vals[b:]])
+        lo = np.interp(-1.0, phis, vals)
+        hi = np.interp(1.0, phis, vals)
+        keep = (phis > -1.0) & (phis < 1.0)
+        phis = np.concatenate([[-1.0], phis[keep], [1.0]])
+        vals = np.concatenate([[lo], vals[keep], [hi]])
+        vals = vals + d[i] * phis
+    return float(vals.max())
+
+
+def check_bl(mu, nu, lp=True):
+    got = bl_distance(mu, nu)
+    support, d = _merged_signed_weights(mu, nu)
+    if support.size > 1:
+        assert _max_signed_pairing(support, d) == pytest.approx(
+            reference_max_signed_pairing(support, d), abs=1e-12)
+    if lp:
+        assert got == pytest.approx(bl_lp(mu.support, mu.weights, nu.support, nu.weights),
+                                    abs=1e-9)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bl_matches_lp_oracle_many_atoms(seed):
+    rng = np.random.default_rng(500 + seed)
+    m, k = rng.integers(50, 301, size=2)
+    grid = np.linspace(0, 4, 2000)
+    mu = measure(np.sort(rng.choice(grid, size=m, replace=False)), rng.dirichlet(np.ones(m)))
+    nu = measure(np.sort(rng.choice(grid, size=k, replace=False)), rng.dirichlet(np.ones(k)))
+    check_bl(mu, nu)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bl_lattice_equal_weights(seed):
+    # equal weights on a lattice make the running sum of d revisit the same
+    # values, so slopes cancel to exact zeros and plateaus tie
+    rng = np.random.default_rng(600 + seed)
+    m = int(rng.integers(20, 200))
+    grid = np.arange(300) * 0.02
+    mu = measure(np.sort(rng.choice(grid, size=m, replace=False)), np.full(m, 1.0 / m))
+    nu = measure(np.sort(rng.choice(grid, size=m, replace=False)), np.full(m, 1.0 / m))
+    check_bl(mu, nu)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bl_shared_atoms_give_exact_zero_d(seed):
+    rng = np.random.default_rng(700 + seed)
+    grid = np.linspace(0, 3, 400)
+    atoms = np.sort(rng.choice(grid[1:], size=120, replace=False))
+    shared, own_mu, own_nu = atoms[:40], atoms[40:80], atoms[80:]
+    # the smallest atom is shared too, so d[0] == 0
+    shared = np.concatenate([[0.0], shared])
+    w_shared = np.full(shared.size, 0.5 / shared.size)
+    w_own = rng.dirichlet(np.ones(40), size=2) * 0.5
+
+    def build(own, w):
+        support = np.concatenate([shared, own])
+        order = np.argsort(support)
+        return measure(support[order], np.concatenate([w_shared, w])[order])
+
+    mu, nu = build(own_mu, w_own[0]), build(own_nu, w_own[1])
+    support, d = _merged_signed_weights(mu, nu)
+    assert d[0] == 0.0 and np.count_nonzero(d == 0.0) == shared.size
+    check_bl(mu, nu)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bl_gaps_of_two_clip_every_segment(seed):
+    # with every gap >= 2 the atoms are independent: f = sign(d) attains
+    # sum |d_i|
+    rng = np.random.default_rng(800 + seed)
+    m, k = rng.integers(1, 30, size=2)
+    atoms = np.cumsum(rng.uniform(2.0, 5.0, size=m + k))
+    picks = rng.permutation(m + k)
+    mu = measure(np.sort(atoms[picks[:m]]), rng.dirichlet(np.ones(m)))
+    nu = measure(np.sort(atoms[picks[m:]]), rng.dirichlet(np.ones(k)))
+    got = check_bl(mu, nu)
+    assert got == pytest.approx(2.0, abs=1e-12)
+    shared = measure(atoms[:m], rng.dirichlet(np.ones(m)))
+    other = measure(atoms[:m], rng.dirichlet(np.ones(m)))
+    got = check_bl(shared, other)
+    assert got == pytest.approx(np.abs(shared.weights - other.weights).sum(), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, a", [(10_000, 0.0), (10_000, 1.3), (40_000, 0.0), (40_000, 0.7)])
+def test_bl_to_point_mass_closed_form_large(n, a):
+    # bl(mu, delta_a) = E_mu[min(|X - a|, 2)], attained by min(|x - a|, 2) - 1
+    rng = np.random.default_rng(n + int(10 * a))
+    mu = EmpiricalMeasure.from_samples(rng.exponential(1.0, size=n))
+    want = float(np.dot(mu.weights, np.minimum(np.abs(mu.support - a), 2.0)))
+    assert bl_distance(mu, EmpiricalMeasure.point_mass(a)) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bl_matches_reference_dp_on_continuous_samples(seed):
+    # every sample its own atom, as in laws drawn from a continuous flow
+    rng = np.random.default_rng(900 + seed)
+    m, k = rng.integers(1, 2001, size=2)
+    mu = EmpiricalMeasure.from_samples(rng.exponential(rng.uniform(0.2, 2.0), size=m))
+    nu = EmpiricalMeasure.from_samples(rng.exponential(rng.uniform(0.2, 2.0), size=k))
+    check_bl(mu, nu, lp=False)
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,14 @@ def test_resolve_workers_env(monkeypatch):
         resolve_workers(0)
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", ""])
+def test_resolve_workers_bad_env_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("ERGOKIT_WORKERS", raw)
+    with pytest.raises(ValueError, match="ERGOKIT_WORKERS"):
+        resolve_workers(None)
+    assert resolve_workers(2) == 2  # an explicit count does not read the variable
+
+
 # ---------------------------------------------------------------------------
 # coverage calibration (small-scale version of the acceptance run)
 
