@@ -59,4 +59,4 @@ from .diagnostics import (
     stability_report,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -149,26 +149,33 @@ def exact_law(i: CtmcState, t: float) -> EmpiricalMeasure:
     return EmpiricalMeasure(support, np.array([pts[s] for s in support]))
 
 
+def _jumps(i: CtmcState, t: float, draw: Callable[[], float]) -> int:
+    """Jumps made by time t > 0 along the cascade from the live state i.
+
+    Holding times at the live states 1/n and n are exponential with mean n,
+    drawn by inverse CDF from ``draw()``, one uniform per holding time and
+    only when it is needed. The state reached is ``_reachable(i)[jumps]``.
+    """
+    n = i.n
+    hold1 = -n * math.log1p(-draw())
+    if hold1 > t:
+        return 0
+    if i.kind == _HIGH:
+        return 1
+    hold2 = -n * math.log1p(-draw())
+    return 1 if hold1 + hold2 > t else 2
+
+
 def sample_path(i: CtmcState, t: float, stream: np.random.Generator) -> CtmcState:
     """State occupied at time t along one sampled trajectory from i.
 
-    Holding times at the live states 1/n and n are exponential with mean n,
-    drawn by inverse CDF so the draw count and values are reproducible for a
-    given stream.
+    Each holding time takes one ``stream.random()`` call, so the draw count
+    and values are reproducible for a given stream.
     """
     t = _check_time(t)
     if i.kind == _ZERO or t == 0.0:
         return i
-    n = i.n
-    hold1 = -n * math.log1p(-stream.random())
-    if i.kind == _LOW:
-        if hold1 > t:
-            return i
-        hold2 = -n * math.log1p(-stream.random())
-        if hold1 + hold2 > t:
-            return CtmcState.high(n)
-        return CtmcState.zero()
-    return i if hold1 > t else CtmcState.zero()
+    return _reachable(i)[_jumps(i, t, stream.random)]
 
 
 def _matrix(n: int, t: float) -> np.ndarray:
@@ -195,9 +202,25 @@ class CtmcProcess:
     """
 
     name: str = "ctmc"
+    # uniforms per trajectory that terminal_states reads (at most two holding times)
+    batch_draws = 2
 
     def terminal_state(self, x0: CtmcState, t: float, stream: np.random.Generator) -> float:
         return sample_path(x0, t, stream).value
+
+    def terminal_states(self, x0: CtmcState, t: float, uniforms: np.ndarray) -> list:
+        """Batch form of ``terminal_state``, one trajectory per row of uniforms.
+
+        Row k holds the first ``batch_draws`` uniforms of trajectory k's
+        stream; the cascade reads them in order, exactly as ``sample_path``
+        draws them, so each value equals ``terminal_state`` on that stream.
+        Errors come only from (x0, t), which every trajectory shares.
+        """
+        t = _check_time(t)
+        if x0.kind == _ZERO or t == 0.0:
+            return [x0.value] * len(uniforms)
+        values = [j.value for j in _reachable(x0)]
+        return [values[_jumps(x0, t, iter(row).__next__)] for row in uniforms.tolist()]
 
     def exact_expectation(self, f, x0: CtmcState, t: float) -> float:
         return semigroup_apply(f, x0, t)

@@ -131,8 +131,8 @@ class IfsModel:
         The stream belongs to this one trajectory and is read ``BLOCK``
         uniforms at a time, so its position after the call is unspecified.
         """
-        if t < 0.0:
-            raise ValueError("time must be nonnegative")
+        if not (t >= 0.0 and math.isfinite(t)):
+            raise ValueError("time must be a finite nonnegative real")
         x = as_state(x0)
         if t == 0.0:
             return x

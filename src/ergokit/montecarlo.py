@@ -10,6 +10,15 @@ is bitwise identical for any worker count. ``sample_cells`` is the one
 place where cells get their streams: every batch estimate and Monte Carlo
 diagnostic samples its (initial, time) cells through it.
 
+Philox4x64-10 is counter based, so draw d of stream (seed, c, k) is a pure
+function of its position: word ``d % 4`` of the Philox block for counter
+``(d // 4 + 1, k, c, 0)`` under key ``(seed, _KEY_SALT)``, read as the
+double ``(word >> 11) * 2**-53``. ``stream_uniforms`` evaluates that
+formula for many trajectories of one cell in one numpy pass, bit for bit
+equal to the ``StreamFactory`` stream. Processes with a batch form (the
+``ctmc`` chain) are sampled from it, ``CHUNK`` trajectories at a time;
+the others run their scalar sampler on one stream per trajectory.
+
 Confidence half-widths use the Hoeffding bound for means of variables with
 a known range, never a normal approximation: conservative but valid at
 every sample size.
@@ -33,6 +42,7 @@ __all__ = [
     "SamplingPlan",
     "CellResult",
     "StreamFactory",
+    "stream_uniforms",
     "hoeffding_half_width",
     "estimate_ptf",
     "estimate_hit",
@@ -46,6 +56,17 @@ WORKERS_ENV_VAR = "ERGOKIT_WORKERS"
 
 # second key word, a fixed odd constant so key = (seed, salt) is injective in seed
 _KEY_SALT = np.uint64(0x9E3779B97F4A7C15)
+
+# trajectories per stream_uniforms call in a batch-sampled cell: bounds the
+# scratch memory of a cell whatever the sample count
+CHUNK = 4096
+
+# Philox4x64 round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_PHILOX_ROUNDS = 10
+_MASK64 = (1 << 64) - 1
+_LO32, _SHIFT32, _SHIFT11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -63,6 +84,12 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
+def _check_seed(seed: int) -> int:
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return int(seed)
+
+
 class StreamFactory:
     """Hands out the per-(cell, trajectory) Philox streams for one seed.
 
@@ -73,9 +100,7 @@ class StreamFactory:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        self.seed = int(seed)
+        self.seed = _check_seed(seed)
         self._bitgen = np.random.Philox(key=np.array([self.seed, _KEY_SALT], dtype=np.uint64))
         self._template = self._bitgen.state
         self._gen = np.random.Generator(self._bitgen)
@@ -89,6 +114,47 @@ class StreamFactory:
         }
         self._bitgen.state = state
         return self._gen
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple:
+    """High and low words of the 128-bit products of the constant m and x,
+    the high word assembled from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+    mid = (lo_lo >> _SHIFT32) + (lo_hi & _LO32) + (hi_lo & _LO32)
+    hi = m_hi * x_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, x * np.uint64(m)  # uint64 array products wrap modulo 2**64
+
+
+def stream_uniforms(seed: int, cell: int, start: int, stop: int, draws: int) -> np.ndarray:
+    """First ``draws`` uniforms of the streams (seed, cell, k), start <= k < stop.
+
+    Row k - start equals ``StreamFactory(seed).stream(cell, k).random(draws)``
+    bit for bit: each block of four draws is one Philox4x64-10 evaluation
+    at counter (block + 1, k, cell, 0), vectorised over k.
+    """
+    seed = _check_seed(seed)
+    if not 0 <= start <= stop or draws < 1:
+        raise ValueError("need 0 <= start <= stop and at least one draw")
+    rows = stop - start
+    blocks = -(-draws // 4)
+    words = np.empty((rows, 4 * blocks), dtype=np.uint64)
+    for b in range(blocks):
+        c0 = np.full(rows, b + 1, dtype=np.uint64)
+        c1 = np.arange(start, stop, dtype=np.uint64)
+        c2 = np.full(rows, cell, dtype=np.uint64)
+        c3 = np.zeros(rows, dtype=np.uint64)
+        k0, k1 = seed, int(_KEY_SALT)
+        for r in range(_PHILOX_ROUNDS):
+            if r:
+                k0 = (k0 + _PHILOX_W0) & _MASK64
+                k1 = (k1 + _PHILOX_W1) & _MASK64
+            hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        words[:, 4 * b:4 * b + 4] = np.stack((c0, c1, c2, c3), axis=1)
+    return (words[:, :draws] >> _SHIFT11) * (1.0 / 2 ** 53)
 
 
 @dataclass(frozen=True)
@@ -130,12 +196,26 @@ def sample_terminals(process, x0, t: float, n: int, seed: int, *,
                      cell: int = 0) -> np.ndarray:
     """Terminal states of n independent trajectories, in trajectory order.
 
-    Any sampler failure is re-raised with the offending trajectory index.
+    A process with a batch form ``terminal_states(x0, t, uniforms)`` gets
+    the first ``batch_draws`` uniforms of each trajectory's stream from
+    ``stream_uniforms``, ``CHUNK`` trajectories at a time; any other process
+    runs ``terminal_state`` on one stream per trajectory. Any sampler
+    failure is re-raised with the offending trajectory index (a batch form
+    fails only on inputs every trajectory shares, so that is the first one).
     """
     if n < 1:
         raise ValueError("need at least one trajectory")
-    factory = StreamFactory(seed)
     out = np.empty(n)
+    if hasattr(process, "terminal_states"):
+        for start in range(0, n, CHUNK):
+            stop = min(start + CHUNK, n)
+            uniforms = stream_uniforms(seed, cell, start, stop, process.batch_draws)
+            try:
+                out[start:stop] = process.terminal_states(x0, t, uniforms)
+            except Exception as exc:
+                raise RuntimeError(f"trajectory {start} of cell {cell}: {exc}") from exc
+        return out
+    factory = StreamFactory(seed)
     for k in range(n):
         try:
             out[k] = process.terminal_state(x0, t, factory.stream(cell, k))
@@ -173,7 +253,9 @@ def _estimate(values, functional: Union[TestFunction, Ball], confidence: float) 
     in trajectory order, with its Hoeffding half-width."""
     n = len(values)
     if isinstance(functional, Ball):
-        total, bound = sum(1 for v in values if functional.contains(v)), 1.0
+        # the IEEE operations of Ball.contains, one array at a time
+        inside = np.abs(values - functional.center) < functional.radius
+        total, bound = int(np.count_nonzero(inside)), 1.0
     else:
         total, bound = 0.0, functional.value_bound
         for v in values:  # fixed trajectory order
@@ -213,8 +295,8 @@ class SamplingPlan:
         if not self.initials or not self.times or not self.functionals:
             raise ValueError("plan grids must be nonempty")
         for t in self.times:
-            if t < 0.0:
-                raise ValueError("times must be nonnegative")
+            if not (t >= 0.0 and math.isfinite(t)):
+                raise ValueError("times must be finite and nonnegative")
 
     def cells(self):
         return list(enumerate(product(self.initials, self.times, self.functionals)))
@@ -233,14 +315,16 @@ class CellResult:
 def run_batch(plan: SamplingPlan, workers: Optional[int] = None) -> list[CellResult]:
     """Evaluate every cell of the plan; failures never abort sibling cells.
 
-    Results come back in cell order and are bitwise independent of the
-    worker count because cells are self-contained and reduced in order.
+    Each (x0, t) pair is sampled once, as cell ``idx // len(functionals)``
+    of ``product(initials, times)``, and every functional reduces that same
+    array. Results come back in cell order and are bitwise independent of
+    the worker count because cells are self-contained and reduced in order.
     """
-    cells = plan.cells()
-    samples = sample_cells(plan.process, [(x0, t) for _, (x0, t, _) in cells],
+    samples = sample_cells(plan.process, list(product(plan.initials, plan.times)),
                            plan.n_samples, plan.seed, workers)
     results = []
-    for (idx, (x0, t, fn)), values in zip(cells, samples):
+    for idx, (x0, t, fn) in plan.cells():
+        values = samples[idx // len(plan.functionals)]
         est, error = None, None
         if isinstance(values, str):
             error = values

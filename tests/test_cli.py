@@ -157,6 +157,15 @@ def test_estimate_empty_times_rejected(capsys):
     assert "grid empty" in err
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_estimate_non_finite_time_rejected(capsys, t):
+    code, out, err = run_cli(capsys, "estimate", "--model", "halving", "--x0", "1",
+                             "--times", t, "--f", "xmin1")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 

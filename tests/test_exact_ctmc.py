@@ -13,7 +13,13 @@ from ergokit.exact_ctmc import (
     semigroup_apply,
     transition_prob,
 )
-from ergokit.montecarlo import StreamFactory, hoeffding_half_width
+from ergokit.montecarlo import (
+    CHUNK,
+    StreamFactory,
+    hoeffding_half_width,
+    sample_terminals,
+    stream_uniforms,
+)
 
 F = xmin1()
 
@@ -167,6 +173,47 @@ def test_process_terminal_state_embeds_sampled_state():
     a = proc.terminal_state(CtmcState.low(3), 3.0, factory.stream(0, 0))
     b = sample_path(CtmcState.low(3), 3.0, factory.stream(0, 0)).value
     assert a == b
+
+
+@pytest.mark.parametrize("x0", [CtmcState.zero(), CtmcState.low(3), CtmcState.high(3),
+                                CtmcState.low(60), CtmcState.high(60)])
+@pytest.mark.parametrize("t", [0.0, 0.5, "n", 60.0])
+def test_terminal_states_match_sample_path(x0, t):
+    t = float(max(x0.n, 2)) if t == "n" else t
+    proc, factory, n = CtmcProcess(), StreamFactory(41), 500
+    uniforms = stream_uniforms(41, 6, 0, n, proc.batch_draws)
+    got = proc.terminal_states(x0, t, uniforms)
+    want = [sample_path(x0, t, factory.stream(6, k)).value for k in range(n)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_batch_sampled_cell_matches_scalar_terminal_states():
+    # more trajectories than one chunk, so the cell is sampled in two passes
+    proc, factory, n = CtmcProcess(), StreamFactory(2 ** 64 - 1), CHUNK + 5
+    got = sample_terminals(proc, CtmcState.low(3), 3.0, n, 2 ** 64 - 1, cell=2)
+    want = [proc.terminal_state(CtmcState.low(3), 3.0, factory.stream(2, k)) for k in range(n)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_batch_invalid_time_names_trajectory_and_cell(t):
+    with pytest.raises(RuntimeError, match=r"trajectory 0 of cell 4: time must be a finite"):
+        sample_terminals(CtmcProcess(), CtmcState.low(2), t, 10, 0, cell=4)
+
+
+def test_batch_sampled_cell_memory_stays_near_its_output():
+    import tracemalloc
+
+    n = 200_000
+    tracemalloc.start()
+    try:
+        out = sample_terminals(CtmcProcess(), CtmcState.low(4), 4.0, n, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the output array plus one chunk of scratch; a whole-cell tolist()
+    # of the uniforms alone would take over 20 MB
+    assert peak < out.nbytes + 2_000_000
 
 
 def test_exact_law_is_a_probability_measure():

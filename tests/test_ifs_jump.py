@@ -152,6 +152,15 @@ def test_terminal_state_matches_recorded_trajectory():
         assert a == state_at(traj, model, 12.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_terminal_state_rejects_non_finite_or_negative_time(t):
+    # halving absorbs at 0, so a horizon the loop never reaches used to
+    # return 0 instead of failing
+    model, _ = example_halving(1.0)
+    with pytest.raises(ValueError, match="finite nonnegative"):
+        model.terminal_state(1.0, t, StreamFactory(0).stream(0, 0))
+
+
 def test_map_failure_names_the_map():
     def bad(x):
         return x - 1.0

@@ -7,9 +7,11 @@ from ergokit.core import Ball, xmin1
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_flip, example_halving
 from ergokit.montecarlo import (
+    CHUNK,
     Estimate,
     SamplingPlan,
     StreamFactory,
+    _estimate,
     estimate_hit,
     estimate_ptf,
     hoeffding_half_width,
@@ -17,6 +19,7 @@ from ergokit.montecarlo import (
     run_batch,
     sample_cells,
     sample_terminals,
+    stream_uniforms,
 )
 
 from oracles import flip_expectation_xmin1
@@ -86,6 +89,30 @@ def test_seed_validation():
         StreamFactory(-1)
     with pytest.raises(ValueError):
         StreamFactory(2 ** 64)
+    with pytest.raises(ValueError):
+        stream_uniforms(2 ** 64, 0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+@pytest.mark.parametrize("cell", [0, 5, 2 ** 32 + 7])
+def test_stream_uniforms_match_streams_bit_for_bit(seed, cell):
+    # trajectories on both sides of a chunk boundary, draws across the
+    # 4-word Philox block
+    factory = StreamFactory(seed)
+    start, stop = CHUNK - 3, CHUNK + 3
+    for draws in range(1, 10):
+        got = stream_uniforms(seed, cell, start, stop, draws)
+        want = np.array([factory.stream(cell, k).random(draws) for k in range(start, stop)])
+        assert got.shape == (stop - start, draws)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_stream_uniforms_empty_range_and_validation():
+    assert stream_uniforms(3, 1, 7, 7, 2).shape == (0, 2)
+    with pytest.raises(ValueError):
+        stream_uniforms(3, 1, 7, 6, 2)
+    with pytest.raises(ValueError):
+        stream_uniforms(3, 1, 0, 6, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +163,14 @@ def test_hit_halving_long_run():
     model, _ = example_halving(1.0)
     est = estimate_hit(model, 1.0, 200.0, Ball(0.0, 0.1), 10_000, seed=2)
     assert est.mean >= 0.95
+
+
+def test_ball_count_matches_contains_on_the_boundary():
+    ball = Ball(0.3, 0.1)
+    values = np.array([0.3, 0.2, 0.4, 0.19999999999999998, 0.39999999999999997,
+                       0.2000000000000001, 0.0, 5.0])
+    est = _estimate(values, ball, 0.99)
+    assert est.mean == sum(1 for v in values if ball.contains(v)) / len(values)
 
 
 def test_sampler_failure_carries_trajectory_index():
@@ -250,6 +285,20 @@ def test_batch_cell_failure_does_not_abort_siblings():
     assert "w1" in results[1].error
 
 
+def test_batch_functionals_share_each_cell():
+    plan = SamplingPlan(CTMC, (CtmcState.low(2), CtmcState.high(3)), (1.0, 4.0),
+                        (F, Ball(0.0, 0.1)), 400, 21)
+    results = run_batch(plan)
+    assert len(results) == 8
+    for j, (x0, t) in enumerate([(x0, t) for x0 in plan.initials for t in plan.times]):
+        # cell j of product(initials, times) feeds both of its rows
+        assert results[2 * j].estimate == estimate_ptf(CTMC, x0, t, F, 400, 21, cell=j)
+        assert results[2 * j + 1].estimate == estimate_hit(CTMC, x0, t, Ball(0.0, 0.1), 400,
+                                                           21, cell=j)
+    single = run_batch(SamplingPlan(CTMC, plan.initials, plan.times, (F,), 400, 21))
+    assert [r.estimate for r in single] == [r.estimate for r in results[::2]]
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         SamplingPlan(CTMC, (), (1.0,), (F,), 10, 0)
@@ -257,6 +306,13 @@ def test_plan_validation():
         SamplingPlan(CTMC, (CtmcState.zero(),), (-1.0,), (F,), 10, 0)
     with pytest.raises(ValueError):
         SamplingPlan(CTMC, (CtmcState.zero(),), (1.0,), (F,), 0, 0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_plan_rejects_non_finite_times(t):
+    model, _ = example_halving(1.0)
+    with pytest.raises(ValueError, match="finite"):
+        SamplingPlan(model, (1.0,), (1.0, t), (F,), 10, 0)
 
 
 def test_resolve_workers_env(monkeypatch):
