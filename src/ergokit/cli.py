@@ -40,6 +40,7 @@ from .diagnostics import (
     stability_report,
 )
 from .ifs_jump import (
+    IfsModel,
     example_flip,
     example_halving,
     halving_tv_modulus,
@@ -57,23 +58,12 @@ class CliError(Exception):
 # model registry
 
 
-def _build_ctmc(lam: float):
-    return CtmcProcess(), None
-
-
-def _build_flip(lam: float):
-    return example_flip(lam), None
-
-
-def _build_halving(lam: float):
-    model, assume = example_halving(lam)
-    return model, assume
-
-
+# name -> (builder(lam) -> (process, assume or None), moduli that
+# ``diagnose assumptions`` audits besides the model's own ``assume.omega``)
 _MODELS: dict = {
-    "ctmc": _build_ctmc,
-    "flip": _build_flip,
-    "halving": _build_halving,
+    "ctmc": (lambda lam: (CtmcProcess(), None), ()),
+    "flip": (lambda lam: (example_flip(lam), None), ()),
+    "halving": (example_halving, (halving_tv_modulus,)),
 }
 
 
@@ -82,13 +72,27 @@ def register_model(name: str, builder: Callable) -> None:
 
     ``assume`` may be None when the model carries no hypothesis data.
     """
-    _MODELS[str(name)] = builder
+    _MODELS[str(name)] = (builder, ())
 
 
-def _build_model(name: str, lam: float):
+def _model(settings: Settings, default: Optional[str] = None):
+    """Read ``model`` and ``lambda``; returns the model name, the process
+    and its assumption data (or None)."""
+    name = settings.get("model", default, required=True)
+    lam = settings.get("lam", 1.0, _positive_float)
     if name not in _MODELS:
         raise CliError(f"unknown model {name!r}; available: {', '.join(sorted(_MODELS))}")
-    return _MODELS[name](lam)
+    process, assume = _MODELS[name][0](lam)
+    return name, process, assume
+
+
+def _modulus_label(omega) -> str:
+    """Audit row label: the formula of a library modulus, else the function name."""
+    if omega is linear_modulus:
+        return "omega=s"
+    if omega is halving_tv_modulus:
+        return "omega=2(1-exp(-s))"
+    return f"omega={getattr(omega, '__name__', omega)}"
 
 
 def _parse_initial(model_name: str, token: str):
@@ -101,6 +105,12 @@ def _parse_initial(model_name: str, token: str):
     if not (v >= 0.0 and math.isfinite(v)):
         raise CliError(f"initial point must be a finite nonnegative real, got {token!r}")
     return v
+
+
+def _starts(settings: Settings, key: str, model_name: str) -> list:
+    """Read the required comma list of start points under ``key``."""
+    return settings.get(key, parse=lambda s: [_parse_initial(model_name, p)
+                                              for p in str(s).split(",")], required=True)
 
 
 def _parse_function(spec: str) -> TestFunction:
@@ -275,30 +285,28 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _report_rows(report: DiagnosticReport):
-    return [(r.label, r.x, r.t, r.value, r.half_width, r.error or "") for r in report.rows]
+def _write(settings: Settings, command: str, schema: str, columns: Sequence[str],
+           rows: Sequence[Sequence], chart=None) -> int:
+    """Write a command's table and its ``--plot`` chart; returns the exit status.
 
-
-def _write_report(report: DiagnosticReport, manifest: dict, out, fmt, plot) -> int:
-    text = _format_table(manifest, ("label", "x", "t", "value", "half_width", "error"),
-                         _report_rows(report), fmt)
-    _emit(text, out)
+    The manifest is taken after every option has been read, so it records
+    each one that shapes the output. ``chart`` is ``(title, ylabel, points)``
+    with ``points`` an iterable of ``(series, t, value)``, read only when a
+    chart is asked for. The status is 1 if any row has an error, else 0.
+    """
+    fmt = settings.get("format", "csv")
+    out = settings.get("out", None)
+    plot = settings.get("plot", None)
+    _emit(_format_table(settings.manifest(command, schema), columns, rows, fmt), out)
     if plot:
+        title, ylabel, points = chart
         series: dict = {}
-        for row in report.rows:
-            if row.error is not None:
-                continue
-            try:
-                t = float(row.t)
-            except ValueError:
-                t = float(len(series.get(f"{row.label} {row.x}", [])))
-            series.setdefault(f"{row.label} {row.x}", []).append((t, row.value))
-        svg = line_chart_svg(sorted(series.items()),
-                             title=report.metadata.get("diagnostic", ""),
-                             xlabel="t", ylabel="value")
+        for key, t, value in points:
+            series.setdefault(key, []).append((t, value))
         with open(plot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-    return 1 if report.failed_rows() else 0
+            fh.write(line_chart_svg(sorted(series.items()), title=title, xlabel="t",
+                                    ylabel=ylabel))
+    return 1 if columns[-1] == "error" and any(row[-1] for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +315,7 @@ def _write_report(report: DiagnosticReport, manifest: dict, out, fmt, plot) -> i
 
 _COMMON_KEYS = ("model", "lam", "seed", "samples", "confidence", "out", "format",
                 "plot", "workers")
+_REPORT_COLUMNS = ("label", "x", "t", "value", "half_width", "error")
 
 
 def _mc_settings(settings: Settings, default_samples: int = 10_000) -> McSettings:
@@ -319,13 +328,12 @@ def _mc_settings(settings: Settings, default_samples: int = 10_000) -> McSetting
 
 
 def cmd_exact_ctmc(args: argparse.Namespace) -> int:
-    settings = Settings(args, ("n", "t", "f", "out", "format", "plot"))
+    settings = Settings(args, ("n", "t", "f", "out", "format"))
     n = settings.get("n", parse=int, required=True)
     if n < 2:
         raise CliError("n >= 2 required: the chain has no level below 2")
     t = settings.get("t", 1.0, _nonneg_float)
     fspec = settings.get("f", None)
-    fmt = settings.get("format", "csv")
     states = (CtmcState.low(n), CtmcState.high(n), CtmcState.zero())
     rows = []
     if fspec is None:
@@ -337,53 +345,34 @@ def cmd_exact_ctmc(args: argparse.Namespace) -> int:
         proc = CtmcProcess()
         for i in states:
             rows.append(("ptf", str(i), f"{t:g}", proc.exact_expectation(f, i, t), 0.0, ""))
-    text = _format_table(settings.manifest("exact-ctmc", "table-v1"),
-                         ("label", "x", "t", "value", "half_width", "error"), rows, fmt)
-    _emit(text, settings.get("out", None))
-    return 0
+    return _write(settings, "exact-ctmc", "table-v1", _REPORT_COLUMNS, rows)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     settings = Settings(args, _COMMON_KEYS + ("x0", "horizon", "trajectories"))
-    name = settings.get("model", required=True)
-    if name == "ctmc":
-        raise CliError("simulate dumps jump-system trajectories; ctmc has no map records")
-    lam = settings.get("lam", 1.0, _positive_float)
-    model, _ = _build_model(name, lam)
+    name, model, _ = _model(settings)
+    if not isinstance(model, IfsModel):
+        raise CliError(f"simulate dumps jump-system trajectories; {name} has no map records")
     x0 = settings.get("x0", parse=lambda s: _parse_initial(name, s), required=True)
     horizon = settings.get("horizon", 10.0, _nonneg_float)
     count = settings.get("trajectories", 1, _positive_int)
     settings.get("workers", None, _positive_int)  # validated only: simulate runs in one process
-    seed = settings.get("seed", 0, _seed)
-    fmt = settings.get("format", "csv")
-    factory = StreamFactory(seed)
+    factory = StreamFactory(settings.get("seed", 0, _seed))
     rows = []
     for k in range(count):
         traj = sample_jump_chain(model, x0, horizon, factory.stream(0, k))
         for j in range(len(traj)):
             rows.append((k, j + 1, traj.tau[j], traj.xi[j], int(traj.index[j]), traj.phi[j]))
-    text = _format_table(settings.manifest("simulate", "trajectories-v1"),
-                         ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"), rows, fmt)
-    _emit(text, settings.get("out", None))
-    plot = settings.get("plot", None)
-    if plot:
-        series: dict = {}
-        for tid, _, tau, _, _, phi in rows:
-            series.setdefault(f"traj {tid}", []).append((tau, phi))
-        with open(plot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(line_chart_svg(sorted(series.items()), title=f"{name} trajectories",
-                                    xlabel="t", ylabel="state"))
-    return 0
+    return _write(settings, "simulate", "trajectories-v1",
+                  ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"), rows,
+                  (f"{name} trajectories", "state",
+                   ((f"traj {tid}", tau, phi) for tid, _, tau, _, _, phi in rows)))
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     settings = Settings(args, _COMMON_KEYS + ("x0", "times", "f", "ball"))
-    name = settings.get("model", required=True)
-    lam = settings.get("lam", 1.0, _positive_float)
-    process, _ = _build_model(name, lam)
-    initials = settings.get(
-        "x0", parse=lambda s: [_parse_initial(name, p) for p in str(s).split(",")],
-        required=True)
+    name, process, _ = _model(settings)
+    initials = _starts(settings, "x0", name)
     times = settings.get("times", parse=_floats, required=True)
     if not times:
         raise CliError("grid empty")
@@ -404,31 +393,20 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                         mc.n_samples, mc.seed, confidence=mc.confidence)
     results = run_batch(plan, workers=mc.workers)
     rows = []
-    failed = False
     for cell in results:
         if cell.error is not None:
-            failed = True
             rows.append((cell.initial, cell.time, cell.functional,
                          math.nan, math.nan, mc.n_samples, mc.confidence, math.nan, cell.error))
         else:
             est = cell.estimate
             rows.append((cell.initial, cell.time, cell.functional, est.mean,
                          est.half_width, est.n_samples, est.confidence, est.value_bound, ""))
-    text = _format_table(settings.manifest("estimate", "estimates-v1"),
-                         ("x", "t", "functional", "mean", "half_width", "n_samples",
-                          "confidence", "value_bound", "error"), rows, fmt=settings.get("format", "csv"))
-    _emit(text, settings.get("out", None))
-    plot = settings.get("plot", None)
-    if plot:
-        series: dict = {}
-        for cell in results:
-            if cell.error is None:
-                series.setdefault(f"{cell.initial} {cell.functional}", []).append(
-                    (cell.time, cell.estimate.mean))
-        with open(plot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(line_chart_svg(sorted(series.items()), title=f"{name} estimates",
-                                    xlabel="t", ylabel="mean"))
-    return 1 if failed else 0
+    return _write(settings, "estimate", "estimates-v1",
+                  ("x", "t", "functional", "mean", "half_width", "n_samples",
+                   "confidence", "value_bound", "error"), rows,
+                  (f"{name} estimates", "mean",
+                   ((f"{c.initial} {c.functional}", c.time, c.estimate.mean)
+                    for c in results if c.error is None)))
 
 
 def _auto_pairs(model_name: str):
@@ -454,17 +432,31 @@ def _parse_pairs(model_name: str, text: str):
     return pairs
 
 
+def _report_points(report: DiagnosticReport):
+    """Chart points of a report: one series per (label, x); a row whose t
+    is not a number is placed at its index in its series."""
+    counts: dict = {}
+    for row in report.rows:
+        if row.error is not None:
+            continue
+        key = f"{row.label} {row.x}"
+        try:
+            t = float(row.t)
+        except ValueError:
+            t = float(counts.get(key, 0))
+        counts[key] = counts.get(key, 0) + 1
+        yield key, t, row.value
+
+
 def cmd_diagnose(args: argparse.Namespace) -> int:
     sub = args.subdiagnostic
     if sub == "ec":
         settings = Settings(args, _COMMON_KEYS + ("f", "z", "xs", "window_start",
                                                   "window_end", "grid"))
-        name = settings.get("model", required=True)
-        process, _ = _build_model(name, settings.get("lam", 1.0, _positive_float))
+        name, process, _ = _model(settings)
         f = _parse_function(settings.get("f", "xmin1"))
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), required=True)
-        xs = settings.get("xs", parse=lambda s: [_parse_initial(name, p)
-                                                 for p in str(s).split(",")], required=True)
+        xs = _starts(settings, "xs", name)
         T = settings.get("window_start", 0.0, _nonneg_float)
         t_max = settings.get("window_end", required=True, parse=_nonneg_float)
         grid = settings.get("grid", None, _floats)
@@ -474,8 +466,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         report = ec_profile(process, f, z, xs, T, t_max, grid, _mc_settings(settings))
     elif sub == "eprop":
         settings = Settings(args, _COMMON_KEYS + ("f", "z", "pairs"))
-        name = settings.get("model", required=True)
-        process, _ = _build_model(name, settings.get("lam", 1.0, _positive_float))
+        name, process, _ = _model(settings)
         f = _parse_function(settings.get("f", "xmin1"))
         default_z = "zero" if name == "ctmc" else "0"
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), default=None)
@@ -487,42 +478,34 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         report = eproperty_witness(process, f, z, pairs, _mc_settings(settings))
     elif sub == "lowerbound":
         settings = Settings(args, _COMMON_KEYS + ("z", "eps", "x_grid", "t_grid"))
-        name = settings.get("model", required=True)
-        process, _ = _build_model(name, settings.get("lam", 1.0, _positive_float))
+        name, process, _ = _model(settings)
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), required=True)
         eps = settings.get("eps", 0.1, _positive_float)
-        x_grid = settings.get("x_grid", parse=lambda s: [_parse_initial(name, p)
-                                                         for p in str(s).split(",")],
-                              required=True)
+        x_grid = _starts(settings, "x_grid", name)
         t_grid = settings.get("t_grid", parse=_floats, required=True)
         report = lower_bound_scan(process, z, eps, x_grid, t_grid, _mc_settings(settings))
     elif sub == "stability":
         settings = Settings(args, _COMMON_KEYS + ("z", "initials", "t_grid"))
-        name = settings.get("model", required=True)
-        process, _ = _build_model(name, settings.get("lam", 1.0, _positive_float))
+        name, process, _ = _model(settings)
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), default=None)
         anchor = 0.0 if z is None else (z.value if hasattr(z, "value") else z)
-        initials = settings.get("initials", parse=lambda s: [_parse_initial(name, p)
-                                                             for p in str(s).split(",")],
-                                required=True)
+        initials = _starts(settings, "initials", name)
         t_grid = settings.get("t_grid", parse=_floats, required=True)
         report = stability_report(process, initials, t_grid,
                                   EmpiricalMeasure.point_mass(anchor), _mc_settings(settings))
     elif sub == "assumptions":
         settings = Settings(args, _COMMON_KEYS + ("x_grid", "n_trunc", "c2", "eps",
                                                   "t_search", "c2_x_grid"))
-        name = settings.get("model", "halving")
-        model, assume = _build_model(name, settings.get("lam", 1.0, _positive_float))
+        name, model, assume = _model(settings, "halving")
         if assume is None:
             raise CliError(f"model {name!r} carries no assumption data to audit")
         x_grid = settings.get("x_grid", None, _floats)
-        if x_grid is None:
+        if x_grid is None:  # not recorded: the manifest reruns without it
             x_grid = [10.0 * (k + 1) / 1000 for k in range(1000)]
-            settings.resolved["x_grid"] = "0.01..10:1000"
         n_trunc = settings.get("n_trunc", 10, _positive_int)
         report = DiagnosticReport({"diagnostic": "assumptions", "model": model.name,
                                    "lambda": model.rate})
-        moduli = (("omega=s", linear_modulus), ("omega=2(1-exp(-s))", halving_tv_modulus))
+        moduli = [(_modulus_label(om), om) for om in (assume.omega,) + _MODELS[name][1]]
         report.add("b2_max_violation", f"{len(x_grid)}-point grid", "",
                    check_b2(model, assume, x_grid), 0.0)
         for label, om in moduli:
@@ -544,9 +527,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown diagnostic {sub!r}")
 
-    manifest = settings.manifest(f"diagnose-{sub}", "diagnostics-v1")
-    return _write_report(report, manifest, settings.get("out", None),
-                         settings.get("format", "csv"), settings.get("plot", None))
+    rows = [(r.label, r.x, r.t, r.value, r.half_width, r.error or "") for r in report.rows]
+    return _write(settings, f"diagnose-{sub}", "diagnostics-v1", _REPORT_COLUMNS, rows,
+                  (report.metadata.get("diagnostic", ""), "value", _report_points(report)))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", help="test function (xmin1, const:<c>, bump:<lo>,<hi>,<eps>)")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--plot")
     p.set_defaults(func=cmd_exact_ctmc)
 
     p = commands.add_parser("simulate", help="dump jump-chain trajectories")

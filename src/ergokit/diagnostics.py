@@ -348,7 +348,7 @@ def check_b2(model: IfsModel, assume: AssumptionSet, x_grid: Sequence[float]) ->
     z = assume.anchor
     worst = -math.inf
     for x in x_grid:
-        probs = model.probabilities(x)
+        probs = model._weights(x)
         lhs = 0.0
         for k, p in enumerate(probs, start=1):
             lhs += p * abs(model.apply_map(k, x) - z)
@@ -367,10 +367,10 @@ def check_b3(model: IfsModel, assume: AssumptionSet, x_grid: Sequence[float],
         raise ValueError("x grid empty")
     omega = omega or assume.omega
     z = assume.anchor
-    pz = model.probabilities(z)
+    pz = model._weights(z)
     worst = -math.inf
     for x in x_grid:
-        gap = float(np.sum(np.abs(model.probabilities(x) - pz)))
+        gap = float(np.sum(np.abs(model._weights(x) - pz)))
         worst = max(worst, gap - omega(abs(x - z)))
     return worst
 
@@ -439,7 +439,8 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
     with the earliest grid time attaining it, plus the floor
     ``beta_hat = min over x of max over t`` of the hit probability. The same
     trajectories are reused for every radius, so enlarging the radius never
-    lowers a reported probability.
+    lowers a reported probability. Every radius must be positive and
+    finite; a bad one raises ``ValueError`` before any sampling.
     """
     if not (t_search > 0.0):
         raise ValueError("t_search must be positive")
@@ -447,6 +448,7 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
         raise ValueError("need at least one radius and one start")
     mc = mc or McSettings()
     anchor = z.value if hasattr(z, "value") else float(z)
+    balls = [Ball(anchor, eps) for eps in eps_list]
     t_grid = [0.0]
     t = 1.0
     while t <= t_search:
@@ -462,11 +464,11 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
                            x_grid=[process.state_label(x) for x in x_grid])
     samples = _sample_or_raise(process, list(product(x_grid, t_grid)), mc)
     n_t = len(t_grid)
-    for eps in eps_list:
+    for ball in balls:
         best = []
         for i, x in enumerate(x_grid):
             label = process.state_label(x)
-            probs = [(float(np.mean(np.abs(values - anchor) < eps)), t)
+            probs = [(_estimate(values, ball, conf_cell).mean, t)
                      for values, t in zip(samples[i * n_t:(i + 1) * n_t], t_grid)]
             m_x = max(p for p, _ in probs)
             best.append(m_x)
@@ -476,5 +478,5 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
                 continue
             t_first = min(t for p, t in probs if p >= m_x)
             report.add("c2_first_hit", label, f"{t_first:g}", m_x, hw)
-        report.add("c2_beta", f"eps={eps:g}", f"<={t_search:g}", min(best), hw)
+        report.add("c2_beta", f"eps={ball.radius:g}", f"<={t_search:g}", min(best), hw)
     return report

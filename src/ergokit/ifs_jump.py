@@ -42,7 +42,6 @@ __all__ = [
     "j_n",
     "linear_modulus",
     "halving_tv_modulus",
-    "check_prob_vector",
 ]
 
 PROB_SUM_TOL = 1e-9
@@ -52,17 +51,6 @@ PROB_SUM_TOL = 1e-9
 # block of 64 costs about as much as three scalar calls, and a trajectory
 # discards at most 63 unused words.
 BLOCK = 64
-
-
-def check_prob_vector(weights: np.ndarray, where: str = "") -> np.ndarray:
-    """Validate a probability vector (nonnegative, sums to one)."""
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError(f"probability vector has invalid entries {w!r} {where}")
-    s = float(np.sum(w))
-    if abs(s - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"probability vector sums to {s!r}, not 1 {where}")
-    return w
 
 
 @dataclass(frozen=True)
@@ -107,12 +95,6 @@ class IfsModel:
     @property
     def n_maps(self) -> int:
         return len(self.maps)
-
-    def probabilities(self, x: float) -> np.ndarray:
-        w = np.asarray(self.prob_field(x), dtype=float)
-        if w.shape != (self.n_maps,):
-            raise ValueError(f"prob_field returned shape {w.shape}, expected ({self.n_maps},)")
-        return check_prob_vector(w, where=f"at x={x!r} in model {self.name!r}")
 
     def apply_map(self, index: int, x: float) -> float:
         """Apply map ``index`` (1-based) and validate the landing point."""
@@ -214,6 +196,26 @@ class IfsModel:
                 idxs(chosen)
                 phis(x)
         return x
+
+    def _weights(self, x: float) -> np.ndarray:
+        """Selection probabilities at x for the audits, with the checks and
+        messages of the jump loop's inline validation."""
+        w = self.prob_field(x)
+        if isinstance(w, np.ndarray):
+            w = w.tolist()
+        if len(w) != len(self.maps):
+            raise ValueError(f"prob_field returned {len(w)} weights for "
+                             f"{len(self.maps)} maps at x={x!r}")
+        acc = 0.0
+        for p in w:
+            if p < 0.0:
+                raise ValueError(
+                    f"negative selection probability {p!r} at x={x!r} in model {self.name!r}")
+            acc += p
+        if not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
+            raise ValueError(
+                f"selection probabilities sum to {acc!r} at x={x!r} in model {self.name!r}")
+        return np.asarray(w, dtype=float)
 
     def _flowed(self, s: float, x: float) -> float:
         """Flow x for time s and validate the point reached."""

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -58,6 +59,21 @@ def test_exact_ctmc_rejects_low_level(capsys):
     code, _, err = run_cli(capsys, "exact-ctmc", "--n", "1")
     assert code == 2
     assert "n >= 2" in err
+
+
+def test_exact_ctmc_has_no_plot_option(tmp_path, capsys):
+    # one point per series makes no chart, so the option is rejected rather
+    # than accepted and ignored
+    svg = tmp_path / "x.svg"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["exact-ctmc", "--n", "3", "--plot", str(svg)])
+    assert exit_info.value.code == 2
+    cfg = tmp_path / "plot.cfg"
+    cfg.write_text(f"n = 3\nplot = {svg}\n")
+    code, out, err = run_cli(capsys, "exact-ctmc", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "plot" in err
+    assert not svg.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +351,43 @@ def test_package_metadata_reads_the_version_from_the_package():
 def test_manifest_reruns_to_identical_bytes(tmp_path):
     # the embedded manifest is a complete recipe: feeding it back as flags
     # reproduces the file byte for byte
-    out1 = tmp_path / "first.csv"
-    assert main(["simulate", "--model", "flip", "--lambda", "1.5", "--x0", "0.8",
-                 "--horizon", "12", "--trajectories", "6", "--seed", "31",
-                 "--out", str(out1)]) == 0
-    manifest, _, _ = parse_csv(out1.read_text())
-    args = [manifest["command"]]
-    for key, value in manifest.items():
-        if key in ("command", "version", "schema", "format"):
-            continue
-        args += ["--" + key.replace("_", "-"), value]
-    out2 = tmp_path / "second.csv"
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    commands = [
+        ["simulate", "--model", "flip", "--lambda", "1.5", "--x0", "0.8", "--horizon", "12",
+         "--trajectories", "6", "--seed", "31"],
+        ["exact-ctmc", "--n", "5", "--t", "2.5"],
+        ["exact-ctmc", "--n", "3", "--t", "1", "--f", "bump:0,1,0.25", "--format", "json"],
+        ["estimate", "--model", "ctmc", "--x0", "low:3,zero", "--times", "0.5,2",
+         "--f", "xmin1", "--ball", "0,0.5", "--samples", "300", "--seed", "4"],
+        ["estimate", "--model", "halving", "--lambda", "2", "--x0", "1,3", "--times", "1",
+         "--f", "xmin1", "--samples", "100", "--seed", "5", "--format", "json"],
+        ["diagnose", "ec", "--model", "flip", "--z", "0", "--xs", "0.1,0.2",
+         "--window-end", "4", "--samples", "200", "--seed", "5"],
+        ["diagnose", "eprop", "--model", "ctmc"],
+        ["diagnose", "lowerbound", "--model", "halving", "--z", "0", "--x-grid", "0.5,1",
+         "--t-grid", "5,10", "--samples", "200", "--seed", "6"],
+        ["diagnose", "stability", "--model", "flip", "--initials", "0.5,2", "--t-grid", "2,4",
+         "--samples", "200", "--seed", "7"],
+        ["diagnose", "assumptions"],
+        ["diagnose", "assumptions", "--x-grid", "0.1,0.125", "--c2", "true",
+         "--t-search", "16", "--c2-x-grid", "0.5,1", "--samples", "200", "--seed", "8"],
+    ]
+    for i, argv in enumerate(commands):
+        out1, out2 = tmp_path / f"{i}-first", tmp_path / f"{i}-second"
+        assert main(argv + ["--out", str(out1)]) == 0, argv
+        text = out1.read_text()
+        if text.startswith("{"):
+            manifest = json.loads(text)["manifest"]
+        else:
+            manifest, _, _ = parse_csv(text)
+        assert manifest["format"] == ("json" if "json" in argv else "csv"), argv
+        command = manifest["command"]
+        args = command.split("-", 1) if command.startswith("diagnose-") else [command]
+        for key, value in manifest.items():
+            if key in ("command", "version", "schema"):
+                continue
+            args += ["--" + key.replace("_", "-"), value]
+        assert main(args + ["--out", str(out2)]) == 0, args
+        assert out1.read_bytes() == out2.read_bytes(), argv
 
 
 def test_config_file_lambda_key(tmp_path, capsys):
@@ -414,6 +454,42 @@ def test_json_output_writes_failed_values_as_null(capsys):
     assert ok[3] == 1.0 and ok[-1] == ""
     assert bad[3] is None and bad[4] is None and bad[7] is None
     assert "w1" in bad[-1]
+
+
+def test_assumptions_audit_the_models_own_modulus(capsys):
+    from ergokit.cli import register_model, _MODELS
+    from ergokit.diagnostics import check_b3, check_b5
+    from ergokit.ifs_jump import example_halving
+
+    def triple(s):
+        return 3.0 * s
+
+    def builder(lam):
+        model, assume = example_halving(lam)
+        return model, dataclasses.replace(assume, omega=triple)
+
+    register_model("halving3", builder)
+    try:
+        code, out, _ = run_cli(capsys, "diagnose", "assumptions", "--model", "halving3",
+                               "--x-grid", "0.05,0.1")
+    finally:
+        _MODELS.pop("halving3", None)
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    model, assume = builder(1.0)
+    b3 = [(r["x"], float(r["value"])) for r in rows if r["label"] == "b3_max_violation"]
+    assert b3 == [("omega=triple", check_b3(model, assume, [0.05, 0.1]))]
+    b5 = [(r["x"], float(r["value"])) for r in rows if r["label"] == "b5_residual"]
+    assert b5 == [("omega=triple", check_b5(model, assume, 10, [0.05, 0.1, 0.125]))]
+
+
+@pytest.mark.parametrize("eps", ["-0.1", "0", "nan", "inf", "0.1,-0.2"])
+def test_assumptions_c2_rejects_invalid_radius(capsys, eps):
+    code, out, err = run_cli(capsys, "diagnose", "assumptions", "--x-grid", "0.1", "--c2", "true",
+                             f"--eps={eps}", "--t-search", "2", "--samples", "20")
+    assert code == 2
+    assert out == ""
+    assert "radius" in err
 
 
 def test_assumptions_with_c2_and_radius_list(capsys):

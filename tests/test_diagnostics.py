@@ -19,6 +19,7 @@ from ergokit.diagnostics import (
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import (
     AssumptionSet,
+    IfsModel,
     example_flip,
     example_halving,
     halving_tv_modulus,
@@ -287,6 +288,22 @@ def test_b3_linear_modulus_fails_near_anchor():
     violation = check_b3(model, assume, [0.01], omega=linear_modulus)
     assert violation == pytest.approx(2.0 * (1.0 - math.exp(-0.01)) - 0.01, abs=1e-15)
     assert violation > 0.0
+
+
+@pytest.mark.parametrize("field, match", [
+    (lambda x: (1.0,), "returned 1 weights for 2 maps"),
+    (lambda x: np.array([1.5, -0.5]), "negative selection probability -0.5"),
+    (lambda x: (0.5, 0.4), "selection probabilities sum to 0.9"),
+    (lambda x: (0.7, 0.7), "selection probabilities sum to 1.4"),
+], ids=["count", "negative", "sum-low", "sum-high"])
+def test_audits_reject_bad_selection_probabilities(field, match):
+    # the audits validate weights with the checks and messages of the jump loop
+    model = IfsModel(name="bad", maps=(lambda x: x, lambda x: x), prob_field=field, rate=1.0)
+    _, assume = example_halving(1.0)
+    with pytest.raises(ValueError, match=match):
+        check_b2(model, assume, [0.5])
+    with pytest.raises(ValueError, match=match):
+        check_b3(model, assume, [0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from ergokit.ifs_jump import (
     IdentityFlow,
     IfsModel,
     Trajectory,
-    check_prob_vector,
     example_flip,
     example_halving,
     halving_tv_modulus,
@@ -27,31 +26,31 @@ from ergokit.montecarlo import StreamFactory
 
 
 def test_flip_probs_low_branch():
-    assert example_flip(1.0).probabilities(0.5) == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
+    assert example_flip(1.0).prob_field(0.5) == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
 
 
 def test_flip_probs_middle_branch():
     third = 1.0 / 3.0
-    assert example_flip(1.0).probabilities(1.0) == pytest.approx([third] * 3, abs=1e-15)
+    assert example_flip(1.0).prob_field(1.0) == pytest.approx([third] * 3, abs=1e-15)
 
 
 def test_flip_probs_high_branch():
-    assert example_flip(1.0).probabilities(2.0) == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
+    assert example_flip(1.0).prob_field(2.0) == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
 
 
 @pytest.mark.parametrize("seam", [2.0 / 3.0, 1.5])
 def test_flip_probs_continuous_at_seams(seam):
     model = example_flip(1.0)
-    left = model.probabilities(seam - 1e-9)
-    right = model.probabilities(seam + 1e-9)
+    left = np.asarray(model.prob_field(seam - 1e-9))
+    right = np.asarray(model.prob_field(seam + 1e-9))
     assert np.max(np.abs(left - right)) <= 1e-8
 
 
 def test_halving_probs():
     model, _ = example_halving(1.0)
-    assert model.probabilities(1.0) == pytest.approx(
+    assert model.prob_field(1.0) == pytest.approx(
         [math.exp(-1.0), 1.0 - math.exp(-1.0)], abs=1e-15)
-    assert model.probabilities(0.0) == pytest.approx([1.0, 0.0], abs=0.0)
+    assert model.prob_field(0.0) == pytest.approx([1.0, 0.0], abs=0.0)
 
 
 def test_halving_assumption_constants():
@@ -70,14 +69,6 @@ def test_moduli():
     assert linear_modulus(0.0) == 0.0
     assert halving_tv_modulus(0.0) == 0.0
     assert halving_tv_modulus(0.3) == pytest.approx(2.0 * (1.0 - math.exp(-0.3)), abs=1e-15)
-
-
-def test_prob_vector_validation():
-    check_prob_vector(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        check_prob_vector(np.array([0.7, 0.7]))
-    with pytest.raises(ValueError):
-        check_prob_vector(np.array([1.2, -0.2]))
 
 
 # ---------------------------------------------------------------------------
