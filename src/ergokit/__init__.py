@@ -59,4 +59,4 @@ from .diagnostics import (
     stability_report,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -107,10 +107,11 @@ def _parse_initial(model_name: str, token: str):
     return v
 
 
-def _starts(settings: Settings, key: str, model_name: str) -> list:
-    """Read the required comma list of start points under ``key``."""
-    return settings.get(key, parse=lambda s: [_parse_initial(model_name, p)
-                                              for p in str(s).split(",")], required=True)
+def _starts(settings: Settings, key: str, model_name: str, default=None,
+            required: bool = True) -> list:
+    """Read a comma list of start points under ``key``, as ``Settings.get``."""
+    return settings.get(key, default, lambda s: [_parse_initial(model_name, p)
+                                                 for p in str(s).split(",")], required)
 
 
 def _parse_function(spec: str) -> TestFunction:
@@ -231,6 +232,14 @@ def _seed(text) -> int:
     if not 0 <= v < 2 ** 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return v
+
+
+def _flag(text) -> bool:
+    """A yes/no value, spelled 1/true/yes or 0/false/no in any case."""
+    word = str(text).lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("expected true or false")
+    return word in ("1", "true", "yes")
 
 
 def _confidence(text) -> float:
@@ -499,12 +508,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         name, model, assume = _model(settings, "halving")
         if assume is None:
             raise CliError(f"model {name!r} carries no assumption data to audit")
-        x_grid = settings.get("x_grid", None, _floats)
+        x_grid = _starts(settings, "x_grid", name, required=False)
         if x_grid is None:  # not recorded: the manifest reruns without it
             x_grid = [10.0 * (k + 1) / 1000 for k in range(1000)]
         n_trunc = settings.get("n_trunc", 10, _positive_int)
-        report = DiagnosticReport({"diagnostic": "assumptions", "model": model.name,
-                                   "lambda": model.rate})
+        report = DiagnosticReport("assumptions")
         moduli = [(_modulus_label(om), om) for om in (assume.omega,) + _MODELS[name][1]]
         report.add("b2_max_violation", f"{len(x_grid)}-point grid", "",
                    check_b2(model, assume, x_grid), 0.0)
@@ -517,10 +525,10 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         for label, om in moduli:
             report.add("b5_residual", label, f"x<={assume.eta:g}",
                        check_b5(model, assume, n_trunc, b5_grid, omega=om), 0.0)
-        if settings.get("c2", False, lambda s: str(s).lower() in ("1", "true", "yes")):
+        if settings.get("c2", False, _flag):
             radii = settings.get("eps", [0.1], _floats)
             t_search = settings.get("t_search", 512.0, _positive_float)
-            c2_grid = settings.get("c2_x_grid", [0.25, 1.0, 4.0], _floats)
+            c2_grid = _starts(settings, "c2_x_grid", name, [0.25, 1.0, 4.0])
             c2_report = check_c2(model, assume.anchor, radii, c2_grid, t_search,
                                  _mc_settings(settings, default_samples=2000))
             report.rows.extend(c2_report.rows)
@@ -529,7 +537,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
     rows = [(r.label, r.x, r.t, r.value, r.half_width, r.error or "") for r in report.rows]
     return _write(settings, f"diagnose-{sub}", "diagnostics-v1", _REPORT_COLUMNS, rows,
-                  (report.metadata.get("diagnostic", ""), "value", _report_points(report)))
+                  (report.name, "value", _report_points(report)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import Ball, EmpiricalMeasure, TestFunction, bl_distance
 from .exact_ctmc import CtmcProcess
 from .ifs_jump import AssumptionSet, IfsModel, j_n
-from .montecarlo import SamplingPlan, _estimate, hoeffding_half_width, run_batch, sample_cells
+from .montecarlo import _estimate, _time_grid, hoeffding_half_width, sample_cells
 
 __all__ = [
     "McSettings",
@@ -66,9 +66,9 @@ class ReportRow:
 
 @dataclass
 class DiagnosticReport:
-    """Rows plus the metadata needed to reproduce them."""
+    """Rows of one diagnostic; ``name`` is the diagnostic that made them."""
 
-    metadata: dict
+    name: str
     rows: list = field(default_factory=list)
 
     def add(self, label: str, x, t, value: float, half_width: float,
@@ -107,27 +107,43 @@ def _mcdiarmid_half_width(n: int, confidence: float, n_empirical: int) -> float:
     return math.sqrt(2.0 * n_empirical * math.log(2.0 / delta) / n)
 
 
-def _sample_or_raise(process, cells: list, mc: McSettings) -> list:
-    """Terminal samples of every cell; the first failed cell raises."""
-    samples = sample_cells(process, cells, mc.n_samples, mc.seed, mc.workers)
-    for values in samples:
+def _raise_failed(cells: list) -> list:
+    """Per-cell results, unchanged; the first failed cell's message raises."""
+    for result in cells:
+        if isinstance(result, str):
+            raise RuntimeError(result)
+    return cells
+
+
+def _means(process, f: Union[TestFunction, Ball], cells: list, mc: McSettings,
+           confidence: float) -> list:
+    """``(mean, half_width)`` of f at every ``(x, t)`` cell, in cell order.
+
+    The mean of a ball is its hit probability. A test function's mean on a
+    process with a closed form is exact, with width 0; every other mean is
+    taken over the ``sample_cells`` draws of its cell, with its Hoeffding
+    half-width at ``confidence``. A failed cell yields its error message in
+    place of the pair.
+    """
+    if _is_exact(process) and isinstance(f, TestFunction):
+        return [(process.exact_expectation(f, x, t), 0.0) for x, t in cells]
+    means = []
+    for values in sample_cells(process, cells, mc.n_samples, mc.seed, mc.workers):
         if isinstance(values, str):
-            raise RuntimeError(values)
-    return samples
+            means.append(values)
+        else:
+            est = _estimate(values, f, confidence)
+            means.append((est.mean, est.half_width))
+    return means
+
+
+def _anchor(z) -> float:
+    """Position of an anchor given as a chain state or a point."""
+    return z.value if hasattr(z, "value") else float(z)
 
 
 def _window_label(lo: float, hi: float) -> str:
     return f"[{lo:g},{hi:g}]"
-
-
-def _base_metadata(process, name: str, mc: Optional[McSettings]) -> dict:
-    meta = {"diagnostic": name, "model": getattr(process, "name", "?")}
-    rate = getattr(process, "rate", None)
-    if rate is not None:
-        meta["lambda"] = rate
-    if mc is not None:
-        meta.update(samples=mc.n_samples, seed=mc.seed, confidence=mc.confidence)
-    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -152,38 +168,21 @@ def ec_profile(process, f: TestFunction, z, xs: Sequence, T: float, t_max: float
         raise ValueError("window must satisfy 0 <= T <= t_max")
     if grid[0] < T or grid[-1] > t_max:
         raise ValueError("grid must lie inside the window [T, t_max]")
-    window = _window_label(T, t_max)
-
-    if _is_exact(process):
-        report = DiagnosticReport(_base_metadata(process, "ec_profile", None))
-        report.metadata.update(mode="exact", window=window, grid=grid, f=f.name,
-                               z=process.state_label(z))
-        for x in xs:
-            gap = max(abs(process.exact_expectation(f, x, t)
-                          - process.exact_expectation(f, z, t)) for t in grid)
-            report.add("ec_gap_max", process.state_label(x), window, gap, 0.0)
-        return report
-
+    _time_grid(grid)  # a nan time passes the window comparisons
     mc = mc or McSettings()
-    initials = tuple(xs) + (z,)
-    plan = SamplingPlan(process, initials, tuple(grid), (f,), mc.n_samples, mc.seed,
-                        confidence=_split_confidence(mc.confidence, len(initials) * len(grid)))
-    results = run_batch(plan, workers=mc.workers)
-    for cell in results:
-        if cell.error is not None:
-            raise RuntimeError(f"cell {cell.cell_index} failed: {cell.error}")
     # cells are read by grid position: distinct starts may share a label
+    cells = list(product(tuple(xs) + (z,), grid))
+    means = _raise_failed(_means(process, f, cells, mc,
+                                 _split_confidence(mc.confidence, len(cells))))
     n_t = len(grid)
-    z_row = results[len(xs) * n_t:]
-    report = DiagnosticReport(_base_metadata(process, "ec_profile", mc))
-    report.metadata.update(mode="monte-carlo", window=window, grid=grid, f=f.name,
-                           z=process.state_label(z))
+    z_row = means[len(xs) * n_t:]
+    window = _window_label(T, t_max)
+    report = DiagnosticReport("ec_profile")
     for i, x in enumerate(xs):
         gap, hw = 0.0, 0.0
-        for cx, cz in zip(results[i * n_t:(i + 1) * n_t], z_row):
-            ex, ez = cx.estimate, cz.estimate
-            gap = max(gap, abs(ex.mean - ez.mean))
-            hw = max(hw, ex.half_width + ez.half_width)
+        for (mx, hx), (mz, hz) in zip(means[i * n_t:(i + 1) * n_t], z_row):
+            gap = max(gap, abs(mx - mz))
+            hw = max(hw, hx + hz)
         report.add("ec_gap_max", process.state_label(x), window, gap, hw)
     return report
 
@@ -202,25 +201,17 @@ def eproperty_witness(process, f: TestFunction, z, pairs: Sequence,
     """
     if not pairs:
         raise ValueError("need at least one (x, t) pair")
-
-    if _is_exact(process):
-        report = DiagnosticReport(_base_metadata(process, "eproperty_witness", None))
-        report.metadata.update(mode="exact", f=f.name, z=process.state_label(z))
-        for x, t in pairs:
-            w = process.exact_expectation(f, x, t) - process.exact_expectation(f, z, t)
-            report.add("witness", process.state_label(x), f"{t:g}", w, 0.0)
-        return report
-
+    _time_grid([t for _, t in pairs])
     mc = mc or McSettings()
-    report = DiagnosticReport(_base_metadata(process, "eproperty_witness", mc))
-    report.metadata.update(mode="monte-carlo", f=f.name, z=process.state_label(z))
     # cells 2k and 2k+1 hold the k-th pair's start and the anchor
-    samples = _sample_or_raise(process, [c for x, t in pairs for c in ((x, t), (z, t))], mc)
+    cells = [c for x, t in pairs for c in ((x, t), (z, t))]
+    means = _raise_failed(_means(process, f, cells, mc, mc.confidence))
+    # exact pairs have width 0; a sampled pair has the two-sample bound
     hw = _difference_half_width(f.value_bound, mc.n_samples, mc.confidence)
+    report = DiagnosticReport("eproperty_witness")
     for k, (x, t) in enumerate(pairs):
-        ex = _estimate(samples[2 * k], f, mc.confidence)
-        ez = _estimate(samples[2 * k + 1], f, mc.confidence)
-        report.add("witness", process.state_label(x), f"{t:g}", ex.mean - ez.mean, hw)
+        (mx, hx), (mz, _) = means[2 * k], means[2 * k + 1]
+        report.add("witness", process.state_label(x), f"{t:g}", mx - mz, hw if hx else 0.0)
     return report
 
 
@@ -239,41 +230,33 @@ def lower_bound_scan(process, z, eps: float, x_grid: Sequence, t_grid: Sequence[
     """
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    t_grid = sorted(float(t) for t in t_grid)
-    if not t_grid:
-        raise ValueError("grid empty")
+    t_grid = sorted(_time_grid(t_grid))
     if not x_grid:
         raise ValueError("x grid empty")
     mc = mc or McSettings()
-    anchor = z.value if hasattr(z, "value") else float(z)
-    ball = Ball(anchor, eps)
-    n_cells = len(x_grid) * len(t_grid)
-    plan = SamplingPlan(process, tuple(x_grid), tuple(t_grid), (ball,),
-                        mc.n_samples, mc.seed,
-                        confidence=_split_confidence(mc.confidence, n_cells))
-    results = run_batch(plan, workers=mc.workers)
+    cells = list(product(x_grid, t_grid))
+    means = _means(process, Ball(_anchor(z), eps), cells, mc,
+                   _split_confidence(mc.confidence, len(cells)))
 
-    report = DiagnosticReport(_base_metadata(process, "lower_bound_scan", mc))
-    report.metadata.update(z=f"{anchor:g}", eps=eps, t_grid=t_grid,
-                           x_grid=[process.state_label(x) for x in x_grid])
+    report = DiagnosticReport("lower_bound_scan")
     # keyed by position in x_grid: distinct starts may share a label
     by_initial: dict = {}
     failures = []
-    for cell in results:
-        if cell.error is not None:
-            failures.append(cell)
+    for c, ((x, t), cell) in enumerate(zip(cells, means)):
+        if isinstance(cell, str):
+            failures.append((x, t, cell))
             continue
-        i = cell.cell_index // len(t_grid)
-        cur = by_initial.get(i)
-        if cur is None or cell.estimate.mean < cur[0]:
-            by_initial[i] = (cell.estimate.mean, cell.time, cell.estimate.half_width)
+        m, hw = cell
+        i = c // len(t_grid)
+        if i not in by_initial or m < by_initial[i][0]:
+            by_initial[i] = (m, t, hw)
     for i, x in enumerate(x_grid):
         if i in by_initial:
             m, t_at, hw = by_initial[i]
             report.add("hit_prob_min", process.state_label(x), f"{t_at:g}", m, hw)
-    for cell in failures:
-        report.add("hit_prob_min", cell.initial, f"{cell.time:g}", math.nan, 0.0,
-                   error=cell.error)
+    for x, t, error in failures:
+        report.add("hit_prob_min", process.state_label(x), f"{t:g}", math.nan, 0.0,
+                   error=error)
     if by_initial:
         m, t_at, hw = min(by_initial.values())
         report.add("scan_min", "all", _window_label(t_grid[0], t_grid[-1]), m, hw)
@@ -296,15 +279,11 @@ def stability_report(process, initials: Sequence, t_grid: Sequence[float],
     bounded-difference bounds around the expected empirical distance; the
     residual sampling bias of the empirical law itself is not estimated.
     """
-    t_grid = sorted(float(t) for t in t_grid)
-    if not t_grid:
-        raise ValueError("grid empty")
+    t_grid = sorted(_time_grid(t_grid))
     if not initials:
         raise ValueError("need at least one initial point")
     mc = mc or McSettings()
-    report = DiagnosticReport(_base_metadata(process, "stability_report", mc))
-    report.metadata.update(t_grid=t_grid,
-                           initials=[process.state_label(x) for x in initials])
+    report = DiagnosticReport("stability_report")
     hw1 = _mcdiarmid_half_width(mc.n_samples, mc.confidence, 1)
     hw2 = _mcdiarmid_half_width(mc.n_samples, mc.confidence, 2)
     cells = list(product(initials, t_grid))
@@ -442,13 +421,12 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
     lowers a reported probability. Every radius must be positive and
     finite; a bad one raises ``ValueError`` before any sampling.
     """
-    if not (t_search > 0.0):
-        raise ValueError("t_search must be positive")
+    if not (0.0 < t_search < math.inf):
+        raise ValueError("t_search must be positive and finite")
     if not eps_list or not x_grid:
         raise ValueError("need at least one radius and one start")
     mc = mc or McSettings()
-    anchor = z.value if hasattr(z, "value") else float(z)
-    balls = [Ball(anchor, eps) for eps in eps_list]
+    balls = [Ball(_anchor(z), eps) for eps in eps_list]
     t_grid = [0.0]
     t = 1.0
     while t <= t_search:
@@ -458,11 +436,9 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
     conf_cell = _split_confidence(mc.confidence, n_cells)
     hw = hoeffding_half_width(1.0, mc.n_samples, conf_cell)
 
-    report = DiagnosticReport(_base_metadata(process, "check_c2", mc))
-    report.metadata.update(z=f"{anchor:g}", t_search=t_search, t_grid=t_grid,
-                           eps_list=list(eps_list),
-                           x_grid=[process.state_label(x) for x in x_grid])
-    samples = _sample_or_raise(process, list(product(x_grid, t_grid)), mc)
+    report = DiagnosticReport("check_c2")
+    samples = _raise_failed(sample_cells(process, list(product(x_grid, t_grid)),
+                                         mc.n_samples, mc.seed, mc.workers))
     n_t = len(t_grid)
     for ball in balls:
         best = []

@@ -179,6 +179,17 @@ class Estimate:
         return abs(self.mean - target) <= self.half_width
 
 
+def _time_grid(times) -> list:
+    """The times as floats, in the given order; raises ``ValueError`` unless
+    there is at least one and each is finite and nonnegative."""
+    grid = [float(t) for t in times]
+    if not grid:
+        raise ValueError("grid empty")
+    if not all(0.0 <= t < math.inf for t in grid):
+        raise ValueError("times must be finite and nonnegative")
+    return grid
+
+
 def hoeffding_half_width(value_bound: float, n: int, confidence: float) -> float:
     """Half-width so that an n-sample mean of range-bounded draws misses the
     true mean by more than this with probability at most 1 - confidence."""
@@ -294,9 +305,7 @@ class SamplingPlan:
             raise ValueError("n_samples must be at least 1")
         if not self.initials or not self.times or not self.functionals:
             raise ValueError("plan grids must be nonempty")
-        for t in self.times:
-            if not (t >= 0.0 and math.isfinite(t)):
-                raise ValueError("times must be finite and nonnegative")
+        _time_grid(self.times)
 
     def cells(self):
         return list(enumerate(product(self.initials, self.times, self.functionals)))

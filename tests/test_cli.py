@@ -182,6 +182,23 @@ def test_estimate_non_finite_time_rejected(capsys, t):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("ec", "--model", "halving", "--z", "0", "--xs", "0.5", "--window-start", "1",
+     "--window-end", "10", "--grid", "1,nan"),
+    ("ec", "--model", "ctmc", "--z", "zero", "--xs", "low:2", "--window-start", "1",
+     "--window-end", "10", "--grid", "1,nan"),
+    ("lowerbound", "--model", "halving", "--z", "0", "--x-grid", "1", "--t-grid", "1,nan"),
+    ("stability", "--model", "halving", "--initials", "1", "--t-grid", "1,nan"),
+    ("eprop", "--model", "flip", "--pairs", "0.2@nan"),
+    ("eprop", "--model", "ctmc", "--pairs", "low:2@inf"),
+], ids=["ec-halving", "ec-ctmc", "lowerbound", "stability", "eprop-flip", "eprop-ctmc"])
+def test_diagnose_non_finite_time_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, "diagnose", *argv, "--samples", "20")
+    assert code == 2
+    assert out == ""
+    assert err == "error: times must be finite and nonnegative\n"
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 
@@ -304,6 +321,8 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         ["diagnose", "stability", "--model", "halving", "--initials", "0.5,2",
          "--t-grid", "4,8", "--samples", "300", "--seed", "22"],
         ["diagnose", "eprop", "--model", "flip", "--samples", "300", "--seed", "23"],
+        ["diagnose", "ec", "--model", "halving", "--z", "0", "--xs", "0.5,0.25",
+         "--window-start", "10", "--window-end", "30", "--samples", "300", "--seed", "25"],
         ["diagnose", "assumptions", "--x-grid", "0.5,1", "--c2", "true", "--t-search", "8",
          "--samples", "200", "--seed", "24"],
     ]
@@ -481,6 +500,36 @@ def test_assumptions_audit_the_models_own_modulus(capsys):
     assert b3 == [("omega=triple", check_b3(model, assume, [0.05, 0.1]))]
     b5 = [(r["x"], float(r["value"])) for r in rows if r["label"] == "b5_residual"]
     assert b5 == [("omega=triple", check_b5(model, assume, 10, [0.05, 0.1, 0.125]))]
+
+
+@pytest.mark.parametrize("value", ["ture", "2", ""])
+def test_assumptions_rejects_unknown_c2_value(capsys, value):
+    code, out, err = run_cli(capsys, "diagnose", "assumptions", "--x-grid", "0.1",
+                             f"--c2={value}")
+    assert code == 2
+    assert out == ""
+    assert "c2" in err
+
+
+@pytest.mark.parametrize("value", ["0", "no", "FALSE", "False"])
+def test_assumptions_c2_false_spellings_round_trip(capsys, value):
+    code, out, _ = run_cli(capsys, "diagnose", "assumptions", "--x-grid", "0.1", "--c2", value)
+    assert code == 0
+    manifest, _, rows = parse_csv(out)
+    assert manifest["c2"] == "False"
+    assert [r["label"] for r in rows if r["label"].startswith("c2_")] == []
+
+
+@pytest.mark.parametrize("key", ["x_grid", "c2_x_grid"])
+def test_assumptions_rejects_negative_grid_point(capsys, key):
+    grids = {"x_grid": "0.1", "c2_x_grid": "0.5"}
+    grids[key] = "-5,0.1"
+    code, out, err = run_cli(capsys, "diagnose", "assumptions", "--c2", "true",
+                             "--t-search", "2", "--samples", "20",
+                             *(f"--{k.replace('_', '-')}={v}" for k, v in grids.items()))
+    assert code == 2
+    assert out == ""
+    assert "initial point must be a finite nonnegative real, got '-5'" in err
 
 
 @pytest.mark.parametrize("eps", ["-0.1", "0", "nan", "inf", "0.1,-0.2"])

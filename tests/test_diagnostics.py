@@ -33,6 +33,20 @@ F = xmin1()
 CTMC = CtmcProcess()
 
 
+class SampledCtmc:
+    """The chain without its closed form: diagnostics must sample it."""
+
+    name = "ctmc-sampled"
+    batch_draws = CtmcProcess.batch_draws
+    state_label = staticmethod(CtmcProcess.state_label)
+
+    def terminal_state(self, x0, t, stream):
+        return CTMC.terminal_state(x0, t, stream)
+
+    def terminal_states(self, x0, t, uniforms):
+        return CTMC.terminal_states(x0, t, uniforms)
+
+
 # ---------------------------------------------------------------------------
 # late-time sensitivity profile
 
@@ -47,7 +61,6 @@ def test_ec_exact_profile_matches_closed_form(n):
     assert psi == pytest.approx(closed, abs=1e-15)
     assert psi <= 11.0 * math.exp(-10.0)
     assert report.rows[0].half_width == 0.0
-    assert report.metadata["mode"] == "exact"
 
 
 def test_ec_exact_profile_zero_at_anchor():
@@ -90,11 +103,25 @@ def test_ec_start_sharing_the_anchor_label_keeps_its_own_cells():
     assert report.rows[0].value == want
 
 
+def test_ec_sampled_chain_brackets_the_exact_profile():
+    z, xs, grid = CtmcState.zero(), [CtmcState.low(2), CtmcState.high(3)], [2.0, 3.0, 4.0]
+    exact = ec_profile(CTMC, F, z, xs, 2.0, 4.0, grid)
+    sampled = ec_profile(SampledCtmc(), F, z, xs, 2.0, 4.0, grid,
+                         McSettings(n_samples=4_000, seed=19))
+    assert [(r.label, r.x, r.t) for r in sampled.rows] == [(r.label, r.x, r.t) for r in exact.rows]
+    for e, m in zip(exact.rows, sampled.rows):
+        assert e.half_width == 0.0 < m.half_width
+        assert abs(m.value - e.value) <= m.half_width
+
+
 def test_ec_rejects_bad_grids():
     with pytest.raises(ValueError, match="grid empty"):
         ec_profile(CTMC, F, CtmcState.zero(), [CtmcState.low(2)], 1.0, 10.0, [])
     with pytest.raises(ValueError):
         ec_profile(CTMC, F, CtmcState.zero(), [CtmcState.low(2)], 5.0, 10.0, [3.0])
+    for process, z in ((CTMC, CtmcState.zero()), (example_flip(1.0), 0.0)):
+        with pytest.raises(ValueError, match="times must be finite and nonnegative"):
+            ec_profile(process, F, z, [z], 1.0, 10.0, [1.0, math.nan])
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +162,23 @@ def test_eprop_flip_witness_floor():
         assert row.value >= floor - 3.0 * row.half_width
 
 
+def test_eprop_sampled_chain_brackets_the_exact_witnesses():
+    pairs = [(CtmcState.low(n), float(n)) for n in (2, 5, 10)]
+    exact = eproperty_witness(CTMC, F, CtmcState.zero(), pairs)
+    sampled = eproperty_witness(SampledCtmc(), F, CtmcState.zero(), pairs,
+                                McSettings(n_samples=4_000, seed=37))
+    assert [(r.x, r.t) for r in sampled.rows] == [(r.x, r.t) for r in exact.rows]
+    for e, m in zip(exact.rows, sampled.rows):
+        assert e.half_width == 0.0 < m.half_width
+        assert abs(m.value - e.value) <= m.half_width
+
+
 def test_eprop_requires_pairs():
     with pytest.raises(ValueError):
         eproperty_witness(CTMC, F, CtmcState.zero(), [])
+    for process, z in ((CTMC, CtmcState.zero()), (example_flip(1.0), 0.0)):
+        with pytest.raises(ValueError, match="times must be finite and nonnegative"):
+            eproperty_witness(process, F, z, [(z, 1.0), (z, math.inf)])
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +234,8 @@ def test_scan_validation():
         lower_bound_scan(CTMC, CtmcState.zero(), 0.1, [CtmcState.low(2)], [])
     with pytest.raises(ValueError):
         lower_bound_scan(CTMC, CtmcState.zero(), -0.1, [CtmcState.low(2)], [1.0])
+    with pytest.raises(ValueError, match="times must be finite and nonnegative"):
+        lower_bound_scan(CTMC, CtmcState.zero(), 0.1, [CtmcState.low(2)], [1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +276,14 @@ def test_stability_starts_sharing_a_label_keep_their_own_laws():
     want = bl_distance(a, b)
     assert want > 0.0
     assert report.values("bl_between") == [want]
+
+
+@pytest.mark.parametrize("t_grid", [[], [1.0, math.nan], [math.inf], [-1.0]])
+def test_stability_rejects_bad_time_grids(t_grid):
+    model = example_flip(1.0)
+    with pytest.raises(ValueError, match="grid empty|times must be finite and nonnegative"):
+        stability_report(model, [0.5], t_grid, EmpiricalMeasure.point_mass(0.0),
+                         McSettings(n_samples=10))
 
 
 def test_stability_pairwise_rows():
@@ -414,6 +465,14 @@ def test_c2_starts_sharing_a_label_keep_their_own_hits():
     assert report.values("c2_beta") == [0.25]
 
 
+@pytest.mark.parametrize("t_search", [0.0, -1.0, math.nan, math.inf])
+def test_c2_rejects_bad_search_horizon(t_search):
+    # an infinite horizon used to double the search time forever
+    model, _ = example_halving(1.0)
+    with pytest.raises(ValueError, match="t_search"):
+        check_c2(model, 0.0, [0.1], [1.0], t_search, McSettings(n_samples=10))
+
+
 def test_c2_radius_monotone_via_shared_trajectories():
     model, _ = example_halving(1.0)
     mc = McSettings(n_samples=500, seed=71)
@@ -427,7 +486,7 @@ def test_c2_radius_monotone_via_shared_trajectories():
 
 
 def test_report_rejects_negative_half_width():
-    report = DiagnosticReport({})
+    report = DiagnosticReport("test")
     with pytest.raises(ValueError):
         report.add("x", "a", "b", 1.0, -0.1)
 
