@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
-from typing import Callable, Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from ._svgplot import line_chart_svg
@@ -263,16 +263,56 @@ def _fmt_cell(v) -> str:
     return "" if v is None else str(v)
 
 
-def _format_table(manifest: dict, columns: Sequence[str], rows: Sequence[Sequence],
-                  fmt: str) -> str:
-    if fmt == "csv":
-        head = "".join(f"# {k}={manifest[k]}\n" for k in sorted(manifest))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
+# The ``%`` form of a cell whose type is exactly int or float: such a cell
+# prints as ``_fmt_cell`` prints it and never needs CSV quoting. Subclasses
+# are left out: ``"%d" % True`` is ``1`` where ``str(True)`` is ``True``.
+_CELL_TEMPLATES = {int: "%d", float: "%.17g"}
+
+# rows formatted per write of a CSV table: a chunk stays small beside a
+# long table, and the writes stay few
+_CHUNK_ROWS = 1024
+
+
+def _row_template(types: tuple) -> Optional[str]:
+    """The one-``%`` line template of rows with these cell types, or None
+    when a cell needs ``csv.writer``."""
+    cells = [_CELL_TEMPLATES.get(t) for t in types]
+    return None if None in cells else ",".join(cells) + "\n"
+
+
+def _csv_chunks(manifest: dict, columns: Sequence[str], rows: Iterable[Sequence]):
+    """Yield the CSV text of a table, ``_CHUNK_ROWS`` rows at a time.
+
+    A row of plain ints and floats is written with one ``%`` template,
+    cached on its cell types; any other row goes through ``csv.writer``.
+    Both give the same bytes.
+    """
+    lines = ["".join(f"# {k}={manifest[k]}\n" for k in sorted(manifest))]
+    # csv.writer appends to the same list, so both kinds of row keep their order
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow(columns)
+    templates: dict = {}
+    for n, row in enumerate(rows, start=1):
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = _row_template(types)
+        template = templates[types]
+        if template is None:
             writer.writerow([_fmt_cell(v) for v in row])
-        return head + buf.getvalue()
+        else:
+            lines.append(template % tuple(row))
+        if n % _CHUNK_ROWS == 0:
+            yield "".join(lines)
+            lines.clear()
+    yield "".join(lines)
+
+
+def _format_table(manifest: dict, columns: Sequence[str], rows: Iterable[Sequence],
+                  fmt: str) -> Iterable[str]:
+    """The text of a table as chunks: CSV is formatted as the chunks are
+    read, JSON is one document. An unknown format raises at once."""
+    if fmt == "csv":
+        return _csv_chunks(manifest, columns, rows)
     if fmt == "json":
         doc = {
             "manifest": dict(sorted(manifest.items())),
@@ -282,30 +322,43 @@ def _format_table(manifest: dict, columns: Sequence[str], rows: Sequence[Sequenc
             "rows": [[None if isinstance(v, float) and math.isnan(v) else v for v in row]
                      for row in rows],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return (json.dumps(doc, indent=2, sort_keys=True) + "\n",)
     raise CliError(f"unknown output format {fmt!r}; use csv or json")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write each chunk as it comes, to ``out`` or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _write(settings: Settings, command: str, schema: str, columns: Sequence[str],
-           rows: Sequence[Sequence], chart=None) -> int:
+           rows: Iterable[Sequence], chart=None) -> int:
     """Write a command's table and its ``--plot`` chart; returns the exit status.
 
     The manifest is taken after every option has been read, so it records
-    each one that shapes the output. ``chart`` is ``(title, ylabel, points)``
-    with ``points`` an iterable of ``(series, t, value)``, read only when a
-    chart is asked for. The status is 1 if any row has an error, else 0.
+    each one that shapes the output. ``rows`` is read once, as the table is
+    written. ``chart`` is ``(title, ylabel, points)`` with ``points`` an
+    iterable of ``(series, t, value)``, read only when a chart is asked
+    for. The status is 1 if any row has an error, else 0.
     """
     fmt = settings.get("format", "csv")
     out = settings.get("out", None)
     plot = settings.get("plot", None)
+    status = 0
+
+    def checked(rows):
+        nonlocal status
+        for row in rows:
+            if row[-1]:
+                status = 1
+            yield row
+
+    if columns[-1] == "error":
+        rows = checked(rows)
     _emit(_format_table(settings.manifest(command, schema), columns, rows, fmt), out)
     if plot:
         title, ylabel, points = chart
@@ -315,7 +368,7 @@ def _write(settings: Settings, command: str, schema: str, columns: Sequence[str]
         with open(plot, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(line_chart_svg(sorted(series.items()), title=title, xlabel="t",
                                     ylabel=ylabel))
-    return 1 if columns[-1] == "error" and any(row[-1] for row in rows) else 0
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +420,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     count = settings.get("trajectories", 1, _positive_int)
     settings.get("workers", None, _positive_int)  # validated only: simulate runs in one process
     factory = StreamFactory(settings.get("seed", 0, _seed))
-    rows = []
-    for k in range(count):
-        traj = sample_jump_chain(model, x0, horizon, factory.stream(0, k))
-        for j in range(len(traj)):
-            rows.append((k, j + 1, traj.tau[j], traj.xi[j], int(traj.index[j]), traj.phi[j]))
+    # every trajectory is sampled before anything is written, so a failure
+    # leaves no output
+    trajectories = [sample_jump_chain(model, x0, horizon, factory.stream(0, k))
+                    for k in range(count)]
+
+    def rows():
+        for k, traj in enumerate(trajectories):
+            records = zip(traj.tau.tolist(), traj.xi.tolist(), traj.index.tolist(),
+                          traj.phi.tolist())
+            for j, (tau, xi, index, phi) in enumerate(records, start=1):
+                yield k, j, tau, xi, index, phi
+
     return _write(settings, "simulate", "trajectories-v1",
-                  ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"), rows,
+                  ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"), rows(),
                   (f"{name} trajectories", "state",
-                   ((f"traj {tid}", tau, phi) for tid, _, tau, _, _, phi in rows)))
+                   ((f"traj {k}", tau, phi) for k, traj in enumerate(trajectories)
+                    for tau, phi in zip(traj.tau.tolist(), traj.phi.tolist()))))
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -435,7 +496,10 @@ def _parse_pairs(model_name: str, text: str):
         if "@" not in chunk:
             raise CliError(f"pair {chunk!r} must look like x@t")
         xtok, _, ttok = chunk.partition("@")
-        pairs.append((_parse_initial(model_name, xtok), float(ttok)))
+        try:
+            pairs.append((_parse_initial(model_name, xtok), float(ttok)))
+        except (CliError, ValueError) as exc:
+            raise CliError(f"bad value for pairs: {chunk!r} ({exc})") from exc
     if not pairs:
         raise CliError("no pairs given")
     return pairs

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -229,6 +231,18 @@ def test_diagnose_empty_grid_message(capsys):
                            "--z", "0", "--x-grid", "1", "--t-grid", ",")
     assert code == 2
     assert "grid empty" in err
+
+
+@pytest.mark.parametrize("pairs, bad", [
+    ("0.2@abc", "0.2@abc"),
+    ("0.2@5,x@3", "x@3"),
+])
+def test_diagnose_eprop_bad_pair_is_named(capsys, pairs, bad):
+    code, out, err = run_cli(capsys, "diagnose", "eprop", "--model", "flip",
+                             "--pairs", pairs)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad value for pairs: {bad!r} (")
 
 
 def test_diagnose_ec_window(capsys):
@@ -551,3 +565,145 @@ def test_assumptions_with_c2_and_radius_list(capsys):
     betas = [r for r in rows if r["label"] == "c2_beta"]
     assert [r["x"] for r in betas] == ["eps=0.2", "eps=0.4"]
     assert float(betas[1]["value"]) >= float(betas[0]["value"])
+
+
+# ---------------------------------------------------------------------------
+# streamed output
+
+
+def _reference_csv(manifest, columns, rows):
+    """The CSV writer before tables were streamed: every cell through csv.writer."""
+    def fmt_cell(v):
+        if isinstance(v, float):
+            return f"{v:.17g}"
+        return "" if v is None else str(v)
+
+    head = "".join(f"# {k}={manifest[k]}\n" for k in sorted(manifest))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([fmt_cell(v) for v in row])
+    return head + buf.getvalue()
+
+
+def _formatter_rows():
+    import numpy as np
+    from ergokit.exact_ctmc import CtmcState
+
+    floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, 2.0 / 3.0,
+              1.2345678901234567e-7, 98765432109876543.0]
+    rows = [(i, j, f, -f, i * j, f / 3.0) for i, f in enumerate(floats) for j in (1, 2)]
+    rows += [
+        (True, False, 1.0, 0, -(2 ** 70), 0.5),
+        (np.int64(7), 2, np.float64(0.1), 3.5, 1, np.float64(-0.0)),
+        (None, CtmcState.low(3), CtmcState.zero(), 1.5, 4, ""),
+        ("a,b", 'say "hi"', "two\nlines", "", 1, 2.5),
+        ("", ),
+        (),
+        (1, 2.5),
+        (2 ** 70, -(2 ** 70)),
+    ]
+    rows += [(k, k + 1, k / 7.0, math.sqrt(k), k % 2 + 1, k * 1e-3) for k in range(40)]
+    rows.insert(25, ("label", 0.25, 3, "", "", "x,y"))
+    return rows
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 1024])
+def test_csv_writer_matches_the_reference_formatter(monkeypatch, chunk_rows):
+    from ergokit import cli
+
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    manifest = {"command": "simulate", "seed": "3", "a": "x,y"}
+    columns = ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k")
+    rows = _formatter_rows()
+    streamed = "".join(cli._format_table(manifest, columns, iter(rows), "csv"))
+    assert streamed == _reference_csv(manifest, columns, rows)
+
+
+def test_csv_error_row_after_clean_rows_exits_one(tmp_path):
+    import argparse
+    from ergokit import cli
+
+    out = tmp_path / "t.csv"
+    settings = cli.Settings(argparse.Namespace(format=None, out=str(out), plot=None), ())
+    columns = ("x", "value", "error")
+    rows = [(float(k), k / 3.0, "") for k in range(5)] + [(9.0, math.nan, "cell 5 failed")]
+    assert cli._write(settings, "test", "test-v1", columns, iter(rows)) == 1
+    assert out.read_text().endswith('9,nan,cell 5 failed\n')
+    assert cli._write(settings, "test", "test-v1", columns, iter(rows[:5])) == 0
+
+
+def test_simulate_failure_on_a_later_trajectory_writes_nothing(tmp_path, capsys):
+    from ergokit.cli import register_model, _MODELS
+    from ergokit.ifs_jump import IfsModel
+
+    calls = [0]
+
+    def halve_then_fail(x):
+        # about 10 jumps per trajectory: the first trajectory completes, a
+        # later one meets the failing call
+        calls[0] += 1
+        return math.nan if calls[0] == 50 else x / 2.0
+
+    def builder(lam):
+        return IfsModel(name="late-nan", maps=(halve_then_fail,),
+                        prob_field=lambda x: (1.0,), rate=lam), None
+
+    register_model("late-nan", builder)
+    out = tmp_path / "never.csv"
+    argv = ("simulate", "--model", "late-nan", "--x0", "4", "--horizon", "10",
+            "--trajectories", "20", "--seed", "1")
+    try:
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert "map w1 of model 'late-nan' produced invalid state nan" in err
+        assert stdout == ""
+        assert not out.exists()
+        calls[0] = 0
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "produced invalid state nan" in err
+        assert stdout == ""
+    finally:
+        _MODELS.pop("late-nan", None)
+
+
+def test_simulate_peak_memory_stays_near_the_output_size(tmp_path):
+    import tracemalloc
+
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--model", "halving", "--x0", "5", "--horizon", "200",
+            "--trajectories", "100", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # rows are formatted and written a chunk at a time, so nothing holds the
+    # whole table: about 2x the file, against ~8x when every row was kept
+    assert peak < 3 * out.stat().st_size
+
+
+def _digest_without_version(path):
+    """sha256 of a file without its manifest's version line, which moves on
+    every release."""
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(l for l in lines if b"version" not in l)).hexdigest()
+
+
+def test_simulate_bytes_are_pinned(tmp_path):
+    # digests of the 0.5.0 tables and chart; a change that moves them must say so in
+    # the README and bump the version
+    argv = ["simulate", "--model", "halving", "--x0", "5", "--horizon", "200",
+            "--trajectories", "20", "--seed", "5"]
+    table, doc, chart = tmp_path / "t.csv", tmp_path / "t.json", tmp_path / "t.svg"
+    assert main(argv + ["--out", str(table)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(doc), "--plot", str(chart)]) == 0
+    assert _digest_without_version(table) == \
+        "ed06528e56b8c2a45e2b1f48fc1a704d5290f61a12fa2c05585235da73382f82"
+    assert _digest_without_version(doc) == \
+        "1433de09ca02856ae5fef4e0b06470de3fb228cd6d10bae117176f03ad263e4f"
+    assert _digest_without_version(chart) == \
+        "cab60590ea779585e6f363fc861970ba87e4efebda22aaa148a57f17161b9bac"
