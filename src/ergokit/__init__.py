@@ -35,9 +35,8 @@ from .ifs_jump import (
     state_at,
 )
 from .montecarlo import (
-    CellResult,
     Estimate,
-    SamplingPlan,
+    McSettings,
     StreamFactory,
     estimate_hit,
     estimate_ptf,
@@ -47,7 +46,6 @@ from .montecarlo import (
 )
 from .diagnostics import (
     DiagnosticReport,
-    McSettings,
     ReportRow,
     check_b2,
     check_b3,
@@ -59,4 +57,4 @@ from .diagnostics import (
     stability_report,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

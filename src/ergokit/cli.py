@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import sys
+from itertools import product
 from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -47,7 +48,7 @@ from .ifs_jump import (
     linear_modulus,
     sample_jump_chain,
 )
-from .montecarlo import StreamFactory, run_batch, SamplingPlan, resolve_workers
+from .montecarlo import StreamFactory, _time_grid, resolve_workers, run_batch
 
 
 class CliError(Exception):
@@ -154,13 +155,20 @@ def _read_config(path: str) -> dict:
     return values
 
 
-class Settings:
-    """Resolved option lookup: flag value wins, then config file, then default."""
+# namespace entries that argparse fills and that are not options
+_NOT_OPTIONS = ("command", "subdiagnostic", "func", "config")
 
-    def __init__(self, args: argparse.Namespace, allowed: Sequence[str]):
+
+class Settings:
+    """Resolved option lookup: flag value wins, then config file, then default.
+
+    A config file may set exactly the options the command's parser declares.
+    """
+
+    def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = _read_config(args.config) if getattr(args, "config", None) else {}
-        unknown = set(self.config) - set(allowed)
+        unknown = set(self.config) - set(vars(args)).difference(_NOT_OPTIONS)
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
         self.resolved: dict = {}
@@ -375,8 +383,6 @@ def _write(settings: Settings, command: str, schema: str, columns: Sequence[str]
 # subcommands
 
 
-_COMMON_KEYS = ("model", "lam", "seed", "samples", "confidence", "out", "format",
-                "plot", "workers")
 _REPORT_COLUMNS = ("label", "x", "t", "value", "half_width", "error")
 
 
@@ -390,7 +396,7 @@ def _mc_settings(settings: Settings, default_samples: int = 10_000) -> McSetting
 
 
 def cmd_exact_ctmc(args: argparse.Namespace) -> int:
-    settings = Settings(args, ("n", "t", "f", "out", "format"))
+    settings = Settings(args)
     n = settings.get("n", parse=int, required=True)
     if n < 2:
         raise CliError("n >= 2 required: the chain has no level below 2")
@@ -411,7 +417,7 @@ def cmd_exact_ctmc(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    settings = Settings(args, _COMMON_KEYS + ("x0", "horizon", "trajectories"))
+    settings = Settings(args)
     name, model, _ = _model(settings)
     if not isinstance(model, IfsModel):
         raise CliError(f"simulate dumps jump-system trajectories; {name} has no map records")
@@ -440,12 +446,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    settings = Settings(args, _COMMON_KEYS + ("x0", "times", "f", "ball"))
+    settings = Settings(args)
     name, process, _ = _model(settings)
     initials = _starts(settings, "x0", name)
     times = settings.get("times", parse=_floats, required=True)
-    if not times:
-        raise CliError("grid empty")
     functionals: list = []
     fspec = settings.get("f", None)
     if fspec is not None:
@@ -459,24 +463,24 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if not functionals:
         raise CliError("need --f and/or --ball")
     mc = _mc_settings(settings)
-    plan = SamplingPlan(process, tuple(initials), tuple(times), tuple(functionals),
-                        mc.n_samples, mc.seed, confidence=mc.confidence)
-    results = run_batch(plan, workers=mc.workers)
-    rows = []
-    for cell in results:
-        if cell.error is not None:
-            rows.append((cell.initial, cell.time, cell.functional,
-                         math.nan, math.nan, mc.n_samples, mc.confidence, math.nan, cell.error))
-        else:
-            est = cell.estimate
-            rows.append((cell.initial, cell.time, cell.functional, est.mean,
-                         est.half_width, est.n_samples, est.confidence, est.value_bound, ""))
+    cells = list(product(initials, _time_grid(times)))
+    results = run_batch(process, cells, functionals, mc, mc.confidence)
+    labels = [fn.label if isinstance(fn, Ball) else fn.name for fn in functionals]
+    rows, points = [], []
+    for (x0, t), cell in zip(cells, results):
+        x = process.state_label(x0)
+        if isinstance(cell, str):
+            rows += [(x, t, label, math.nan, math.nan, mc.n_samples, mc.confidence, math.nan,
+                      cell) for label in labels]
+            continue
+        for label, est in zip(labels, cell):
+            rows.append((x, t, label, est.mean, est.half_width, est.n_samples,
+                         est.confidence, est.value_bound, ""))
+            points.append((f"{x} {label}", t, est.mean))
     return _write(settings, "estimate", "estimates-v1",
                   ("x", "t", "functional", "mean", "half_width", "n_samples",
                    "confidence", "value_bound", "error"), rows,
-                  (f"{name} estimates", "mean",
-                   ((f"{c.initial} {c.functional}", c.time, c.estimate.mean)
-                    for c in results if c.error is None)))
+                  (f"{name} estimates", "mean", points))
 
 
 def _auto_pairs(model_name: str):
@@ -524,8 +528,7 @@ def _report_points(report: DiagnosticReport):
 def cmd_diagnose(args: argparse.Namespace) -> int:
     sub = args.subdiagnostic
     if sub == "ec":
-        settings = Settings(args, _COMMON_KEYS + ("f", "z", "xs", "window_start",
-                                                  "window_end", "grid"))
+        settings = Settings(args)
         name, process, _ = _model(settings)
         f = _parse_function(settings.get("f", "xmin1"))
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), required=True)
@@ -538,7 +541,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             settings.resolved["grid"] = grid
         report = ec_profile(process, f, z, xs, T, t_max, grid, _mc_settings(settings))
     elif sub == "eprop":
-        settings = Settings(args, _COMMON_KEYS + ("f", "z", "pairs"))
+        settings = Settings(args)
         name, process, _ = _model(settings)
         f = _parse_function(settings.get("f", "xmin1"))
         default_z = "zero" if name == "ctmc" else "0"
@@ -550,7 +553,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         pairs = _auto_pairs(name) if pairs_spec == "auto" else _parse_pairs(name, pairs_spec)
         report = eproperty_witness(process, f, z, pairs, _mc_settings(settings))
     elif sub == "lowerbound":
-        settings = Settings(args, _COMMON_KEYS + ("z", "eps", "x_grid", "t_grid"))
+        settings = Settings(args)
         name, process, _ = _model(settings)
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), required=True)
         eps = settings.get("eps", 0.1, _positive_float)
@@ -558,7 +561,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         t_grid = settings.get("t_grid", parse=_floats, required=True)
         report = lower_bound_scan(process, z, eps, x_grid, t_grid, _mc_settings(settings))
     elif sub == "stability":
-        settings = Settings(args, _COMMON_KEYS + ("z", "initials", "t_grid"))
+        settings = Settings(args)
         name, process, _ = _model(settings)
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), default=None)
         anchor = 0.0 if z is None else (z.value if hasattr(z, "value") else z)
@@ -567,8 +570,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         report = stability_report(process, initials, t_grid,
                                   EmpiricalMeasure.point_mass(anchor), _mc_settings(settings))
     elif sub == "assumptions":
-        settings = Settings(args, _COMMON_KEYS + ("x_grid", "n_trunc", "c2", "eps",
-                                                  "t_search", "c2_x_grid"))
+        settings = Settings(args)
         name, model, assume = _model(settings, "halving")
         if assume is None:
             raise CliError(f"model {name!r} carries no assumption data to audit")
@@ -608,13 +610,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, estimates: bool = True) -> None:
+    """The options of every model command; ``--samples`` and ``--confidence``
+    only where the command estimates."""
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--model", help="ctmc, flip, halving or a registered custom model")
     parser.add_argument("--lambda", dest="lam", help="jump rate")
     parser.add_argument("--seed", help="master seed (unsigned 64-bit)")
-    parser.add_argument("--samples", help="trajectories per cell")
-    parser.add_argument("--confidence", help="confidence level in (0, 1)")
+    if estimates:
+        parser.add_argument("--samples", help="trajectories per cell")
+        parser.add_argument("--confidence", help="confidence level in (0, 1)")
     parser.add_argument("--workers", help="worker processes (default: ERGOKIT_WORKERS or 1)")
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), help="output format")
@@ -639,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exact_ctmc)
 
     p = commands.add_parser("simulate", help="dump jump-chain trajectories")
-    _add_common(p)
+    _add_common(p, estimates=False)
     p.add_argument("--x0", help="initial point")
     p.add_argument("--horizon", help="time horizon")
     p.add_argument("--trajectories", help="number of trajectories")

@@ -21,7 +21,7 @@ import numpy as np
 from .core import Ball, EmpiricalMeasure, TestFunction, bl_distance
 from .exact_ctmc import CtmcProcess
 from .ifs_jump import AssumptionSet, IfsModel, j_n
-from .montecarlo import _estimate, _time_grid, hoeffding_half_width, sample_cells
+from .montecarlo import McSettings, _time_grid, hoeffding_half_width, run_batch, sample_cells
 
 __all__ = [
     "McSettings",
@@ -36,22 +36,6 @@ __all__ = [
     "check_b5",
     "check_c2",
 ]
-
-
-@dataclass(frozen=True)
-class McSettings:
-    """Monte Carlo budget shared by the sampling diagnostics."""
-
-    n_samples: int = 10_000
-    seed: int = 0
-    confidence: float = 0.999
-    workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -121,20 +105,14 @@ def _means(process, f: Union[TestFunction, Ball], cells: list, mc: McSettings,
 
     The mean of a ball is its hit probability. A test function's mean on a
     process with a closed form is exact, with width 0; every other mean is
-    taken over the ``sample_cells`` draws of its cell, with its Hoeffding
-    half-width at ``confidence``. A failed cell yields its error message in
-    place of the pair.
+    the ``run_batch`` estimate of its cell, with its Hoeffding half-width at
+    ``confidence``. A failed cell yields its error message in place of the
+    pair.
     """
     if _is_exact(process) and isinstance(f, TestFunction):
         return [(process.exact_expectation(f, x, t), 0.0) for x, t in cells]
-    means = []
-    for values in sample_cells(process, cells, mc.n_samples, mc.seed, mc.workers):
-        if isinstance(values, str):
-            means.append(values)
-        else:
-            est = _estimate(values, f, confidence)
-            means.append((est.mean, est.half_width))
-    return means
+    return [cell if isinstance(cell, str) else (cell[0].mean, cell[0].half_width)
+            for cell in run_batch(process, cells, (f,), mc, confidence)]
 
 
 def _anchor(z) -> float:
@@ -437,15 +415,14 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
     hw = hoeffding_half_width(1.0, mc.n_samples, conf_cell)
 
     report = DiagnosticReport("check_c2")
-    samples = _raise_failed(sample_cells(process, list(product(x_grid, t_grid)),
-                                         mc.n_samples, mc.seed, mc.workers))
+    cells = _raise_failed(run_batch(process, list(product(x_grid, t_grid)), balls, mc,
+                                    conf_cell))
     n_t = len(t_grid)
-    for ball in balls:
+    for b, ball in enumerate(balls):
         best = []
         for i, x in enumerate(x_grid):
             label = process.state_label(x)
-            probs = [(_estimate(values, ball, conf_cell).mean, t)
-                     for values, t in zip(samples[i * n_t:(i + 1) * n_t], t_grid)]
+            probs = [(cell[b].mean, t) for cell, t in zip(cells[i * n_t:(i + 1) * n_t], t_grid)]
             m_x = max(p for p, _ in probs)
             best.append(m_x)
             if m_x <= 0.0:

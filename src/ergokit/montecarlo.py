@@ -7,8 +7,9 @@ the master seed alone. Streams are therefore disjoint by construction, any
 depend on how work is scheduled. Reductions always run in trajectory order
 inside a cell and in declared cell order across a batch, so a batch output
 is bitwise identical for any worker count. ``sample_cells`` is the one
-place where cells get their streams: every batch estimate and Monte Carlo
-diagnostic samples its (initial, time) cells through it.
+place where cells get their streams, and ``run_batch`` the one place where
+sampled cells become estimates: every batch estimate and Monte Carlo
+diagnostic reduces its (initial, time) cells through it.
 
 Philox4x64-10 is counter based, so draw d of stream (seed, c, k) is a pure
 function of its position: word ``d % 4`` of the Philox block for counter
@@ -28,10 +29,10 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,8 +40,7 @@ from .core import Ball, TestFunction
 
 __all__ = [
     "Estimate",
-    "SamplingPlan",
-    "CellResult",
+    "McSettings",
     "StreamFactory",
     "stream_uniforms",
     "hoeffding_half_width",
@@ -158,6 +158,22 @@ def stream_uniforms(seed: int, cell: int, start: int, stop: int, draws: int) -> 
 
 
 @dataclass(frozen=True)
+class McSettings:
+    """Monte Carlo budget of a batch estimate or sampling diagnostic."""
+
+    n_samples: int = 10_000
+    seed: int = 0
+    confidence: float = 0.999
+    workers: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError("confidence must lie in (0, 1)")
+
+
+@dataclass(frozen=True)
 class Estimate:
     """Monte Carlo mean with a Hoeffding confidence half-width."""
 
@@ -249,12 +265,20 @@ def sample_cells(process, cells, n: int, seed: int, workers: Optional[int] = Non
     Cell i draws ``sample_terminals(process, x0, t, n, seed, cell=i)``. A
     failed cell yields its error message in place of the array and never
     aborts its siblings. Cells are self-contained, so the result is bitwise
-    independent of the worker count.
+    independent of the worker count. Worker processes need the process by
+    pickle; one that does not pickle raises ``ValueError`` before any pool
+    is opened.
     """
     workers = resolve_workers(workers)
     jobs = [(process, x0, t, n, seed, i) for i, (x0, t) in enumerate(cells)]
     if workers == 1 or len(jobs) <= 1:
         return [_sample_cell(job) for job in jobs]
+    try:
+        pickle.dumps(process)
+    except Exception as exc:
+        name = getattr(process, "name", type(process).__name__)
+        raise ValueError(f"model {name!r} cannot be sent to worker processes ({exc}); "
+                         "use one worker or a module-level builder") from exc
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(_sample_cell, jobs))
 
@@ -288,60 +312,23 @@ def estimate_hit(process, x0, t: float, ball: Ball, n: int, seed: int, *,
     return _estimate(sample_terminals(process, x0, t, n, seed, cell=cell), ball, confidence)
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Grid of estimation cells: initials x times x functionals, in order."""
+def run_batch(process, cells: Sequence, functionals: Sequence, mc: McSettings,
+              confidence: float) -> list:
+    """Every functional's estimate at every ``(x0, t)`` cell, in cell order.
 
-    process: object
-    initials: tuple
-    times: tuple
-    functionals: tuple  # TestFunction or Ball entries
-    n_samples: int
-    seed: int
-    confidence: float = 0.999
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        if not self.initials or not self.times or not self.functionals:
-            raise ValueError("plan grids must be nonempty")
-        _time_grid(self.times)
-
-    def cells(self):
-        return list(enumerate(product(self.initials, self.times, self.functionals)))
-
-
-@dataclass(frozen=True)
-class CellResult:
-    cell_index: int
-    initial: str
-    time: float
-    functional: str
-    estimate: Optional[Estimate]
-    error: Optional[str] = None
-
-
-def run_batch(plan: SamplingPlan, workers: Optional[int] = None) -> list[CellResult]:
-    """Evaluate every cell of the plan; failures never abort sibling cells.
-
-    Each (x0, t) pair is sampled once, as cell ``idx // len(functionals)``
-    of ``product(initials, times)``, and every functional reduces that same
-    array. Results come back in cell order and are bitwise independent of
-    the worker count because cells are self-contained and reduced in order.
+    Each cell is sampled once by ``sample_cells`` and gives the list of its
+    ``Estimate``s, one per functional in order, each with its Hoeffding
+    half-width at ``confidence``; the mean of a ``Ball`` is its hit
+    probability. A failed cell, or one where a functional raises on a
+    sample, yields its error message in place of the list and never aborts
+    its siblings. The result is bitwise independent of the worker count.
     """
-    samples = sample_cells(plan.process, list(product(plan.initials, plan.times)),
-                           plan.n_samples, plan.seed, workers)
     results = []
-    for idx, (x0, t, fn) in plan.cells():
-        values = samples[idx // len(plan.functionals)]
-        est, error = None, None
-        if isinstance(values, str):
-            error = values
-        else:
+    for values in sample_cells(process, cells, mc.n_samples, mc.seed, mc.workers):
+        if not isinstance(values, str):
             try:
-                est = _estimate(values, fn, plan.confidence)
+                values = [_estimate(values, fn, confidence) for fn in functionals]
             except Exception as exc:  # a functional failing on a sample
-                error = str(exc)
-        name = fn.label if isinstance(fn, Ball) else fn.name
-        results.append(CellResult(idx, plan.process.state_label(x0), float(t), name, est, error))
+                values = str(exc)
+        results.append(values)
     return results

@@ -309,6 +309,30 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "wibble" in err
 
 
+def test_config_key_of_another_command_rejected(tmp_path, capsys):
+    cfg = tmp_path / "est.cfg"
+    cfg.write_text("model = flip\nx0 = 1\ntimes = 2\nf = xmin1\ntrajectories = 3\n")
+    code, out, err = run_cli(capsys, "estimate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown config keys: trajectories\n"
+
+
+@pytest.mark.parametrize("option", ["samples", "confidence"])
+def test_simulate_rejects_sampling_options(tmp_path, capsys, option):
+    argv = ("simulate", "--model", "halving", "--x0", "1")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, f"--{option}", "0.5"])
+    assert exit_info.value.code == 2
+    assert f"--{option}" in capsys.readouterr().err
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"{option} = 0.5\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown config keys: {option}\n"
+
+
 def test_config_comments_and_blank_lines(tmp_path, capsys):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("# a comment\n\nmodel = flip  # trailing comment\nx0 = 0.5\n"
@@ -458,6 +482,28 @@ def test_registered_custom_model_usable(tmp_path, capsys):
             assert float(r["phi_k"]) <= 9.0
     finally:
         _MODELS.pop("thirds", None)
+
+
+def test_unpicklable_model_asks_for_one_worker(capsys):
+    from ergokit.cli import register_model, _MODELS
+    from ergokit.ifs_jump import IfsModel
+
+    register_model("local", lambda lam: (IfsModel(
+        name="local", maps=(lambda x: x / 2.0,), prob_field=lambda x: (1.0,),
+        rate=lam), None))
+    argv = ("estimate", "--model", "local", "--x0", "1,2", "--times", "1,2",
+            "--f", "xmin1", "--samples", "20", "--seed", "3")
+    try:
+        code, out, err = run_cli(capsys, *argv, "--workers", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: model 'local' ") and err.count("\n") == 1
+        assert "one worker" in err and "module-level builder" in err
+        code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+        assert code == 0
+        assert len(parse_csv(out)[2]) == 4
+    finally:
+        _MODELS.pop("local", None)
 
 
 def test_json_output_writes_failed_values_as_null(capsys):
@@ -626,7 +672,7 @@ def test_csv_error_row_after_clean_rows_exits_one(tmp_path):
     from ergokit import cli
 
     out = tmp_path / "t.csv"
-    settings = cli.Settings(argparse.Namespace(format=None, out=str(out), plot=None), ())
+    settings = cli.Settings(argparse.Namespace(format=None, out=str(out), plot=None))
     columns = ("x", "value", "error")
     rows = [(float(k), k / 3.0, "") for k in range(5)] + [(9.0, math.nan, "cell 5 failed")]
     assert cli._write(settings, "test", "test-v1", columns, iter(rows)) == 1

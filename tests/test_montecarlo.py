@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ergokit.core import Ball, xmin1
+from ergokit.core import Ball, TestFunction, xmin1
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_flip, example_halving
 from ergokit.montecarlo import (
     CHUNK,
     Estimate,
-    SamplingPlan,
+    McSettings,
     StreamFactory,
     _estimate,
+    _time_grid,
     estimate_hit,
     estimate_ptf,
     hoeffding_half_width,
@@ -237,36 +238,36 @@ def test_sample_cells_bitwise_identical_across_worker_counts():
 # batch runs
 
 
-def _plan(n_samples=200, seed=99, times=(1.0, 3.0)):
-    return SamplingPlan(
-        process=CTMC,
-        initials=(CtmcState.low(2), CtmcState.high(3), CtmcState.zero()),
-        times=times,
-        functionals=(F,),
-        n_samples=n_samples,
-        seed=seed,
-    )
+CTMC_STARTS = (CtmcState.low(2), CtmcState.high(3), CtmcState.zero())
+
+
+def _cells(times=(1.0, 3.0)):
+    return [(x0, t) for x0 in CTMC_STARTS for t in times]
 
 
 def test_batch_shape_and_declared_order():
-    results = run_batch(_plan())
+    cells = _cells()
+    results = run_batch(CTMC, cells, (F, Ball(0.0, 0.1)), McSettings(200, 99), 0.99)
     assert len(results) == 6
-    assert [r.cell_index for r in results] == list(range(6))
-    assert [r.initial for r in results] == ["low:2", "low:2", "high:3", "high:3", "zero", "zero"]
-    assert [r.time for r in results] == [1.0, 3.0] * 3
+    for (x0, t), cell in zip(cells, results):
+        assert [est.value_bound for est in cell] == [F.value_bound, 1.0]
+        assert all(est.n_samples == 200 and est.confidence == 0.99 for est in cell)
+    # cell i is stream cell i: declared order, not sorted by start or time
+    flipped = run_batch(CTMC, cells[::-1], (F,), McSettings(200, 99), 0.99)
+    assert flipped[0][0] == estimate_ptf(CTMC, *cells[-1], F, 200, 99, cell=0,
+                                         confidence=0.99)
 
 
 def test_batch_single_cell_reproducible():
-    plan = SamplingPlan(CTMC, (CtmcState.low(2),), (2.0,), (F,), 1, 5)
-    a = run_batch(plan)
-    b = run_batch(plan)
+    args = (CTMC, [(CtmcState.low(2), 2.0)], (F,), McSettings(1, 5), 0.999)
+    a = run_batch(*args)
+    b = run_batch(*args)
     assert a == b
 
 
 def test_batch_bitwise_identical_across_worker_counts():
-    plan = _plan(n_samples=300)
-    serial = run_batch(plan, workers=1)
-    parallel = run_batch(plan, workers=3)
+    serial = run_batch(CTMC, _cells(), (F,), McSettings(300, 99, workers=1), 0.999)
+    parallel = run_batch(CTMC, _cells(), (F,), McSettings(300, 99, workers=3), 0.999)
     assert serial == parallel
 
 
@@ -278,41 +279,56 @@ def test_batch_cell_failure_does_not_abort_siblings():
 
     model = IfsModel(name="fragile", maps=(sometimes_bad,),
                      prob_field=lambda x: np.array([1.0]), rate=1.0)
-    plan = SamplingPlan(model, (1.0, 7.0), (4.0,), (F,), 50, 1)
-    results = run_batch(plan)
-    assert results[0].error is None and results[0].estimate is not None
-    assert results[1].error is not None and results[1].estimate is None
-    assert "w1" in results[1].error
+    results = run_batch(model, [(1.0, 4.0), (7.0, 4.0)], (F,), McSettings(50, 1), 0.999)
+    assert isinstance(results[0][0], Estimate)
+    assert isinstance(results[1], str)
+    assert "w1" in results[1]
+
+
+def test_batch_functional_failure_fails_only_its_cell():
+    def inverse(x):
+        if x == 0.0:
+            raise ValueError("no inverse at 0")
+        return min(1.0, 1.0 / x)
+
+    inv = TestFunction(inverse, sup_bound=1.0, lip_const=1.0, lower=0.0, name="inv")
+    model, _ = example_halving(1.0)
+    # 0 absorbs, and at time 0 every trajectory still sits at its start
+    cells = [(4.0, 0.0), (0.0, 2.0), (2.0, 0.0)]
+    results = run_batch(model, cells, (F, inv), McSettings(40, 3), 0.999)
+    assert results[1] == "no inverse at 0"
+    for i in (0, 2):
+        assert results[i] == [estimate_ptf(model, *cells[i], fn, 40, 3, cell=i)
+                              for fn in (F, inv)]
 
 
 def test_batch_functionals_share_each_cell():
-    plan = SamplingPlan(CTMC, (CtmcState.low(2), CtmcState.high(3)), (1.0, 4.0),
-                        (F, Ball(0.0, 0.1)), 400, 21)
-    results = run_batch(plan)
-    assert len(results) == 8
-    for j, (x0, t) in enumerate([(x0, t) for x0 in plan.initials for t in plan.times]):
-        # cell j of product(initials, times) feeds both of its rows
-        assert results[2 * j].estimate == estimate_ptf(CTMC, x0, t, F, 400, 21, cell=j)
-        assert results[2 * j + 1].estimate == estimate_hit(CTMC, x0, t, Ball(0.0, 0.1), 400,
-                                                           21, cell=j)
-    single = run_batch(SamplingPlan(CTMC, plan.initials, plan.times, (F,), 400, 21))
-    assert [r.estimate for r in single] == [r.estimate for r in results[::2]]
+    cells = [(x0, t) for x0 in (CtmcState.low(2), CtmcState.high(3)) for t in (1.0, 4.0)]
+    ball = Ball(0.0, 0.1)
+    results = run_batch(CTMC, cells, (F, ball), McSettings(400, 21), 0.999)
+    assert len(results) == 4
+    for j, (x0, t) in enumerate(cells):
+        # cell j of the grid feeds both functionals
+        assert results[j] == [estimate_ptf(CTMC, x0, t, F, 400, 21, cell=j),
+                              estimate_hit(CTMC, x0, t, ball, 400, 21, cell=j)]
+    single = run_batch(CTMC, cells, (F,), McSettings(400, 21), 0.999)
+    assert [cell[:1] for cell in results] == single
 
 
-def test_plan_validation():
+def test_time_grid_and_mc_settings_validation():
+    with pytest.raises(ValueError, match="grid empty"):
+        _time_grid([])
     with pytest.raises(ValueError):
-        SamplingPlan(CTMC, (), (1.0,), (F,), 10, 0)
+        _time_grid([1.0, -1.0])
     with pytest.raises(ValueError):
-        SamplingPlan(CTMC, (CtmcState.zero(),), (-1.0,), (F,), 10, 0)
-    with pytest.raises(ValueError):
-        SamplingPlan(CTMC, (CtmcState.zero(),), (1.0,), (F,), 0, 0)
+        McSettings(n_samples=0)
+    assert _time_grid((2, 0.5)) == [2.0, 0.5]
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
-def test_plan_rejects_non_finite_times(t):
-    model, _ = example_halving(1.0)
+def test_time_grid_rejects_non_finite_times(t):
     with pytest.raises(ValueError, match="finite"):
-        SamplingPlan(model, (1.0,), (1.0, t), (F,), 10, 0)
+        _time_grid([1.0, t])
 
 
 def test_resolve_workers_env(monkeypatch):
