@@ -22,6 +22,7 @@ Two models ship built in:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +53,11 @@ PROB_SUM_TOL = 1e-9
 # discards at most 63 unused words.
 BLOCK = 64
 
+# Most points an identity-flow model memoises (see ``IfsModel._node``),
+# about 2 MB for two maps. A full memo stops growing; the points it lacks
+# take the inline path.
+MEMO_NODES = 4096
+
 
 @dataclass(frozen=True)
 class IdentityFlow:
@@ -77,6 +83,15 @@ class IfsModel:
     probabilities at a point, ``flow`` moves the state between jumps and
     ``rate`` is the jump intensity. ``absorbing`` lists exact fixed points
     at which every map and the flow stall, so samplers may stop early.
+
+    ``maps`` and ``prob_field`` must be pure functions of the point. Under
+    the identity flow a trajectory moves only through the points its maps
+    produce, so the sampler keeps a memo per model object of the validated
+    weights at each nonzero point and of each map's output there: an
+    identity-flow model evaluates each of them once per distinct point
+    (for up to ``MEMO_NODES`` points). The memo is private and takes no
+    part in equality, hashing, ``repr`` or pickling; a copy or an
+    unpickled model starts with an empty one.
     """
 
     name: str
@@ -91,6 +106,16 @@ class IfsModel:
             raise ValueError("jump rate must be a positive real")
         if len(self.maps) == 0:
             raise ValueError("a jump system needs at least one map")
+        object.__setattr__(self, "_memo", {})
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n_maps(self) -> int:
@@ -127,18 +152,30 @@ class IfsModel:
         Returns the state at time t, or the first state reached in ``stop``.
         A jump takes two uniforms, one for the exponential waiting time and
         one for the inverse-CDF map choice at the pre-jump point, in the
-        order repeated ``stream.random()`` calls would return them. The
-        probability vector is validated inline with plain float arithmetic
-        because this is the hot path. Flowed points (pre-jump and terminal)
-        and map outputs must be finite and nonnegative. ``record``, if not
-        None, is four lists that receive each jump's time, pre-jump point,
-        map index (1-based) and post-jump point.
+        order repeated ``stream.random()`` calls would return them. Flowed
+        points (pre-jump and terminal) and map outputs must be finite and
+        nonnegative. ``record``, if not None, is four lists that receive
+        each jump's time, pre-jump point, map index (1-based) and post-jump
+        point.
+
+        Under the identity flow a nonzero pre-jump point takes its choice
+        and post-jump point from the model's memo (see ``_node``), and gets
+        an entry on its first visit while the memo has room. Any other point
+        (moving flow, zero, or missing from a full memo) has its probability
+        vector validated inline with plain float arithmetic, with the checks
+        and messages of ``_cumulative``, because this is the hot path.
         """
         rate = self.rate
         flow = self.flow
         moving = not isinstance(flow, IdentityFlow)
+        memo = self._memo
+        lookup = memo.get
+        room = MEMO_NODES - len(memo)
         field = self.prob_field
+        apply = self.apply_map
         n_maps = len(self.maps)
+        log1p = math.log1p
+        ndarray = np.ndarray
         if record is not None:
             taus, xis, idxs, phis = (lst.append for lst in record)
         buf = ()
@@ -148,48 +185,59 @@ class IfsModel:
             if i == BLOCK:
                 buf = stream.random(BLOCK).tolist()
                 i = 0
-            gap = -math.log1p(-buf[i]) / rate
+            gap = -log1p(-buf[i]) / rate
             i += 1
             if gap <= 0.0:  # u == 0 draw, probability ~2^-53
                 continue
             if now + gap > t:
                 return self._flowed(t - now, x) if moving else x
             now += gap
-            pre = self._flowed(gap, x) if moving else x
-            w = field(pre)
-            if isinstance(w, np.ndarray):
-                w = w.tolist()
-            if len(w) != n_maps:
-                raise ValueError(f"prob_field returned {len(w)} weights for "
-                                 f"{n_maps} maps at x={pre!r}")
+            if moving:
+                pre = self._flowed(gap, x)
+                node = None
+            else:
+                pre = x
+                node = lookup(pre)
+                # 0.0 and -0.0 are one key but keep their sign through the
+                # maps, so zero never enters the memo
+                if node is None and pre and room:
+                    node = memo[pre] = self._node(pre)
+                    room -= 1
             if i == BLOCK:
                 buf = stream.random(BLOCK).tolist()
                 i = 0
             u = buf[i]
             i += 1
-            acc = 0.0
-            chosen = 0
-            k = 0
-            for p in w:
-                k += 1
-                if p < 0.0:
-                    raise ValueError(
-                        f"negative selection probability {p!r} at x={pre!r} in model {self.name!r}")
-                acc += p
-                if chosen == 0 and u < acc:
-                    chosen = k
-            if not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
-                raise ValueError(
-                    f"selection probabilities sum to {acc!r} at x={pre!r} in model {self.name!r}")
-            if not chosen:
-                # float slack: fall back to the last map with positive weight
-                for k in range(n_maps, 0, -1):
-                    if w[k - 1] > 0.0:
+            if node is not None:
+                cum, succ = node
+                chosen = bisect_right(cum, u) + 1
+                x = succ[chosen]
+                if x is None:
+                    x = succ[chosen] = apply(chosen, pre)
+            else:
+                w = field(pre)
+                if isinstance(w, ndarray):
+                    w = w.tolist()
+                if len(w) != n_maps:
+                    raise ValueError(f"prob_field returned {len(w)} weights for "
+                                     f"{n_maps} maps at x={pre!r}")
+                acc = 0.0
+                chosen = 0
+                k = 0
+                for p in w:
+                    k += 1
+                    if p < 0.0:
+                        raise ValueError(f"negative selection probability {p!r} at "
+                                         f"x={pre!r} in model {self.name!r}")
+                    acc += p
+                    if chosen == 0 and u < acc:
                         chosen = k
-                        break
-                else:
-                    raise RuntimeError(f"degenerate probability vector at x={pre!r}")
-            x = self.apply_map(chosen, pre)
+                if not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
+                    raise ValueError(f"selection probabilities sum to {acc!r} at "
+                                     f"x={pre!r} in model {self.name!r}")
+                if not chosen:
+                    chosen = _fallback(w, pre)
+                x = apply(chosen, pre)
             if record is not None:
                 taus(now)
                 xis(pre)
@@ -197,9 +245,15 @@ class IfsModel:
                 phis(x)
         return x
 
-    def _weights(self, x: float) -> np.ndarray:
-        """Selection probabilities at x for the audits, with the checks and
-        messages of the jump loop's inline validation."""
+    def _cumulative(self, x: float) -> tuple:
+        """The field's selection probabilities at x (an array as a list) and
+        their running sums.
+
+        The sums are the jump loop's ``acc += p`` over the field's items, so
+        the choice "first k whose running sum exceeds u" is unchanged for a
+        field returning numpy scalars. Raises with the inline check's
+        messages on a wrong length, a negative weight or a sum off 1.
+        """
         w = self.prob_field(x)
         if isinstance(w, np.ndarray):
             w = w.tolist()
@@ -207,15 +261,37 @@ class IfsModel:
             raise ValueError(f"prob_field returned {len(w)} weights for "
                              f"{len(self.maps)} maps at x={x!r}")
         acc = 0.0
+        cum = []
         for p in w:
             if p < 0.0:
                 raise ValueError(
                     f"negative selection probability {p!r} at x={x!r} in model {self.name!r}")
             acc += p
+            cum.append(acc)
         if not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
             raise ValueError(
                 f"selection probabilities sum to {acc!r} at x={x!r} in model {self.name!r}")
-        return np.asarray(w, dtype=float)
+        return w, cum
+
+    def _weights(self, x: float) -> np.ndarray:
+        """Selection probabilities at x for the audits, validated as the jump
+        loop validates them."""
+        return np.asarray(self._cumulative(x)[0], dtype=float)
+
+    def _node(self, x: float) -> tuple:
+        """Memo entry of the point x: ``(cum, succ)``.
+
+        ``cum`` holds the running sums of the validated weights, with +inf
+        from the last map of positive weight on. The weights are
+        nonnegative, so ``bisect_right(cum, u) + 1`` is the first map whose
+        running sum exceeds u, or that last map when float slack leaves u
+        above the sum: the inline choice. ``succ[k]`` caches map k's output
+        at x, filled the first time map k is taken (``succ[0]`` is unused).
+        """
+        w, cum = self._cumulative(x)
+        last = _fallback(w, x) - 1
+        cum[last:] = [math.inf] * (len(w) - last)
+        return cum, [None] * (len(w) + 1)
 
     def _flowed(self, s: float, x: float) -> float:
         """Flow x for time s and validate the point reached."""
@@ -284,6 +360,15 @@ def state_at(traj: Trajectory, model: IfsModel, t: float) -> float:
     if k == 0:
         return model.flow(t, traj.x0)
     return model.flow(t - traj.tau[k - 1], traj.phi[k - 1])
+
+
+def _fallback(w, x: float) -> int:
+    """The last map (1-based) with positive weight at x, taken when float
+    slack leaves the uniform above the sum of the validated weights."""
+    for k in range(len(w), 0, -1):
+        if w[k - 1] > 0.0:
+            return k
+    raise RuntimeError(f"degenerate probability vector at x={x!r}")
 
 
 # ---------------------------------------------------------------------------

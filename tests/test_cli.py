@@ -684,17 +684,16 @@ def test_simulate_failure_on_a_later_trajectory_writes_nothing(tmp_path, capsys)
     from ergokit.cli import register_model, _MODELS
     from ergokit.ifs_jump import IfsModel
 
-    calls = [0]
-
-    def halve_then_fail(x):
-        # about 10 jumps per trajectory: the first trajectory completes, a
-        # later one meets the failing call
-        calls[0] += 1
-        return math.nan if calls[0] == 50 else x / 2.0
+    def halve_or_fail(x):
+        # w1 halves and w2 stays, chosen evenly: at seed 1 the first
+        # trajectory halves 6 times and completes, trajectory 17 halves a
+        # 7th time and fails at 4 * 2**-6. Maps are pure functions of the
+        # point, so the failure is tied to a point, not to a call count.
+        return math.nan if x == 4.0 * 2.0 ** -6 else x / 2.0
 
     def builder(lam):
-        return IfsModel(name="late-nan", maps=(halve_then_fail,),
-                        prob_field=lambda x: (1.0,), rate=lam), None
+        return IfsModel(name="late-nan", maps=(halve_or_fail, lambda x: x),
+                        prob_field=lambda x: (0.5, 0.5), rate=lam), None
 
     register_model("late-nan", builder)
     out = tmp_path / "never.csv"
@@ -706,7 +705,6 @@ def test_simulate_failure_on_a_later_trajectory_writes_nothing(tmp_path, capsys)
         assert "map w1 of model 'late-nan' produced invalid state nan" in err
         assert stdout == ""
         assert not out.exists()
-        calls[0] = 0
         code, stdout, err = run_cli(capsys, *argv)
         assert code == 1
         assert "produced invalid state nan" in err
@@ -753,3 +751,35 @@ def test_simulate_bytes_are_pinned(tmp_path):
         "1433de09ca02856ae5fef4e0b06470de3fb228cd6d10bae117176f03ad263e4f"
     assert _digest_without_version(chart) == \
         "cab60590ea779585e6f363fc861970ba87e4efebda22aaa148a57f17161b9bac"
+
+
+def test_lowerbound_bytes_are_pinned(tmp_path):
+    # digest of the 0.6.0 table; every jump of these trajectories after the
+    # first visit to a point runs on the halving model's memo
+    argv = ["diagnose", "lowerbound", "--model", "halving", "--z", "0", "--eps", "0.1",
+            "--x-grid", "2,5,10", "--t-grid", "20,50", "--samples", "200", "--seed", "5"]
+    table = tmp_path / "lb.csv"
+    assert main(argv + ["--out", str(table)]) == 0
+    assert _digest_without_version(table) == \
+        "8072a748b0e65e7c3340f85ef04fcb3b01f329807c81659ea80d5764429095a4"
+
+
+def test_simulate_negative_zero_bytes_on_a_warm_model(tmp_path, monkeypatch):
+    # one halving model object serves both commands, so the -0 run meets a
+    # model that has sampled from +0.0: 0.0 == -0.0 as dict keys, and the
+    # table must still be the 0.6.0 one, with -0 in every phi_k
+    from ergokit import cli
+
+    model, assume = cli.example_halving(1.0)
+    monkeypatch.setitem(cli._MODELS, "halving",
+                        (lambda lam: (model, assume), cli._MODELS["halving"][1]))
+    argv = ["simulate", "--model", "halving", "--horizon", "20", "--trajectories", "5",
+            "--seed", "3"]
+    plus, minus = tmp_path / "plus.csv", tmp_path / "minus.csv"
+    assert main(argv + ["--x0", "0", "--out", str(plus)]) == 0
+    assert main(argv + ["--x0=-0", "--out", str(minus)]) == 0
+    assert _digest_without_version(minus) == \
+        "f90a6767c040d0eb0557bad093c0fc819495341d384eacb48c30a5008c07375d"
+    lines = [line for line in minus.read_text().splitlines() if not line.startswith("#")]
+    rows = [line.split(",") for line in lines[1:]]
+    assert rows and all(row[-1] == "-0" for row in rows)

@@ -1,10 +1,14 @@
 import itertools
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ergokit import ifs_jump
 from ergokit.ifs_jump import (
+    MEMO_NODES,
     AssumptionSet,
     ExponentialFlow,
     IdentityFlow,
@@ -18,7 +22,7 @@ from ergokit.ifs_jump import (
     sample_jump_chain,
     state_at,
 )
-from ergokit.montecarlo import StreamFactory
+from ergokit.montecarlo import StreamFactory, sample_terminals
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +492,152 @@ def test_jump_loop_rejects_bad_selection_probabilities(field, match):
         model.terminal_state(0.5, 50.0, StreamFactory(0).stream(0, 0))
     with pytest.raises(ValueError, match=match):
         sample_jump_chain(model, 0.5, 50.0, StreamFactory(0).stream(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the per-point memo of identity-flow models
+
+
+def _readme_model():
+    # the custom model of the README: maps third and stay, weights (3/4, 1/4)
+    return IfsModel(name="mine", maps=(lambda x: x / 3, lambda x: x),
+                    prob_field=lambda x: (0.75, 0.25), rate=1.0, absorbing=(0.0,))
+
+
+_MEMO_MODELS = {
+    "flip": lambda: example_flip(1.3),
+    "halving": lambda: example_halving(1.0)[0],
+    "readme": _readme_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEMO_MODELS))
+def test_warm_model_matches_reference_bit_for_bit(name):
+    # one model object for all 200 trajectories: after the first visit to a
+    # point, its jumps are memo hits
+    model = _MEMO_MODELS[name]()
+    factory = StreamFactory(11)
+    got, want = [], []
+    for k in range(200):
+        x0 = (0.3, 1.0, 4.0, 9.0)[k % 4]
+        got.append(model.terminal_state(x0, 40.0, factory.stream(0, k)))
+        want.append(_ref_terminal_state(model, x0, 40.0, factory.stream(0, k)))
+        traj = sample_jump_chain(model, x0, 40.0, factory.stream(1, k))
+        tau, xi, index, phi = _ref_jump_chain(model, x0, 40.0, factory.stream(1, k))
+        assert _same_bits(traj.tau, tau) and _same_bits(traj.xi, xi)
+        assert _same_bits(traj.phi, phi) and np.array_equal(traj.index, index)
+    assert _same_bits(got, want)
+    assert 0 < len(model._memo) < MEMO_NODES
+
+
+def test_negative_zero_keeps_its_sign_on_a_warm_model():
+    # 0.0 == -0.0 as dict keys: a memo entry for +0.0 would hand -0.0 the
+    # successors of +0.0 and turn phi into [0, 0, ...]
+    model, _ = example_halving(1.0)
+    factory = StreamFactory(5)
+    plus = sample_jump_chain(model, 0.0, 7.0, factory.stream(0, 0))
+    minus = sample_jump_chain(model, -0.0, 7.0, factory.stream(0, 1))
+    tau, xi, index, phi = _ref_jump_chain(model, -0.0, 7.0, factory.stream(0, 1))
+    assert len(plus) > 0 and len(minus) > 0
+    assert not np.signbit(plus.phi).any() and np.signbit(minus.phi).all()
+    assert _same_bits(minus.xi, xi) and _same_bits(minus.phi, phi)
+    assert model.terminal_state(-0.0, 7.0, factory.stream(0, 2)) == 0.0
+    assert math.copysign(1.0, model.terminal_state(-0.0, 7.0, factory.stream(0, 2))) == -1.0
+
+
+@pytest.mark.parametrize("memo_nodes", [MEMO_NODES, 0], ids=["memo", "inline"])
+def test_float_slack_fallback_holds_on_every_visit(monkeypatch, memo_nodes):
+    # weights sum to 1 - 1e-12 with two zero weights last: a uniform above
+    # the sum picks w2, the last map with positive weight, on the first
+    # visit to 0.7 (which makes the memo entry) and on every later one
+    monkeypatch.setattr(ifs_jump, "MEMO_NODES", memo_nodes)
+    model = IfsModel(name="slack",
+                     maps=(lambda x: 1.0, lambda x: 2.0, lambda x: 3.0, lambda x: 4.0),
+                     prob_field=lambda x: (0.5, 0.5 - 1e-12, 0.0, 0.0), rate=1.0)
+    for u, want in [(1.0 - 1e-13, 2.0), (1.0 - 1e-13, 2.0), (0.25, 1.0), (0.75, 2.0),
+                    (1.0 - 1e-13, 2.0)]:
+        values = [0.5, u, 0.999]
+        assert model.terminal_state(0.7, 1.0, _StubStream(values)) == want
+        assert _ref_terminal_state(model, 0.7, 1.0, _StubStream(values)) == want
+    assert len(model._memo) == (1 if memo_nodes else 0)
+
+
+@pytest.mark.parametrize("memo_nodes", [MEMO_NODES, 0], ids=["memo", "inline"])
+@pytest.mark.parametrize("bad, match", [
+    ((1.0,), "prob_field returned 1 weights for 2 maps at x=0.25"),
+    (np.array([1.5, -0.5]), "negative selection probability -0.5 at x=0.25 in model 'bad'"),
+    ((0.5, 0.4), "selection probabilities sum to 0.9 at x=0.25 in model 'bad'"),
+])
+def test_bad_selection_probabilities_fail_on_every_visit(monkeypatch, memo_nodes, bad, match):
+    # halving from 1 meets the bad field at 0.25 on its third jump; later
+    # runs reach it through memo hits at 1 and 0.5, and still fail there
+    monkeypatch.setattr(ifs_jump, "MEMO_NODES", memo_nodes)
+    model = IfsModel(name="bad", maps=(lambda x: x / 2.0, lambda x: x),
+                     prob_field=lambda x: bad if x == 0.25 else (1.0, 0.0), rate=1.0)
+    for k in range(3):
+        with pytest.raises(ValueError, match=match):
+            model.terminal_state(1.0, 50.0, StreamFactory(0).stream(0, k))
+        with pytest.raises(ValueError, match=match):
+            sample_jump_chain(model, 1.0, 50.0, StreamFactory(0).stream(1, k))
+    assert sorted(model._memo) == ([0.5, 1.0] if memo_nodes else [])
+
+
+@pytest.mark.parametrize("kind", ["ndarray", "float32"])
+def test_numpy_weights_select_as_the_reference(kind):
+    # a tuple of float32 weights sums in float32, and u is compared with a
+    # float32 sum in float32: u = 0.1000000001 is not below float32(0.1)
+    # = 0.10000000149..., so w2 is chosen, as the inline loop chooses it;
+    # a memo holding the sums as Python floats would choose w1
+    weights = (0.1, 0.2, 0.7)
+    if kind == "ndarray":
+        def field(x):
+            return np.array(weights)
+    else:
+        def field(x):
+            return tuple(np.float32(w) for w in weights)
+    model = IfsModel(name=kind, maps=(lambda x: x / 2.0, lambda x: x, lambda x: 2.0 * x),
+                     prob_field=field, rate=1.0)
+    factory = StreamFactory(4)
+    for k in range(200):
+        traj = sample_jump_chain(model, 1.0, 30.0, factory.stream(0, k))
+        tau, xi, index, phi = _ref_jump_chain(model, 1.0, 30.0, factory.stream(0, k))
+        assert _same_bits(traj.xi, xi) and _same_bits(traj.phi, phi)
+        assert np.array_equal(traj.index, index)
+    for _ in range(2):
+        values = [0.5, 0.1000000001, 0.5]
+        traj = sample_jump_chain(model, 1.0, 1.0, _StubStream(values))
+        ref = _ref_jump_chain(model, 1.0, 1.0, _StubStream(values))
+        assert traj.index.tolist() == ref[2].tolist() == [2]
+    assert 1.0 in model._memo
+
+
+def test_memo_stops_growing_at_its_cap():
+    # maps x/2 and (x+1)/2: past the first few jumps almost every point is
+    # new, so ~10 000 jumps fill the memo and later ones add no entries
+    model = IfsModel(name="orbit", maps=(lambda x: x / 2.0, lambda x: (x + 1.0) / 2.0),
+                     prob_field=lambda x: (0.5, 0.5), rate=1.0)
+    tracemalloc.start()
+    try:
+        sample_terminals(model, 0.3, 100.0, 100, 7)
+        full, _ = tracemalloc.get_traced_memory()
+        for seed in (8, 9, 10):
+            sample_terminals(model, 0.3, 100.0, 100, seed)
+        later, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model._memo) == MEMO_NODES
+    # about 2 MB for a full memo; three more fills would have tripled it
+    assert full < 4 * 2 ** 20
+    assert later - full < full / 10
+
+
+def test_memo_takes_no_part_in_pickling_equality_or_repr():
+    warm, _ = example_halving(1.0)
+    fresh, _ = example_halving(1.0)
+    first = sample_terminals(warm, 5.0, 100.0, 20, 1)
+    assert warm._memo and not fresh._memo
+    assert pickle.dumps(warm) == pickle.dumps(fresh)
+    assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    clone = pickle.loads(pickle.dumps(warm))
+    assert clone == warm and not clone._memo
+    assert _same_bits(sample_terminals(clone, 5.0, 100.0, 20, 1), first)
