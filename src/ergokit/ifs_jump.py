@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -53,9 +54,10 @@ PROB_SUM_TOL = 1e-9
 # discards at most 63 unused words.
 BLOCK = 64
 
-# Most points an identity-flow model memoises (see ``IfsModel._node``),
-# about 2 MB for two maps. A full memo stops growing; the points it lacks
-# take the inline path.
+# Most points an identity-flow model remembers, counting points visited
+# once and memo nodes (see ``IfsModel._jump_loop``); 4096 nodes of a
+# two-map model take about 2 MB. A full memo stops growing, and the points
+# it lacks take the inline path.
 MEMO_NODES = 4096
 
 
@@ -106,16 +108,22 @@ class IfsModel:
             raise ValueError("jump rate must be a positive real")
         if len(self.maps) == 0:
             raise ValueError("a jump system needs at least one map")
+        self._reset_memo()
+
+    def _reset_memo(self) -> None:
+        # the jump loop's memo: point -> node (see ``_node``), and point ->
+        # (weights, chosen map, post-jump point) of a point visited once
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_seen", {})
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_memo"]
+        del state["_memo"], state["_seen"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        object.__setattr__(self, "_memo", {})
+        self._reset_memo()
 
     @property
     def n_maps(self) -> int:
@@ -158,19 +166,23 @@ class IfsModel:
         each jump's time, pre-jump point, map index (1-based) and post-jump
         point.
 
-        Under the identity flow a nonzero pre-jump point takes its choice
-        and post-jump point from the model's memo (see ``_node``), and gets
-        an entry on its first visit while the memo has room. Any other point
-        (moving flow, zero, or missing from a full memo) has its probability
-        vector validated inline with plain float arithmetic, with the checks
-        and messages of ``_cumulative``, because this is the hot path.
+        Under the identity flow the model remembers the nonzero points it
+        visits, while its memo has room. A first visit records the point's
+        weights, choice and post-jump point; the second turns the record
+        into a node (see ``_node``), from which it and every later visit
+        take the choice by one bisection and the post-jump point from a
+        cache. Any other jump (moving flow, zero, a first visit, or a point
+        missing from a full memo) validates its probability vector inline
+        with plain float arithmetic, with the checks and messages of
+        ``_weights``, because this is the hot path.
         """
         rate = self.rate
         flow = self.flow
         moving = not isinstance(flow, IdentityFlow)
         memo = self._memo
+        seen = self._seen
         lookup = memo.get
-        room = MEMO_NODES - len(memo)
+        room = 0 if moving else MEMO_NODES - len(memo) - len(seen)
         field = self.prob_field
         apply = self.apply_map
         n_maps = len(self.maps)
@@ -198,11 +210,10 @@ class IfsModel:
             else:
                 pre = x
                 node = lookup(pre)
-                # 0.0 and -0.0 are one key but keep their sign through the
-                # maps, so zero never enters the memo
-                if node is None and pre and room:
-                    node = memo[pre] = self._node(pre)
-                    room -= 1
+                if node is None and room:
+                    first = seen.pop(pre, None)
+                    if first is not None:  # second visit
+                        node = memo[pre] = _node(pre, *first)
             if i == BLOCK:
                 buf = stream.random(BLOCK).tolist()
                 i = 0
@@ -210,7 +221,7 @@ class IfsModel:
             i += 1
             if node is not None:
                 cum, succ = node
-                chosen = bisect_right(cum, u) + 1
+                chosen = bisect_right(cum, u)
                 x = succ[chosen]
                 if x is None:
                     x = succ[chosen] = apply(chosen, pre)
@@ -238,6 +249,11 @@ class IfsModel:
                 if not chosen:
                     chosen = _fallback(w, pre)
                 x = apply(chosen, pre)
+                # 0.0 and -0.0 are one key but keep their sign through the
+                # maps, so zero never enters the memo
+                if room and pre:
+                    seen[pre] = (tuple(w), chosen, x)  # a field may reuse a list
+                    room -= 1
             if record is not None:
                 taus(now)
                 xis(pre)
@@ -245,15 +261,9 @@ class IfsModel:
                 phis(x)
         return x
 
-    def _cumulative(self, x: float) -> tuple:
-        """The field's selection probabilities at x (an array as a list) and
-        their running sums.
-
-        The sums are the jump loop's ``acc += p`` over the field's items, so
-        the choice "first k whose running sum exceeds u" is unchanged for a
-        field returning numpy scalars. Raises with the inline check's
-        messages on a wrong length, a negative weight or a sum off 1.
-        """
+    def _weights(self, x: float) -> np.ndarray:
+        """Selection probabilities at x for the audits, with the checks and
+        messages of the jump loop's inline validation."""
         w = self.prob_field(x)
         if isinstance(w, np.ndarray):
             w = w.tolist()
@@ -261,37 +271,15 @@ class IfsModel:
             raise ValueError(f"prob_field returned {len(w)} weights for "
                              f"{len(self.maps)} maps at x={x!r}")
         acc = 0.0
-        cum = []
         for p in w:
             if p < 0.0:
                 raise ValueError(
                     f"negative selection probability {p!r} at x={x!r} in model {self.name!r}")
             acc += p
-            cum.append(acc)
         if not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
             raise ValueError(
                 f"selection probabilities sum to {acc!r} at x={x!r} in model {self.name!r}")
-        return w, cum
-
-    def _weights(self, x: float) -> np.ndarray:
-        """Selection probabilities at x for the audits, validated as the jump
-        loop validates them."""
-        return np.asarray(self._cumulative(x)[0], dtype=float)
-
-    def _node(self, x: float) -> tuple:
-        """Memo entry of the point x: ``(cum, succ)``.
-
-        ``cum`` holds the running sums of the validated weights, with +inf
-        from the last map of positive weight on. The weights are
-        nonnegative, so ``bisect_right(cum, u) + 1`` is the first map whose
-        running sum exceeds u, or that last map when float slack leaves u
-        above the sum: the inline choice. ``succ[k]`` caches map k's output
-        at x, filled the first time map k is taken (``succ[0]`` is unused).
-        """
-        w, cum = self._cumulative(x)
-        last = _fallback(w, x) - 1
-        cum[last:] = [math.inf] * (len(w) - last)
-        return cum, [None] * (len(w) + 1)
+        return np.asarray(w, dtype=float)
 
     def _flowed(self, s: float, x: float) -> float:
         """Flow x for time s and validate the point reached."""
@@ -360,6 +348,26 @@ def state_at(traj: Trajectory, model: IfsModel, t: float) -> float:
     if k == 0:
         return model.flow(t, traj.x0)
     return model.flow(t - traj.tau[k - 1], traj.phi[k - 1])
+
+
+def _node(x: float, w, chosen: int, y: float) -> tuple:
+    """Memo entry ``(cum, succ)`` of the point x, from its validated
+    weights w and its first jump, by map ``chosen`` to y.
+
+    ``cum`` is [0.0] followed by the running sums ``acc += p`` of w, with
+    +inf from the last map of positive weight on. The weights are
+    nonnegative and a uniform u lies in [0, 1), so ``bisect_right(cum, u)``
+    is the inline choice: the first map whose running sum exceeds u, or
+    that last map when float slack leaves u above the sum. ``succ[k]``
+    caches map k's output at the point, filled the first time map k is
+    taken.
+    """
+    cum = list(accumulate(w, initial=0.0))
+    last = _fallback(w, x)
+    cum[last:] = [math.inf] * (len(cum) - last)
+    succ = [None] * len(cum)
+    succ[chosen] = y
+    return cum, succ
 
 
 def _fallback(w, x: float) -> int:

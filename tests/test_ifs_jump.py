@@ -582,38 +582,46 @@ def test_bad_selection_probabilities_fail_on_every_visit(monkeypatch, memo_nodes
     assert sorted(model._memo) == ([0.5, 1.0] if memo_nodes else [])
 
 
-@pytest.mark.parametrize("kind", ["ndarray", "float32"])
-def test_numpy_weights_select_as_the_reference(kind):
+@pytest.mark.parametrize("kind", ["ndarray", "float32", "reused-list"])
+def test_field_return_types_select_as_the_reference(kind):
     # a tuple of float32 weights sums in float32, and u is compared with a
     # float32 sum in float32: u = 0.1000000001 is not below float32(0.1)
     # = 0.10000000149..., so w2 is chosen, as the inline loop chooses it;
-    # a memo holding the sums as Python floats would choose w1
-    weights = (0.1, 0.2, 0.7)
-    if kind == "ndarray":
-        def field(x):
+    # a memo holding the sums as Python floats would choose w1. A field
+    # that refills one list on every call must not change what the memo
+    # recorded for an earlier point.
+    low, high = (0.1, 0.2, 0.7), (0.7, 0.2, 0.1)
+    shared = [0.0, 0.0, 0.0]
+
+    def field(x):
+        weights = low if x < 1.0 else high
+        if kind == "ndarray":
             return np.array(weights)
-    else:
-        def field(x):
+        if kind == "float32":
             return tuple(np.float32(w) for w in weights)
+        shared[:] = weights
+        return shared
+
     model = IfsModel(name=kind, maps=(lambda x: x / 2.0, lambda x: x, lambda x: 2.0 * x),
                      prob_field=field, rate=1.0)
     factory = StreamFactory(4)
     for k in range(200):
-        traj = sample_jump_chain(model, 1.0, 30.0, factory.stream(0, k))
-        tau, xi, index, phi = _ref_jump_chain(model, 1.0, 30.0, factory.stream(0, k))
+        traj = sample_jump_chain(model, 0.5, 30.0, factory.stream(0, k))
+        tau, xi, index, phi = _ref_jump_chain(model, 0.5, 30.0, factory.stream(0, k))
         assert _same_bits(traj.xi, xi) and _same_bits(traj.phi, phi)
         assert np.array_equal(traj.index, index)
     for _ in range(2):
         values = [0.5, 0.1000000001, 0.5]
-        traj = sample_jump_chain(model, 1.0, 1.0, _StubStream(values))
-        ref = _ref_jump_chain(model, 1.0, 1.0, _StubStream(values))
+        traj = sample_jump_chain(model, 0.5, 1.0, _StubStream(values))
+        ref = _ref_jump_chain(model, 0.5, 1.0, _StubStream(values))
         assert traj.index.tolist() == ref[2].tolist() == [2]
-    assert 1.0 in model._memo
+    assert 0.5 in model._memo and 1.0 in model._memo
 
 
 def test_memo_stops_growing_at_its_cap():
     # maps x/2 and (x+1)/2: past the first few jumps almost every point is
-    # new, so ~10 000 jumps fill the memo and later ones add no entries
+    # new, so ~10 000 jumps fill the memo (mostly with points visited once)
+    # and 30 000 more add no entries
     model = IfsModel(name="orbit", maps=(lambda x: x / 2.0, lambda x: (x + 1.0) / 2.0),
                      prob_field=lambda x: (0.5, 0.5), rate=1.0)
     tracemalloc.start()
@@ -625,8 +633,7 @@ def test_memo_stops_growing_at_its_cap():
         later, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(model._memo) == MEMO_NODES
-    # about 2 MB for a full memo; three more fills would have tripled it
+    assert len(model._memo) + len(model._seen) == MEMO_NODES
     assert full < 4 * 2 ** 20
     assert later - full < full / 10
 
@@ -635,9 +642,9 @@ def test_memo_takes_no_part_in_pickling_equality_or_repr():
     warm, _ = example_halving(1.0)
     fresh, _ = example_halving(1.0)
     first = sample_terminals(warm, 5.0, 100.0, 20, 1)
-    assert warm._memo and not fresh._memo
+    assert warm._memo and not fresh._memo and not fresh._seen
     assert pickle.dumps(warm) == pickle.dumps(fresh)
     assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
     clone = pickle.loads(pickle.dumps(warm))
-    assert clone == warm and not clone._memo
+    assert clone == warm and not clone._memo and not clone._seen
     assert _same_bits(sample_terminals(clone, 5.0, 100.0, 20, 1), first)
