@@ -112,7 +112,9 @@ class IfsModel:
 
     def _reset_memo(self) -> None:
         # the jump loop's memo: point -> node (see ``_node``), and point ->
-        # (weights, chosen map, post-jump point) of a point visited once
+        # (weights, chosen map, post-jump point) of a point visited once.
+        # Every entry is a function of its point alone, so threads sharing
+        # a model can only repeat work and overshoot ``MEMO_NODES``.
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_seen", {})
 

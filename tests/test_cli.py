@@ -754,8 +754,8 @@ def test_simulate_bytes_are_pinned(tmp_path):
 
 
 def test_lowerbound_bytes_are_pinned(tmp_path):
-    # digest of the 0.6.0 table; every jump of these trajectories after the
-    # first visit to a point runs on the halving model's memo
+    # digest of the 0.6.0 table; from the second visit to a point on, every
+    # jump of these trajectories runs on the halving model's memo
     argv = ["diagnose", "lowerbound", "--model", "halving", "--z", "0", "--eps", "0.1",
             "--x-grid", "2,5,10", "--t-grid", "20,50", "--samples", "200", "--seed", "5"]
     table = tmp_path / "lb.csv"

@@ -513,8 +513,8 @@ _MEMO_MODELS = {
 
 @pytest.mark.parametrize("name", sorted(_MEMO_MODELS))
 def test_warm_model_matches_reference_bit_for_bit(name):
-    # one model object for all 200 trajectories: after the first visit to a
-    # point, its jumps are memo hits
+    # one model object for all 200 trajectories: from the second visit to a
+    # point on, its jumps are memo hits
     model = _MEMO_MODELS[name]()
     factory = StreamFactory(11)
     got, want = [], []
@@ -549,7 +549,8 @@ def test_negative_zero_keeps_its_sign_on_a_warm_model():
 def test_float_slack_fallback_holds_on_every_visit(monkeypatch, memo_nodes):
     # weights sum to 1 - 1e-12 with two zero weights last: a uniform above
     # the sum picks w2, the last map with positive weight, on the first
-    # visit to 0.7 (which makes the memo entry) and on every later one
+    # visit to 0.7 (inline), on the second (which makes the memo node) and
+    # on every later one
     monkeypatch.setattr(ifs_jump, "MEMO_NODES", memo_nodes)
     model = IfsModel(name="slack",
                      maps=(lambda x: 1.0, lambda x: 2.0, lambda x: 3.0, lambda x: 4.0),
