@@ -8,7 +8,6 @@ from .core import (
     bl_distance,
     bump_function,
     constant,
-    pair,
     xmin1,
 )
 from .exact_ctmc import (
@@ -32,13 +31,11 @@ from .ifs_jump import (
     j_n,
     linear_modulus,
     sample_jump_chain,
-    state_at,
 )
 from .montecarlo import (
     Estimate,
     McSettings,
     StreamFactory,
-    estimate_hit,
     estimate_ptf,
     hoeffding_half_width,
     run_batch,
@@ -57,4 +54,4 @@ from .diagnostics import (
     stability_report,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

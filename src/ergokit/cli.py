@@ -31,6 +31,7 @@ from .exact_ctmc import CtmcProcess, CtmcState, parse_ctmc_state, transition_pro
 from .diagnostics import (
     DiagnosticReport,
     McSettings,
+    _anchor,
     check_b2,
     check_b3,
     check_b5,
@@ -102,9 +103,9 @@ def _parse_initial(model_name: str, token: str):
     try:
         v = float(token)
     except ValueError as exc:
-        raise CliError(f"cannot parse initial point {token!r}") from exc
+        raise ValueError(f"cannot parse initial point {token!r}") from exc
     if not (v >= 0.0 and math.isfinite(v)):
-        raise CliError(f"initial point must be a finite nonnegative real, got {token!r}")
+        raise ValueError(f"initial point must be a finite nonnegative real, got {token!r}")
     return v
 
 
@@ -124,9 +125,23 @@ def _parse_function(spec: str) -> TestFunction:
     if spec.startswith("bump:"):
         parts = [float(p) for p in spec.split(":", 1)[1].split(",")]
         if len(parts) != 3:
-            raise CliError("bump function spec is bump:<lo>,<hi>,<eps>")
+            raise ValueError("bump function spec is bump:<lo>,<hi>,<eps>")
         return bump_function((parts[0], parts[1]), parts[2])
-    raise CliError(f"unknown test function {spec!r}; use xmin1, const:<c> or bump:<lo>,<hi>,<eps>")
+    raise ValueError("unknown test function; use xmin1, const:<c> or bump:<lo>,<hi>,<eps>")
+
+
+def _function(settings: Settings, default: Optional[str] = None) -> Optional[TestFunction]:
+    """The test function that ``f`` names, or None; the manifest records
+    the spec as given."""
+    spec = settings.get("f", default)
+    return None if spec is None else _parse("f", spec, _parse_function)
+
+
+def _parse_ball(spec: str) -> Ball:
+    parts = _floats(spec)
+    if len(parts) != 2:
+        raise ValueError("ball spec is <center>,<radius>")
+    return Ball(parts[0], parts[1])
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +168,15 @@ def _read_config(path: str) -> dict:
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     return values
+
+
+def _parse(key: str, raw, parse: Callable):
+    """``parse(raw)``; a failure becomes a ``CliError`` that names the option
+    and its value."""
+    try:
+        return parse(raw)
+    except Exception as exc:
+        raise CliError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
 
 # namespace entries that argparse fills and that are not options
@@ -185,12 +209,7 @@ class Settings:
                 raise CliError(f"missing required option --{key.replace('_', '-')}")
             self.resolved[key] = default
             return default
-        try:
-            value = parse(raw) if parse else raw
-        except CliError:
-            raise
-        except Exception as exc:
-            raise CliError(f"bad value for {key}: {raw!r} ({exc})") from exc
+        value = _parse(key, raw, parse) if parse else raw
         self.resolved[key] = value
         return value
 
@@ -401,15 +420,14 @@ def cmd_exact_ctmc(args: argparse.Namespace) -> int:
     if n < 2:
         raise CliError("n >= 2 required: the chain has no level below 2")
     t = settings.get("t", 1.0, _nonneg_float)
-    fspec = settings.get("f", None)
+    f = _function(settings)
     states = (CtmcState.low(n), CtmcState.high(n), CtmcState.zero())
     rows = []
-    if fspec is None:
+    if f is None:
         for i in states:
             for j in states:
                 rows.append(("p", f"{i}->{j}", f"{t:g}", transition_prob(i, j, t), 0.0, ""))
     else:
-        f = _parse_function(fspec)
         proc = CtmcProcess()
         for i in states:
             rows.append(("ptf", str(i), f"{t:g}", proc.exact_expectation(f, i, t), 0.0, ""))
@@ -450,16 +468,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     name, process, _ = _model(settings)
     initials = _starts(settings, "x0", name)
     times = settings.get("times", parse=_floats, required=True)
-    functionals: list = []
-    fspec = settings.get("f", None)
-    if fspec is not None:
-        functionals.append(_parse_function(fspec))
+    f = _function(settings)
+    functionals = [] if f is None else [f]
     ball_spec = settings.get("ball", None)
-    if ball_spec is not None:
-        parts = _floats(ball_spec)
-        if len(parts) != 2:
-            raise CliError("ball spec is <center>,<radius>")
-        functionals.append(Ball(parts[0], parts[1]))
+    if ball_spec is not None:  # the manifest records the spec as given
+        functionals.append(_parse("ball", ball_spec, _parse_ball))
     if not functionals:
         raise CliError("need --f and/or --ball")
     mc = _mc_settings(settings)
@@ -500,10 +513,8 @@ def _parse_pairs(model_name: str, text: str):
         if "@" not in chunk:
             raise CliError(f"pair {chunk!r} must look like x@t")
         xtok, _, ttok = chunk.partition("@")
-        try:
-            pairs.append((_parse_initial(model_name, xtok), float(ttok)))
-        except (CliError, ValueError) as exc:
-            raise CliError(f"bad value for pairs: {chunk!r} ({exc})") from exc
+        pairs.append(_parse("pairs", chunk,
+                            lambda _: (_parse_initial(model_name, xtok), float(ttok))))
     if not pairs:
         raise CliError("no pairs given")
     return pairs
@@ -530,7 +541,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if sub == "ec":
         settings = Settings(args)
         name, process, _ = _model(settings)
-        f = _parse_function(settings.get("f", "xmin1"))
+        f = _function(settings, "xmin1")
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), required=True)
         xs = _starts(settings, "xs", name)
         T = settings.get("window_start", 0.0, _nonneg_float)
@@ -543,7 +554,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     elif sub == "eprop":
         settings = Settings(args)
         name, process, _ = _model(settings)
-        f = _parse_function(settings.get("f", "xmin1"))
+        f = _function(settings, "xmin1")
         default_z = "zero" if name == "ctmc" else "0"
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), default=None)
         if z is None:
@@ -564,7 +575,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         settings = Settings(args)
         name, process, _ = _model(settings)
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), default=None)
-        anchor = 0.0 if z is None else (z.value if hasattr(z, "value") else z)
+        anchor = 0.0 if z is None else _anchor(z)
         initials = _starts(settings, "initials", name)
         t_grid = settings.get("t_grid", parse=_floats, required=True)
         report = stability_report(process, initials, t_grid,

@@ -11,7 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -31,10 +31,9 @@ class TestFunction:
     """A bounded Lipschitz observable with declared metadata.
 
     ``sup_bound`` and ``lip_const`` are declared by the constructor and
-    validated statistically (see :meth:`spot_check`), not symbolically.
-    ``lower``/``upper`` give the tightest known value range; they default to
-    ``[-sup_bound, sup_bound]`` and are what Monte Carlo confidence widths
-    are based on.
+    trusted, not checked against the evaluator. ``lower``/``upper`` give the
+    tightest known value range; they default to ``[-sup_bound, sup_bound]``
+    and are what Monte Carlo confidence widths are based on.
     """
 
     evaluator: Callable[[float], float]
@@ -65,26 +64,6 @@ class TestFunction:
     def value_bound(self) -> float:
         """Width of the declared value range (Hoeffding range parameter)."""
         return self.upper - self.lower
-
-    def spot_check(self, points: Sequence[float], tol: float = 1e-9) -> None:
-        """Check the declared bound and Lipschitz constant on sample points.
-
-        Raises ``ValueError`` on the first violated pair; a pass is evidence,
-        not proof.
-        """
-        pts = [as_state(p) for p in points]
-        vals = [self.evaluator(p) for p in pts]
-        for p, v in zip(pts, vals):
-            if abs(v) > self.sup_bound + tol:
-                raise ValueError(f"|{self.name}({p})| = {abs(v)} exceeds sup_bound {self.sup_bound}")
-            if not (self.lower - tol <= v <= self.upper + tol):
-                raise ValueError(f"{self.name}({p}) = {v} outside declared range")
-        for (p, v), (q, w) in zip(zip(pts, vals), zip(pts[1:], vals[1:])):
-            if abs(v - w) > self.lip_const * abs(p - q) + tol:
-                raise ValueError(
-                    f"|{self.name}({p}) - {self.name}({q})| = {abs(v - w)} exceeds "
-                    f"Lip bound {self.lip_const} * {abs(p - q)}"
-                )
 
 
 def _eval_xmin1(x: float) -> float:
@@ -163,12 +142,6 @@ class EmpiricalMeasure:
             raise ValueError("cannot build a measure from an empty sample")
         support, counts = np.unique(arr, return_counts=True)
         return EmpiricalMeasure(support, counts / arr.size)
-
-
-def pair(f: Union[TestFunction, Callable[[float], float]], mu: EmpiricalMeasure) -> float:
-    """Integral of ``f`` against ``mu``: the weighted sum over the support."""
-    vals = np.array([f(x) for x in mu.support])
-    return float(np.dot(mu.weights, vals))
 
 
 def _merged_signed_weights(mu: EmpiricalMeasure, nu: EmpiricalMeasure):

@@ -65,9 +65,6 @@ class DiagnosticReport:
     def values(self, label: Optional[str] = None) -> list:
         return [r.value for r in self.rows if label is None or r.label == label]
 
-    def failed_rows(self) -> list:
-        return [r for r in self.rows if r.error is not None]
-
 
 def _is_exact(process) -> bool:
     return isinstance(process, CtmcProcess)
@@ -177,7 +174,7 @@ def eproperty_witness(process, f: TestFunction, z, pairs: Sequence,
     witnesses that the expectation family is not equicontinuous at z, no
     matter how it behaves for each fixed time.
     """
-    if not pairs:
+    if len(pairs) == 0:
         raise ValueError("need at least one (x, t) pair")
     _time_grid([t for _, t in pairs])
     mc = mc or McSettings()
@@ -209,7 +206,7 @@ def lower_bound_scan(process, z, eps: float, x_grid: Sequence, t_grid: Sequence[
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
     t_grid = sorted(_time_grid(t_grid))
-    if not x_grid:
+    if len(x_grid) == 0:
         raise ValueError("x grid empty")
     mc = mc or McSettings()
     cells = list(product(x_grid, t_grid))
@@ -258,7 +255,7 @@ def stability_report(process, initials: Sequence, t_grid: Sequence[float],
     residual sampling bias of the empirical law itself is not estimated.
     """
     t_grid = sorted(_time_grid(t_grid))
-    if not initials:
+    if len(initials) == 0:
         raise ValueError("need at least one initial point")
     mc = mc or McSettings()
     report = DiagnosticReport("stability_report")
@@ -401,7 +398,7 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
     """
     if not (0.0 < t_search < math.inf):
         raise ValueError("t_search must be positive and finite")
-    if not eps_list or not x_grid:
+    if len(eps_list) == 0 or len(x_grid) == 0:
         raise ValueError("need at least one radius and one start")
     mc = mc or McSettings()
     balls = [Ball(_anchor(z), eps) for eps in eps_list]

@@ -141,14 +141,6 @@ def semigroup_apply(f: Union[TestFunction, Callable[[float], float]], i: CtmcSta
     return sum(transition_prob(i, j, t) * f(j.value) for j in _reachable(i))
 
 
-def exact_law(i: CtmcState, t: float) -> EmpiricalMeasure:
-    """The time-t distribution from state i as a discrete measure."""
-    t = _check_time(t)
-    pts = {j.value: transition_prob(i, j, t) for j in _reachable(i)}
-    support = np.array(sorted(pts))
-    return EmpiricalMeasure(support, np.array([pts[s] for s in support]))
-
-
 def _jumps(i: CtmcState, t: float, draw: Callable[[], float]) -> int:
     """Jumps made by time t > 0 along the cascade from the live state i.
 
@@ -226,7 +218,11 @@ class CtmcProcess:
         return semigroup_apply(f, x0, t)
 
     def exact_law(self, x0: CtmcState, t: float) -> EmpiricalMeasure:
-        return exact_law(x0, t)
+        """The time-t distribution from x0 as a discrete measure."""
+        t = _check_time(t)
+        pts = {j.value: transition_prob(x0, j, t) for j in _reachable(x0)}
+        support = np.array(sorted(pts))
+        return EmpiricalMeasure(support, np.array([pts[s] for s in support]))
 
     @staticmethod
     def state_label(x0: CtmcState) -> str:

@@ -40,7 +40,6 @@ __all__ = [
     "example_flip",
     "example_halving",
     "sample_jump_chain",
-    "state_at",
     "j_n",
     "linear_modulus",
     "halving_tv_modulus",
@@ -126,10 +125,6 @@ class IfsModel:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._reset_memo()
-
-    @property
-    def n_maps(self) -> int:
-        return len(self.maps)
 
     def apply_map(self, index: int, x: float) -> float:
         """Apply map ``index`` (1-based) and validate the landing point."""
@@ -342,16 +337,6 @@ def sample_jump_chain(model: IfsModel, x: float, horizon: float,
     )
 
 
-def state_at(traj: Trajectory, model: IfsModel, t: float) -> float:
-    """Interpolated state at time t: flow applied since the last jump."""
-    if not (0.0 <= t <= traj.horizon):
-        raise ValueError(f"t={t!r} outside [0, {traj.horizon}]")
-    k = int(np.searchsorted(traj.tau, t, side="right"))
-    if k == 0:
-        return model.flow(t, traj.x0)
-    return model.flow(t - traj.tau[k - 1], traj.phi[k - 1])
-
-
 def _node(x: float, w, chosen: int, y: float) -> tuple:
     """Memo entry ``(cum, succ)`` of the point x, from its validated
     weights w and its first jump, by map ``chosen`` to y.
@@ -546,7 +531,7 @@ def j_n(model: IfsModel, assume: AssumptionSet, x: float, n: int,
     if n == 0:
         return 1.0
     x = as_state(x)
-    N = model.n_maps
+    N = len(model.maps)
     if n * math.log(N) > math.log(max_words) + 1e-9:
         raise ValueError(
             f"{N}^{n} words exceed the enumeration budget of {max_words}; "

@@ -45,7 +45,6 @@ __all__ = [
     "stream_uniforms",
     "hoeffding_half_width",
     "estimate_ptf",
-    "estimate_hit",
     "sample_terminals",
     "sample_cells",
     "run_batch",
@@ -183,14 +182,6 @@ class Estimate:
     confidence: float
     value_bound: float
 
-    @property
-    def lower(self) -> float:
-        return self.mean - self.half_width
-
-    @property
-    def upper(self) -> float:
-        return self.mean + self.half_width
-
     def brackets(self, target: float) -> bool:
         return abs(self.mean - target) <= self.half_width
 
@@ -304,12 +295,6 @@ def estimate_ptf(process, x0, t: float, f: TestFunction, n: int, seed: int, *,
                  cell: int = 0, confidence: float = 0.999) -> Estimate:
     """Empirical mean of f at the time-t state from x0 over n trajectories."""
     return _estimate(sample_terminals(process, x0, t, n, seed, cell=cell), f, confidence)
-
-
-def estimate_hit(process, x0, t: float, ball: Ball, n: int, seed: int, *,
-                 cell: int = 0, confidence: float = 0.999) -> Estimate:
-    """Empirical probability that the time-t state lands in the ball."""
-    return _estimate(sample_terminals(process, x0, t, n, seed, cell=cell), ball, confidence)
 
 
 def run_batch(process, cells: Sequence, functionals: Sequence, mc: McSettings,

@@ -245,6 +245,39 @@ def test_diagnose_eprop_bad_pair_is_named(capsys, pairs, bad):
     assert err.startswith(f"error: bad value for pairs: {bad!r} (")
 
 
+_ESTIMATE_HALVING = ("estimate", "--model", "halving", "--times", "1")
+_EC_HALVING = ("diagnose", "ec", "--model", "halving", "--xs", "1", "--window-end", "2")
+
+
+@pytest.mark.parametrize("key, raw, argv", [
+    ("f", "const:abc", _ESTIMATE_HALVING + ("--x0", "1", "--f", "const:abc")),
+    ("f", "bump:a,1,1", _ESTIMATE_HALVING + ("--x0", "1", "--f", "bump:a,1,1")),
+    ("f", "bump:0,1", _ESTIMATE_HALVING + ("--x0", "1", "--f", "bump:0,1")),
+    ("f", "foo", _ESTIMATE_HALVING + ("--x0", "1", "--f", "foo")),
+    ("ball", "0,abc", _ESTIMATE_HALVING + ("--x0", "1", "--ball", "0,abc")),
+    ("ball", "0,-1", _ESTIMATE_HALVING + ("--x0", "1", "--ball", "0,-1")),
+    ("x0", "-1", _ESTIMATE_HALVING + ("--x0=-1", "--f", "xmin1")),
+    ("x0", "1,abc", _ESTIMATE_HALVING + ("--x0", "1,abc", "--f", "xmin1")),
+    ("f", "const:x", ("exact-ctmc", "--n", "2", "--f", "const:x")),
+    ("z", "-1", _EC_HALVING + ("--z=-1",)),
+    ("f", "const:abc", _EC_HALVING + ("--z", "0", "--f", "const:abc")),
+    ("x0", "-1", ("simulate", "--model", "flip", "--x0=-1")),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_bad_value_names_its_option(capsys, key, raw, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad value for {key}: {raw!r} (")
+
+
+def test_spec_options_keep_their_spelling_in_the_manifest(capsys):
+    code, out, _ = run_cli(capsys, *_ESTIMATE_HALVING, "--x0", "1",
+                           "--f", "bump:0,1,0.5", "--ball", "0,1", "--samples", "10")
+    assert code == 0
+    manifest, _, _ = parse_csv(out)
+    assert (manifest["f"], manifest["ball"], manifest["x0"]) == ("bump:0,1,0.5", "0,1", "1.0")
+
+
 def test_diagnose_ec_window(capsys):
     code, out, _ = run_cli(capsys, "diagnose", "ec", "--model", "ctmc", "--z", "zero",
                            "--xs", "low:2", "--window-start", "20", "--window-end", "200")

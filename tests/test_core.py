@@ -13,8 +13,6 @@ from ergokit.core import (
     _merged_signed_weights,
     bl_distance,
     bump_function,
-    constant,
-    pair,
     xmin1,
 )
 
@@ -23,38 +21,6 @@ from oracles import bl_lp
 
 def measure(support, weights):
     return EmpiricalMeasure(np.asarray(support, float), np.asarray(weights, float))
-
-
-# ---------------------------------------------------------------------------
-# pairing
-
-
-def test_pair_point_mass_at_zero():
-    assert pair(xmin1(), EmpiricalMeasure.point_mass(0.0)) == 0.0
-
-
-def test_pair_two_atoms():
-    mu = measure([0.5, 3.0], [0.5, 0.5])
-    assert pair(xmin1(), mu) == pytest.approx(0.75, abs=1e-15)
-
-
-def test_pair_constant_is_normalization():
-    mu = measure([0.1, 2.0, 7.0], [0.2, 0.3, 0.5])
-    assert pair(constant(1.0), mu) == pytest.approx(1.0, abs=1e-15)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_pair_linear_in_weights(seed):
-    rng = np.random.default_rng(seed)
-    support = np.sort(rng.uniform(0, 5, size=6))
-    w1 = rng.dirichlet(np.ones(6))
-    w2 = rng.dirichlet(np.ones(6))
-    a = rng.uniform()
-    f = xmin1()
-    mixed = measure(support, a * w1 + (1 - a) * w2)
-    lhs = pair(f, mixed)
-    rhs = a * pair(f, measure(support, w1)) + (1 - a) * pair(f, measure(support, w2))
-    assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +304,6 @@ def test_ball_membership_is_open():
     ball = Ball(1.0, 0.5)
     assert ball.contains(1.49)
     assert not ball.contains(1.5)
-
-
-def test_test_function_spot_check_passes_for_honest_metadata():
-    xmin1().spot_check(np.linspace(0, 3, 100))
-
-
-def test_test_function_spot_check_catches_bad_lipschitz():
-    dishonest = TestFunction(lambda x: min(x, 1.0), sup_bound=1.0, lip_const=0.01,
-                             lower=0.0, upper=1.0)
-    with pytest.raises(ValueError):
-        dishonest.spot_check([0.0, 0.5, 1.0])
 
 
 def test_test_function_default_range_is_symmetric():

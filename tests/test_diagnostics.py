@@ -25,7 +25,7 @@ from ergokit.ifs_jump import (
     halving_tv_modulus,
     linear_modulus,
 )
-from ergokit.montecarlo import estimate_hit, estimate_ptf, sample_terminals
+from ergokit.montecarlo import _estimate, estimate_ptf, sample_terminals
 
 from oracles import flip_expectation_xmin1
 
@@ -221,7 +221,8 @@ def test_scan_starts_sharing_a_label_keep_their_own_minimum():
     x_grid, t_grid = [1.0, 1.0000001], [2.0, 4.0]
     report = lower_bound_scan(model, 0.0, 0.3, x_grid, t_grid, mc)
     rows = [r for r in report.rows if r.label == "hit_prob_min"]
-    want = [min(estimate_hit(model, x, t, Ball(0.0, 0.3), 400, 6, cell=2 * i + j).mean
+    want = [min(_estimate(sample_terminals(model, x, t, 400, 6, cell=2 * i + j), Ball(0.0, 0.3),
+                          0.999).mean
                 for j, t in enumerate(t_grid))
             for i, x in enumerate(x_grid)]
     assert want[0] != want[1]
@@ -236,6 +237,23 @@ def test_scan_validation():
         lower_bound_scan(CTMC, CtmcState.zero(), -0.1, [CtmcState.low(2)], [1.0])
     with pytest.raises(ValueError, match="times must be finite and nonnegative"):
         lower_bound_scan(CTMC, CtmcState.zero(), 0.1, [CtmcState.low(2)], [1.0, -1.0])
+
+
+_HALVING, _ = example_halving(1.0)
+_SMALL_MC = McSettings(n_samples=50, seed=3)
+
+
+@pytest.mark.parametrize("run, grid", [
+    (lambda grid: lower_bound_scan(_HALVING, 0.0, 0.3, grid, [2.0, 4.0], _SMALL_MC), [0.5, 1.0]),
+    (lambda grid: stability_report(_HALVING, grid, [2.0], EmpiricalMeasure.point_mass(0.0),
+                                   _SMALL_MC), [0.5, 1.0]),
+    # c2 reads the grid as its radii too
+    (lambda grid: check_c2(_HALVING, 0.0, grid, grid, 4.0, _SMALL_MC), [0.5, 1.0]),
+    (lambda pairs: eproperty_witness(_HALVING, F, 0.0, pairs, _SMALL_MC),
+     [[0.5, 2.0], [1.0, 4.0]]),
+], ids=["lowerbound", "stability", "c2", "eprop"])
+def test_numpy_grids_give_the_rows_of_lists(run, grid):
+    assert run(np.array(grid)).rows == run(grid).rows
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +467,7 @@ def test_c2_reports_failures():
     model, _ = example_halving(1.0)
     mc = McSettings(n_samples=200, seed=67)
     report = check_c2(model, 0.0, [1e-9], [8.0], 2.0, mc)
-    failed = report.failed_rows()
+    failed = [r for r in report.rows if r.error is not None]
     assert len(failed) == 1
     assert "no hit within" in failed[0].error
     assert failed[0].value == 0.0

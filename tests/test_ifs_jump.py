@@ -13,14 +13,12 @@ from ergokit.ifs_jump import (
     ExponentialFlow,
     IdentityFlow,
     IfsModel,
-    Trajectory,
     example_flip,
     example_halving,
     halving_tv_modulus,
     j_n,
     linear_modulus,
     sample_jump_chain,
-    state_at,
 )
 from ergokit.montecarlo import StreamFactory, sample_terminals
 
@@ -83,7 +81,6 @@ def test_zero_horizon_has_no_jumps():
     traj = sample_jump_chain(example_flip(1.0), 0.7, 0.0, StreamFactory(0).stream(0, 0))
     assert len(traj) == 0
     assert traj.x0 == 0.7
-    assert state_at(traj, example_flip(1.0), 0.0) == 0.7
 
 
 def test_flip_from_zero_stays_at_zero():
@@ -144,7 +141,8 @@ def test_terminal_state_matches_recorded_trajectory():
     for seed in range(20):
         a = model.terminal_state(1.0, 12.0, StreamFactory(seed).stream(2, 0))
         traj = sample_jump_chain(model, 1.0, 12.0, StreamFactory(seed).stream(2, 0))
-        assert a == state_at(traj, model, 12.0)
+        # identity flow: the state at the horizon is the last post-jump point
+        assert a == (traj.phi[-1] if len(traj) else traj.x0)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
@@ -173,37 +171,6 @@ def test_overflowing_pre_jump_point_names_the_flow():
         model.terminal_state(1e300, 50.0, _StubStream([0.5, 0.5]))
     with pytest.raises(RuntimeError, match=r"flow ExponentialFlow.*'blowup'"):
         sample_jump_chain(model, 1e300, 50.0, _StubStream([0.5, 0.5]))
-
-
-# ---------------------------------------------------------------------------
-# interpolation
-
-
-def test_state_at_origin_and_identity_flow():
-    model = example_flip(1.0)
-    traj = sample_jump_chain(model, 0.4, 9.0, StreamFactory(4).stream(0, 0))
-    assert state_at(traj, model, 0.0) == 0.4
-    for t in np.linspace(0.0, 9.0, 19):
-        k = int(np.searchsorted(traj.tau, t, side="right"))
-        expected = traj.x0 if k == 0 else traj.phi[k - 1]
-        assert state_at(traj, model, t) == expected
-
-
-def test_state_at_with_exponential_flow():
-    flow = ExponentialFlow(0.1)
-    model = IfsModel(name="grow", maps=(lambda x: x,), prob_field=lambda x: np.array([1.0]),
-                     rate=1.0, flow=flow)
-    traj = Trajectory(x0=1.0, horizon=3.0, tau=np.array([1.0]), xi=np.array([1.0 * math.exp(0.1)]),
-                      index=np.array([1]), phi=np.array([2.0]))
-    assert state_at(traj, model, 1.5) == pytest.approx(2.0 * math.exp(0.05), abs=1e-15)
-
-
-def test_state_at_rejects_out_of_range():
-    traj = sample_jump_chain(example_flip(1.0), 0.4, 5.0, StreamFactory(4).stream(0, 1))
-    with pytest.raises(ValueError):
-        state_at(traj, example_flip(1.0), 5.1)
-    with pytest.raises(ValueError):
-        state_at(traj, example_flip(1.0), -0.1)
 
 
 def test_flow_semigroup_property():

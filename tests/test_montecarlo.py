@@ -13,7 +13,6 @@ from ergokit.montecarlo import (
     StreamFactory,
     _estimate,
     _time_grid,
-    estimate_hit,
     estimate_ptf,
     hoeffding_half_width,
     resolve_workers,
@@ -53,7 +52,6 @@ def test_estimate_bracketing_helper():
     est = Estimate(mean=0.5, n_samples=10, half_width=0.1, confidence=0.99, value_bound=1.0)
     assert est.brackets(0.45) and est.brackets(0.6)
     assert not est.brackets(0.61)
-    assert est.lower == pytest.approx(0.4) and est.upper == pytest.approx(0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +146,22 @@ def test_ptf_halving_absorbs():
 
 def test_hit_absorbing_start_always_inside():
     model = example_flip(1.0)
-    est = estimate_hit(model, 0.0, 17.0, Ball(0.0, 0.1), 400, seed=0)
+    est = _estimate(sample_terminals(model, 0.0, 17.0, 400, seed=0), Ball(0.0, 0.1), 0.999)
     assert est.mean == 1.0
     assert est.value_bound == 1.0
 
 
 def test_hit_ctmc_matches_closed_form():
     # only the absorbing state sits inside B(0, 0.01) for the level-3 cascade
-    est = estimate_hit(CTMC, CtmcState.low(3), 3.0, Ball(0.0, 0.01), 100_000, seed=21)
+    est = _estimate(sample_terminals(CTMC, CtmcState.low(3), 3.0, 100_000, seed=21),
+                    Ball(0.0, 0.01), 0.999)
     exact = 1.0 - 2.0 * math.exp(-1.0)
     assert abs(est.mean - exact) <= 3.0 * est.half_width
 
 
 def test_hit_halving_long_run():
     model, _ = example_halving(1.0)
-    est = estimate_hit(model, 1.0, 200.0, Ball(0.0, 0.1), 10_000, seed=2)
+    est = _estimate(sample_terminals(model, 1.0, 200.0, 10_000, seed=2), Ball(0.0, 0.1), 0.999)
     assert est.mean >= 0.95
 
 
@@ -193,8 +192,6 @@ def test_overflowing_flow_fails_instead_of_returning_inf():
         sample_terminals(model, 1e10, 100.0, 20, seed=0)
     with pytest.raises(RuntimeError, match=msg):
         estimate_ptf(model, 1e10, 100.0, F, 20, seed=0)
-    with pytest.raises(RuntimeError, match=msg):
-        estimate_hit(model, 1e10, 100.0, Ball(0.0, 1.0), 20, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +307,8 @@ def test_batch_functionals_share_each_cell():
     for j, (x0, t) in enumerate(cells):
         # cell j of the grid feeds both functionals
         assert results[j] == [estimate_ptf(CTMC, x0, t, F, 400, 21, cell=j),
-                              estimate_hit(CTMC, x0, t, ball, 400, 21, cell=j)]
+                              _estimate(sample_terminals(CTMC, x0, t, 400, 21, cell=j), ball,
+                                        0.999)]
     single = run_batch(CTMC, cells, (F,), McSettings(400, 21), 0.999)
     assert [cell[:1] for cell in results] == single
 
