@@ -363,12 +363,12 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
 
 
 def _write(settings: Settings, command: str, schema: str, columns: Sequence[str],
-           rows: Iterable[Sequence], chart=None) -> int:
+           rows: Iterable[Sequence], chart=None, mode: Optional[str] = None) -> int:
     """Write a command's table and its ``--plot`` chart; returns the exit status.
 
     The manifest is taken after every option has been read, so it records
-    each one that shapes the output. ``rows`` is read once, as the table is
-    written. ``chart`` is ``(title, ylabel, points)`` with ``points`` an
+    each one that shapes the output, and the engine ``mode`` when given.
+    ``rows`` is read once, as the table is written. ``chart`` is ``(title, ylabel, points)`` with ``points`` an
     iterable of ``(series, t, value)``, read only when a chart is asked
     for. The status is 1 if any row has an error, else 0.
     """
@@ -386,7 +386,10 @@ def _write(settings: Settings, command: str, schema: str, columns: Sequence[str]
 
     if columns[-1] == "error":
         rows = checked(rows)
-    _emit(_format_table(settings.manifest(command, schema), columns, rows, fmt), out)
+    manifest = settings.manifest(command, schema)
+    if mode is not None:
+        manifest["mode"] = mode
+    _emit(_format_table(manifest, columns, rows, fmt), out)
     if plot:
         title, ylabel, points = chart
         series: dict = {}
@@ -609,12 +612,14 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             c2_report = check_c2(model, assume.anchor, radii, c2_grid, t_search,
                                  _mc_settings(settings, default_samples=2000))
             report.rows.extend(c2_report.rows)
+            if c2_report.mode != "exact":  # the audits themselves are exact
+                report.mode = "mixed"
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown diagnostic {sub!r}")
 
     rows = [(r.label, r.x, r.t, r.value, r.half_width, r.error or "") for r in report.rows]
     return _write(settings, f"diagnose-{sub}", "diagnostics-v1", _REPORT_COLUMNS, rows,
-                  (report.name, "value", _report_points(report)))
+                  (report.name, "value", _report_points(report)), report.mode)
 
 
 # ---------------------------------------------------------------------------

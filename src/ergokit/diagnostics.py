@@ -3,10 +3,16 @@
 Long-run quantities such as ``limsup`` or ``liminf`` over all times are not
 computable; every diagnostic here replaces them by a max or min over an
 explicit, user-declared large-time grid, and labels the window in its
-output so the surrogate's scope is always visible. Monte Carlo rows carry
+output so the surrogate's scope is always visible.
+
+A process whose ``exact_laws(x0, times)`` returns ``(law, bound)`` pairs
+answers a start exactly, with certified half-widths; otherwise (None, or no
+such method) the start is sampled. Monte Carlo rows carry
 Hoeffding or bounded-difference half-widths; whenever a reported statistic
 aggregates several estimated cells, the cell confidences are combined with
-a union bound so the row's guarantee holds at the declared confidence.
+a union bound so the row's guarantee holds at the declared confidence. A
+report's ``mode`` says which engine made its rows: ``exact``,
+``monte-carlo`` or ``mixed``.
 """
 
 from __future__ import annotations
@@ -19,9 +25,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .core import Ball, EmpiricalMeasure, TestFunction, bl_distance
-from .exact_ctmc import CtmcProcess
 from .ifs_jump import AssumptionSet, IfsModel, j_n
-from .montecarlo import McSettings, _time_grid, hoeffding_half_width, run_batch, sample_cells
+from .montecarlo import McSettings, _time_grid, run_batch, sample_cells
 
 __all__ = [
     "McSettings",
@@ -50,10 +55,12 @@ class ReportRow:
 
 @dataclass
 class DiagnosticReport:
-    """Rows of one diagnostic; ``name`` is the diagnostic that made them."""
+    """Rows of one diagnostic; ``name`` is the diagnostic that made them and
+    ``mode`` the engine: ``exact``, ``monte-carlo`` or ``mixed``."""
 
     name: str
     rows: list = field(default_factory=list)
+    mode: str = "exact"
 
     def add(self, label: str, x, t, value: float, half_width: float,
             error: Optional[str] = None) -> None:
@@ -64,10 +71,6 @@ class DiagnosticReport:
 
     def values(self, label: Optional[str] = None) -> list:
         return [r.value for r in self.rows if label is None or r.label == label]
-
-
-def _is_exact(process) -> bool:
-    return isinstance(process, CtmcProcess)
 
 
 def _split_confidence(confidence: float, n_cells: int) -> float:
@@ -82,34 +85,79 @@ def _difference_half_width(value_bound: float, n: int, confidence: float) -> flo
 
 
 def _mcdiarmid_half_width(n: int, confidence: float, n_empirical: int) -> float:
-    """Bounded-difference half-width for a distance of 1 or 2 empirical laws
-    around its own expectation (one sample swap moves the value by <= 2/n)."""
+    """Bounded-difference half-width for a distance of 0, 1 or 2 empirical
+    laws around its own expectation (one sample swap moves the value by
+    <= 2/n)."""
     delta = 1.0 - confidence
     return math.sqrt(2.0 * n_empirical * math.log(2.0 / delta) / n)
 
 
-def _raise_failed(cells: list) -> list:
-    """Per-cell results, unchanged; the first failed cell's message raises."""
+def _raise_failed(cells: list) -> None:
+    """Raise the first failed cell's message."""
     for result in cells:
         if isinstance(result, str):
             raise RuntimeError(result)
-    return cells
 
 
-def _means(process, f: Union[TestFunction, Ball], cells: list, mc: McSettings,
-           confidence: float) -> list:
-    """``(mean, half_width)`` of f at every ``(x, t)`` cell, in cell order.
+def _laws(process, cells: list) -> list:
+    """Per ``(x, t)`` cell, its ``(law, bound)`` from ``process.exact_laws``
+    (asked once per distinct start), None to sample it, or the error
+    message of a failed call."""
+    exact_laws = getattr(process, "exact_laws", None)
+    if exact_laws is None:
+        return [None] * len(cells)
+    grids: dict = {}
+    for x, t in cells:
+        grids.setdefault(x, {})[t] = None
+    for x, grid in grids.items():
+        try:
+            laws = exact_laws(x, list(grid))
+        except Exception as exc:
+            laws = [f"exact law from x={x}: {exc}"] * len(grid)
+        grids[x] = None if laws is None else dict(zip(grid, laws))
+    return [None if grids[x] is None else grids[x][t] for x, t in cells]
 
-    The mean of a ball is its hit probability. A test function's mean on a
-    process with a closed form is exact, with width 0; every other mean is
-    the ``run_batch`` estimate of its cell, with its Hoeffding half-width at
-    ``confidence``. A failed cell yields its error message in place of the
-    pair.
-    """
-    if _is_exact(process) and isinstance(f, TestFunction):
-        return [(process.exact_expectation(f, x, t), 0.0) for x, t in cells]
-    return [cell if isinstance(cell, str) else (cell[0].mean, cell[0].half_width)
-            for cell in run_batch(process, cells, (f,), mc, confidence)]
+
+def _mode(exact: list) -> str:
+    if all(exact):
+        return "exact"
+    return "mixed" if any(exact) else "monte-carlo"
+
+
+def _law_mean(law: EmpiricalMeasure, bound: float,
+              f: Union[TestFunction, Ball]) -> tuple:
+    """``(mean, half_width)`` of f under an exact law with its bound; the
+    mean of a ball is its hit probability."""
+    if isinstance(f, Ball):
+        inside = np.abs(law.support - f.center) < f.radius
+        return sum(law.weights[inside].tolist()), bound
+    mean = 0.0
+    for x, w in zip(law.support.tolist(), law.weights.tolist()):
+        mean += w * f(x)
+    return mean, bound * max(f.value_bound, abs(f.lower), abs(f.upper))
+
+
+def _means(process, functionals: Sequence, cells: list, mc: McSettings,
+           confidence: float) -> tuple:
+    """Per ``(x, t)`` cell, the ``(mean, half_width)`` of every functional
+    (a ball's mean is its hit probability) or the cell's error message, and
+    whether each cell was exact. Cells without exact laws go to one
+    ``run_batch``, as its stream cells 0, 1, ..., with Hoeffding widths at
+    ``confidence``."""
+    laws = _laws(process, cells)
+    sampled = [cell for cell, law in zip(cells, laws) if law is None]
+    batch = iter(run_batch(process, sampled, functionals, mc, confidence) if sampled else ())
+    means = []
+    for law in laws:
+        if isinstance(law, tuple):
+            means.append([_law_mean(*law, fn) for fn in functionals])
+        elif law is not None:
+            means.append(law)
+        else:
+            cell = next(batch)
+            means.append(cell if isinstance(cell, str)
+                         else [(est.mean, est.half_width) for est in cell])
+    return means, [law is not None for law in laws]
 
 
 def _anchor(z) -> float:
@@ -133,8 +181,8 @@ def ec_profile(process, f: TestFunction, z, xs: Sequence, T: float, t_max: float
     For each x the reported value is ``max over grid of |P_t f(x) - P_t f(z)|``
     with the grid inside ``[T, t_max]``. Values that shrink as x approaches z
     are evidence of insensitivity to the initial condition at z; the window
-    makes the late-time surrogate explicit. Exact closed forms are used for
-    the built-in chain, Monte Carlo otherwise.
+    makes the late-time surrogate explicit. Starts with exact laws are
+    answered exactly, the others by Monte Carlo.
     """
     grid = sorted(float(g) for g in grid)
     if not grid:
@@ -147,15 +195,16 @@ def ec_profile(process, f: TestFunction, z, xs: Sequence, T: float, t_max: float
     mc = mc or McSettings()
     # cells are read by grid position: distinct starts may share a label
     cells = list(product(tuple(xs) + (z,), grid))
-    means = _raise_failed(_means(process, f, cells, mc,
-                                 _split_confidence(mc.confidence, len(cells))))
+    means, exact = _means(process, (f,), cells, mc,
+                          _split_confidence(mc.confidence, len(cells)))
+    _raise_failed(means)
     n_t = len(grid)
     z_row = means[len(xs) * n_t:]
     window = _window_label(T, t_max)
-    report = DiagnosticReport("ec_profile")
+    report = DiagnosticReport("ec_profile", mode=_mode(exact))
     for i, x in enumerate(xs):
         gap, hw = 0.0, 0.0
-        for (mx, hx), (mz, hz) in zip(means[i * n_t:(i + 1) * n_t], z_row):
+        for ((mx, hx),), ((mz, hz),) in zip(means[i * n_t:(i + 1) * n_t], z_row):
             gap = max(gap, abs(mx - mz))
             hw = max(hw, hx + hz)
         report.add("ec_gap_max", process.state_label(x), window, gap, hw)
@@ -180,13 +229,17 @@ def eproperty_witness(process, f: TestFunction, z, pairs: Sequence,
     mc = mc or McSettings()
     # cells 2k and 2k+1 hold the k-th pair's start and the anchor
     cells = [c for x, t in pairs for c in ((x, t), (z, t))]
-    means = _raise_failed(_means(process, f, cells, mc, mc.confidence))
-    # exact pairs have width 0; a sampled pair has the two-sample bound
+    means, exact = _means(process, (f,), cells, mc, mc.confidence)
+    _raise_failed(means)
+    # a pair with an exact side adds its two widths; a sampled pair has the
+    # two-sample bound
     hw = _difference_half_width(f.value_bound, mc.n_samples, mc.confidence)
-    report = DiagnosticReport("eproperty_witness")
+    report = DiagnosticReport("eproperty_witness", mode=_mode(exact))
     for k, (x, t) in enumerate(pairs):
-        (mx, hx), (mz, _) = means[2 * k], means[2 * k + 1]
-        report.add("witness", process.state_label(x), f"{t:g}", mx - mz, hw if hx else 0.0)
+        ((mx, hx),), ((mz, hz),) = means[2 * k], means[2 * k + 1]
+        sampled = not (exact[2 * k] or exact[2 * k + 1])
+        report.add("witness", process.state_label(x), f"{t:g}", mx - mz,
+                   hw if sampled else hx + hz)
     return report
 
 
@@ -199,9 +252,10 @@ def lower_bound_scan(process, z, eps: float, x_grid: Sequence, t_grid: Sequence[
     """Worst late-time probability of sitting near the anchor, over a start grid.
 
     Reports ``m(x) = min over t_grid of P_t(x, B(z, eps))`` for each start x
-    and the scan minimum over x. A scan minimum whose lower confidence
-    endpoint stays positive supports the hit-probability floor needed for
-    stability; the floor claim is only as strong as the declared grids.
+    and the scan minimum over x, all with the largest cell half-width. A
+    scan minimum whose lower confidence endpoint stays positive supports
+    the hit-probability floor needed for stability; the floor claim is only
+    as strong as the declared grids.
     """
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
@@ -210,30 +264,32 @@ def lower_bound_scan(process, z, eps: float, x_grid: Sequence, t_grid: Sequence[
         raise ValueError("x grid empty")
     mc = mc or McSettings()
     cells = list(product(x_grid, t_grid))
-    means = _means(process, Ball(_anchor(z), eps), cells, mc,
-                   _split_confidence(mc.confidence, len(cells)))
+    means, exact = _means(process, (Ball(_anchor(z), eps),), cells, mc,
+                          _split_confidence(mc.confidence, len(cells)))
 
-    report = DiagnosticReport("lower_bound_scan")
+    report = DiagnosticReport("lower_bound_scan", mode=_mode(exact))
     # keyed by position in x_grid: distinct starts may share a label
     by_initial: dict = {}
     failures = []
+    hw = 0.0
     for c, ((x, t), cell) in enumerate(zip(cells, means)):
         if isinstance(cell, str):
             failures.append((x, t, cell))
             continue
-        m, hw = cell
+        ((m, cell_hw),) = cell
+        hw = max(hw, cell_hw)
         i = c // len(t_grid)
         if i not in by_initial or m < by_initial[i][0]:
-            by_initial[i] = (m, t, hw)
+            by_initial[i] = (m, t)
     for i, x in enumerate(x_grid):
         if i in by_initial:
-            m, t_at, hw = by_initial[i]
+            m, t_at = by_initial[i]
             report.add("hit_prob_min", process.state_label(x), f"{t_at:g}", m, hw)
     for x, t, error in failures:
         report.add("hit_prob_min", process.state_label(x), f"{t:g}", math.nan, 0.0,
                    error=error)
     if by_initial:
-        m, t_at, hw = min(by_initial.values())
+        m, t_at = min(by_initial.values())
         report.add("scan_min", "all", _window_label(t_grid[0], t_grid[-1]), m, hw)
     return report
 
@@ -245,34 +301,46 @@ def lower_bound_scan(process, z, eps: float, x_grid: Sequence, t_grid: Sequence[
 def stability_report(process, initials: Sequence, t_grid: Sequence[float],
                      reference: EmpiricalMeasure,
                      mc: Optional[McSettings] = None) -> DiagnosticReport:
-    """Bounded-Lipschitz distances of sampled laws to a candidate limit.
+    """Bounded-Lipschitz distances of time-t laws to a candidate limit.
 
-    For each start and grid time the empirical law of the time-t state is
-    compared against the reference measure, and laws from different starts
-    are compared pairwise. Distances falling toward 0 from every start are
-    the observable trace of convergence to a unique limit. Half-widths are
-    bounded-difference bounds around the expected empirical distance; the
-    residual sampling bias of the empirical law itself is not estimated.
+    For each start and grid time the law of the time-t state, exact or
+    empirical, is compared against the reference measure, and laws from
+    different starts are compared pairwise. Distances falling toward 0 from
+    every start are the observable trace of convergence to a unique limit.
+    A half-width adds twice each exact law's bound (bounded-Lipschitz
+    functions span 2) to the bounded-difference bound of the empirical
+    laws around their expected distance; the sampling bias of an empirical
+    law itself is not estimated.
     """
     t_grid = sorted(_time_grid(t_grid))
     if len(initials) == 0:
         raise ValueError("need at least one initial point")
     mc = mc or McSettings()
-    report = DiagnosticReport("stability_report")
-    hw1 = _mcdiarmid_half_width(mc.n_samples, mc.confidence, 1)
-    hw2 = _mcdiarmid_half_width(mc.n_samples, mc.confidence, 2)
     cells = list(product(initials, t_grid))
-    samples = sample_cells(process, cells, mc.n_samples, mc.seed, mc.workers)
-    laws = []  # by cell index: distinct starts may share a label
-    for (x, t), values in zip(cells, samples):
+    known = _laws(process, cells)
+    sampled = [cell for cell, law in zip(cells, known) if law is None]
+    samples = iter(sample_cells(process, sampled, mc.n_samples, mc.seed, mc.workers)
+                   if sampled else ())
+    report = DiagnosticReport("stability_report", mode=_mode([law is not None for law in known]))
+
+    def width(*pair):
+        n_empirical = sum(bound is None for _, bound in pair)
+        return (2.0 * sum(bound for _, bound in pair if bound is not None)
+                + _mcdiarmid_half_width(mc.n_samples, mc.confidence, n_empirical))
+
+    laws = []  # (law, bound or None) by cell index: distinct starts may share a label
+    for (x, t), law in zip(cells, known):
         label = process.state_label(x)
-        if isinstance(values, str):
-            report.add("bl_to_ref", label, f"{t:g}", math.nan, 0.0, error=values)
+        if law is None:
+            law = next(samples)
+            if not isinstance(law, str):
+                law = (EmpiricalMeasure.from_samples(law), None)
+        if isinstance(law, str):
+            report.add("bl_to_ref", label, f"{t:g}", math.nan, 0.0, error=law)
             laws.append(None)
             continue
-        law = EmpiricalMeasure.from_samples(values)
         laws.append(law)
-        report.add("bl_to_ref", label, f"{t:g}", bl_distance(law, reference), hw1)
+        report.add("bl_to_ref", label, f"{t:g}", bl_distance(law[0], reference), width(law))
     labels = [process.state_label(x) for x in initials]
     n_t = len(t_grid)
     for c, t in enumerate(t_grid):
@@ -282,7 +350,7 @@ def stability_report(process, initials: Sequence, t_grid: Sequence[float],
                 if a is None or b is None:
                     continue
                 report.add("bl_between", f"{labels[i]}|{labels[j]}", f"{t:g}",
-                           bl_distance(a, b), hw2)
+                           bl_distance(a[0], b[0]), width(a, b))
     return report
 
 
@@ -321,10 +389,10 @@ def check_b3(model: IfsModel, assume: AssumptionSet, x_grid: Sequence[float],
         raise ValueError("x grid empty")
     omega = omega or assume.omega
     z = assume.anchor
-    pz = model._weights(z)
+    pz = np.asarray(model._weights(z))
     worst = -math.inf
     for x in x_grid:
-        gap = float(np.sum(np.abs(model._weights(x) - pz)))
+        gap = float(np.sum(np.abs(np.asarray(model._weights(x)) - pz)))
         worst = max(worst, gap - omega(abs(x - z)))
     return worst
 
@@ -392,9 +460,10 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
     ``t_search`` and reports, per radius, each start's best hit probability
     with the earliest grid time attaining it, plus the floor
     ``beta_hat = min over x of max over t`` of the hit probability. The same
-    trajectories are reused for every radius, so enlarging the radius never
-    lowers a reported probability. Every radius must be positive and
-    finite; a bad one raises ``ValueError`` before any sampling.
+    trajectories, or the same exact law, serve every radius, so enlarging
+    the radius never lowers a reported probability. Every row carries the
+    largest cell half-width. Every radius must be positive and finite; a bad
+    one raises ``ValueError`` before any sampling.
     """
     if not (0.0 < t_search < math.inf):
         raise ValueError("t_search must be positive and finite")
@@ -409,17 +478,17 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
         t *= 2.0
     n_cells = len(x_grid) * len(t_grid)
     conf_cell = _split_confidence(mc.confidence, n_cells)
-    hw = hoeffding_half_width(1.0, mc.n_samples, conf_cell)
+    cells, exact = _means(process, balls, list(product(x_grid, t_grid)), mc, conf_cell)
+    _raise_failed(cells)
+    hw = max(cell_hw for cell in cells for _, cell_hw in cell)
 
-    report = DiagnosticReport("check_c2")
-    cells = _raise_failed(run_batch(process, list(product(x_grid, t_grid)), balls, mc,
-                                    conf_cell))
+    report = DiagnosticReport("check_c2", mode=_mode(exact))
     n_t = len(t_grid)
     for b, ball in enumerate(balls):
         best = []
         for i, x in enumerate(x_grid):
             label = process.state_label(x)
-            probs = [(cell[b].mean, t) for cell, t in zip(cells[i * n_t:(i + 1) * n_t], t_grid)]
+            probs = [(cell[b][0], t) for cell, t in zip(cells[i * n_t:(i + 1) * n_t], t_grid)]
             m_x = max(p for p, _ in probs)
             best.append(m_x)
             if m_x <= 0.0:

@@ -24,12 +24,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import as_state
+from .core import EmpiricalMeasure, as_state
 
 __all__ = [
     "IdentityFlow",
@@ -58,6 +59,14 @@ BLOCK = 64
 # two-map model take about 2 MB. A full memo stops growing, and the points
 # it lacks take the inline path.
 MEMO_NODES = 4096
+
+# Largest exact-law sweep: (orbit points + SWEEP_STEP_POINTS) * jumps swept,
+# a numpy step costing about as much as 64 points; about a second of work.
+ORBIT_BUDGET = 2 ** 24
+SWEEP_STEP_POINTS = 64
+
+# Poisson mass an exact law may drop past each end of its jump-count window
+TAIL_MASS = 1e-16
 
 
 @dataclass(frozen=True)
@@ -210,7 +219,9 @@ class IfsModel:
                 if node is None and room:
                     first = seen.pop(pre, None)
                     if first is not None:  # second visit
-                        node = memo[pre] = _node(pre, *first)
+                        w, chosen, y = first
+                        node = memo[pre] = _node(pre, w)
+                        node[1][chosen] = y
             if i == BLOCK:
                 buf = stream.random(BLOCK).tolist()
                 i = 0
@@ -258,9 +269,134 @@ class IfsModel:
                 phis(x)
         return x
 
-    def _weights(self, x: float) -> np.ndarray:
-        """Selection probabilities at x for the audits, with the checks and
-        messages of the jump loop's inline validation."""
+    def exact_laws(self, x0: float, times) -> Optional[list]:
+        """Time-t laws from x0, one ``(law, bound)`` pair per t in times;
+        None under a moving flow or past ``ORBIT_BUDGET``.
+
+        Under the identity flow the system is already uniformized (a map
+        that stays put is a self-loop), so the law at t is the Poisson(rate
+        t) mixture of the laws after k jumps (Jensen 1953). Each map's mass
+        is the sampler's: the difference of its memo node's running sums,
+        clipped at 1. One sweep over the orbit serves every t, step k
+        weighted by ``_poisson_window``. For f with values in [lo, hi], the
+        sum of f over ``law`` is within ``bound * max(hi - lo, |lo|, |hi|)``
+        of its mean at t: ``bound`` adds the dropped Poisson mass to the
+        rounding (Higham's gamma_n) of the weights, the sweep and that sum.
+        """
+        if not isinstance(self.flow, IdentityFlow):
+            return None
+        x = as_state(x0)
+        if not all(0.0 <= t < math.inf for t in times):
+            raise ValueError("time must be a finite nonnegative real")
+        if (1 + SWEEP_STEP_POINTS) * self.rate * max(times) > ORBIT_BUDGET:
+            return None
+        windows = [_poisson_window(self.rate * t) for t in times]
+        steps = max(left + len(w) - 1 for left, w, _, _ in windows)
+        orbit = self._orbit(x, steps)
+        if orbit is None:
+            return None
+        points, dst, mass = orbit
+        n = len(points)
+        weights = np.zeros((len(windows), steps + 1))
+        for row, (left, w, _, _) in zip(weights, windows):
+            row[left:left + len(w)] = w
+        # steps join the laws a block of at most 2^16 products at a time
+        block = max(1, min(64, 2 ** 16 // (len(windows) * n)))
+        dst = dst.ravel()
+        acc = np.zeros((len(windows), n))
+        v = np.zeros(n)
+        v[0] = 1.0
+        swept = []
+        for k in range(steps + 1):
+            swept.append(v)
+            if len(swept) == block or k == steps:
+                lo = k + 1 - len(swept)
+                acc += (weights[:, lo:k + 1, None] * np.array(swept)).sum(axis=1)
+                swept.clear()
+            if k < steps:
+                v = np.bincount(dst, (mass * v).ravel(), n)
+        # a step's entry sums (in-degree) rounded products; zero masses add 0
+        g = _gamma(int(np.bincount(dst[mass.ravel() > 0.0]).max()) + 2) if steps else 0.0
+        order = np.argsort(points)
+        points = np.asarray(points)[order]
+        laws = []
+        for law, (left, w, dropped, spread) in zip(acc[:, order], windows):
+            right = left + len(w) - 1
+            grow = (1.0 + g) ** right  # bounds the mass of every swept step
+            weighting = _gamma(4 * spread + 2)
+            rounding = (weighting + (1.0 + weighting) * grow
+                        * (right * g + _gamma(right + 2)))
+            charged = law > 0.0
+            bound = dropped + rounding + _gamma(int(charged.sum()) + 1) * (1.0 + rounding)
+            laws.append((EmpiricalMeasure(points[charged], law[charged]), bound))
+        return laws
+
+    def _orbit(self, x: float, steps: int):
+        """``(points, dst, mass)``: the points within ``steps`` jumps of x,
+        x first, where map k takes point i to ``dst[k - 1, i]`` with mass
+        ``mass[k - 1, i]``; None past ``ORBIT_BUDGET``. A first visit builds
+        the point's memo node, kept while the sampler's room allows (never
+        for zero). Absorbing points are self-loops; zero-mass maps and the
+        points ``steps`` jumps away have self-loops of mass 0.
+        """
+        memo, seen, absorbing = self._memo, self._seen, self.absorbing
+        n_maps = len(self.maps)
+        index = {x: 0}
+        points = [x]
+        dst, mass = [], []
+        frontier = [x]
+        for _ in range(steps):
+            if (len(points) + SWEEP_STEP_POINTS) * steps > ORBIT_BUDGET:
+                return None
+            reached = []
+            for p in frontier:
+                i = index[p]
+                if p in absorbing:
+                    dst += [i] * n_maps
+                    mass += [1.0] + [0.0] * (n_maps - 1)
+                    continue
+                node = memo.get(p)
+                if node is None:
+                    node = _node(p, self._weights(p))
+                    if p and (seen.pop(p, None) is not None
+                              or len(memo) + len(seen) < MEMO_NODES):
+                        memo[p] = node
+                cum, succ = node
+                below = 0.0
+                for k in range(1, n_maps + 1):
+                    top = cum[k]
+                    if top > 1.0:
+                        top = 1.0
+                    if top > below:
+                        y = succ[k]
+                        if y is None:
+                            y = succ[k] = self.apply_map(k, p)
+                        j = index.get(y)
+                        if j is None:
+                            j = index[y] = len(points)
+                            points.append(y)
+                            reached.append(y)
+                        dst.append(j)
+                        mass.append(top - below)
+                        below = top
+                    else:
+                        dst.append(i)
+                        mass.append(0.0)
+            frontier = reached
+            if not frontier:
+                break
+        if (len(points) + SWEEP_STEP_POINTS) * steps > ORBIT_BUDGET:
+            return None
+        for i in range(len(dst) // n_maps, len(points)):
+            dst += [i] * n_maps
+            mass += [0.0] * n_maps
+        shape = (len(points), n_maps)
+        return (points, np.array(dst, dtype=np.intp).reshape(shape).T.copy(),
+                np.array(mass).reshape(shape).T.copy())
+
+    def _weights(self, x: float) -> list:
+        """Selection probabilities at x for the audits and the exact laws,
+        with the checks and messages of the jump loop's inline validation."""
         w = self.prob_field(x)
         if isinstance(w, np.ndarray):
             w = w.tolist()
@@ -276,7 +412,7 @@ class IfsModel:
         if not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
             raise ValueError(
                 f"selection probabilities sum to {acc!r} at x={x!r} in model {self.name!r}")
-        return np.asarray(w, dtype=float)
+        return [float(p) for p in w]
 
     def _flowed(self, s: float, x: float) -> float:
         """Flow x for time s and validate the point reached."""
@@ -337,9 +473,9 @@ def sample_jump_chain(model: IfsModel, x: float, horizon: float,
     )
 
 
-def _node(x: float, w, chosen: int, y: float) -> tuple:
+def _node(x: float, w) -> tuple:
     """Memo entry ``(cum, succ)`` of the point x, from its validated
-    weights w and its first jump, by map ``chosen`` to y.
+    weights w.
 
     ``cum`` is [0.0] followed by the running sums ``acc += p`` of w, with
     +inf from the last map of positive weight on. The weights are
@@ -352,9 +488,7 @@ def _node(x: float, w, chosen: int, y: float) -> tuple:
     cum = list(accumulate(w, initial=0.0))
     last = _fallback(w, x)
     cum[last:] = [math.inf] * (len(cum) - last)
-    succ = [None] * len(cum)
-    succ[chosen] = y
-    return cum, succ
+    return cum, [None] * len(cum)
 
 
 def _fallback(w, x: float) -> int:
@@ -364,6 +498,46 @@ def _fallback(w, x: float) -> int:
         if w[k - 1] > 0.0:
             return k
     raise RuntimeError(f"degenerate probability vector at x={x!r}")
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n: the relative error bound of n rounded operations."""
+    return n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+
+
+def _poisson_tail(lam: float, a: int) -> float:
+    """Chernoff bound on P(N >= a), a > lam, or P(N <= a), a < lam, for
+    N ~ Poisson(lam), its exponent raised past its rounding."""
+    expo = -lam if a == 0 else a - lam - a * math.log(a / lam)
+    return math.exp(expo + 1e-12 * (lam + a))
+
+
+@lru_cache(maxsize=256)
+def _poisson_window(lam: float) -> tuple:
+    """``(left, weights, dropped, spread)``: weights[i] of ``left + i``
+    jumps on the window where Chernoff's bound on each tail reaches
+    ``TAIL_MASS``, a bound on the Poisson mass outside it, and the most
+    recurrence steps from the mode. As in Fox and Glynn (CACM 1988) the
+    pmf's ratio recurrence runs outward from the mode (2 roundings a step)
+    and the weights are divided by their sum: no tail is taken as 1 minus
+    a sum, which cancels to 0 for large lam.
+    """
+    if lam == 0.0:
+        return 0, (1.0,), 0.0, 0
+    mode = right = left = int(lam)
+    while _poisson_tail(lam, right + 1) > TAIL_MASS:
+        right += 1
+    while left and _poisson_tail(lam, left - 1) > TAIL_MASS:
+        left -= 1
+    dropped = _poisson_tail(lam, right + 1) + (_poisson_tail(lam, left - 1) if left else 0.0)
+    w = [0.0] * (right - left + 1)
+    w[mode - left] = 1.0
+    for k in range(mode + 1, right + 1):
+        w[k - left] = w[k - left - 1] * lam / k
+    for k in range(mode - 1, left - 1, -1):
+        w[k - left] = w[k - left + 1] * (k + 1) / lam
+    total = math.fsum(w)
+    return left, tuple(v / total for v in w), dropped, max(right - mode, mode - left)
 
 
 # ---------------------------------------------------------------------------

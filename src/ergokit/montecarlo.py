@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -199,13 +198,14 @@ def _time_grid(times) -> list:
 
 def hoeffding_half_width(value_bound: float, n: int, confidence: float) -> float:
     """Half-width so that an n-sample mean of range-bounded draws misses the
-    true mean by more than this with probability at most 1 - confidence."""
+    true mean by more than this with probability at most 1 - confidence; 0
+    for draws of range 0, which never miss."""
     if n < 1:
         raise ValueError("need at least one sample")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    if not value_bound > 0.0:
-        raise ValueError("value_bound must be positive")
+    if not value_bound >= 0.0:
+        raise ValueError("value_bound must be nonnegative")
     delta = 1.0 - confidence
     return value_bound * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
@@ -270,6 +270,10 @@ def sample_cells(process, cells, n: int, seed: int, workers: Optional[int] = Non
         name = getattr(process, "name", type(process).__name__)
         raise ValueError(f"model {name!r} cannot be sent to worker processes ({exc}); "
                          "use one worker or a module-level builder") from exc
+    # imported here: the pool machinery costs a fresh interpreter ~10 ms,
+    # which a one-worker run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(_sample_cell, jobs))
 

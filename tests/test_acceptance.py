@@ -2,11 +2,12 @@
 
 Each test prints one line ``[criterion N] PASS/FAIL (elapsed)`` with the
 observed values (run pytest with ``-s`` to see the lines as they appear).
-Criterion 7's grid scan is expected to fail and is marked as such: from the
-start point 10 the halving map fires at rate ``lam * exp(-10)``, about
-4.5e-5 per unit time, so by t = 200 the chance of even one halving is under
-1%, and the time-200 probability of sitting inside B(0, 0.1) is roughly
-1e-3. No sampling budget can lift the scan minimum over that grid to 0.9.
+Criterion 7's grid scan is expected to fail and is marked as such: the
+halving model answers it from its exact laws, and the certified scan
+minimum is P_100(10, B(0, 0.1)) ~ 8.38e-4, at x = 10 and t = 100, with a
+half-width under 1e-12. From 10 the halving map fires at rate
+``lam * exp(-10)``, about 4.5e-5 per unit time, so the stated floor of 0.9
+is out of reach on this grid.
 """
 
 import math
@@ -178,9 +179,9 @@ def test_criterion_06_all_builtins_asymptotically_stable():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="from x=10 the halving map fires at rate exp(-10) (~4.5e-5/unit "
-           "time), so essentially no trajectory reaches B(0, 0.1) by t=200 "
-           "and the scan minimum over this grid sits near 0, not above 0.9",
+    reason="the certified scan minimum is P_100(10, B(0, 0.1)) ~ 8.38e-4 at "
+           "x=10, t=100 (exact law, half-width under 1e-12), not above 0.9: "
+           "from x=10 the halving map fires at rate exp(-10) ~ 4.5e-5",
 )
 def test_criterion_07a_lower_bound_scan_grid_as_stated():
     t0 = time.perf_counter()

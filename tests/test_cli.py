@@ -161,6 +161,40 @@ def test_estimate_ball_hit(capsys):
     assert rows[0]["functional"] == "ball(0,0.1)"
 
 
+def test_estimate_constant_function(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--model", "halving", "--x0", "1",
+                             "--times", "1", "--f", "const:1", "--samples", "10")
+    assert (code, err) == (0, "")
+    _, _, rows = parse_csv(out)
+    assert (rows[0]["mean"], rows[0]["half_width"], rows[0]["error"]) == ("1", "0", "")
+
+
+def test_diagnose_eprop_constant_function(capsys):
+    code, out, err = run_cli(capsys, "diagnose", "eprop", "--model", "flip", "--f", "const:1")
+    assert (code, err) == (0, "")
+    manifest, _, rows = parse_csv(out)
+    assert manifest["mode"] == "exact"
+    assert len(rows) == 3
+    for row in rows:
+        assert abs(float(row["value"])) <= float(row["half_width"]) < 1e-12
+
+
+def test_diagnose_ec_constant_function_on_a_sampled_model(capsys, monkeypatch):
+    # a constant's Hoeffding width is 0, not a "value_bound must be
+    # positive" failure of every cell
+    from ergokit import cli
+    from test_diagnostics import Sampled
+
+    monkeypatch.setitem(cli._MODELS, "flip",
+                        (lambda lam: (Sampled(cli.example_flip(lam)), None), ()))
+    code, out, err = run_cli(capsys, "diagnose", "ec", "--model", "flip", "--f", "const:1",
+                             "--z", "0", "--xs", "0.5", "--window-end", "2", "--samples", "50")
+    assert (code, err) == (0, "")
+    manifest, _, rows = parse_csv(out)
+    assert manifest["mode"] == "monte-carlo"
+    assert (rows[0]["value"], rows[0]["half_width"]) == ("0", "0")
+
+
 def test_estimate_requires_functional(capsys):
     code, _, err = run_cli(capsys, "estimate", "--model", "flip", "--x0", "1",
                            "--times", "2")
@@ -473,7 +507,7 @@ def test_manifest_reruns_to_identical_bytes(tmp_path):
         command = manifest["command"]
         args = command.split("-", 1) if command.startswith("diagnose-") else [command]
         for key, value in manifest.items():
-            if key in ("command", "version", "schema"):
+            if key in ("command", "version", "schema", "mode"):
                 continue
             args += ["--" + key.replace("_", "-"), value]
         assert main(args + ["--out", str(out2)]) == 0, args
@@ -765,9 +799,10 @@ def test_simulate_peak_memory_stays_near_the_output_size(tmp_path):
 
 def _digest_without_version(path):
     """sha256 of a file without its manifest's version line, which moves on
-    every release."""
+    every release, and its mode line, which diagnostics gained in 0.8.0."""
     lines = Path(path).read_bytes().splitlines(keepends=True)
-    return hashlib.sha256(b"".join(l for l in lines if b"version" not in l)).hexdigest()
+    return hashlib.sha256(b"".join(l for l in lines if b"version" not in l
+                                   and not l.startswith(b"# mode="))).hexdigest()
 
 
 def test_simulate_bytes_are_pinned(tmp_path):
@@ -786,15 +821,92 @@ def test_simulate_bytes_are_pinned(tmp_path):
         "cab60590ea779585e6f363fc861970ba87e4efebda22aaa148a57f17161b9bac"
 
 
-def test_lowerbound_bytes_are_pinned(tmp_path):
-    # digest of the 0.6.0 table; from the second visit to a point on, every
-    # jump of these trajectories runs on the halving model's memo
-    argv = ["diagnose", "lowerbound", "--model", "halving", "--z", "0", "--eps", "0.1",
-            "--x-grid", "2,5,10", "--t-grid", "20,50", "--samples", "200", "--seed", "5"]
+_PINNED_LOWERBOUND = ["diagnose", "lowerbound", "--model", "halving", "--z", "0", "--eps", "0.1",
+                      "--x-grid", "2,5,10", "--t-grid", "20,50", "--samples", "200",
+                      "--seed", "5"]
+
+
+def _sampled_halving(monkeypatch):
+    """Serve ``--model halving`` without its exact laws, so it is sampled."""
+    from ergokit import cli
+    from test_diagnostics import Sampled
+
+    monkeypatch.setitem(cli._MODELS, "halving",
+                        (lambda lam: (Sampled(cli.example_halving(lam)[0]), None), ()))
+
+
+def test_lowerbound_bytes_are_pinned(tmp_path, monkeypatch):
+    # digest of the 0.6.0 table, sampled; from the second visit to a point
+    # on, every jump of these trajectories runs on the halving model's memo
+    _sampled_halving(monkeypatch)
     table = tmp_path / "lb.csv"
-    assert main(argv + ["--out", str(table)]) == 0
+    assert main(_PINNED_LOWERBOUND + ["--out", str(table)]) == 0
+    manifest, _, _ = parse_csv(table.read_text())
+    assert manifest["mode"] == "monte-carlo"
     assert _digest_without_version(table) == \
         "8072a748b0e65e7c3340f85ef04fcb3b01f329807c81659ea80d5764429095a4"
+
+
+def test_lowerbound_exact_bytes_are_pinned(tmp_path):
+    # digest of the 0.8.0 table, where the halving model answers from its
+    # exact laws
+    table = tmp_path / "lb.csv"
+    assert main(_PINNED_LOWERBOUND + ["--out", str(table)]) == 0
+    manifest, _, _ = parse_csv(table.read_text())
+    assert manifest["mode"] == "exact"
+    assert _digest_without_version(table) == \
+        "da0e6833216cfea629091fdd5ca27d1070bbf3c526b272a814bc2e753f88e771"
+
+
+def test_lowerbound_over_the_orbit_budget_is_sampled(tmp_path, monkeypatch):
+    # past the budget the halving model has no exact laws: the rows are the
+    # 0.6.0 ones
+    from ergokit import ifs_jump
+
+    monkeypatch.setattr(ifs_jump, "ORBIT_BUDGET", 1000)
+    table = tmp_path / "lb.csv"
+    assert main(_PINNED_LOWERBOUND + ["--out", str(table)]) == 0
+    manifest, _, _ = parse_csv(table.read_text())
+    assert manifest["mode"] == "monte-carlo"
+    assert _digest_without_version(table) == \
+        "8072a748b0e65e7c3340f85ef04fcb3b01f329807c81659ea80d5764429095a4"
+
+
+def test_moving_flow_is_sampled(capsys, monkeypatch):
+    from ergokit import cli
+    from ergokit.ifs_jump import ExponentialFlow, IfsModel
+
+    def halve(x):
+        return x / 2.0
+
+    def stay(x):
+        return x
+
+    def build(lam):
+        return IfsModel(name="drift", maps=(halve, stay), prob_field=lambda x: (0.5, 0.5),
+                        rate=lam, flow=ExponentialFlow(0.01)), None
+
+    monkeypatch.setitem(cli._MODELS, "drift", (build, ()))
+    code, out, _ = run_cli(capsys, "diagnose", "lowerbound", "--model", "drift", "--z", "0",
+                           "--x-grid", "0.5", "--t-grid", "2", "--samples", "50")
+    assert code == 0
+    manifest, _, _ = parse_csv(out)
+    assert manifest["mode"] == "monte-carlo"
+
+
+def test_sampled_lowerbound_rows_bracket_the_exact_rows(tmp_path, monkeypatch):
+    exact = tmp_path / "exact.csv"
+    assert main(_PINNED_LOWERBOUND + ["--out", str(exact)]) == 0
+    _sampled_halving(monkeypatch)
+    sampled = tmp_path / "sampled.csv"
+    assert main(_PINNED_LOWERBOUND + ["--out", str(sampled)]) == 0
+    _, _, exact_rows = parse_csv(exact.read_text())
+    _, _, sampled_rows = parse_csv(sampled.read_text())
+    assert [(r["label"], r["x"]) for r in sampled_rows] == [(r["label"], r["x"]) for r in exact_rows]
+    for e, m in zip(exact_rows, sampled_rows):
+        assert 0.0 < float(e["half_width"]) < 1e-12 < float(m["half_width"])
+        assert abs(float(m["value"]) - float(e["value"])) <= \
+            float(m["half_width"]) + float(e["half_width"])
 
 
 def test_simulate_negative_zero_bytes_on_a_warm_model(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -321,3 +323,13 @@ def test_oracles_do_not_import_the_library():
     imported += [n.module or "" for n in nodes if isinstance(n, ast.ImportFrom)]
     assert "numpy" in imported  # the walk saw the module's imports
     assert not [m for m in imported if m.split(".")[0] == "ergokit"]
+
+
+def test_importing_the_oracles_loads_no_ergokit_module():
+    # the import check above sees direct imports; this one also sees those
+    # made through any module the oracles import
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import oracles; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ergokit'))")
+    done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -25,7 +25,7 @@ from ergokit.ifs_jump import (
     halving_tv_modulus,
     linear_modulus,
 )
-from ergokit.montecarlo import _estimate, estimate_ptf, sample_terminals
+from ergokit.montecarlo import _estimate, estimate_ptf, hoeffding_half_width, sample_terminals
 
 from oracles import flip_expectation_xmin1
 
@@ -33,18 +33,17 @@ F = xmin1()
 CTMC = CtmcProcess()
 
 
-class SampledCtmc:
-    """The chain without its closed form: diagnostics must sample it."""
+class Sampled:
+    """A process without its exact laws: diagnostics must sample it, with
+    its batch form if it has one."""
 
-    name = "ctmc-sampled"
-    batch_draws = CtmcProcess.batch_draws
-    state_label = staticmethod(CtmcProcess.state_label)
-
-    def terminal_state(self, x0, t, stream):
-        return CTMC.terminal_state(x0, t, stream)
-
-    def terminal_states(self, x0, t, uniforms):
-        return CTMC.terminal_states(x0, t, uniforms)
+    def __init__(self, process):
+        self.name = process.name
+        self.state_label = process.state_label
+        self.terminal_state = process.terminal_state
+        if hasattr(process, "terminal_states"):
+            self.terminal_states = process.terminal_states
+            self.batch_draws = process.batch_draws
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +70,9 @@ def test_ec_exact_profile_zero_at_anchor():
 def test_ec_monte_carlo_halving_profile():
     model, _ = example_halving(1.0)
     mc = McSettings(n_samples=2_000, seed=17)
-    report = ec_profile(model, F, 0.0, [0.5, 0.25, 0.125], 50.0, 100.0,
+    report = ec_profile(Sampled(model), F, 0.0, [0.5, 0.25, 0.125], 50.0, 100.0,
                         [50.0, 75.0, 100.0], mc)
+    assert report.mode == "monte-carlo"
     psis = dict(zip([r.x for r in report.rows], report.values("ec_gap_max")))
     hw = report.rows[0].half_width
     assert all(v <= 0.05 + hw for v in psis.values())
@@ -83,7 +83,8 @@ def test_ec_monte_carlo_halving_profile():
 def test_ec_monte_carlo_gap_at_anchor_within_noise():
     model = example_flip(1.0)
     mc = McSettings(n_samples=1_000, seed=3)
-    report = ec_profile(model, F, 1.0, [1.0], 5.0, 10.0, [5.0, 10.0], mc)
+    report = ec_profile(Sampled(model), F, 1.0, [1.0], 5.0, 10.0, [5.0, 10.0], mc)
+    assert report.mode == "monte-carlo"
     row = report.rows[0]
     assert row.value <= row.half_width
 
@@ -94,19 +95,22 @@ def test_ec_start_sharing_the_anchor_label_keeps_its_own_cells():
     model = example_flip(1.0)
     mc = McSettings(n_samples=400, seed=8)
     grid = [5.0, 10.0]
-    report = ec_profile(model, F, 0.5, [0.5000001, 3.0], 5.0, 10.0, grid, mc)
+    report = ec_profile(Sampled(model), F, 0.5, [0.5000001, 3.0], 5.0, 10.0, grid, mc)
     want = max(abs(estimate_ptf(model, 0.5000001, t, F, 400, 8, cell=j).mean
                    - estimate_ptf(model, 0.5, t, F, 400, 8, cell=4 + j).mean)
                for j, t in enumerate(grid))
     assert want > 0.0
     assert report.rows[0].x == "0.5"
     assert report.rows[0].value == want
+    exact = ec_profile(model, F, 0.5, [0.5000001, 3.0], 5.0, 10.0, grid, mc)
+    assert exact.mode == "exact"
+    assert 0.0 < exact.rows[0].value <= 1e-6
 
 
 def test_ec_sampled_chain_brackets_the_exact_profile():
     z, xs, grid = CtmcState.zero(), [CtmcState.low(2), CtmcState.high(3)], [2.0, 3.0, 4.0]
     exact = ec_profile(CTMC, F, z, xs, 2.0, 4.0, grid)
-    sampled = ec_profile(SampledCtmc(), F, z, xs, 2.0, 4.0, grid,
+    sampled = ec_profile(Sampled(CTMC), F, z, xs, 2.0, 4.0, grid,
                          McSettings(n_samples=4_000, seed=19))
     assert [(r.label, r.x, r.t) for r in sampled.rows] == [(r.label, r.x, r.t) for r in exact.rows]
     for e, m in zip(exact.rows, sampled.rows):
@@ -165,12 +169,53 @@ def test_eprop_flip_witness_floor():
 def test_eprop_sampled_chain_brackets_the_exact_witnesses():
     pairs = [(CtmcState.low(n), float(n)) for n in (2, 5, 10)]
     exact = eproperty_witness(CTMC, F, CtmcState.zero(), pairs)
-    sampled = eproperty_witness(SampledCtmc(), F, CtmcState.zero(), pairs,
+    sampled = eproperty_witness(Sampled(CTMC), F, CtmcState.zero(), pairs,
                                 McSettings(n_samples=4_000, seed=37))
     assert [(r.x, r.t) for r in sampled.rows] == [(r.x, r.t) for r in exact.rows]
     for e, m in zip(exact.rows, sampled.rows):
         assert e.half_width == 0.0 < m.half_width
         assert abs(m.value - e.value) <= m.half_width
+
+
+def test_eprop_width_follows_the_mode():
+    # an exact pair adds the widths of its two cells; a sampled pair keeps
+    # the two-sample Hoeffding width, whatever its cells' widths
+    model = example_flip(1.0)
+    pairs = [(0.2, 5.0), (0.1, 10.0)]
+    mc = McSettings(n_samples=500, seed=4)
+    exact = eproperty_witness(model, F, 0.0, pairs, mc)
+    assert exact.mode == "exact"
+    for row, (x, t) in zip(exact.rows, pairs):
+        ((_, bx),), ((_, bz),) = (model.exact_laws(y, [t]) for y in (x, 0.0))
+        assert 0.0 < row.half_width == bx + bz < 1e-12
+    sampled = eproperty_witness(Sampled(model), F, 0.0, pairs, mc)
+    assert sampled.mode == "monte-carlo"
+    two_sample = math.sqrt(math.log(2.0 / 0.001) / 500)
+    assert [r.half_width for r in sampled.rows] == [pytest.approx(two_sample, rel=1e-12)] * 2
+    for e, m in zip(exact.rows, sampled.rows):
+        assert abs(m.value - e.value) <= m.half_width
+
+
+def test_mixed_mode_when_only_some_starts_are_exact(monkeypatch):
+    # a budget that fits the one-point orbit of the absorbing anchor 0 but
+    # not the orbit of 0.5: the anchor's cells are exact, the others sampled
+    from ergokit import ifs_jump
+
+    left, weights, _, _ = ifs_jump._poisson_window(20.0)
+    monkeypatch.setattr(ifs_jump, "ORBIT_BUDGET",
+                        (1 + ifs_jump.SWEEP_STEP_POINTS) * (left + len(weights) - 1))
+    model, _ = example_halving(1.0)
+    mc = McSettings(n_samples=300, seed=5)
+    ec = ec_profile(model, F, 0.0, [0.5], 20.0, 20.0, [20.0], mc)
+    eprop = eproperty_witness(model, F, 0.0, [(0.5, 20.0)], mc)
+    assert ec.mode == eprop.mode == "mixed"
+    ((_, z_bound),) = model.exact_laws(0.0, [20.0])
+    # the sampled cell is stream cell 0, as in a fully sampled run
+    sampled = ec_profile(Sampled(model), F, 0.0, [0.5], 20.0, 20.0, [20.0], mc)
+    assert ec.rows[0].value == sampled.rows[0].value > 0.0
+    assert ec.rows[0].half_width == \
+        hoeffding_half_width(1.0, 300, 1.0 - (1.0 - 0.999) / 2) + z_bound
+    assert eprop.rows[0].half_width == hoeffding_half_width(1.0, 300, 0.999) + z_bound
 
 
 def test_eprop_requires_pairs():
@@ -219,7 +264,10 @@ def test_scan_starts_sharing_a_label_keep_their_own_minimum():
     model, _ = example_halving(1.0)
     mc = McSettings(n_samples=400, seed=6)
     x_grid, t_grid = [1.0, 1.0000001], [2.0, 4.0]
-    report = lower_bound_scan(model, 0.0, 0.3, x_grid, t_grid, mc)
+    exact = lower_bound_scan(model, 0.0, 0.3, x_grid, t_grid, mc)
+    first, second = (r.value for r in exact.rows if r.label == "hit_prob_min")
+    assert first != second
+    report = lower_bound_scan(Sampled(model), 0.0, 0.3, x_grid, t_grid, mc)
     rows = [r for r in report.rows if r.label == "hit_prob_min"]
     want = [min(_estimate(sample_terminals(model, x, t, 400, 6, cell=2 * i + j), Ball(0.0, 0.3),
                           0.999).mean
@@ -287,13 +335,16 @@ def test_stability_starts_sharing_a_label_keep_their_own_laws():
     # cells 0 and 1, not one law with itself
     model, _ = example_halving(1.0)
     mc = McSettings(n_samples=200, seed=3)
-    report = stability_report(model, [0.5, 0.5000001], [4.0],
+    report = stability_report(Sampled(model), [0.5, 0.5000001], [4.0],
                               EmpiricalMeasure.point_mass(0.0), mc)
     a, b = (EmpiricalMeasure.from_samples(sample_terminals(model, x, 4.0, 200, 3, cell=i))
             for i, x in enumerate([0.5, 0.5000001]))
     want = bl_distance(a, b)
     assert want > 0.0
     assert report.values("bl_between") == [want]
+    exact = stability_report(model, [0.5, 0.5000001], [4.0],
+                             EmpiricalMeasure.point_mass(0.0), mc)
+    assert 0.0 < exact.values("bl_between")[0] <= 1e-6
 
 
 @pytest.mark.parametrize("t_grid", [[], [1.0, math.nan], [math.inf], [-1.0]])
@@ -478,9 +529,13 @@ def test_c2_starts_sharing_a_label_keep_their_own_hits():
     # from the cells of x = 1.0 (0.25), not from those of 1.0000001 (0.27)
     model, _ = example_halving(1.0)
     mc = McSettings(n_samples=200, seed=3)
-    report = check_c2(model, 0.0, [0.1], [1.0, 1.0000001], t_search=4.0, mc=mc)
+    report = check_c2(Sampled(model), 0.0, [0.1], [1.0, 1.0000001], t_search=4.0, mc=mc)
     assert report.values("c2_first_hit") == [0.25, 0.27]
     assert report.values("c2_beta") == [0.25]
+    exact = check_c2(model, 0.0, [0.1], [1.0, 1.0000001], t_search=4.0, mc=mc)
+    first, second = exact.values("c2_first_hit")
+    assert first > second
+    assert exact.values("c2_beta") == [second]
 
 
 @pytest.mark.parametrize("t_search", [0.0, -1.0, math.nan, math.inf])

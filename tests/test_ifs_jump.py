@@ -22,6 +22,8 @@ from ergokit.ifs_jump import (
 )
 from ergokit.montecarlo import StreamFactory, sample_terminals
 
+from oracles import flip_jump_matrix, poisson_mixture_law
+
 
 # ---------------------------------------------------------------------------
 # built-in probability fields
@@ -616,3 +618,123 @@ def test_memo_takes_no_part_in_pickling_equality_or_repr():
     clone = pickle.loads(pickle.dumps(warm))
     assert clone == warm and not clone._memo and not clone._seen
     assert _same_bits(sample_terminals(clone, 5.0, 100.0, 20, 1), first)
+
+
+# ---------------------------------------------------------------------------
+# exact laws by uniformization
+
+
+def _law_dict(law):
+    return dict(zip(law.support.tolist(), law.weights.tolist()))
+
+
+@pytest.mark.parametrize("x, t", [(0.2, 3.0), (0.5, 20.0), (4.0, 7.5)])
+def test_flip_exact_laws_match_the_poisson_mixture_oracle(x, t):
+    model = example_flip(1.3)
+    (law, bound), = model.exact_laws(x, [t])
+    want = poisson_mixture_law(flip_jump_matrix(x), 0, 1.3, t)
+    got = _law_dict(law)
+    assert set(got) <= {x, 1.0 / x, 0.0}
+    for point, p in zip((x, 1.0 / x, 0.0), want):
+        # the oracle cuts its series once 1 - 1e-12 of the mass is in
+        assert abs(got.get(point, 0.0) - p) <= bound + 1e-12
+    assert 0.0 < bound < 1e-13
+
+
+def test_halving_exact_laws_match_the_generator_exponential():
+    # the generator of the jump process on the orbit x 2^-k, k <= 80, with
+    # the last point made absorbing: by t = 6 more than 80 jumps have
+    # probability below 1e-40
+    from scipy.linalg import expm
+
+    x, t, depth = 3.0, 6.0, 80
+    model, _ = example_halving(1.0)
+    (law, bound), = model.exact_laws(x, [t])
+    points = [x * 2.0 ** -k for k in range(depth + 1)]
+    q = np.zeros((depth + 1, depth + 1))
+    for k, y in enumerate(points[:-1]):
+        q[k, k] = -math.exp(-y)
+        q[k, k + 1] = math.exp(-y)
+    want = expm(q * t)[0]
+    got = _law_dict(law)
+    assert set(got) <= set(points)
+    for y, p in zip(points, want):
+        assert abs(got.get(y, 0.0) - p) <= bound + 1e-13
+
+
+def test_exact_laws_share_one_sweep_across_times():
+    model, _ = example_halving(1.0)
+    together = model.exact_laws(5.0, [200.0, 0.0, 40.0])
+    for t, (law, bound) in zip([200.0, 0.0, 40.0], together):
+        (alone, alone_bound), = model.exact_laws(5.0, [t])
+        assert _same_bits(law.support, alone.support)
+        assert np.allclose(law.weights, alone.weights, rtol=0.0, atol=bound + alone_bound)
+    law, bound = together[1]
+    assert _law_dict(law) == {5.0: 1.0}
+    assert 0.0 < bound < 1e-15
+
+
+def test_poisson_window_bounds_the_dropped_tail_at_large_rate():
+    # at rate * t = 5e4 the tail taken as 1 minus a sum of weights cancels
+    # to 0; the window's Chernoff bound stays positive and above the tail
+    from scipy.stats import poisson
+
+    lam = 5e4
+    left, weights, dropped, spread = ifs_jump._poisson_window(lam)
+    right = left + len(weights) - 1
+    tail = poisson.cdf(left - 1, lam) + poisson.sf(right, lam)
+    assert 0.0 < tail <= dropped <= 2.0 * ifs_jump.TAIL_MASS
+    assert spread == max(right - int(lam), int(lam) - left)
+    pmf = poisson.pmf(np.arange(left, right + 1), lam)
+    assert np.max(np.abs(np.array(weights) / pmf - 1.0)) < 1e-9
+
+
+def test_exact_law_at_a_large_rate_keeps_a_positive_bound():
+    model = example_flip(1.0)
+    (law, bound), = model.exact_laws(0.5, [5e4])
+    assert law.support.tolist() == [0.0]
+    assert 2.0 * ifs_jump.TAIL_MASS < bound < 1e-10
+
+
+def test_exact_laws_are_none_under_a_moving_flow_or_over_budget(monkeypatch):
+    assert _expflow_model().exact_laws(0.5, [1.0]) is None
+    model, _ = example_halving(1.0)
+    assert model.exact_laws(2.0, [20.0]) is not None
+    monkeypatch.setattr(ifs_jump, "ORBIT_BUDGET", 1000)
+    assert model.exact_laws(2.0, [20.0]) is None
+    assert model.exact_laws(2.0, [0.0]) is not None
+
+
+def test_exact_laws_reject_bad_times():
+    model, _ = example_halving(1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="time must be a finite nonnegative real"):
+            model.exact_laws(1.0, [2.0, t])
+
+
+def test_exact_law_masses_are_the_samplers():
+    # running sums (1 + 5e-10, inf): the sampler always takes w1, whose
+    # mass is clipped at 1, so every row sums to 1
+    model = IfsModel(name="slack", maps=(lambda x: x / 2.0, lambda x: x),
+                     prob_field=lambda x: (1.0 + 5e-10, 1e-10), rate=1.0)
+    points, dst, mass = model._orbit(1.0, 3)
+    assert points == [1.0, 0.5, 0.25, 0.125]
+    assert mass.sum(axis=0).tolist() == [1.0, 1.0, 1.0, 0.0]
+    assert mass[1].tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("name", sorted(_MEMO_MODELS))
+def test_model_warmed_by_exact_laws_matches_reference_bit_for_bit(name):
+    # the sweep builds a memo node on a point's first visit, and records no
+    # point as seen once; the sampler then jumps from those nodes
+    model = _MEMO_MODELS[name]()
+    for x0 in (0.3, 1.0, 4.0, 9.0):
+        model.exact_laws(x0, [40.0])
+    assert model._memo and not model._seen
+    factory = StreamFactory(11)
+    got, want = [], []
+    for k in range(100):
+        x0 = (0.3, 1.0, 4.0, 9.0)[k % 4]
+        got.append(model.terminal_state(x0, 40.0, factory.stream(0, k)))
+        want.append(_ref_terminal_state(model, x0, 40.0, factory.stream(0, k)))
+    assert _same_bits(got, want)

@@ -44,8 +44,14 @@ def test_half_width_validation():
         hoeffding_half_width(1.0, 0, 0.999)
     with pytest.raises(ValueError):
         hoeffding_half_width(1.0, 10, 1.0)
-    with pytest.raises(ValueError):
-        hoeffding_half_width(0.0, 10, 0.9)
+    for bound in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="value_bound must be nonnegative"):
+            hoeffding_half_width(bound, 10, 0.9)
+
+
+def test_half_width_of_a_constant_is_zero():
+    # a constant has no spread, so its sample mean is exact
+    assert hoeffding_half_width(0.0, 10, 0.9) == 0.0
 
 
 def test_estimate_bracketing_helper():
