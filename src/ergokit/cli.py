@@ -592,7 +592,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         if x_grid is None:  # not recorded: the manifest reruns without it
             x_grid = [10.0 * (k + 1) / 1000 for k in range(1000)]
         n_trunc = settings.get("n_trunc", 10, _positive_int)
-        report = DiagnosticReport("assumptions")
+        report = DiagnosticReport("assumptions", mode="exact")  # the audits are exact
         moduli = [(_modulus_label(om), om) for om in (assume.omega,) + _MODELS[name][1]]
         report.add("b2_max_violation", f"{len(x_grid)}-point grid", "",
                    check_b2(model, assume, x_grid), 0.0)
@@ -612,7 +612,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             c2_report = check_c2(model, assume.anchor, radii, c2_grid, t_search,
                                  _mc_settings(settings, default_samples=2000))
             report.rows.extend(c2_report.rows)
-            if c2_report.mode != "exact":  # the audits themselves are exact
+            if c2_report.mode != "exact":
                 report.mode = "mixed"
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown diagnostic {sub!r}")

@@ -56,11 +56,12 @@ class ReportRow:
 @dataclass
 class DiagnosticReport:
     """Rows of one diagnostic; ``name`` is the diagnostic that made them and
-    ``mode`` the engine: ``exact``, ``monte-carlo`` or ``mixed``."""
+    ``mode`` the engine: ``exact``, ``monte-carlo`` or ``mixed``, None
+    until a diagnostic sets it."""
 
     name: str
     rows: list = field(default_factory=list)
-    mode: str = "exact"
+    mode: Optional[str] = None
 
     def add(self, label: str, x, t, value: float, half_width: float,
             error: Optional[str] = None) -> None:
@@ -99,23 +100,27 @@ def _raise_failed(cells: list) -> None:
             raise RuntimeError(result)
 
 
-def _laws(process, cells: list) -> list:
+def _split(process, cells: list, sample) -> tuple:
     """Per ``(x, t)`` cell, its ``(law, bound)`` from ``process.exact_laws``
-    (asked once per distinct start), None to sample it, or the error
-    message of a failed call."""
+    (asked once per distinct start), the error message of a failed call, or
+    what ``sample`` gave it; and whether each cell was exact. ``sample``
+    gets the cells without exact laws in order, as its stream cells 0, 1,
+    ..., and returns one result per cell."""
     exact_laws = getattr(process, "exact_laws", None)
-    if exact_laws is None:
-        return [None] * len(cells)
     grids: dict = {}
     for x, t in cells:
         grids.setdefault(x, {})[t] = None
     for x, grid in grids.items():
         try:
-            laws = exact_laws(x, list(grid))
+            laws = None if exact_laws is None else exact_laws(x, list(grid))
         except Exception as exc:
             laws = [f"exact law from x={x}: {exc}"] * len(grid)
         grids[x] = None if laws is None else dict(zip(grid, laws))
-    return [None if grids[x] is None else grids[x][t] for x, t in cells]
+    known = [None if grids[x] is None else grids[x][t] for x, t in cells]
+    sampled = [cell for cell, law in zip(cells, known) if law is None]
+    results = iter(sample(sampled) if sampled else ())
+    return ([next(results) if law is None else law for law in known],
+            [law is not None for law in known])
 
 
 def _mode(exact: list) -> str:
@@ -144,20 +149,18 @@ def _means(process, functionals: Sequence, cells: list, mc: McSettings,
     whether each cell was exact. Cells without exact laws go to one
     ``run_batch``, as its stream cells 0, 1, ..., with Hoeffding widths at
     ``confidence``."""
-    laws = _laws(process, cells)
-    sampled = [cell for cell, law in zip(cells, laws) if law is None]
-    batch = iter(run_batch(process, sampled, functionals, mc, confidence) if sampled else ())
+    results, exact = _split(process, cells,
+                            lambda sampled: run_batch(process, sampled, functionals, mc,
+                                                      confidence))
     means = []
-    for law in laws:
-        if isinstance(law, tuple):
-            means.append([_law_mean(*law, fn) for fn in functionals])
-        elif law is not None:
-            means.append(law)
+    for cell, is_exact in zip(results, exact):
+        if isinstance(cell, str):
+            means.append(cell)
+        elif is_exact:
+            means.append([_law_mean(*cell, fn) for fn in functionals])
         else:
-            cell = next(batch)
-            means.append(cell if isinstance(cell, str)
-                         else [(est.mean, est.half_width) for est in cell])
-    return means, [law is not None for law in laws]
+            means.append([(est.mean, est.half_width) for est in cell])
+    return means, exact
 
 
 def _anchor(z) -> float:
@@ -317,11 +320,10 @@ def stability_report(process, initials: Sequence, t_grid: Sequence[float],
         raise ValueError("need at least one initial point")
     mc = mc or McSettings()
     cells = list(product(initials, t_grid))
-    known = _laws(process, cells)
-    sampled = [cell for cell, law in zip(cells, known) if law is None]
-    samples = iter(sample_cells(process, sampled, mc.n_samples, mc.seed, mc.workers)
-                   if sampled else ())
-    report = DiagnosticReport("stability_report", mode=_mode([law is not None for law in known]))
+    known, exact = _split(process, cells,
+                          lambda sampled: sample_cells(process, sampled, mc.n_samples,
+                                                       mc.seed, mc.workers))
+    report = DiagnosticReport("stability_report", mode=_mode(exact))
 
     def width(*pair):
         n_empirical = sum(bound is None for _, bound in pair)
@@ -329,12 +331,10 @@ def stability_report(process, initials: Sequence, t_grid: Sequence[float],
                 + _mcdiarmid_half_width(mc.n_samples, mc.confidence, n_empirical))
 
     laws = []  # (law, bound or None) by cell index: distinct starts may share a label
-    for (x, t), law in zip(cells, known):
+    for (x, t), law, is_exact in zip(cells, known, exact):
         label = process.state_label(x)
-        if law is None:
-            law = next(samples)
-            if not isinstance(law, str):
-                law = (EmpiricalMeasure.from_samples(law), None)
+        if not (is_exact or isinstance(law, str)):
+            law = (EmpiricalMeasure.from_samples(law), None)
         if isinstance(law, str):
             report.add("bl_to_ref", label, f"{t:g}", math.nan, 0.0, error=law)
             laws.append(None)
@@ -370,7 +370,7 @@ def check_b2(model: IfsModel, assume: AssumptionSet, x_grid: Sequence[float]) ->
     z = assume.anchor
     worst = -math.inf
     for x in x_grid:
-        probs = model._weights(x)
+        probs = np.asarray(model._weights(x), dtype=float)
         lhs = 0.0
         for k, p in enumerate(probs, start=1):
             lhs += p * abs(model.apply_map(k, x) - z)
@@ -389,10 +389,10 @@ def check_b3(model: IfsModel, assume: AssumptionSet, x_grid: Sequence[float],
         raise ValueError("x grid empty")
     omega = omega or assume.omega
     z = assume.anchor
-    pz = np.asarray(model._weights(z))
+    pz = np.asarray(model._weights(z), dtype=float)
     worst = -math.inf
     for x in x_grid:
-        gap = float(np.sum(np.abs(np.asarray(model._weights(x)) - pz)))
+        gap = float(np.sum(np.abs(np.asarray(model._weights(x), dtype=float) - pz)))
         worst = max(worst, gap - omega(abs(x - z)))
     return worst
 

@@ -60,10 +60,21 @@ BLOCK = 64
 # it lacks take the inline path.
 MEMO_NODES = 4096
 
-# Largest exact-law sweep: (orbit points + SWEEP_STEP_POINTS) * jumps swept,
-# a numpy step costing about as much as 64 points; about a second of work.
-ORBIT_BUDGET = 2 ** 24
-SWEEP_STEP_POINTS = 64
+# Exact-law work is counted in point-steps, the cost of carrying one orbit
+# point through one sweep step. tools/orbit_costs.py measures the ratios;
+# on a shared 2-vCPU x86-64 machine under numpy 2.4 a point-step took
+# 12-17 ns, a sweep step 160-270 point-steps on top of its points, building
+# an orbit point 185-285 and a sampled jump 55-145, over three runs.
+SWEEP_STEP_POINTS = 210
+NODE_POINTS = 230
+JUMP_POINTS = 100
+
+# A start's exact laws are given up, and the start sampled, as soon as
+# their work would pass what BREAK_EVEN_SAMPLES trajectories to the latest
+# time cost by sampling (or ORBIT_BUDGET, about 1 ms, if that is more): a
+# start that falls back wastes at most that.
+BREAK_EVEN_SAMPLES = 100
+ORBIT_BUDGET = 2 ** 16
 
 # Poisson mass an exact law may drop past each end of its jump-count window
 TAIL_MASS = 1e-16
@@ -271,7 +282,8 @@ class IfsModel:
 
     def exact_laws(self, x0: float, times) -> Optional[list]:
         """Time-t laws from x0, one ``(law, bound)`` pair per t in times;
-        None under a moving flow or past ``ORBIT_BUDGET``.
+        None under a moving flow or when the work would pass its budget
+        (see ``BREAK_EVEN_SAMPLES``).
 
         Under the identity flow the system is already uniformized (a map
         that stays put is a self-loop), so the law at t is the Poisson(rate
@@ -288,11 +300,10 @@ class IfsModel:
         x = as_state(x0)
         if not all(0.0 <= t < math.inf for t in times):
             raise ValueError("time must be a finite nonnegative real")
-        if (1 + SWEEP_STEP_POINTS) * self.rate * max(times) > ORBIT_BUDGET:
-            return None
+        budget = max(ORBIT_BUDGET, BREAK_EVEN_SAMPLES * JUMP_POINTS * self.rate * max(times))
         windows = [_poisson_window(self.rate * t) for t in times]
         steps = max(left + len(w) - 1 for left, w, _, _ in windows)
-        orbit = self._orbit(x, steps)
+        orbit = self._orbit(x, steps, budget)
         if orbit is None:
             return None
         points, dst, mass = orbit
@@ -331,14 +342,18 @@ class IfsModel:
             laws.append((EmpiricalMeasure(points[charged], law[charged]), bound))
         return laws
 
-    def _orbit(self, x: float, steps: int):
+    def _orbit(self, x: float, steps: int, budget: float):
         """``(points, dst, mass)``: the points within ``steps`` jumps of x,
         x first, where map k takes point i to ``dst[k - 1, i]`` with mass
-        ``mass[k - 1, i]``; None past ``ORBIT_BUDGET``. A first visit builds
-        the point's memo node, kept while the sampler's room allows (never
-        for zero). Absorbing points are self-loops; zero-mass maps and the
-        points ``steps`` jumps away have self-loops of mass 0.
+        ``mass[k - 1, i]``; None as soon as building and sweeping the points
+        found would cost more than ``budget`` point-steps. A first visit
+        builds the point's memo node, kept while the sampler's room allows
+        (never for zero). Absorbing points are self-loops; zero-mass maps
+        and the points ``steps`` jumps away have self-loops of mass 0.
         """
+        room = (budget - SWEEP_STEP_POINTS * steps) // (steps + NODE_POINTS) - 1
+        if room < 0:
+            return None
         memo, seen, absorbing = self._memo, self._seen, self.absorbing
         n_maps = len(self.maps)
         index = {x: 0}
@@ -346,8 +361,6 @@ class IfsModel:
         dst, mass = [], []
         frontier = [x]
         for _ in range(steps):
-            if (len(points) + SWEEP_STEP_POINTS) * steps > ORBIT_BUDGET:
-                return None
             reached = []
             for p in frontier:
                 i = index[p]
@@ -364,7 +377,7 @@ class IfsModel:
                 cum, succ = node
                 below = 0.0
                 for k in range(1, n_maps + 1):
-                    top = cum[k]
+                    top = float(cum[k])
                     if top > 1.0:
                         top = 1.0
                     if top > below:
@@ -373,6 +386,9 @@ class IfsModel:
                             y = succ[k] = self.apply_map(k, p)
                         j = index.get(y)
                         if j is None:
+                            if not room:
+                                return None
+                            room -= 1
                             j = index[y] = len(points)
                             points.append(y)
                             reached.append(y)
@@ -385,8 +401,6 @@ class IfsModel:
             frontier = reached
             if not frontier:
                 break
-        if (len(points) + SWEEP_STEP_POINTS) * steps > ORBIT_BUDGET:
-            return None
         for i in range(len(dst) // n_maps, len(points)):
             dst += [i] * n_maps
             mass += [0.0] * n_maps
@@ -396,7 +410,10 @@ class IfsModel:
 
     def _weights(self, x: float) -> list:
         """Selection probabilities at x for the audits and the exact laws,
-        with the checks and messages of the jump loop's inline validation."""
+        with the checks and messages of the jump loop's inline validation.
+        The items are the field's own, as the jump loop sums them (an
+        ndarray becomes Python floats), so a node built from them selects
+        as the sampler does."""
         w = self.prob_field(x)
         if isinstance(w, np.ndarray):
             w = w.tolist()
@@ -412,7 +429,7 @@ class IfsModel:
         if not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
             raise ValueError(
                 f"selection probabilities sum to {acc!r} at x={x!r} in model {self.name!r}")
-        return [float(p) for p in w]
+        return list(w)
 
     def _flowed(self, s: float, x: float) -> float:
         """Flow x for time s and validate the point reached."""

@@ -348,6 +348,26 @@ def test_diagnose_assumptions_table(capsys):
     assert b5["omega=2(1-exp(-s))"] > 0.0
 
 
+def test_assumptions_mode_follows_the_c2_rows(capsys, monkeypatch):
+    # the audits are exact; sampled C2 rows beside them make the run mixed
+    from ergokit import ifs_jump
+
+    args = ("diagnose", "assumptions", "--model", "halving", "--x-grid", "0.05,0.125")
+    for extra in ((), ("--c2", "true", "--t-search", "4")):
+        code, out, _ = run_cli(capsys, *args, *extra)
+        assert (code, parse_csv(out)[0]["mode"]) == (0, "exact")
+    monkeypatch.setattr(ifs_jump, "BREAK_EVEN_SAMPLES", 0)
+    monkeypatch.setattr(ifs_jump, "ORBIT_BUDGET", 1000)
+    _, out, _ = run_cli(capsys, *args, "--c2", "true", "--t-search", "4", "--samples", "50")
+    assert parse_csv(out)[0]["mode"] == "mixed"
+
+
+def test_a_library_report_claims_no_mode():
+    from ergokit import DiagnosticReport
+
+    assert DiagnosticReport("custom").mode is None
+
+
 # ---------------------------------------------------------------------------
 # config files, overrides, plots, determinism
 
@@ -863,6 +883,7 @@ def test_lowerbound_over_the_orbit_budget_is_sampled(tmp_path, monkeypatch):
     # 0.6.0 ones
     from ergokit import ifs_jump
 
+    monkeypatch.setattr(ifs_jump, "BREAK_EVEN_SAMPLES", 0)
     monkeypatch.setattr(ifs_jump, "ORBIT_BUDGET", 1000)
     table = tmp_path / "lb.csv"
     assert main(_PINNED_LOWERBOUND + ["--out", str(table)]) == 0

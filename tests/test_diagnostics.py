@@ -202,8 +202,10 @@ def test_mixed_mode_when_only_some_starts_are_exact(monkeypatch):
     from ergokit import ifs_jump
 
     left, weights, _, _ = ifs_jump._poisson_window(20.0)
+    steps = left + len(weights) - 1
+    monkeypatch.setattr(ifs_jump, "BREAK_EVEN_SAMPLES", 0)
     monkeypatch.setattr(ifs_jump, "ORBIT_BUDGET",
-                        (1 + ifs_jump.SWEEP_STEP_POINTS) * (left + len(weights) - 1))
+                        (1 + ifs_jump.SWEEP_STEP_POINTS) * steps + ifs_jump.NODE_POINTS)
     model, _ = example_halving(1.0)
     mc = McSettings(n_samples=300, seed=5)
     ec = ec_profile(model, F, 0.0, [0.5], 20.0, 20.0, [20.0], mc)

@@ -700,9 +700,36 @@ def test_exact_laws_are_none_under_a_moving_flow_or_over_budget(monkeypatch):
     assert _expflow_model().exact_laws(0.5, [1.0]) is None
     model, _ = example_halving(1.0)
     assert model.exact_laws(2.0, [20.0]) is not None
+    monkeypatch.setattr(ifs_jump, "BREAK_EVEN_SAMPLES", 0)
     monkeypatch.setattr(ifs_jump, "ORBIT_BUDGET", 1000)
     assert model.exact_laws(2.0, [20.0]) is None
     assert model.exact_laws(2.0, [0.0]) is not None
+
+
+def test_orbit_build_stops_at_its_budget():
+    # maps x/2 and (x+1)/2 never repeat a point: the build gives up at the
+    # first point past those the budget pays for, not at the end of a BFS
+    # level; each node it built found two new points
+    model = IfsModel(name="orbit", maps=(lambda x: x / 2.0, lambda x: (x + 1.0) / 2.0),
+                     prob_field=lambda x: (0.5, 0.5), rate=1.0)
+    steps = 40
+    limit = 100
+    budget = ifs_jump.SWEEP_STEP_POINTS * steps + limit * (steps + ifs_jump.NODE_POINTS)
+    assert model._orbit(0.3, steps, budget) is None
+    assert len(model._memo) == limit // 2
+    assert model._orbit(0.3, 5, budget) is not None
+    assert model._orbit(0.3, steps, budget - 1 - limit * (steps + ifs_jump.NODE_POINTS)) is None
+
+
+def test_exact_laws_budget_follows_the_sampling_cost():
+    # the budget is what BREAK_EVEN_SAMPLES trajectories to the latest time
+    # cost: a longer window pays for more orbit points
+    model = IfsModel(name="orbit", maps=(lambda x: x / 2.0, lambda x: (x + 1.0) / 2.0),
+                     prob_field=lambda x: (0.5, 0.5), rate=1.0)
+    assert model.exact_laws(0.3, [20.0]) is None
+    assert model.exact_laws(0.3, [0.0]) is not None
+    halving, _ = example_halving(1.0)
+    assert halving.exact_laws(10.0, [5e3]) is not None
 
 
 def test_exact_laws_reject_bad_times():
@@ -717,17 +744,27 @@ def test_exact_law_masses_are_the_samplers():
     # mass is clipped at 1, so every row sums to 1
     model = IfsModel(name="slack", maps=(lambda x: x / 2.0, lambda x: x),
                      prob_field=lambda x: (1.0 + 5e-10, 1e-10), rate=1.0)
-    points, dst, mass = model._orbit(1.0, 3)
+    points, dst, mass = model._orbit(1.0, 3, ifs_jump.ORBIT_BUDGET)
     assert points == [1.0, 0.5, 0.25, 0.125]
     assert mass.sum(axis=0).tolist() == [1.0, 1.0, 1.0, 0.0]
     assert mass[1].tolist() == [0.0] * 4
 
 
-@pytest.mark.parametrize("name", sorted(_MEMO_MODELS))
+def _float32_model():
+    # the field of test_field_return_types_select_as_the_reference: its
+    # running sums, and so the sampler's choices, are float32
+    def field(x):
+        return tuple(np.float32(w) for w in ((0.1, 0.2, 0.7) if x < 1.0 else (0.7, 0.2, 0.1)))
+
+    return IfsModel(name="float32", maps=(lambda x: x / 2.0, lambda x: x, lambda x: 2.0 * x),
+                    prob_field=field, rate=1.0)
+
+
+@pytest.mark.parametrize("name", sorted(_MEMO_MODELS) + ["float32"])
 def test_model_warmed_by_exact_laws_matches_reference_bit_for_bit(name):
     # the sweep builds a memo node on a point's first visit, and records no
     # point as seen once; the sampler then jumps from those nodes
-    model = _MEMO_MODELS[name]()
+    model = _MEMO_MODELS[name]() if name in _MEMO_MODELS else _float32_model()
     for x0 in (0.3, 1.0, 4.0, 9.0):
         model.exact_laws(x0, [40.0])
     assert model._memo and not model._seen
@@ -738,3 +775,7 @@ def test_model_warmed_by_exact_laws_matches_reference_bit_for_bit(name):
         got.append(model.terminal_state(x0, 40.0, factory.stream(0, k)))
         want.append(_ref_terminal_state(model, x0, 40.0, factory.stream(0, k)))
     assert _same_bits(got, want)
+    if name == "float32":  # the first jump from 0.5 at u = 0.1000000001 takes w2
+        values = [0.5, 0.1000000001, 0.5]
+        traj = sample_jump_chain(model, 0.5, 1.0, _StubStream(values))
+        assert 0.5 in model._memo and traj.index.tolist() == [2]
