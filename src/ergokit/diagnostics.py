@@ -107,16 +107,18 @@ def _split(process, cells: list, sample) -> tuple:
     gets the cells without exact laws in order, as its stream cells 0, 1,
     ..., and returns one result per cell."""
     exact_laws = getattr(process, "exact_laws", None)
-    grids: dict = {}
-    for x, t in cells:
-        grids.setdefault(x, {})[t] = None
-    for x, grid in grids.items():
-        try:
-            laws = None if exact_laws is None else exact_laws(x, list(grid))
-        except Exception as exc:
-            laws = [f"exact law from x={x}: {exc}"] * len(grid)
-        grids[x] = None if laws is None else dict(zip(grid, laws))
-    known = [None if grids[x] is None else grids[x][t] for x, t in cells]
+    known = [None] * len(cells)
+    if exact_laws is not None:
+        grids: dict = {}
+        for x, t in cells:
+            grids.setdefault(x, {})[t] = None
+        for x, grid in grids.items():
+            try:
+                laws = exact_laws(x, list(grid))
+            except Exception as exc:
+                laws = [f"exact law from x={x}: {exc}"] * len(grid)
+            grids[x] = None if laws is None else dict(zip(grid, laws))
+        known = [None if grids[x] is None else grids[x][t] for x, t in cells]
     sampled = [cell for cell, law in zip(cells, known) if law is None]
     results = iter(sample(sampled) if sampled else ())
     return ([next(results) if law is None else law for law in known],
