@@ -63,8 +63,8 @@ MEMO_NODES = 4096
 # Exact-law work is counted in point-steps, the cost of carrying one orbit
 # point through one sweep step. tools/orbit_costs.py measures the ratios;
 # on a shared 2-vCPU x86-64 machine under numpy 2.4 a point-step took
-# 12-17 ns, a sweep step 160-270 point-steps on top of its points, building
-# an orbit point 185-285 and a sampled jump 55-145, over three runs.
+# 11-17 ns, a sweep step 160-420 point-steps on top of its points, building
+# an orbit point 185-285 and a sampled jump 55-145, over four runs.
 SWEEP_STEP_POINTS = 210
 NODE_POINTS = 230
 JUMP_POINTS = 100
