@@ -290,57 +290,43 @@ def _fmt_cell(v) -> str:
     return "" if v is None else str(v)
 
 
-# The ``%`` form of a cell whose type is exactly int or float: such a cell
-# prints as ``_fmt_cell`` prints it and never needs CSV quoting. Subclasses
-# are left out: ``"%d" % True`` is ``1`` where ``str(True)`` is ``True``.
-_CELL_TEMPLATES = {int: "%d", float: "%.17g"}
-
 # rows formatted per write of a CSV table: a chunk stays small beside a
 # long table, and the writes stay few
 _CHUNK_ROWS = 1024
 
 
-def _row_template(types: tuple) -> Optional[str]:
-    """The one-``%`` line template of rows with these cell types, or None
-    when a cell needs ``csv.writer``."""
-    cells = [_CELL_TEMPLATES.get(t) for t in types]
-    return None if None in cells else ",".join(cells) + "\n"
-
-
-def _csv_chunks(manifest: dict, columns: Sequence[str], rows: Iterable[Sequence]):
-    """Yield the CSV text of a table, ``_CHUNK_ROWS`` rows at a time.
-
-    A row of plain ints and floats is written with one ``%`` template,
-    cached on its cell types; any other row goes through ``csv.writer``.
-    Both give the same bytes.
-    """
+def _csv_chunks(manifest: dict, columns: Sequence[str], rows: Iterable, blocks: bool):
+    """Yield the CSV text of a table: rows through ``csv.writer``,
+    ``_CHUNK_ROWS`` at a time, or blocks (see ``_write``) one at a time,
+    each with one ``%`` template that prints its cells as ``_fmt_cell``."""
     lines = ["".join(f"# {k}={manifest[k]}\n" for k in sorted(manifest))]
-    # csv.writer appends to the same list, so both kinds of row keep their order
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(columns)
-    templates: dict = {}
+    if blocks:
+        yield "".join(lines)
+        for lead, cols in rows:
+            if len(cols[0]):
+                template = "".join(f"{v}," for v in lead) + ",".join(
+                    "%d" if type(col[0]) is int else "%.17g" for col in cols) + "\n"
+                yield "".join(map(template.__mod__, zip(*cols)))
+        return
     for n, row in enumerate(rows, start=1):
-        types = tuple(map(type, row))
-        if types not in templates:
-            templates[types] = _row_template(types)
-        template = templates[types]
-        if template is None:
-            writer.writerow([_fmt_cell(v) for v in row])
-        else:
-            lines.append(template % tuple(row))
+        writer.writerow([_fmt_cell(v) for v in row])
         if n % _CHUNK_ROWS == 0:
             yield "".join(lines)
             lines.clear()
     yield "".join(lines)
 
 
-def _format_table(manifest: dict, columns: Sequence[str], rows: Iterable[Sequence],
-                  fmt: str) -> Iterable[str]:
+def _format_table(manifest: dict, columns: Sequence[str], rows: Iterable, fmt: str,
+                  blocks: bool = False) -> Iterable[str]:
     """The text of a table as chunks: CSV is formatted as the chunks are
     read, JSON is one document. An unknown format raises at once."""
     if fmt == "csv":
-        return _csv_chunks(manifest, columns, rows)
+        return _csv_chunks(manifest, columns, rows, blocks)
     if fmt == "json":
+        if blocks:
+            rows = (lead + row for lead, cols in rows for row in zip(*cols))
         doc = {
             "manifest": dict(sorted(manifest.items())),
             "columns": list(columns),
@@ -363,14 +349,18 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
 
 
 def _write(settings: Settings, command: str, schema: str, columns: Sequence[str],
-           rows: Iterable[Sequence], chart=None, mode: Optional[str] = None) -> int:
+           rows: Iterable, chart=None, mode: Optional[str] = None, blocks: bool = False) -> int:
     """Write a command's table and its ``--plot`` chart; returns the exit status.
 
     The manifest is taken after every option has been read, so it records
     each one that shapes the output, and the engine ``mode`` when given.
-    ``rows`` is read once, as the table is written. ``chart`` is ``(title, ylabel, points)`` with ``points`` an
-    iterable of ``(series, t, value)``, read only when a chart is asked
-    for. The status is 1 if any row has an error, else 0.
+    ``rows`` is read once, as the table is written. With ``blocks`` it
+    yields ``(lead, cols)`` blocks of rows instead: ``lead`` holds the
+    leading ints every row of the block shares, ``cols`` the other columns
+    as equal-length sequences, each of exact ints or exact floats, and
+    there is no error column. ``chart`` is ``(title, ylabel, points)`` with
+    ``points`` an iterable of ``(series, t, value)``, read only when a
+    chart is asked for. The status is 1 if any row has an error, else 0.
     """
     fmt = settings.get("format", "csv")
     out = settings.get("out", None)
@@ -389,7 +379,7 @@ def _write(settings: Settings, command: str, schema: str, columns: Sequence[str]
     manifest = settings.manifest(command, schema)
     if mode is not None:
         manifest["mode"] = mode
-    _emit(_format_table(manifest, columns, rows, fmt), out)
+    _emit(_format_table(manifest, columns, rows, fmt, blocks), out)
     if plot:
         title, ylabel, points = chart
         series: dict = {}
@@ -452,18 +442,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trajectories = [sample_jump_chain(model, x0, horizon, factory.stream(0, k))
                     for k in range(count)]
 
-    def rows():
-        for k, traj in enumerate(trajectories):
-            records = zip(traj.tau.tolist(), traj.xi.tolist(), traj.index.tolist(),
-                          traj.phi.tolist())
-            for j, (tau, xi, index, phi) in enumerate(records, start=1):
-                yield k, j, tau, xi, index, phi
-
+    # one block per trajectory, its lists made only as it is written
+    blocks = (((k,), (range(1, len(traj) + 1), traj.tau.tolist(), traj.xi.tolist(),
+                      traj.index.tolist(), traj.phi.tolist()))
+              for k, traj in enumerate(trajectories))
     return _write(settings, "simulate", "trajectories-v1",
-                  ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"), rows(),
+                  ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"), blocks,
                   (f"{name} trajectories", "state",
                    ((f"traj {k}", tau, phi) for k, traj in enumerate(trajectories)
-                    for tau, phi in zip(traj.tau.tolist(), traj.phi.tolist()))))
+                    for tau, phi in zip(traj.tau.tolist(), traj.phi.tolist()))), blocks=True)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -643,14 +630,17 @@ def _add_common(parser: argparse.ArgumentParser, estimates: bool = True) -> None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags are matched in full: a manifest's mode= line fed back as --mode
+    # must not be read as --model
     parser = argparse.ArgumentParser(
         prog="ergokit",
         description="simulation and ergodicity diagnostics for jump processes on the half-line",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"ergokit {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("exact-ctmc", help="closed-form chain tables")
+    p = commands.add_parser("exact-ctmc", help="closed-form chain tables", allow_abbrev=False)
     p.add_argument("--config")
     p.add_argument("--n", help="cascade level (n >= 2)")
     p.add_argument("--t", help="time")
@@ -659,14 +649,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(func=cmd_exact_ctmc)
 
-    p = commands.add_parser("simulate", help="dump jump-chain trajectories")
+    p = commands.add_parser("simulate", help="dump jump-chain trajectories", allow_abbrev=False)
     _add_common(p, estimates=False)
     p.add_argument("--x0", help="initial point")
     p.add_argument("--horizon", help="time horizon")
     p.add_argument("--trajectories", help="number of trajectories")
     p.set_defaults(func=cmd_simulate)
 
-    p = commands.add_parser("estimate", help="Monte Carlo expectation / hit tables")
+    p = commands.add_parser("estimate", help="Monte Carlo expectation / hit tables",
+                            allow_abbrev=False)
     _add_common(p)
     p.add_argument("--x0", help="comma list of initial points")
     p.add_argument("--times", help="comma list of times")
@@ -674,10 +665,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ball", help="hit region <center>,<radius>")
     p.set_defaults(func=cmd_estimate)
 
-    p = commands.add_parser("diagnose", help="ergodicity diagnostics")
+    p = commands.add_parser("diagnose", help="ergodicity diagnostics", allow_abbrev=False)
     sub = p.add_subparsers(dest="subdiagnostic", required=True)
 
-    d = sub.add_parser("ec", help="late-time sensitivity profile near an anchor")
+    d = sub.add_parser("ec", help="late-time sensitivity profile near an anchor", allow_abbrev=False)
     _add_common(d)
     d.add_argument("--f")
     d.add_argument("--z", help="anchor point")
@@ -687,14 +678,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--grid", help="comma list of times inside the window")
     d.set_defaults(func=cmd_diagnose)
 
-    d = sub.add_parser("eprop", help="equicontinuity failure witnesses")
+    d = sub.add_parser("eprop", help="equicontinuity failure witnesses", allow_abbrev=False)
     _add_common(d)
     d.add_argument("--f")
     d.add_argument("--z")
     d.add_argument("--pairs", help="'auto' or comma list of x@t")
     d.set_defaults(func=cmd_diagnose)
 
-    d = sub.add_parser("lowerbound", help="late-time neighborhood hit floor")
+    d = sub.add_parser("lowerbound", help="late-time neighborhood hit floor", allow_abbrev=False)
     _add_common(d)
     d.add_argument("--z")
     d.add_argument("--eps")
@@ -702,14 +693,15 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--t-grid", dest="t_grid")
     d.set_defaults(func=cmd_diagnose)
 
-    d = sub.add_parser("stability", help="bounded-Lipschitz distance decay")
+    d = sub.add_parser("stability", help="bounded-Lipschitz distance decay", allow_abbrev=False)
     _add_common(d)
     d.add_argument("--z", help="reference point mass location")
     d.add_argument("--initials", help="comma list of initial points")
     d.add_argument("--t-grid", dest="t_grid")
     d.set_defaults(func=cmd_diagnose)
 
-    d = sub.add_parser("assumptions", help="contraction / modulus / budget audits")
+    d = sub.add_parser("assumptions", help="contraction / modulus / budget audits",
+                       allow_abbrev=False)
     _add_common(d)
     d.add_argument("--x-grid", dest="x_grid")
     d.add_argument("--n-trunc", dest="n_trunc")

@@ -282,8 +282,9 @@ class IfsModel:
 
     def exact_laws(self, x0: float, times) -> Optional[list]:
         """Time-t laws from x0, one ``(law, bound)`` pair per t in times;
-        None under a moving flow or when the work would pass its budget
-        (see ``BREAK_EVEN_SAMPLES``).
+        None under a moving flow, for a field whose running sums are not
+        floats (float32 weights select in float32), or when the work would
+        pass its budget (see ``BREAK_EVEN_SAMPLES``).
 
         Under the identity flow the system is already uniformized (a map
         that stays put is a self-loop), so the law at t is the Poisson(rate
@@ -345,11 +346,12 @@ class IfsModel:
     def _orbit(self, x: float, steps: int, budget: float):
         """``(points, dst, mass)``: the points within ``steps`` jumps of x,
         x first, where map k takes point i to ``dst[k - 1, i]`` with mass
-        ``mass[k - 1, i]``; None as soon as building and sweeping the points
-        found would cost more than ``budget`` point-steps. A first visit
-        builds the point's memo node, kept while the sampler's room allows
-        (never for zero). Absorbing points are self-loops; zero-mass maps
-        and the points ``steps`` jumps away have self-loops of mass 0.
+        ``mass[k - 1, i]``; None at a node whose running sums are not floats,
+        or as soon as building and sweeping the points found would cost
+        more than ``budget`` point-steps. A first visit builds the point's
+        memo node, kept while the sampler's room allows (never for zero).
+        Absorbing points are self-loops; zero-mass maps and the points
+        ``steps`` jumps away have self-loops of mass 0.
         """
         room = (budget - SWEEP_STEP_POINTS * steps) // (steps + NODE_POINTS) - 1
         if room < 0:
@@ -377,7 +379,9 @@ class IfsModel:
                 cum, succ = node
                 below = 0.0
                 for k in range(1, n_maps + 1):
-                    top = float(cum[k])
+                    top = cum[k]
+                    if not isinstance(top, float):
+                        return None
                     if top > 1.0:
                         top = 1.0
                     if top > below:

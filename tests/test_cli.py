@@ -534,6 +534,19 @@ def test_manifest_reruns_to_identical_bytes(tmp_path):
         assert out1.read_bytes() == out2.read_bytes(), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "lowerbound", "--z", "0", "--x-grid", "1", "--t-grid", "1", "--mode", "exact"],
+    ["simulate", "--model", "flip", "--x0", "0.5", "--traj", "2"],
+])
+def test_abbreviated_flags_are_rejected(capsys, argv):
+    # a manifest's mode= line fed back as --mode must not run a model
+    # named after it: flags are matched in full, never as prefixes
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
 def test_config_file_lambda_key(tmp_path, capsys):
     cfg = tmp_path / "lam.cfg"
     cfg.write_text("model = halving\nlambda = 2.0\nx0 = 1\nhorizon = 2\n"
@@ -754,6 +767,24 @@ def test_csv_writer_matches_the_reference_formatter(monkeypatch, chunk_rows):
     assert streamed == _reference_csv(manifest, columns, rows)
 
 
+def test_blocks_match_the_rows_they_hold():
+    # a block's template prints ints past 2**53 with %d and every float as
+    # _fmt_cell does; JSON reads the same blocks as rows
+    from ergokit import cli
+
+    manifest = {"command": "simulate", "seed": "3"}
+    columns = ("traj_id", "k", "tau_k", "big")
+    floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, 2.0 / 3.0]
+    blocks = [((0,), (range(1, 9), floats, [2 ** 70 + j for j in range(8)])),
+              ((1,), (range(1, 1), [], [])),
+              ((2,), (range(1, 2), [1.5], [-7]))]
+    rows = [lead + row for lead, cols in blocks for row in zip(*cols)]
+    streamed = "".join(cli._format_table(manifest, columns, iter(blocks), "csv", blocks=True))
+    assert streamed == _reference_csv(manifest, columns, rows)
+    assert cli._format_table(manifest, columns, iter(blocks), "json", blocks=True) == \
+        cli._format_table(manifest, columns, iter(rows), "json")
+
+
 def test_csv_error_row_after_clean_rows_exits_one(tmp_path):
     import argparse
     from ergokit import cli
@@ -812,7 +843,7 @@ def test_simulate_peak_memory_stays_near_the_output_size(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # rows are formatted and written a chunk at a time, so nothing holds the
+    # rows are formatted and written a trajectory at a time, so nothing holds the
     # whole table: about 2x the file, against ~8x when every row was kept
     assert peak < 3 * out.stat().st_size
 
@@ -839,6 +870,59 @@ def test_simulate_bytes_are_pinned(tmp_path):
         "1433de09ca02856ae5fef4e0b06470de3fb228cd6d10bae117176f03ad263e4f"
     assert _digest_without_version(chart) == \
         "cab60590ea779585e6f363fc861970ba87e4efebda22aaa148a57f17161b9bac"
+
+
+def _edge_model(lam):
+    # post-jump points -0.0, the smallest subnormal and 1e308, and the
+    # halvings between them
+    from ergokit.ifs_jump import IfsModel
+
+    def shrink(x):
+        return 5e-324 if x >= 1.0 else -0.0
+
+    def grow(x):
+        return 1e308
+
+    def halve(x):
+        return x / 2.0
+
+    return IfsModel(name="edge", maps=(shrink, grow, halve),
+                    prob_field=lambda x: (0.3, 0.3, 0.4), rate=lam), None
+
+
+@pytest.mark.parametrize("x0, horizon, digest", [
+    ("2", "60", "9509010670ce5a67d032277718f8d22db3f1d7e5be4a3640373d550e89749785"),
+    ("-0", "60", "d9ef9fb2e07eb0896afbd7fa3495a10527589c73c1e0ee519e26390179d0814a"),
+    ("2", "0", "5deeff4377ab4be3381c04e1f1d8fca732a85714a42d0c09008c7f01d8cc64a9"),
+])
+def test_simulate_edge_values_match_the_reference_formatter(tmp_path, monkeypatch, x0,
+                                                            horizon, digest):
+    # each trajectory is written as one block; its bytes are those of every
+    # row through csv.writer, and the JSON is the 0.8.0 one
+    from ergokit import cli
+    from ergokit.montecarlo import StreamFactory
+
+    monkeypatch.setitem(cli._MODELS, "edge", (_edge_model, ()))
+    argv = ["simulate", "--model", "edge", f"--x0={x0}", "--horizon", horizon,
+            "--trajectories", "6", "--seed", "2"]
+    table, doc = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--out", str(table)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(doc)]) == 0
+    model, _ = _edge_model(1.0)
+    factory = StreamFactory(2)
+    rows = []
+    for k in range(6):
+        traj = cli.sample_jump_chain(model, float(x0), float(horizon), factory.stream(0, k))
+        rows += [(k, j, *cells) for j, cells in enumerate(
+            zip(traj.tau.tolist(), traj.xi.tolist(), traj.index.tolist(), traj.phi.tolist()),
+            start=1)]
+    if horizon == "0":
+        assert rows == []
+    else:
+        assert {"-0.0", "5e-324", "1e+308"} <= {repr(row[-1]) for row in rows}
+    manifest, columns, _ = parse_csv(table.read_text())
+    assert table.read_text() == _reference_csv(manifest, columns, rows)
+    assert _digest_without_version(doc) == digest
 
 
 _PINNED_LOWERBOUND = ["diagnose", "lowerbound", "--model", "halving", "--z", "0", "--eps", "0.1",
@@ -910,6 +994,19 @@ def test_moving_flow_is_sampled(capsys, monkeypatch):
     monkeypatch.setitem(cli._MODELS, "drift", (build, ()))
     code, out, _ = run_cli(capsys, "diagnose", "lowerbound", "--model", "drift", "--z", "0",
                            "--x-grid", "0.5", "--t-grid", "2", "--samples", "50")
+    assert code == 0
+    manifest, _, _ = parse_csv(out)
+    assert manifest["mode"] == "monte-carlo"
+
+
+def test_float32_field_is_sampled(capsys, monkeypatch):
+    # its sampler selects in float32, which a float64 sweep does not state
+    from ergokit import cli
+    from test_ifs_jump import _float32_model
+
+    monkeypatch.setitem(cli._MODELS, "float32", (lambda lam: (_float32_model(), None), ()))
+    code, out, _ = run_cli(capsys, "diagnose", "lowerbound", "--model", "float32", "--z", "0",
+                           "--x-grid", "0.5", "--t-grid", "0.001", "--samples", "50")
     assert code == 0
     manifest, _, _ = parse_csv(out)
     assert manifest["mode"] == "monte-carlo"

@@ -779,3 +779,16 @@ def test_model_warmed_by_exact_laws_matches_reference_bit_for_bit(name):
         values = [0.5, 0.1000000001, 0.5]
         traj = sample_jump_chain(model, 0.5, 1.0, _StubStream(values))
         assert 0.5 in model._memo and traj.index.tolist() == [2]
+
+
+def test_float32_field_has_no_exact_laws():
+    # the sampler compares u with the float32 running sum in float32, so at
+    # u = 0.1 it takes w2, while a float64 sweep would give w1 the mass
+    # 0.1000000015 > 0.1: the law it samples is left to sampling
+    model = _float32_model()
+    traj = sample_jump_chain(model, 0.5, 1.0, _StubStream([0.5, 0.1, 0.5]))
+    assert traj.index.tolist() == [2]
+    assert model.exact_laws(0.5, [1e-3]) is None
+    float64 = IfsModel(name="float64", maps=model.maps, rate=1.0,
+                       prob_field=lambda x: (0.1, 0.2, 0.7) if x < 1.0 else (0.7, 0.2, 0.1))
+    assert float64.exact_laws(0.5, [1e-3]) is not None
