@@ -1046,3 +1046,50 @@ def test_simulate_negative_zero_bytes_on_a_warm_model(tmp_path, monkeypatch):
     lines = [line for line in minus.read_text().splitlines() if not line.startswith("#")]
     rows = [line.split(",") for line in lines[1:]]
     assert rows and all(row[-1] == "-0" for row in rows)
+
+
+def _drift_model(lam):
+    # a registered model under a moving flow, so it has no exact laws
+    from ergokit.ifs_jump import ExponentialFlow, IfsModel
+
+    def halve(x):
+        return x / 2.0
+
+    def stay(x):
+        return x
+
+    return IfsModel(name="drift", maps=(halve, stay), prob_field=lambda x: (0.5, 0.5),
+                    rate=lam, flow=ExponentialFlow(0.01)), None
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["exact-ctmc", "--n", "3", "--t", "2"],
+     "2cfbd96dd26744ffc9a42c3e0fd281e62d4ccda30cdc6aa46281a2afe9633b79"),
+    (["exact-ctmc", "--n", "5", "--t", "0.7", "--f", "const:3"],
+     "fa683977b44d0440d59db85015dc08dc97cd5f0090b578bf3ce2932e750524b6"),
+    (["exact-ctmc", "--n", "3", "--t", "2", "--f", "bump:0,1,0.5", "--format", "json"],
+     "22993d8d3cc3e2f639e1d8761c80ba27a85542fae1b85d04541df63c95422140"),
+    (["estimate", "--model", "ctmc", "--x0", "low:2,low:4,high:3", "--times", "1,4,16",
+      "--f", "xmin1", "--ball", "0,0.1", "--samples", "600"],
+     "e813c56e06f12d7dfe142dcfa559e55d73a46b69debf0f03bc6242e3524ffe2e"),
+    (["diagnose", "stability", "--model", "ctmc", "--initials", "low:2,high:3",
+      "--t-grid", "1,4", "--samples", "200", "--seed", "5"],
+     "e319aeac049d599d373513c42b02d49d7cf1601d6a7434ccd7e48719ef8aa3eb"),
+    (["diagnose", "stability", "--model", "drift", "--initials", "0.5,2",
+      "--t-grid", "2,4", "--samples", "200", "--seed", "5"],
+     "c997a1f4c252c862568798cca7a22a45c2cfec7ccb1f98fcfe84a9d6d0619531"),
+    (["diagnose", "eprop", "--model", "ctmc"],
+     "1582b668e48059196b04aa8080a51fd70c015c369452824fddef187bf5fc8b32"),
+    (["diagnose", "assumptions", "--c2", "true", "--samples", "200"],
+     "a91af6ab4e30e326adaf46476a397b6abedd9dcf7bf9e73231f9615c8b959395"),
+], ids=["exact-ctmc-p", "exact-ctmc-const", "exact-ctmc-bump-json", "ctmc-estimate",
+        "stability-ctmc", "stability-drift", "eprop-ctmc", "assumptions-c2"])
+def test_table_bytes_are_pinned(tmp_path, monkeypatch, argv, digest):
+    # digests of the 0.8.0 tables: the chain's closed form, its sampled
+    # estimates and the diagnostics on the ctmc, halving and drift models
+    from ergokit import cli
+
+    monkeypatch.setitem(cli._MODELS, "drift", (_drift_model, ()))
+    table = tmp_path / "table"
+    assert main(argv + ["--out", str(table)]) == 0
+    assert _digest_without_version(table) == digest
