@@ -49,7 +49,7 @@ from .ifs_jump import (
     linear_modulus,
     sample_jump_chain,
 )
-from .montecarlo import StreamFactory, _time_grid, resolve_workers, run_batch
+from .montecarlo import StreamFactory, _check_seed, _time_grid, resolve_workers, run_batch
 
 
 class CliError(Exception):
@@ -227,10 +227,7 @@ class Settings:
 
 
 def _floats(text) -> list:
-    if isinstance(text, list):
-        return [float(v) for v in text]
-    vals = [float(p) for p in str(text).split(",") if p.strip()]
-    return vals
+    return [float(p) for p in str(text).split(",") if p.strip()]
 
 
 def _positive_float(text) -> float:
@@ -251,13 +248,6 @@ def _positive_int(text) -> int:
     v = int(text)
     if v < 1:
         raise ValueError("must be a positive integer")
-    return v
-
-
-def _seed(text) -> int:
-    v = int(text)
-    if not 0 <= v < 2 ** 64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
     return v
 
 
@@ -290,38 +280,29 @@ def _fmt_cell(v) -> str:
     return "" if v is None else str(v)
 
 
-# rows formatted per write of a CSV table: a chunk stays small beside a
-# long table, and the writes stay few
-_CHUNK_ROWS = 1024
-
-
 def _csv_chunks(manifest: dict, columns: Sequence[str], rows: Iterable, blocks: bool):
-    """Yield the CSV text of a table: rows through ``csv.writer``,
-    ``_CHUNK_ROWS`` at a time, or blocks (see ``_write``) one at a time,
-    each with one ``%`` template that prints its cells as ``_fmt_cell``."""
+    """Yield the CSV text of a table: rows through ``csv.writer``, all in
+    one chunk, or blocks (see ``_write``) one at a time, each with one
+    ``%`` template that prints its cells as ``_fmt_cell``."""
     lines = ["".join(f"# {k}={manifest[k]}\n" for k in sorted(manifest))]
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(columns)
+    if not blocks:
+        writer.writerows([_fmt_cell(v) for v in row] for row in rows)
+    yield "".join(lines)
     if blocks:
-        yield "".join(lines)
         for lead, cols in rows:
             if len(cols[0]):
                 template = "".join(f"{v}," for v in lead) + ",".join(
                     "%d" if type(col[0]) is int else "%.17g" for col in cols) + "\n"
                 yield "".join(map(template.__mod__, zip(*cols)))
-        return
-    for n, row in enumerate(rows, start=1):
-        writer.writerow([_fmt_cell(v) for v in row])
-        if n % _CHUNK_ROWS == 0:
-            yield "".join(lines)
-            lines.clear()
-    yield "".join(lines)
 
 
 def _format_table(manifest: dict, columns: Sequence[str], rows: Iterable, fmt: str,
                   blocks: bool = False) -> Iterable[str]:
-    """The text of a table as chunks: CSV is formatted as the chunks are
-    read, JSON is one document. An unknown format raises at once."""
+    """The text of a table as chunks: CSV blocks are formatted as the
+    chunks are read, JSON is one document. An unknown format raises at
+    once."""
     if fmt == "csv":
         return _csv_chunks(manifest, columns, rows, blocks)
     if fmt == "json":
@@ -354,28 +335,19 @@ def _write(settings: Settings, command: str, schema: str, columns: Sequence[str]
 
     The manifest is taken after every option has been read, so it records
     each one that shapes the output, and the engine ``mode`` when given.
-    ``rows`` is read once, as the table is written. With ``blocks`` it
-    yields ``(lead, cols)`` blocks of rows instead: ``lead`` holds the
-    leading ints every row of the block shares, ``cols`` the other columns
-    as equal-length sequences, each of exact ints or exact floats, and
-    there is no error column. ``chart`` is ``(title, ylabel, points)`` with
-    ``points`` an iterable of ``(series, t, value)``, read only when a
-    chart is asked for. The status is 1 if any row has an error, else 0.
+    ``rows`` is the list of the table's rows. With ``blocks`` it is an
+    iterable of ``(lead, cols)`` blocks of rows instead, read once as the
+    table is written: ``lead`` holds the leading ints every row of the
+    block shares, ``cols`` the other columns as equal-length sequences,
+    each of exact ints or exact floats, and there is no error column.
+    ``chart`` is ``(title, ylabel, points)`` with ``points`` an iterable of
+    ``(series, t, value)``, read only when a chart is asked for. The
+    status is 1 if any row has an error, else 0.
     """
     fmt = settings.get("format", "csv")
     out = settings.get("out", None)
     plot = settings.get("plot", None)
-    status = 0
-
-    def checked(rows):
-        nonlocal status
-        for row in rows:
-            if row[-1]:
-                status = 1
-            yield row
-
-    if columns[-1] == "error":
-        rows = checked(rows)
+    status = int(columns[-1] == "error" and any(row[-1] for row in rows))
     manifest = settings.manifest(command, schema)
     if mode is not None:
         manifest["mode"] = mode
@@ -401,7 +373,7 @@ _REPORT_COLUMNS = ("label", "x", "t", "value", "half_width", "error")
 def _mc_settings(settings: Settings, default_samples: int = 10_000) -> McSettings:
     return McSettings(
         n_samples=settings.get("samples", default_samples, _positive_int),
-        seed=settings.get("seed", 0, _seed),
+        seed=settings.get("seed", 0, _check_seed),
         confidence=settings.get("confidence", 0.999, _confidence),
         workers=resolve_workers(settings.get("workers", None, _positive_int)),
     )
@@ -436,7 +408,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     horizon = settings.get("horizon", 10.0, _nonneg_float)
     count = settings.get("trajectories", 1, _positive_int)
     settings.get("workers", None, _positive_int)  # validated only: simulate runs in one process
-    factory = StreamFactory(settings.get("seed", 0, _seed))
+    factory = StreamFactory(settings.get("seed", 0, _check_seed))
     # every trajectory is sampled before anything is written, so a failure
     # leaves no output
     trajectories = [sample_jump_chain(model, x0, horizon, factory.stream(0, k))
@@ -528,9 +500,9 @@ def _report_points(report: DiagnosticReport):
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     sub = args.subdiagnostic
+    settings = Settings(args)
+    name, process, assume = _model(settings, "halving" if sub == "assumptions" else None)
     if sub == "ec":
-        settings = Settings(args)
-        name, process, _ = _model(settings)
         f = _function(settings, "xmin1")
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), required=True)
         xs = _starts(settings, "xs", name)
@@ -542,8 +514,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             settings.resolved["grid"] = grid
         report = ec_profile(process, f, z, xs, T, t_max, grid, _mc_settings(settings))
     elif sub == "eprop":
-        settings = Settings(args)
-        name, process, _ = _model(settings)
         f = _function(settings, "xmin1")
         default_z = "zero" if name == "ctmc" else "0"
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), default=None)
@@ -554,16 +524,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         pairs = _auto_pairs(name) if pairs_spec == "auto" else _parse_pairs(name, pairs_spec)
         report = eproperty_witness(process, f, z, pairs, _mc_settings(settings))
     elif sub == "lowerbound":
-        settings = Settings(args)
-        name, process, _ = _model(settings)
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), required=True)
         eps = settings.get("eps", 0.1, _positive_float)
         x_grid = _starts(settings, "x_grid", name)
         t_grid = settings.get("t_grid", parse=_floats, required=True)
         report = lower_bound_scan(process, z, eps, x_grid, t_grid, _mc_settings(settings))
     elif sub == "stability":
-        settings = Settings(args)
-        name, process, _ = _model(settings)
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), default=None)
         anchor = 0.0 if z is None else _anchor(z)
         initials = _starts(settings, "initials", name)
@@ -571,8 +537,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         report = stability_report(process, initials, t_grid,
                                   EmpiricalMeasure.point_mass(anchor), _mc_settings(settings))
     elif sub == "assumptions":
-        settings = Settings(args)
-        name, model, assume = _model(settings, "halving")
         if assume is None:
             raise CliError(f"model {name!r} carries no assumption data to audit")
         x_grid = _starts(settings, "x_grid", name, required=False)
@@ -582,21 +546,21 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         report = DiagnosticReport("assumptions", mode="exact")  # the audits are exact
         moduli = [(_modulus_label(om), om) for om in (assume.omega,) + _MODELS[name][1]]
         report.add("b2_max_violation", f"{len(x_grid)}-point grid", "",
-                   check_b2(model, assume, x_grid), 0.0)
+                   check_b2(process, assume, x_grid), 0.0)
         for label, om in moduli:
             report.add("b3_max_violation", label, "",
-                       check_b3(model, assume, x_grid, omega=om), 0.0)
+                       check_b3(process, assume, x_grid, omega=om), 0.0)
         b5_grid = [x for x in x_grid if x <= assume.eta] or [assume.eta]
         if assume.eta not in b5_grid:
             b5_grid.append(assume.eta)
         for label, om in moduli:
             report.add("b5_residual", label, f"x<={assume.eta:g}",
-                       check_b5(model, assume, n_trunc, b5_grid, omega=om), 0.0)
+                       check_b5(process, assume, n_trunc, b5_grid, omega=om), 0.0)
         if settings.get("c2", False, _flag):
             radii = settings.get("eps", [0.1], _floats)
             t_search = settings.get("t_search", 512.0, _positive_float)
             c2_grid = _starts(settings, "c2_x_grid", name, [0.25, 1.0, 4.0])
-            c2_report = check_c2(model, assume.anchor, radii, c2_grid, t_search,
+            c2_report = check_c2(process, assume.anchor, radii, c2_grid, t_search,
                                  _mc_settings(settings, default_samples=2000))
             report.rows.extend(c2_report.rows)
             if c2_report.mode != "exact":

@@ -105,40 +105,31 @@ def _check_time(t: float) -> float:
     return t
 
 
-def transition_prob(i: CtmcState, j: CtmcState, t: float) -> float:
+def _law(i: CtmcState, t: float) -> tuple:
+    """The time-t law from i: its reachable ``(state, probability)`` pairs
+    in cascade order, so the state after k jumps is entry k."""
     t = _check_time(t)
+    zero = CtmcState.zero()
     if i.kind == _ZERO:
-        return 1.0 if j.kind == _ZERO else 0.0
-    n = i.n
-    decay = math.exp(-t / n)
-    if i.kind == _LOW:
-        if j == CtmcState.low(n):
-            return decay
-        if j == CtmcState.high(n):
-            return (t / n) * decay
-        if j.kind == _ZERO:
-            return 1.0 - decay - (t / n) * decay
-        return 0.0
-    # i.kind == _HIGH
-    if j == CtmcState.high(n):
-        return decay
-    if j.kind == _ZERO:
-        return 1.0 - decay
-    return 0.0
+        return ((zero, 1.0),)
+    decay = math.exp(-t / i.n)
+    if i.kind == _HIGH:
+        return ((i, decay), (zero, 1.0 - decay))
+    hop = (t / i.n) * decay
+    return ((i, decay), (CtmcState.high(i.n), hop), (zero, 1.0 - decay - hop))
+
+
+def transition_prob(i: CtmcState, j: CtmcState, t: float) -> float:
+    return dict(_law(i, t)).get(j, 0.0)
 
 
 def _reachable(i: CtmcState) -> tuple[CtmcState, ...]:
-    if i.kind == _ZERO:
-        return (CtmcState.zero(),)
-    if i.kind == _LOW:
-        return (CtmcState.low(i.n), CtmcState.high(i.n), CtmcState.zero())
-    return (CtmcState.high(i.n), CtmcState.zero())
+    return tuple(j for j, _ in _law(i, 0.0))
 
 
 def semigroup_apply(f: Union[TestFunction, Callable[[float], float]], i: CtmcState, t: float) -> float:
     """Exact expectation of f at time t from state i (at most three terms)."""
-    t = _check_time(t)
-    return sum(transition_prob(i, j, t) * f(j.value) for j in _reachable(i))
+    return sum(p * f(j.value) for j, p in _law(i, t))
 
 
 def _jumps(i: CtmcState, t: float, draw: Callable[[], float]) -> int:
@@ -219,8 +210,7 @@ class CtmcProcess:
 
     def exact_law(self, x0: CtmcState, t: float) -> EmpiricalMeasure:
         """The time-t distribution from x0 as a discrete measure."""
-        t = _check_time(t)
-        pts = {j.value: transition_prob(x0, j, t) for j in _reachable(x0)}
+        pts = {j.value: p for j, p in _law(x0, t)}
         support = np.array(sorted(pts))
         return EmpiricalMeasure(support, np.array([pts[s] for s in support]))
 

@@ -108,11 +108,13 @@ class IfsModel:
     ``maps`` and ``prob_field`` must be pure functions of the point. Under
     the identity flow a trajectory moves only through the points its maps
     produce, so the sampler keeps a memo per model object of the validated
-    weights at each nonzero point and of each map's output there: an
-    identity-flow model evaluates each of them once per distinct point
-    (for up to ``MEMO_NODES`` points). The memo is private and takes no
-    part in equality, hashing, ``repr`` or pickling; a copy or an
-    unpickled model starts with an empty one.
+    weights at each nonzero point and of each map's output there. A first
+    visit marks the point and the second builds its node (see
+    ``_node_at``): an identity-flow model evaluates ``prob_field`` at most
+    twice per distinct nonzero point, and each map at most twice there,
+    while the memo has room (``MEMO_NODES`` points). The memo is private
+    and takes no part in equality, hashing, ``repr`` or pickling; a copy
+    or an unpickled model starts with an empty one.
     """
 
     name: str
@@ -130,12 +132,12 @@ class IfsModel:
         self._reset_memo()
 
     def _reset_memo(self) -> None:
-        # the jump loop's memo: point -> node (see ``_node``), and point ->
-        # (weights, chosen map, post-jump point) of a point visited once.
-        # Every entry is a function of its point alone, so threads sharing
-        # a model can only repeat work and overshoot ``MEMO_NODES``.
+        # the memo: point -> node (see ``_node_at``), and the points the
+        # jump loop has visited once. Every entry is a function of its point
+        # alone, so threads sharing a model can only repeat work and
+        # overshoot ``MEMO_NODES``.
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_seen", {})
+        object.__setattr__(self, "_seen", set())
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -184,14 +186,13 @@ class IfsModel:
         point.
 
         Under the identity flow the model remembers the nonzero points it
-        visits, while its memo has room. A first visit records the point's
-        weights, choice and post-jump point; the second turns the record
-        into a node (see ``_node``), from which it and every later visit
-        take the choice by one bisection and the post-jump point from a
-        cache. Any other jump (moving flow, zero, a first visit, or a point
-        missing from a full memo) validates its probability vector inline
-        with plain float arithmetic, with the checks and messages of
-        ``_weights``, because this is the hot path.
+        visits, while its memo has room. A first visit marks the point; the
+        second builds its node (see ``_node_at``), from which it and every
+        later visit take the choice by one bisection and the post-jump
+        point from a cache. Any other jump (moving flow, zero, a first
+        visit, or a point missing from a full memo) validates its
+        probability vector inline with plain float arithmetic, with the
+        checks and messages of ``_weights``, because this is the hot path.
         """
         rate = self.rate
         flow = self.flow
@@ -227,12 +228,8 @@ class IfsModel:
             else:
                 pre = x
                 node = lookup(pre)
-                if node is None and room:
-                    first = seen.pop(pre, None)
-                    if first is not None:  # second visit
-                        w, chosen, y = first
-                        node = memo[pre] = _node(pre, w)
-                        node[1][chosen] = y
+                if node is None and pre in seen:  # second visit
+                    node = self._node_at(pre)
             if i == BLOCK:
                 buf = stream.random(BLOCK).tolist()
                 i = 0
@@ -271,7 +268,7 @@ class IfsModel:
                 # 0.0 and -0.0 are one key but keep their sign through the
                 # maps, so zero never enters the memo
                 if room and pre:
-                    seen[pre] = (tuple(w), chosen, x)  # a field may reuse a list
+                    seen.add(pre)
                     room -= 1
             if record is not None:
                 taus(now)
@@ -349,14 +346,14 @@ class IfsModel:
         ``mass[k - 1, i]``; None at a node whose running sums are not floats,
         or as soon as building and sweeping the points found would cost
         more than ``budget`` point-steps. A first visit builds the point's
-        memo node, kept while the sampler's room allows (never for zero).
+        memo node (see ``_node_at``).
         Absorbing points are self-loops; zero-mass maps and the points
         ``steps`` jumps away have self-loops of mass 0.
         """
         room = (budget - SWEEP_STEP_POINTS * steps) // (steps + NODE_POINTS) - 1
         if room < 0:
             return None
-        memo, seen, absorbing = self._memo, self._seen, self.absorbing
+        memo, absorbing = self._memo, self.absorbing
         n_maps = len(self.maps)
         index = {x: 0}
         points = [x]
@@ -370,13 +367,7 @@ class IfsModel:
                     dst += [i] * n_maps
                     mass += [1.0] + [0.0] * (n_maps - 1)
                     continue
-                node = memo.get(p)
-                if node is None:
-                    node = _node(p, self._weights(p))
-                    if p and (seen.pop(p, None) is not None
-                              or len(memo) + len(seen) < MEMO_NODES):
-                        memo[p] = node
-                cum, succ = node
+                cum, succ = memo.get(p) or self._node_at(p)
                 below = 0.0
                 for k in range(1, n_maps + 1):
                     top = cum[k]
@@ -412,12 +403,38 @@ class IfsModel:
         return (points, np.array(dst, dtype=np.intp).reshape(shape).T.copy(),
                 np.array(mass).reshape(shape).T.copy())
 
+    def _node_at(self, x: float) -> tuple:
+        """Memo node ``(cum, succ)`` of the point x, from ``_weights(x)``;
+        the memo keeps it when x != 0 and x was visited once or the memo
+        has room.
+
+        ``cum`` is [0.0] followed by the running sums ``acc += p`` of the
+        weights, with +inf from the last map of positive weight on. The
+        weights are nonnegative and a uniform u lies in [0, 1), so
+        ``bisect_right(cum, u)`` is the inline choice: the first map whose
+        running sum exceeds u, or that last map when float slack leaves u
+        above the sum. ``succ[k]`` caches map k's output at the point,
+        filled the first time map k is taken.
+        """
+        w = self._weights(x)
+        cum = list(accumulate(w, initial=0.0))
+        last = _fallback(w, x)
+        cum[last:] = [math.inf] * (len(cum) - last)
+        node = cum, [None] * len(cum)
+        memo, seen = self._memo, self._seen
+        if x and (x in seen or len(memo) + len(seen) < MEMO_NODES):
+            seen.discard(x)
+            memo[x] = node
+        return node
+
     def _weights(self, x: float) -> list:
-        """Selection probabilities at x for the audits and the exact laws,
+        """Selection probabilities at x for the audits and the memo nodes,
         with the checks and messages of the jump loop's inline validation.
         The items are the field's own, as the jump loop sums them (an
         ndarray becomes Python floats), so a node built from them selects
-        as the sampler does."""
+        as the sampler does. The jump loop's first visit to a point sums
+        them inline instead; the second builds the point's node from them.
+        """
         w = self.prob_field(x)
         if isinstance(w, np.ndarray):
             w = w.tolist()
@@ -494,24 +511,6 @@ def sample_jump_chain(model: IfsModel, x: float, horizon: float,
     )
 
 
-def _node(x: float, w) -> tuple:
-    """Memo entry ``(cum, succ)`` of the point x, from its validated
-    weights w.
-
-    ``cum`` is [0.0] followed by the running sums ``acc += p`` of w, with
-    +inf from the last map of positive weight on. The weights are
-    nonnegative and a uniform u lies in [0, 1), so ``bisect_right(cum, u)``
-    is the inline choice: the first map whose running sum exceeds u, or
-    that last map when float slack leaves u above the sum. ``succ[k]``
-    caches map k's output at the point, filled the first time map k is
-    taken.
-    """
-    cum = list(accumulate(w, initial=0.0))
-    last = _fallback(w, x)
-    cum[last:] = [math.inf] * (len(cum) - last)
-    return cum, [None] * len(cum)
-
-
 def _fallback(w, x: float) -> int:
     """The last map (1-based) with positive weight at x, taken when float
     slack leaves the uniform above the sum of the validated weights."""
@@ -567,10 +566,6 @@ def _poisson_window(lam: float) -> tuple:
 
 def _flip_kill(x: float) -> float:
     return 0.0
-
-
-def _flip_stay(x: float) -> float:
-    return x
 
 
 def _flip_invert(x: float) -> float:
@@ -666,7 +661,7 @@ def example_flip(lam: float) -> IfsModel:
     """
     return IfsModel(
         name="flip",
-        maps=(_flip_kill, _flip_stay, _flip_invert),
+        maps=(_flip_kill, _stay, _flip_invert),
         prob_field=_flip_probs,
         rate=float(lam),
         flow=IdentityFlow(),

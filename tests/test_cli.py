@@ -755,15 +755,13 @@ def _formatter_rows():
     return rows
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 3, 1024])
-def test_csv_writer_matches_the_reference_formatter(monkeypatch, chunk_rows):
+def test_csv_writer_matches_the_reference_formatter():
     from ergokit import cli
 
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
     manifest = {"command": "simulate", "seed": "3", "a": "x,y"}
     columns = ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k")
     rows = _formatter_rows()
-    streamed = "".join(cli._format_table(manifest, columns, iter(rows), "csv"))
+    streamed = "".join(cli._format_table(manifest, columns, rows, "csv"))
     assert streamed == _reference_csv(manifest, columns, rows)
 
 
@@ -793,9 +791,9 @@ def test_csv_error_row_after_clean_rows_exits_one(tmp_path):
     settings = cli.Settings(argparse.Namespace(format=None, out=str(out), plot=None))
     columns = ("x", "value", "error")
     rows = [(float(k), k / 3.0, "") for k in range(5)] + [(9.0, math.nan, "cell 5 failed")]
-    assert cli._write(settings, "test", "test-v1", columns, iter(rows)) == 1
+    assert cli._write(settings, "test", "test-v1", columns, rows) == 1
     assert out.read_text().endswith('9,nan,cell 5 failed\n')
-    assert cli._write(settings, "test", "test-v1", columns, iter(rows[:5])) == 0
+    assert cli._write(settings, "test", "test-v1", columns, rows[:5]) == 0
 
 
 def test_simulate_failure_on_a_later_trajectory_writes_nothing(tmp_path, capsys):
@@ -977,8 +975,8 @@ def test_lowerbound_over_the_orbit_budget_is_sampled(tmp_path, monkeypatch):
         "8072a748b0e65e7c3340f85ef04fcb3b01f329807c81659ea80d5764429095a4"
 
 
-def test_moving_flow_is_sampled(capsys, monkeypatch):
-    from ergokit import cli
+def _drift_model(lam):
+    # a registered model under a moving flow, so it has no exact laws
     from ergokit.ifs_jump import ExponentialFlow, IfsModel
 
     def halve(x):
@@ -987,11 +985,14 @@ def test_moving_flow_is_sampled(capsys, monkeypatch):
     def stay(x):
         return x
 
-    def build(lam):
-        return IfsModel(name="drift", maps=(halve, stay), prob_field=lambda x: (0.5, 0.5),
-                        rate=lam, flow=ExponentialFlow(0.01)), None
+    return IfsModel(name="drift", maps=(halve, stay), prob_field=lambda x: (0.5, 0.5),
+                    rate=lam, flow=ExponentialFlow(0.01)), None
 
-    monkeypatch.setitem(cli._MODELS, "drift", (build, ()))
+
+def test_moving_flow_is_sampled(capsys, monkeypatch):
+    from ergokit import cli
+
+    monkeypatch.setitem(cli._MODELS, "drift", (_drift_model, ()))
     code, out, _ = run_cli(capsys, "diagnose", "lowerbound", "--model", "drift", "--z", "0",
                            "--x-grid", "0.5", "--t-grid", "2", "--samples", "50")
     assert code == 0
@@ -1046,20 +1047,6 @@ def test_simulate_negative_zero_bytes_on_a_warm_model(tmp_path, monkeypatch):
     lines = [line for line in minus.read_text().splitlines() if not line.startswith("#")]
     rows = [line.split(",") for line in lines[1:]]
     assert rows and all(row[-1] == "-0" for row in rows)
-
-
-def _drift_model(lam):
-    # a registered model under a moving flow, so it has no exact laws
-    from ergokit.ifs_jump import ExponentialFlow, IfsModel
-
-    def halve(x):
-        return x / 2.0
-
-    def stay(x):
-        return x
-
-    return IfsModel(name="drift", maps=(halve, stay), prob_field=lambda x: (0.5, 0.5),
-                    rate=lam, flow=ExponentialFlow(0.01)), None
 
 
 @pytest.mark.parametrize("argv, digest", [

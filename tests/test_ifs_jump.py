@@ -620,6 +620,52 @@ def test_memo_takes_no_part_in_pickling_equality_or_repr():
     assert _same_bits(sample_terminals(clone, 5.0, 100.0, 20, 1), first)
 
 
+def _assert_nodes_match_their_weights(model):
+    # a node is [0.0, running sums ...] with +inf from the last map of
+    # positive weight on, and caches each map's output at its point
+    assert model._memo and not set(model._memo) & model._seen
+    for x, (cum, succ) in model._memo.items():
+        w = model._weights(x)
+        want = [0.0] + list(itertools.accumulate(w))
+        last = max(k for k, p in enumerate(w, start=1) if p > 0.0)
+        want[last:] = [math.inf] * (len(want) - last)
+        assert _same_bits(cum, want) and [type(c) for c in cum] == [type(c) for c in want]
+        assert succ[0] is None and len(succ) == len(cum)
+        for k, y in enumerate(succ[1:], start=1):
+            assert y is None or _same_bits([y], [model.apply_map(k, x)])
+
+
+@pytest.mark.parametrize("name", ["flip", "halving"])
+def test_memo_nodes_are_built_from_the_weights(name):
+    model = _MEMO_MODELS[name]()
+    for x0 in (0.3, 1.0, 4.0, 9.0):
+        sample_terminals(model, x0, 40.0, 50, 3)
+        sample_jump_chain(model, x0, 40.0, StreamFactory(3).stream(1, 0))
+    _assert_nodes_match_their_weights(model)
+    for x0 in (0.2, 2.5, 9.0):
+        model.exact_laws(x0, [10.0, 40.0])
+    _assert_nodes_match_their_weights(model)
+
+
+def test_prob_field_runs_at_most_twice_per_point():
+    # a first visit marks the point and the second builds its node; the
+    # sweep then reads the nodes the sampler built
+    calls = {}
+
+    def field(x):
+        calls[x] = calls.get(x, 0) + 1
+        return ifs_jump._halving_probs(x)
+
+    model = IfsModel(name="counted", maps=(ifs_jump._halve, ifs_jump._stay),
+                     prob_field=field, rate=1.0)
+    factory = StreamFactory(6)
+    for k in range(200):
+        model.terminal_state((0.3, 1.0, 4.0, 9.0)[k % 4], 40.0, factory.stream(0, k))
+    model.exact_laws(4.0, [40.0])
+    assert len(model._memo) + len(model._seen) < MEMO_NODES
+    assert max(n for x, n in calls.items() if x) <= 2
+
+
 # ---------------------------------------------------------------------------
 # exact laws by uniformization
 
