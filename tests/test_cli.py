@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -755,12 +756,14 @@ def _formatter_rows():
     return rows
 
 
-def test_csv_writer_matches_the_reference_formatter():
+@pytest.mark.parametrize("n_rows", [1, 3, 1024])
+def test_csv_writer_matches_the_reference_formatter(n_rows):
+    # a one-row table, a short one, and a long one that repeats every case
     from ergokit import cli
 
     manifest = {"command": "simulate", "seed": "3", "a": "x,y"}
     columns = ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k")
-    rows = _formatter_rows()
+    rows = list(itertools.islice(itertools.cycle(_formatter_rows()), n_rows))
     streamed = "".join(cli._format_table(manifest, columns, rows, "csv"))
     assert streamed == _reference_csv(manifest, columns, rows)
 
