@@ -1083,3 +1083,44 @@ def test_table_bytes_are_pinned(tmp_path, monkeypatch, argv, digest):
     table = tmp_path / "table"
     assert main(argv + ["--out", str(table)]) == 0
     assert _digest_without_version(table) == digest
+
+
+def _orbit_model(lam):
+    # an identity-flow model whose trajectories almost never revisit a
+    # point: maps x/2 and (x + 1)/2, chosen evenly
+    from ergokit.ifs_jump import IfsModel
+
+    def half(x):
+        return x / 2.0
+
+    def half_up(x):
+        return (x + 1.0) / 2.0
+
+    return IfsModel(name="orbit", maps=(half, half_up), prob_field=lambda x: (0.5, 0.5),
+                    rate=lam), None
+
+
+@pytest.mark.parametrize("argv, csv_digest, json_digest", [
+    (["--model", "drift", "--x0", "2", "--horizon", "40"],
+     "5607ecfacaea8bdf2c44d80ce4ce2c4df1a2df2856cb8a97f2b52d5d4c378e84",
+     "cc77b13e31b3054835c01e0308f6fe3648387357337adc230d6d61d843740aa7"),
+    (["--model", "orbit", "--x0", "0.3", "--horizon", "40"],
+     "4288499d123f01088a317e9f35cef70d91a65db1c775a5155b5e55f09c23ede3",
+     "38a5f2a57426276989956d9b90643820acac3f12a3dd8f6e8172bc4f00e96def"),
+    (["--model", "flip", "--x0", "0.7", "--horizon", "40"],
+     "c5276e6813375bdf067d53fdf5643181d2c03107117603c876835c484672efac",
+     "6345fb29fd935c4073ff58e79a493fadfb92d7f2a643bdaa16434de23d205e08"),
+], ids=["drift", "orbit", "flip"])
+def test_simulate_tables_are_pinned(tmp_path, monkeypatch, argv, csv_digest, json_digest):
+    # digests of the 0.8.0 simulate tables on a moving flow, an orbit that
+    # rarely repeats and the flip model
+    from ergokit import cli
+
+    monkeypatch.setitem(cli._MODELS, "drift", (_drift_model, ()))
+    monkeypatch.setitem(cli._MODELS, "orbit", (_orbit_model, ()))
+    argv = ["simulate", *argv, "--trajectories", "6", "--seed", "11"]
+    table, doc = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--out", str(table)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(doc)]) == 0
+    assert (_digest_without_version(table), _digest_without_version(doc)) == \
+        (csv_digest, json_digest)
