@@ -280,10 +280,15 @@ def _fmt_cell(v) -> str:
     return "" if v is None else str(v)
 
 
-def _csv_chunks(manifest: dict, columns: Sequence[str], rows: Iterable, blocks: bool):
+def _csv_chunks(manifest: dict, columns: Sequence[str], rows: Iterable, blocks: bool,
+                texts: dict):
     """Yield the CSV text of a table: rows through ``csv.writer``, all in
     one chunk, or blocks (see ``_write``) one at a time, each with one
-    ``%`` template that prints its cells as ``_fmt_cell``."""
+    ``%`` template that prints its cells as ``_fmt_cell``. A block column
+    named in ``texts`` whose floats are found in its text map at least
+    half the time is printed through that map: a float found there takes
+    the map's text, and any other is formatted with ``%.17g`` and not
+    stored."""
     lines = ["".join(f"# {k}={manifest[k]}\n" for k in sorted(manifest))]
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(columns)
@@ -291,20 +296,31 @@ def _csv_chunks(manifest: dict, columns: Sequence[str], rows: Iterable, blocks: 
         writer.writerows([_fmt_cell(v) for v in row] for row in rows)
     yield "".join(lines)
     if blocks:
+        fmt = "%.17g".__mod__
         for lead, cols in rows:
             if len(cols[0]):
-                template = "".join(f"{v}," for v in lead) + ",".join(
-                    "%d" if type(col[0]) is int else "%.17g" for col in cols) + "\n"
+                cols = list(cols)
+                specs = ["%d" if type(col[0]) is int else "%.17g" for col in cols]
+                for j, name in enumerate(columns[len(lead):]):
+                    if name in texts:
+                        found = list(map(texts[name].get, cols[j]))
+                        # a miss printed through the map costs about what a
+                        # hit saves, so a column that misses more often
+                        # than it hits keeps its floats
+                        if 2 * found.count(None) <= len(found):
+                            cols[j] = [t or fmt(v) for t, v in zip(found, cols[j])]
+                            specs[j] = "%s"
+                template = "".join(f"{v}," for v in lead) + ",".join(specs) + "\n"
                 yield "".join(map(template.__mod__, zip(*cols)))
 
 
 def _format_table(manifest: dict, columns: Sequence[str], rows: Iterable, fmt: str,
-                  blocks: bool = False) -> Iterable[str]:
+                  blocks: bool = False, texts: Optional[dict] = None) -> Iterable[str]:
     """The text of a table as chunks: CSV blocks are formatted as the
     chunks are read, JSON is one document. An unknown format raises at
     once."""
     if fmt == "csv":
-        return _csv_chunks(manifest, columns, rows, blocks)
+        return _csv_chunks(manifest, columns, rows, blocks, texts or {})
     if fmt == "json":
         if blocks:
             rows = (lead + row for lead, cols in rows for row in zip(*cols))
@@ -330,7 +346,8 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
 
 
 def _write(settings: Settings, command: str, schema: str, columns: Sequence[str],
-           rows: Iterable, chart=None, mode: Optional[str] = None, blocks: bool = False) -> int:
+           rows: Iterable, chart=None, mode: Optional[str] = None, blocks: bool = False,
+           texts: Optional[dict] = None) -> int:
     """Write a command's table and its ``--plot`` chart; returns the exit status.
 
     The manifest is taken after every option has been read, so it records
@@ -340,6 +357,10 @@ def _write(settings: Settings, command: str, schema: str, columns: Sequence[str]
     table is written: ``lead`` holds the leading ints every row of the
     block shares, ``cols`` the other columns as equal-length sequences,
     each of exact ints or exact floats, and there is no error column.
+    ``texts`` maps a block column's name to a dict from float to its
+    ``%.17g`` text, which the CSV prints for each float it holds; a float
+    it lacks is formatted as usual, so the bytes do not depend on it. The
+    map must not hold zero: 0.0 and -0.0 are one key with two texts.
     ``chart`` is ``(title, ylabel, points)`` with ``points`` an iterable of
     ``(series, t, value)``, read only when a chart is asked for. The
     status is 1 if any row has an error, else 0.
@@ -351,7 +372,7 @@ def _write(settings: Settings, command: str, schema: str, columns: Sequence[str]
     manifest = settings.manifest(command, schema)
     if mode is not None:
         manifest["mode"] = mode
-    _emit(_format_table(manifest, columns, rows, fmt, blocks), out)
+    _emit(_format_table(manifest, columns, rows, fmt, blocks, texts), out)
     if plot:
         title, ylabel, points = chart
         series: dict = {}
@@ -418,11 +439,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     blocks = (((k,), (range(1, len(traj) + 1), traj.tau.tolist(), traj.xi.tolist(),
                       traj.index.tolist(), traj.phi.tolist()))
               for k, traj in enumerate(trajectories))
+    # the memo holds the nonzero points the sampler met at least twice, at
+    # most MEMO_NODES of them and none under a moving flow: the state
+    # columns print each of these points from one text
+    text = {x: _fmt_float(x) for x in model._memo}
     return _write(settings, "simulate", "trajectories-v1",
                   ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"), blocks,
                   (f"{name} trajectories", "state",
                    ((f"traj {k}", tau, phi) for k, traj in enumerate(trajectories)
-                    for tau, phi in zip(traj.tau.tolist(), traj.phi.tolist()))), blocks=True)
+                    for tau, phi in zip(traj.tau.tolist(), traj.phi.tolist()))), blocks=True,
+                  texts={"xi_k": text, "phi_k": text})
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:

@@ -786,6 +786,34 @@ def test_blocks_match_the_rows_they_hold():
         cli._format_table(manifest, columns, iter(rows), "json")
 
 
+
+@pytest.mark.parametrize("states", [[0.0, -0.0, 5e-324, 5e-324, 1e-300, 0.5],
+                                    [-0.0, 0.0, 1e-300, 5e-324, 5e-324, 0.25]],
+                         ids=["plus-first", "minus-first"])
+def test_state_texts_keep_the_sign_of_zero(states):
+    # 0.0 and -0.0 are one dict key, so neither may take the other's text:
+    # through a map that holds the nonzero neighbours of zero, each zero
+    # misses and is formatted with its own sign. The first block's state
+    # columns hit at least half the time and are printed through the map;
+    # the second block's miss more often and keep their floats.
+    from ergokit import cli
+
+    manifest = {"command": "simulate", "seed": "3"}
+    columns = ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k")
+    text = {x: f"{x:.17g}" for x in (5e-324, -5e-324, 1e-300, 2e-300)}
+    n = len(states)
+    blocks = [((0,), (range(1, n + 1), [0.5 * j for j in range(n)], states,
+                      [1] * n, states[::-1])),
+              ((1,), (range(1, n + 1), states, [-0.0, 0.0, 0.0, -0.0, 0.0, 5e-324],
+                      [2] * n, [0.0, 0.75, -0.0, 1.5, 0.0, -0.0]))]
+    rows = [lead + row for lead, cols in blocks for row in zip(*cols)]
+    texts = {"xi_k": text, "phi_k": text}
+    streamed = "".join(cli._format_table(manifest, columns, iter(blocks), "csv", True, texts))
+    assert streamed == _reference_csv(manifest, columns, rows)
+    assert "-0" in streamed.split(",")
+    assert cli._format_table(manifest, columns, iter(blocks), "json", True, texts) == \
+        cli._format_table(manifest, columns, iter(rows), "json")
+
 def test_csv_error_row_after_clean_rows_exits_one(tmp_path):
     import argparse
     from ergokit import cli
@@ -832,11 +860,32 @@ def test_simulate_failure_on_a_later_trajectory_writes_nothing(tmp_path, capsys)
         _MODELS.pop("late-nan", None)
 
 
-def test_simulate_peak_memory_stays_near_the_output_size(tmp_path):
-    import tracemalloc
+def _orbit_model(lam):
+    # an identity-flow model whose trajectories almost never revisit a
+    # point: maps x/2 and (x + 1)/2, chosen evenly
+    from ergokit.ifs_jump import IfsModel
 
+    def half(x):
+        return x / 2.0
+
+    def half_up(x):
+        return (x + 1.0) / 2.0
+
+    return IfsModel(name="orbit", maps=(half, half_up), prob_field=lambda x: (0.5, 0.5),
+                    rate=lam), None
+
+
+@pytest.mark.parametrize("model, x0", [("halving", "5"), ("orbit", "0.3")],
+                         ids=["halving", "orbit"])
+def test_simulate_peak_memory_stays_near_the_output_size(tmp_path, monkeypatch, model, x0):
+    # halving repeats a few hundred points; the orbit model's trajectories
+    # almost never do, so its states miss the text map
+    import tracemalloc
+    from ergokit import cli
+
+    monkeypatch.setitem(cli._MODELS, "orbit", (_orbit_model, ()))
     out = tmp_path / "sim.csv"
-    argv = ["simulate", "--model", "halving", "--x0", "5", "--horizon", "200",
+    argv = ["simulate", "--model", model, "--x0", x0, "--horizon", "200",
             "--trajectories", "100", "--out", str(out)]
     tracemalloc.start()
     try:
@@ -1052,6 +1101,29 @@ def test_simulate_negative_zero_bytes_on_a_warm_model(tmp_path, monkeypatch):
     assert rows and all(row[-1] == "-0" for row in rows)
 
 
+
+def test_simulate_bytes_on_a_model_warmed_by_another_command(tmp_path, monkeypatch):
+    # one halving model object serves every command: the lowerbound scan
+    # fills its memo from the exact laws, the -0 table starts with that
+    # memo and the 5 table with the points -0 added, none of them zero.
+    # Each table must still be the pinned one.
+    from ergokit import cli
+
+    model, assume = cli.example_halving(1.0)
+    monkeypatch.setitem(cli._MODELS, "halving",
+                        (lambda lam: (model, assume), cli._MODELS["halving"][1]))
+    assert main(_PINNED_LOWERBOUND + ["--out", str(tmp_path / "lb.csv")]) == 0
+    assert model._memo and 0.0 not in model._memo
+    minus, table = tmp_path / "minus.csv", tmp_path / "t.csv"
+    assert main(["simulate", "--model", "halving", "--horizon", "20", "--trajectories", "5",
+                 "--seed", "3", "--x0=-0", "--out", str(minus)]) == 0
+    assert main(["simulate", "--model", "halving", "--x0", "5", "--horizon", "200",
+                 "--trajectories", "20", "--seed", "5", "--out", str(table)]) == 0
+    assert _digest_without_version(minus) == \
+        "f90a6767c040d0eb0557bad093c0fc819495341d384eacb48c30a5008c07375d"
+    assert _digest_without_version(table) == \
+        "ed06528e56b8c2a45e2b1f48fc1a704d5290f61a12fa2c05585235da73382f82"
+
 @pytest.mark.parametrize("argv, digest", [
     (["exact-ctmc", "--n", "3", "--t", "2"],
      "2cfbd96dd26744ffc9a42c3e0fd281e62d4ccda30cdc6aa46281a2afe9633b79"),
@@ -1083,21 +1155,6 @@ def test_table_bytes_are_pinned(tmp_path, monkeypatch, argv, digest):
     table = tmp_path / "table"
     assert main(argv + ["--out", str(table)]) == 0
     assert _digest_without_version(table) == digest
-
-
-def _orbit_model(lam):
-    # an identity-flow model whose trajectories almost never revisit a
-    # point: maps x/2 and (x + 1)/2, chosen evenly
-    from ergokit.ifs_jump import IfsModel
-
-    def half(x):
-        return x / 2.0
-
-    def half_up(x):
-        return (x + 1.0) / 2.0
-
-    return IfsModel(name="orbit", maps=(half, half_up), prob_field=lambda x: (0.5, 0.5),
-                    rate=lam), None
 
 
 @pytest.mark.parametrize("argv, csv_digest, json_digest", [
