@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -838,3 +839,90 @@ def test_float32_field_has_no_exact_laws():
     float64 = IfsModel(name="float64", maps=model.maps, rate=1.0,
                        prob_field=lambda x: (0.1, 0.2, 0.7) if x < 1.0 else (0.7, 0.2, 0.1))
     assert float64.exact_laws(0.5, [1e-3]) is not None
+
+
+# ---------------------------------------------------------------------------
+# moving flows: the jump loop's flow and map checks and messages
+
+
+def _custom_flow(value):
+    def flow(t, x):
+        return value
+
+    return flow
+
+
+class _DriftFlow(ExponentialFlow):
+    """An ExponentialFlow subclass whose own flow is a drift x + alpha t."""
+
+    def __call__(self, t, x):
+        return x + self.alpha * t
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_invalid_custom_flow_names_the_flow(bad):
+    # the first waiting time, -log(1 - 0.5), lands well before t = 50
+    flow = _custom_flow(bad)
+    model = IfsModel(name="custom", maps=(lambda x: x,), prob_field=lambda x: (1.0,),
+                     rate=1.0, flow=flow)
+    msg = re.escape(f"flow {flow.__qualname__} of model 'custom' produced invalid state "
+                    f"{bad!r} from x=1.0 after time {-math.log1p(-0.5)!r}")
+    with pytest.raises(RuntimeError, match=msg):
+        model.terminal_state(1.0, 50.0, _StubStream([0.5, 0.5]))
+    with pytest.raises(RuntimeError, match=msg):
+        sample_jump_chain(model, 1.0, 50.0, _StubStream([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("flow", [ExponentialFlow(0.1), _DriftFlow(0.1)], ids=["exp", "drift"])
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_invalid_map_output_names_the_map_under_a_moving_flow(flow, bad):
+    # u = 0.9 takes w2 at the first jump
+    model = IfsModel(name="moving", maps=(lambda x: x / 2.0, lambda x: bad),
+                     prob_field=lambda x: (0.5, 0.5), rate=1.0, flow=flow)
+    pre = flow(-math.log1p(-0.5), 1.0)
+    msg = re.escape(f"map w2 of model 'moving' produced invalid state {bad!r} from x={pre!r}")
+    with pytest.raises(RuntimeError, match=msg):
+        model.terminal_state(1.0, 50.0, _StubStream([0.5, 0.9]))
+    with pytest.raises(RuntimeError, match=msg):
+        sample_jump_chain(model, 1.0, 50.0, _StubStream([0.5, 0.9]))
+
+
+def _typed_maps_model(flow):
+    # maps returning an np.float64, an int and -0.0, which the sampler
+    # turns into Python floats
+    return IfsModel(name="typed", maps=(lambda x: np.float64(x / 2.0),
+                                        lambda x: int(3.0 * x) % 7, lambda x: -0.0),
+                    prob_field=lambda x: (0.4, 0.4, 0.2), rate=1.5, flow=flow)
+
+
+@pytest.mark.parametrize("flow", [ExponentialFlow(0.1), _DriftFlow(0.3)], ids=["exp", "drift"])
+@pytest.mark.parametrize("x0", [-0.0, 0.3, 4.0])
+def test_map_return_types_under_a_moving_flow_match_the_reference(flow, x0):
+    model = _typed_maps_model(flow)
+    factory = StreamFactory(9)
+    got, want, landed = [], [], []
+    for k in range(40):
+        got.append(model.terminal_state(x0, 12.0, factory.stream(2, k)))
+        want.append(_ref_terminal_state(model, x0, 12.0, factory.stream(2, k)))
+        traj = sample_jump_chain(model, x0, 12.0, factory.stream(2, k))
+        tau, xi, index, phi = _ref_jump_chain(model, x0, 12.0, factory.stream(2, k))
+        assert _same_bits(traj.tau, tau) and _same_bits(traj.xi, xi)
+        assert _same_bits(traj.phi, phi) and np.array_equal(traj.index, index)
+        landed += traj.phi.tolist()
+    assert _same_bits(got, want)
+    assert any(math.copysign(1.0, v) < 0.0 for v in landed)  # w3 was taken
+
+
+def test_exponential_flow_subclass_keeps_its_own_flow():
+    plain = _typed_maps_model(ExponentialFlow(0.3))
+    drift = _typed_maps_model(_DriftFlow(0.3))
+    factory = StreamFactory(5)
+    got, want, expo = [], [], []
+    for k in range(40):
+        got.append(drift.terminal_state(4.0, 12.0, factory.stream(0, k)))
+        want.append(_ref_terminal_state(drift, 4.0, 12.0, factory.stream(0, k)))
+        expo.append(plain.terminal_state(4.0, 12.0, factory.stream(0, k)))
+    assert _same_bits(got, want)
+    assert got != expo
+    # a single waiting time past t: the state drifts, it does not grow
+    assert drift.terminal_state(1.0, 0.5, _StubStream([0.9])) == 1.0 + 0.3 * 0.5

@@ -89,6 +89,31 @@ def test_stream_reset_matches_fresh_philox():
     assert got == want
 
 
+def _draws(gen):
+    return (gen.random(6).tolist(), gen.integers(0, 2 ** 32, size=3, dtype=np.uint32).tolist(),
+            gen.random(), gen.integers(0, 2 ** 32, dtype=np.uint32), gen.standard_normal(3).tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("cell", [0, 2 ** 32 + 7])
+@pytest.mark.parametrize("trajectory", [0, 2 ** 64 - 1])
+def test_reused_stream_restarts_like_a_fresh_philox(seed, cell, trajectory):
+    # leave the factory's stream mid-buffer with a cached 32-bit half
+    # before every reset
+    key = np.array([seed, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    factory = StreamFactory(seed)
+    for other in (1, 2 ** 63, trajectory):
+        left = factory.stream(cell + 1, other)
+        left.random(3)
+        left.integers(0, 2 ** 32, dtype=np.uint32)
+        assert left.bit_generator.state["has_uint32"] == 1
+        stream = factory.stream(cell, trajectory)
+        assert stream.bit_generator.state["has_uint32"] == 0
+        fresh = np.random.Generator(np.random.Philox(
+            key=key, counter=np.array([0, trajectory, cell, 0], dtype=np.uint64)))
+        assert _draws(stream) == _draws(fresh)
+
+
 def test_seed_validation():
     with pytest.raises(ValueError):
         StreamFactory(-1)
