@@ -123,6 +123,40 @@ def test_seed_validation():
         stream_uniforms(2 ** 64, 0, 0, 1, 1)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, -1, 2 ** 64, "3", None])
+def test_stream_rejects_a_cell_or_trajectory_that_is_no_counter_word(bad):
+    # a float cell used to be truncated, so cell 0.5 drew cell 0's stream
+    factory = StreamFactory(1)
+    with pytest.raises(ValueError, match=r"\bcell\b"):
+        factory.stream(bad, 0)
+    with pytest.raises(ValueError, match=r"\btrajectory\b"):
+        factory.stream(0, bad)
+    with pytest.raises(ValueError, match=r"\bcell\b"):
+        stream_uniforms(1, bad, 0, 2, 1)
+    # the scalar sampler and the batch form reject the cell up front
+    halving, _ = example_halving(1.0)
+    for process in (halving, CTMC):
+        x0 = CtmcState.low(2) if process is CTMC else 1.0
+        with pytest.raises(ValueError, match=r"\bcell\b"):
+            sample_terminals(process, x0, 1.0, 2, 1, cell=bad)
+
+
+def test_stream_uniforms_rejects_a_trajectory_range_of_no_counter_words():
+    for start, stop in ((0.5, 2), (0, 2.5), (-1, 2), (0, 2 ** 64 + 1)):
+        with pytest.raises(ValueError, match=r"\bst(art|op)\b"):
+            stream_uniforms(1, 0, start, stop, 1)
+
+
+def test_stream_accepts_integer_types_and_the_largest_words():
+    factory = StreamFactory(2 ** 64 - 1)
+    want = factory.stream(2 ** 64 - 1, 2 ** 64 - 1).random(5)
+    got = factory.stream(np.uint64(2 ** 64 - 1), np.uint64(2 ** 64 - 1)).random(5)
+    assert got.tobytes() == want.tobytes()
+    assert factory.stream(np.int32(3), True).random() == factory.stream(3, 1).random()
+    row = stream_uniforms(2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 2, 2 ** 64, 5)[1]
+    assert row.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
 @pytest.mark.parametrize("cell", [0, 5, 2 ** 32 + 7])
 def test_stream_uniforms_match_streams_bit_for_bit(seed, cell):
