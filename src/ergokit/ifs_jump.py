@@ -151,11 +151,13 @@ class IfsModel:
     def apply_map(self, index: int, x: float) -> float:
         """Apply map ``index`` (1-based) and validate the landing point."""
         y = float(self.maps[index - 1](x))
-        if not math.isfinite(y) or y < 0.0:
-            raise RuntimeError(
-                f"map w{index} of model {self.name!r} produced invalid state {y!r} from x={x!r}"
-            )
+        if not 0.0 <= y < math.inf:
+            raise self._invalid_map(index, x, y)
         return y
+
+    def _invalid_map(self, index: int, x: float, y: float) -> RuntimeError:
+        return RuntimeError(
+            f"map w{index} of model {self.name!r} produced invalid state {y!r} from x={x!r}")
 
     def terminal_state(self, x0: float, t: float, stream: np.random.Generator) -> float:
         """State at time t of one trajectory from x0; trajectory not recorded.
@@ -193,18 +195,27 @@ class IfsModel:
         visit, or a point missing from a full memo) validates its
         probability vector inline with plain float arithmetic, with the
         checks and messages of ``_weights``, because this is the hot path.
+        For the same reason such a jump applies its map inline, with the
+        check and message of ``apply_map``, and a moving flow's pre-jump
+        point is flowed and checked inline, with those of ``_flowed``: an
+        ``ExponentialFlow`` (not a subclass) as ``x * exp(alpha * gap)``,
+        the expression of its ``__call__``, any other flow by calling it.
         """
         rate = self.rate
         flow = self.flow
         moving = not isinstance(flow, IdentityFlow)
+        alpha = flow.alpha if type(flow) is ExponentialFlow else None
         memo = self._memo
         seen = self._seen
         lookup = memo.get
         room = 0 if moving else MEMO_NODES - len(memo) - len(seen)
         field = self.prob_field
         apply = self.apply_map
-        n_maps = len(self.maps)
+        maps = self.maps
+        n_maps = len(maps)
         log1p = math.log1p
+        exp = math.exp
+        inf = math.inf
         ndarray = np.ndarray
         if record is not None:
             taus, xis, idxs, phis = (lst.append for lst in record)
@@ -223,7 +234,9 @@ class IfsModel:
                 return self._flowed(t - now, x) if moving else x
             now += gap
             if moving:
-                pre = self._flowed(gap, x)
+                pre = x * exp(alpha * gap) if alpha is not None else flow(gap, x)
+                if not 0.0 <= pre < inf:
+                    raise self._invalid_flow(gap, x, pre)
                 node = None
             else:
                 pre = x
@@ -264,7 +277,9 @@ class IfsModel:
                                      f"x={pre!r} in model {self.name!r}")
                 if not chosen:
                     chosen = _fallback(w, pre)
-                x = apply(chosen, pre)
+                x = float(maps[chosen - 1](pre))
+                if not 0.0 <= x < inf:
+                    raise self._invalid_map(chosen, pre, x)
                 # 0.0 and -0.0 are one key but keep their sign through the
                 # maps, so zero never enters the memo
                 if room and pre:
@@ -456,10 +471,13 @@ class IfsModel:
         """Flow x for time s and validate the point reached."""
         y = self.flow(s, x)
         if not 0.0 <= y < math.inf:
-            name = getattr(self.flow, "__qualname__", None) or repr(self.flow)
-            raise RuntimeError(f"flow {name} of model {self.name!r} produced invalid "
-                               f"state {y!r} from x={x!r} after time {s!r}")
+            raise self._invalid_flow(s, x, y)
         return y
+
+    def _invalid_flow(self, s: float, x: float, y: float) -> RuntimeError:
+        name = getattr(self.flow, "__qualname__", None) or repr(self.flow)
+        return RuntimeError(f"flow {name} of model {self.name!r} produced invalid "
+                            f"state {y!r} from x={x!r} after time {s!r}")
 
     @staticmethod
     def state_label(x0: float) -> str:

@@ -28,6 +28,7 @@ every sample size.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 from dataclasses import dataclass
@@ -88,29 +89,49 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _counter_word(value, name: str, end: int = 2 ** 64) -> int:
+    """value as a word of a stream's Philox counter; ``ValueError`` naming
+    the argument unless it is an integer in [0, end)."""
+    try:
+        word = operator.index(value)
+    except TypeError:
+        word = -1
+    if not 0 <= word < end:
+        raise ValueError(f"{name} must be an integer from 0 to {end - 1}, got {value!r}")
+    return word
+
+
 class StreamFactory:
     """Hands out the per-(cell, trajectory) Philox streams for one seed.
 
-    Reuses a single bit generator by resetting its counter/key state, which
-    is observably identical to constructing a fresh ``Philox`` but several
-    times faster. Not safe to share across threads; each worker builds its
-    own factory.
+    Reuses a single bit generator and one state dict: ``stream`` writes the
+    trajectory and cell into counter words 1 and 2 of that dict in place
+    and assigns it back, which restarts the generator exactly as a fresh
+    ``Philox`` at counter (0, trajectory, cell, 0) would start (empty
+    buffer, no cached 32-bit half) but several times faster. The dict keeps
+    its words as Python ints, which the state setter reads as it reads
+    arrays. Not safe to share across threads; each worker builds its own
+    factory.
     """
 
     def __init__(self, seed: int):
         self.seed = _check_seed(seed)
         self._bitgen = np.random.Philox(key=np.array([self.seed, _KEY_SALT], dtype=np.uint64))
-        self._template = self._bitgen.state
+        state = self._bitgen.state
+        words = state["state"]
+        state["state"] = {"counter": words["counter"].tolist(), "key": words["key"].tolist()}
+        state["buffer"] = state["buffer"].tolist()
+        self._state = state
+        self._counter = state["state"]["counter"]
         self._gen = np.random.Generator(self._bitgen)
 
     def stream(self, cell: int, trajectory: int) -> np.random.Generator:
-        """Generator positioned at the start of stream (seed, cell, trajectory)."""
-        state = dict(self._template)
-        state["state"] = {
-            "counter": np.array([0, trajectory, cell, 0], dtype=np.uint64),
-            "key": np.array([self.seed, _KEY_SALT], dtype=np.uint64),
-        }
-        self._bitgen.state = state
+        """Generator positioned at the start of stream (seed, cell, trajectory);
+        raises ``ValueError`` unless both are integers in [0, 2**64)."""
+        counter = self._counter
+        counter[1] = _counter_word(trajectory, "trajectory")
+        counter[2] = _counter_word(cell, "cell")
+        self._bitgen.state = self._state
         return self._gen
 
 
@@ -130,10 +151,15 @@ def stream_uniforms(seed: int, cell: int, start: int, stop: int, draws: int) -> 
 
     Row k - start equals ``StreamFactory(seed).stream(cell, k).random(draws)``
     bit for bit: each block of four draws is one Philox4x64-10 evaluation
-    at counter (block + 1, k, cell, 0), vectorised over k.
+    at counter (block + 1, k, cell, 0), vectorised over k. Raises
+    ``ValueError``, naming the argument, unless cell and start are integers
+    in [0, 2**64) and stop one in [start, 2**64].
     """
     seed = _check_seed(seed)
-    if not 0 <= start <= stop or draws < 1:
+    cell = _counter_word(cell, "cell")
+    start = _counter_word(start, "start")
+    stop = _counter_word(stop, "stop", 2 ** 64 + 1)
+    if not start <= stop or draws < 1:
         raise ValueError("need 0 <= start <= stop and at least one draw")
     rows = stop - start
     blocks = -(-draws // 4)
@@ -220,9 +246,12 @@ def sample_terminals(process, x0, t: float, n: int, seed: int, *,
     runs ``terminal_state`` on one stream per trajectory. Any sampler
     failure is re-raised with the offending trajectory index (a batch form
     fails only on inputs every trajectory shares, so that is the first one).
+    A cell that is not an integer in [0, 2**64) raises ``ValueError``
+    before any sampling.
     """
     if n < 1:
         raise ValueError("need at least one trajectory")
+    cell = _counter_word(cell, "cell")
     out = np.empty(n)
     if hasattr(process, "terminal_states"):
         for start in range(0, n, CHUNK):

@@ -18,6 +18,10 @@ orbit point through one sweep step):
 
 The shipped constants ``SWEEP_STEP_POINTS``, ``NODE_POINTS`` and
 ``JUMP_POINTS`` are these ratios, rounded.
+
+Two more lines, in microseconds only, time the Monte Carlo that has no
+exact law: one sampled jump of the same maps under the moving flow
+``ExponentialFlow(0.1)``, and one ``StreamFactory.stream`` reset.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import time
 import numpy as np
 
 from ergokit import ifs_jump
-from ergokit.ifs_jump import IfsModel, example_halving
-from ergokit.montecarlo import sample_terminals
+from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_halving
+from ergokit.montecarlo import StreamFactory, sample_terminals
 
 
 def best(f, repeat=7):
@@ -93,6 +97,15 @@ def main():
         sample_terminals(model, x0, 200.0, 20, 1)  # warm the memo
         jump = best(lambda: sample_terminals(model, x0, 200.0, 200, 2), 3) / (200 * 200)
         print(f"sampled jump, {name}: {jump * 1e6:.2f} us = {jump / a:.0f} point-steps")
+
+    moving = IfsModel(name="moving", maps=(half, half_up), prob_field=even, rate=1.0,
+                      flow=ExponentialFlow(0.1))
+    jump = best(lambda: sample_terminals(moving, 0.3, 200.0, 200, 2), 3) / (200 * 200)
+    print(f"sampled jump, moving flow: {jump * 1e6:.2f} us")
+
+    factory = StreamFactory(2)
+    reset = best(lambda: [factory.stream(0, k) for k in range(10000)]) / 10000
+    print(f"stream reset: {reset * 1e6:.2f} us")
 
 
 if __name__ == "__main__":
