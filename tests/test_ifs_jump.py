@@ -910,6 +910,7 @@ def test_map_return_types_under_a_moving_flow_match_the_reference(flow, x0):
         assert _same_bits(traj.phi, phi) and np.array_equal(traj.index, index)
         landed += traj.phi.tolist()
     assert _same_bits(got, want)
+    assert [type(v) for v in got] == [type(v) for v in want] == [float] * len(got)
     assert any(math.copysign(1.0, v) < 0.0 for v in landed)  # w3 was taken
 
 
