@@ -1181,3 +1181,39 @@ def test_simulate_tables_are_pinned(tmp_path, monkeypatch, argv, csv_digest, jso
     assert main(argv + ["--format", "json", "--out", str(doc)]) == 0
     assert (_digest_without_version(table), _digest_without_version(doc)) == \
         (csv_digest, json_digest)
+
+
+@pytest.mark.parametrize("argv, status, digest", [
+    (["--model", "ctmc", "--x0", "low:2,low:4,high:3", "--times", "1,4,16", "--f", "xmin1",
+      "--ball", "0,0.1", "--samples", "6000"], 0,
+     "f81ecc3241af896d7b89ba263ee3cdbd74a66f4b73a57a36e751c32b7d4a6a14"),
+    (["--model", "ctmc", "--x0", "low:2,high:3", "--times", "1,4", "--f", "const:3",
+      "--samples", "500", "--seed", "4"], 0,
+     "eea28d5657bd8fefc949be12caf2bc16ebadb311557cb6180877a842fdb2d282"),
+    (["--model", "ctmc", "--x0", "low:2,low:4,high:3", "--times", "1,4,16",
+      "--f", "bump:0,1,0.5", "--samples", "500", "--seed", "4"], 0,
+     "a288842fb2c57db29e5bfbee6502a5e95e152d0beb133fa1c5b915feedf20aa8"),
+    (["--model", "halving", "--x0", "0.5,2", "--times", "5,20", "--f", "bump:0,0.5,0.2",
+      "--samples", "300", "--seed", "3"], 0,
+     "73141423e8584a6021f56db78b05b5babea9623c06062a1c33188b34d29a5395"),
+    (["--model", "ctmc", "--x0", "high:2", "--times", "0,1,50", "--f", "bump:1,2,1e-300",
+      "--samples", "200", "--seed", "6"], 1,
+     "7a3caf05531a07123bf6db099a05f890d1c42b19a421d40d85bbb0b965a357f4"),
+], ids=["ctmc-xmin1-ball-two-chunks", "ctmc-const", "ctmc-bump", "halving-bump",
+        "ctmc-bump-zero-division"])
+def test_estimate_tables_are_pinned(tmp_path, capsys, argv, status, digest):
+    # digests of the 0.8.0 estimate tables of each built-in test function,
+    # on the batch-sampled chain (6000 trajectories: two CHUNKs per cell)
+    # and on the sampled halving model; at 2, 1 and 1e-300/4 from 2 the bump
+    # divides 0 by 0, so those cells carry the error and the run exits 1
+    tables = []
+    for workers in ("1", "2"):
+        table = tmp_path / f"w{workers}.csv"
+        assert main(["estimate", *argv, "--workers", workers, "--out", str(table)]) == status
+        assert capsys.readouterr() == ("", "")
+        tables.append(table.read_bytes())
+    assert tables[0] == tables[1]
+    assert _digest_without_version(table) == digest
+    if status:
+        _, _, rows = parse_csv(tables[0].decode())
+        assert [row["error"] for row in rows] == ["float division by zero"] * 2 + [""]

@@ -230,6 +230,25 @@ def test_hit_halving_long_run():
     assert est.mean >= 0.95
 
 
+def _float32_min1(x):
+    return np.float32(x if x < 1.0 else 1.0)
+
+
+def test_custom_function_keeps_the_loops_promotion():
+    # a user's evaluator is summed one value at a time from 0.0, so float32
+    # values keep a float32 total and mean; pinned as of 0.8.0
+    f = TestFunction(_float32_min1, sup_bound=1.0, lip_const=1.0, lower=0.0, upper=1.0,
+                     name="f32")
+    est = estimate_ptf(CTMC, CtmcState.low(4), 4.0, f, 6000, seed=9)
+    assert type(est.mean) is np.float32
+    assert est.mean.tobytes().hex() == "d815e83e"
+    cells = [(CtmcState.low(4), 4.0), (CtmcState.high(3), 1.0)]
+    for workers in (1, 2):
+        got = run_batch(CTMC, cells, (f,), McSettings(6000, 9, workers=workers), 0.999)
+        assert [(type(e.mean), e.mean.tobytes().hex()) for [e] in got] == \
+            [(np.float32, "d815e83e"), (np.float32, "7605383f")]
+
+
 def test_ball_count_matches_contains_on_the_boundary():
     ball = Ball(0.3, 0.1)
     values = np.array([0.3, 0.2, 0.4, 0.19999999999999998, 0.39999999999999997,
