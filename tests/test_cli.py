@@ -389,6 +389,27 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert all(float(r["tau_k"]) <= 3.0 for r in rows2)
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--model", "flip", "--x0", "0.5", "--horizon", "5", "--trajectories", "2"],
+    ["estimate", "--model", "ctmc", "--x0", "low:2", "--times", "1", "--f", "xmin1",
+     "--samples", "20"],
+])
+def test_seed_text_is_read_as_an_integer(tmp_path, capsys, command):
+    # the seed arrives as text from a flag or a config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 42\n")
+    flag, config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    assert main(command + ["--seed", "42", "--out", str(flag)]) == 0
+    assert main(command + ["--config", str(cfg), "--out", str(config)]) == 0
+    assert flag.read_bytes() == config.read_bytes()
+    assert parse_csv(flag.read_text())[0]["seed"] == "42"
+    capsys.readouterr()
+    for bad in ("0.5", "1e3", "abc"):
+        code, out, err = run_cli(capsys, *command, "--seed", bad)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad value for seed: '{bad}'")
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model = flip\nx0 = 1\nwibble = 3\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,28 @@ def test_seed_validation():
         StreamFactory(2 ** 64)
     with pytest.raises(ValueError):
         stream_uniforms(2 ** 64, 0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.9, 1.0, "3", None])
+def test_seed_that_is_no_integer_is_rejected(bad):
+    # a float seed used to be truncated, so seed 0.5 drew seed 0's streams
+    # and StreamFactory(1.9).seed was 1
+    with pytest.raises(ValueError, match=rf"^seed must be an integer, got {re.escape(repr(bad))}$"):
+        StreamFactory(bad)
+    with pytest.raises(ValueError, match=r"^seed\b"):
+        stream_uniforms(bad, 0, 0, 2, 1)
+    halving, _ = example_halving(1.0)
+    for process, x0 in ((halving, 1.0), (CTMC, CtmcState.low(2))):
+        with pytest.raises(ValueError, match=r"^seed\b"):
+            sample_terminals(process, x0, 1.0, 2, bad)
+
+
+def test_seed_accepts_integer_types():
+    want = StreamFactory(2 ** 64 - 1).stream(0, 0).random(3)
+    assert StreamFactory(np.uint64(2 ** 64 - 1)).stream(0, 0).random(3).tobytes() == \
+        want.tobytes()
+    assert StreamFactory(np.int32(7)).seed == 7 and type(StreamFactory(np.int32(7)).seed) is int
+    assert StreamFactory(True).seed == 1
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, -1, 2 ** 64, "3", None])
