@@ -259,6 +259,11 @@ def _flag(text) -> bool:
     return word in ("1", "true", "yes")
 
 
+def _seed(text) -> int:
+    """A seed given as text, as the integer it spells."""
+    return _check_seed(int(text))
+
+
 def _confidence(text) -> float:
     v = float(text)
     if not 0.0 < v < 1.0:
@@ -394,7 +399,7 @@ _REPORT_COLUMNS = ("label", "x", "t", "value", "half_width", "error")
 def _mc_settings(settings: Settings, default_samples: int = 10_000) -> McSettings:
     return McSettings(
         n_samples=settings.get("samples", default_samples, _positive_int),
-        seed=settings.get("seed", 0, _check_seed),
+        seed=settings.get("seed", 0, _seed),
         confidence=settings.get("confidence", 0.999, _confidence),
         workers=resolve_workers(settings.get("workers", None, _positive_int)),
     )
@@ -429,7 +434,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     horizon = settings.get("horizon", 10.0, _nonneg_float)
     count = settings.get("trajectories", 1, _positive_int)
     settings.get("workers", None, _positive_int)  # validated only: simulate runs in one process
-    factory = StreamFactory(settings.get("seed", 0, _check_seed))
+    factory = StreamFactory(settings.get("seed", 0, _seed))
     # every trajectory is sampled before anything is written, so a failure
     # leaves no output
     trajectories = [sample_jump_chain(model, x0, horizon, factory.stream(0, k))

@@ -66,23 +66,43 @@ class TestFunction:
         return self.upper - self.lower
 
 
+def _with_array(f: TestFunction, array: Callable) -> TestFunction:
+    """f carrying ``array``, its evaluator applied to a float64 array of
+    states at once with the same IEEE operations, or returning None where
+    the evaluator would raise. Not a field: equality and the public
+    surface stay those of f."""
+    object.__setattr__(f, "_array", array)
+    return f
+
+
 def _eval_xmin1(x: float) -> float:
     return x if x < 1.0 else 1.0
+
+
+def _array_xmin1(x: np.ndarray) -> np.ndarray:
+    return np.where(x < 1.0, x, 1.0)
 
 
 def _eval_const(x: float, c: float) -> float:
     return c
 
 
+def _array_const(x: np.ndarray, c: float) -> np.ndarray:
+    return np.full(len(x), c)
+
+
 def xmin1() -> TestFunction:
     """The observable min(x, 1), the canonical sensitivity probe."""
-    return TestFunction(_eval_xmin1, sup_bound=1.0, lip_const=1.0, lower=0.0, upper=1.0, name="xmin1")
+    return _with_array(TestFunction(_eval_xmin1, sup_bound=1.0, lip_const=1.0, lower=0.0,
+                                    upper=1.0, name="xmin1"), _array_xmin1)
 
 
 def constant(c: float = 1.0) -> TestFunction:
     b = max(abs(c), 1e-300)
-    return TestFunction(partial(_eval_const, c=c), sup_bound=b, lip_const=0.0,
-                        lower=c, upper=c, name=f"const({c:g})")
+    f = TestFunction(partial(_eval_const, c=c), sup_bound=b, lip_const=0.0,
+                     lower=c, upper=c, name=f"const({c:g})")
+    # another type of c sets the precision of the sum of its values
+    return _with_array(f, partial(_array_const, c=c)) if type(c) is float else f
 
 
 @dataclass(frozen=True)
@@ -285,6 +305,29 @@ def _eval_bump(y: float, lo: float, hi: float, quarter: float) -> float:
     return d_comp / (d_comp + d_core)
 
 
+def _array_bump(y: np.ndarray, lo: float, hi: float, quarter: float):
+    """``_eval_bump`` on an array, or None if a denominator is 0 (where
+    the scalar form raises) or overflows (where it warns). Python's
+    max and min return the first of equal arguments and a later one only
+    if it compares strictly larger (smaller), which ``_first_max`` and the
+    ``where`` for the min repeat; np.maximum would differ on nan."""
+    d_core = _first_max(_first_max(0.0, lo - y), y - hi)
+    a = lo - quarter
+    b = hi + quarter
+    d_right = _first_max(0.0, b - y)
+    if a >= 0.0:
+        d_left = _first_max(0.0, y - a)
+        d_comp = np.where(d_right < d_left, d_right, d_left)
+    else:
+        d_comp = d_right
+    den = d_comp + d_core
+    return d_comp / den if np.all((den > 0.0) & (den < math.inf)) else None
+
+
+def _first_max(a, b):
+    return np.where(b > a, b, a)
+
+
 def bump_function(region: Union[Ball, tuple], eps: float) -> TestFunction:
     """Continuous indicator surrogate: 1 on the region, 0 off its eps/4 collar.
 
@@ -302,11 +345,15 @@ def bump_function(region: Union[Ball, tuple], eps: float) -> TestFunction:
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ValueError(f"empty or invalid interval {region!r}")
         lo = as_state(lo)
-    return TestFunction(
-        partial(_eval_bump, lo=lo, hi=hi, quarter=eps / 4.0),
+    quarter = eps / 4.0
+    f = TestFunction(
+        partial(_eval_bump, lo=lo, hi=hi, quarter=quarter),
         sup_bound=1.0,
         lip_const=4.0 / eps,
         lower=0.0,
         upper=1.0,
         name=f"bump([{lo:g},{hi:g}],{eps:g})",
     )
+    if type(lo) is type(hi) is type(quarter) is float:
+        f = _with_array(f, partial(_array_bump, lo=lo, hi=hi, quarter=quarter))
+    return f

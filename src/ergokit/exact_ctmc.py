@@ -191,19 +191,36 @@ class CtmcProcess:
     def terminal_state(self, x0: CtmcState, t: float, stream: np.random.Generator) -> float:
         return sample_path(x0, t, stream).value
 
-    def terminal_states(self, x0: CtmcState, t: float, uniforms: np.ndarray) -> list:
+    def terminal_states(self, x0: CtmcState, t: float, uniforms: np.ndarray) -> np.ndarray:
         """Batch form of ``terminal_state``, one trajectory per row of uniforms.
 
         Row k holds the first ``batch_draws`` uniforms of trajectory k's
         stream; the cascade reads them in order, exactly as ``sample_path``
         draws them, so each value equals ``terminal_state`` on that stream.
-        Errors come only from (x0, t), which every trajectory shares.
+        The holding times of all rows are computed as arrays, with numpy's
+        ``log1p``, which can differ from ``math.log1p`` by an ulp; a row
+        whose first holding time, or sum of both, lies within a relative
+        2**-40 of t (thousands of ulps) is therefore run through the scalar
+        cascade again, so no row can fall on the other side of t. Errors
+        come only from (x0, t), which every trajectory shares.
         """
         t = _check_time(t)
         if x0.kind == _ZERO or t == 0.0:
-            return [x0.value] * len(uniforms)
-        values = [j.value for j in _reachable(x0)]
-        return [values[_jumps(x0, t, iter(row).__next__)] for row in uniforms.tolist()]
+            return np.full(len(uniforms), x0.value)
+        scale = float(-x0.n)  # the conversion that -n * math.log1p(u) makes
+        band = t * 2.0 ** -40
+        hold = scale * np.log1p(-uniforms[:, 0])
+        jumps = (hold <= t).astype(np.intp)
+        near = np.abs(hold - t) <= band
+        if x0.kind == _LOW:
+            hold += scale * np.log1p(-uniforms[:, 1])
+            jumps += hold <= t  # hold2 >= 0, so this needs hold1 <= t
+            near |= np.abs(hold - t) <= band
+        values = np.array([j.value for j in _reachable(x0)])
+        out = values[jumps]
+        for k in np.flatnonzero(near).tolist():
+            out[k] = values[_jumps(x0, t, iter(uniforms[k].tolist()).__next__)]
+        return out
 
     def exact_expectation(self, f, x0: CtmcState, t: float) -> float:
         return semigroup_apply(f, x0, t)

@@ -84,9 +84,15 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 def _check_seed(seed: int) -> int:
-    if not 0 <= int(seed) < 2 ** 64:
+    """seed as the first key word of every stream; ``ValueError`` naming it
+    unless it is an integer in [0, 2**64)."""
+    try:
+        word = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= word < 2 ** 64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    return int(seed)
+    return word
 
 
 def _counter_word(value, name: str, end: int = 2 ** 64) -> int:
@@ -307,6 +313,20 @@ def sample_cells(process, cells, n: int, seed: int, workers: Optional[int] = Non
         return list(pool.map(_sample_cell, jobs))
 
 
+def _terms(functional: TestFunction, values: np.ndarray) -> Optional[np.ndarray]:
+    """The values of a built-in test function at the samples, as one array
+    computed with the loop's IEEE operations, or None where the loop must
+    run: a user's evaluator (its return type sets the precision of the
+    sum), a sample off the half-line (finite and nonnegative states cannot
+    overflow the built-ins or their sum, so neither pass warns), or a value
+    the evaluator raises on."""
+    array = getattr(functional, "_array", None)
+    if array is None or not (np.all(np.isfinite(values)) and np.all(values >= 0.0)):
+        return None
+    with np.errstate(all="ignore"):
+        return array(values)
+
+
 def _estimate(values, functional: Union[TestFunction, Ball], confidence: float) -> Estimate:
     """Mean of a test function, or hit fraction of a ball, over the samples
     in trajectory order, with its Hoeffding half-width."""
@@ -316,9 +336,17 @@ def _estimate(values, functional: Union[TestFunction, Ball], confidence: float) 
         inside = np.abs(values - functional.center) < functional.radius
         total, bound = int(np.count_nonzero(inside)), 1.0
     else:
-        total, bound = 0.0, functional.value_bound
-        for v in values:  # fixed trajectory order
-            total += functional(v)
+        bound = functional.value_bound
+        terms = _terms(functional, values)
+        if terms is None:
+            total = 0.0
+            for v in values:  # fixed trajectory order
+                total += functional(v)
+        else:
+            # cumsum adds left to right as the loop does; + 0.0 is the
+            # loop's 0.0 start, which turns a sum of -0.0 terms into 0.0
+            with np.errstate(all="ignore"):
+                total = float(np.cumsum(terms)[-1]) + 0.0
     return Estimate(mean=total / n, n_samples=n,
                     half_width=hoeffding_half_width(bound, n, confidence),
                     confidence=confidence, value_bound=bound)

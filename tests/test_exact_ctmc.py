@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,6 +186,59 @@ def test_terminal_states_match_sample_path(x0, t):
     got = proc.terminal_states(x0, t, uniforms)
     want = [sample_path(x0, t, factory.stream(6, k)).value for k in range(n)]
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _ulps_around(x, k=200):
+    """The 2k + 1 floats from k ulps below x to k ulps above it."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:0:-1] + above)
+
+
+def _next_to_t(n, t):
+    """Uniform pairs whose first holding time lies within 200 ulps of t, and
+    pairs whose second holding time brings the sum within 200 ulps of t."""
+    first = _ulps_around(-math.expm1(-t / n))
+    rows = [np.column_stack((first, np.full(len(first), 0.5)))]
+    for frac in (0.1, 0.37, 0.5, 0.8, 0.99):
+        u0 = -math.expm1(-frac * t / n)
+        rest = t + n * math.log1p(-u0)  # t minus the first holding time
+        second = _ulps_around(-math.expm1(-rest / n))
+        rows.append(np.column_stack((np.full(len(second), u0), second)))
+    return np.concatenate(rows)
+
+
+_NEXT_TO_T = [(2, 1.0), (3, 0.5), (5, 0.7), (6, 7.0), (60, 60.0), (100, 1.5)]
+
+
+@pytest.mark.parametrize("n, t", _NEXT_TO_T)
+@pytest.mark.parametrize("kind", ["low", "high"])
+def test_terminal_states_match_sample_path_next_to_t(n, t, kind):
+    # numpy's log1p puts some of these rows on the other side of t than
+    # math.log1p (see below): the scalar recheck must settle every one as
+    # sample_path does
+    x0 = CtmcState(kind, n)
+    uniforms = _next_to_t(n, t)
+    got = CtmcProcess().terminal_states(x0, t, uniforms)
+    want = [sample_path(x0, t, SimpleNamespace(random=iter(row).__next__)).value
+            for row in uniforms.tolist()]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_next_to_t_rows_include_log1p_disagreements():
+    # rows where an array pass alone would pick another state than the
+    # scalar cascade, both on the first holding time and on the sum
+    first = second = 0
+    for n, t in _NEXT_TO_T:
+        u = _next_to_t(n, t)
+        hold = float(-n) * np.log1p(-u)
+        want = np.array([[-n * math.log1p(-v) for v in row] for row in u.tolist()])
+        first += np.count_nonzero((hold[:, 0] <= t) != (want[:, 0] <= t))
+        second += np.count_nonzero(((hold.sum(axis=1) <= t) != (want.sum(axis=1) <= t))
+                                   & (want[:, 0] <= t))
+    assert first > 0 and second > 0
 
 
 def test_batch_sampled_cell_matches_scalar_terminal_states():
