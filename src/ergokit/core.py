@@ -67,10 +67,11 @@ class TestFunction:
 
 
 def _with_array(f: TestFunction, array: Callable) -> TestFunction:
-    """f carrying ``array``, its evaluator applied to a float64 array of
-    states at once with the same IEEE operations, or returning None where
-    the evaluator would raise. Not a field: equality and the public
-    surface stay those of f."""
+    """f carrying ``array``: its evaluator applied to a float64 array of
+    states at once with the same IEEE operations, returning None where the
+    evaluator raises or warns. Only for Python float parameters, whose
+    operations with a state are the array's. Not a field: equality and
+    the public surface stay those of f."""
     object.__setattr__(f, "_array", array)
     return f
 
@@ -101,7 +102,6 @@ def constant(c: float = 1.0) -> TestFunction:
     b = max(abs(c), 1e-300)
     f = TestFunction(partial(_eval_const, c=c), sup_bound=b, lip_const=0.0,
                      lower=c, upper=c, name=f"const({c:g})")
-    # another type of c sets the precision of the sum of its values
     return _with_array(f, partial(_array_const, c=c)) if type(c) is float else f
 
 
@@ -305,12 +305,16 @@ def _eval_bump(y: float, lo: float, hi: float, quarter: float) -> float:
     return d_comp / (d_comp + d_core)
 
 
+def _first_max(a, b):
+    return np.where(b > a, b, a)
+
+
 def _array_bump(y: np.ndarray, lo: float, hi: float, quarter: float):
     """``_eval_bump`` on an array, or None if a denominator is 0 (where
     the scalar form raises) or overflows (where it warns). Python's
     max and min return the first of equal arguments and a later one only
     if it compares strictly larger (smaller), which ``_first_max`` and the
-    ``where`` for the min repeat; np.maximum would differ on nan."""
+    ``where`` for the min repeat; np.maximum may differ on -0.0 and nan."""
     d_core = _first_max(_first_max(0.0, lo - y), y - hi)
     a = lo - quarter
     b = hi + quarter
@@ -322,10 +326,6 @@ def _array_bump(y: np.ndarray, lo: float, hi: float, quarter: float):
         d_comp = d_right
     den = d_comp + d_core
     return d_comp / den if np.all((den > 0.0) & (den < math.inf)) else None
-
-
-def _first_max(a, b):
-    return np.where(b > a, b, a)
 
 
 def bump_function(region: Union[Ball, tuple], eps: float) -> TestFunction:

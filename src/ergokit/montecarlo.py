@@ -18,7 +18,16 @@ double ``(word >> 11) * 2**-53``. ``stream_uniforms`` evaluates that
 formula for many trajectories of one cell in one numpy pass, bit for bit
 equal to the ``StreamFactory`` stream. Processes with a batch form (the
 ``ctmc`` chain) are sampled from it, ``CHUNK`` trajectories at a time;
-the others run their scalar sampler on one stream per trajectory.
+the others run their scalar sampler on one stream per trajectory. The
+chain's batch form computes the holding times with numpy's ``log1p``,
+which may differ from ``math.log1p`` by an ulp, and reruns the scalar
+cascade on every row whose holding time, or sum of two, lies within a
+relative 2**-40 of t: no row can cross t, so each terminal state is the
+one ``sample_path`` gives. The built-in test functions (``xmin1``,
+``constant``, ``bump_function``) are evaluated over a cell's samples as
+one array, with the scalar evaluator's IEEE operations, and summed by
+``np.cumsum``, which adds left to right as the per-value loop of a
+user's test function does.
 
 Confidence half-widths use the Hoeffding bound for means of variables with
 a known range, never a normal approximation: conservative but valid at
@@ -313,18 +322,22 @@ def sample_cells(process, cells, n: int, seed: int, workers: Optional[int] = Non
         return list(pool.map(_sample_cell, jobs))
 
 
-def _terms(functional: TestFunction, values: np.ndarray) -> Optional[np.ndarray]:
-    """The values of a built-in test function at the samples, as one array
-    computed with the loop's IEEE operations, or None where the loop must
-    run: a user's evaluator (its return type sets the precision of the
-    sum), a sample off the half-line (finite and nonnegative states cannot
-    overflow the built-ins or their sum, so neither pass warns), or a value
-    the evaluator raises on."""
+def _array_sum(functional: TestFunction, values: np.ndarray) -> Optional[float]:
+    """The loop's sum of a built-in test function over the samples, from
+    one array pass with the loop's IEEE operations, or None where the loop
+    must run: a user's evaluator (its return type sets the precision of
+    the sum), a sample off the half-line (finite nonnegative states cannot
+    overflow the built-ins or their sum, so no warning goes missing), or a
+    value the evaluator raises on."""
     array = getattr(functional, "_array", None)
     if array is None or not (np.all(np.isfinite(values)) and np.all(values >= 0.0)):
         return None
+    # a constant's loop adds Python floats, which overflow without a warning
     with np.errstate(all="ignore"):
-        return array(values)
+        terms = array(values)
+        # cumsum adds left to right as the loop does; + 0.0 is the loop's
+        # 0.0 start, which turns a sum of -0.0 terms into 0.0
+        return None if terms is None else float(np.cumsum(terms)[-1]) + 0.0
 
 
 def _estimate(values, functional: Union[TestFunction, Ball], confidence: float) -> Estimate:
@@ -337,16 +350,11 @@ def _estimate(values, functional: Union[TestFunction, Ball], confidence: float) 
         total, bound = int(np.count_nonzero(inside)), 1.0
     else:
         bound = functional.value_bound
-        terms = _terms(functional, values)
-        if terms is None:
+        total = _array_sum(functional, values)
+        if total is None:
             total = 0.0
             for v in values:  # fixed trajectory order
                 total += functional(v)
-        else:
-            # cumsum adds left to right as the loop does; + 0.0 is the
-            # loop's 0.0 start, which turns a sum of -0.0 terms into 0.0
-            with np.errstate(all="ignore"):
-                total = float(np.cumsum(terms)[-1]) + 0.0
     return Estimate(mean=total / n, n_samples=n,
                     half_width=hoeffding_half_width(bound, n, confidence),
                     confidence=confidence, value_bound=bound)

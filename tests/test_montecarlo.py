@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from ergokit.core import Ball, TestFunction, xmin1
+from ergokit.core import Ball, TestFunction, bump_function, constant, xmin1
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_flip, example_halving
 from ergokit.montecarlo import (
@@ -270,6 +272,62 @@ def test_custom_function_keeps_the_loops_promotion():
         got = run_batch(CTMC, cells, (f,), McSettings(6000, 9, workers=workers), 0.999)
         assert [(type(e.mean), e.mean.tobytes().hex()) for [e] in got] == \
             [(np.float32, "d815e83e"), (np.float32, "7605383f")]
+
+
+def _loop_mean(values, f):
+    total = 0.0
+    for v in values:
+        total += f(v)
+    return total / len(values)
+
+
+def _outcome(mean):
+    """The bits of mean(), or the error it raises."""
+    try:
+        return np.float64(mean()).tobytes()
+    except Exception as exc:
+        return repr(exc)
+
+
+_EDGES = [0.0, -0.0, 5e-324, 0.2, 0.25, 0.3, 0.4, 0.45, 0.5, 0.9, 1.0, 1.1, 1.9, 2.0, 2.1,
+          3.0, 1e308]
+
+
+@pytest.mark.parametrize("f", [
+    xmin1(), constant(3.0), constant(-0.0), constant(1e308), bump_function((0.0, 1.0), 0.5),
+    bump_function((1.0, 2.0), 0.4), bump_function(Ball(0.3, 0.1), 0.05),
+    bump_function((0.0, 0.0), 1.0)], ids=lambda f: f.name)
+def test_builtin_array_sums_equal_the_loop(f):
+    # every built-in sums its array form, which must give the loop's bits;
+    # states off the half-line take the loop itself
+    rng = np.random.default_rng(17)
+    samples = [np.array(_EDGES), np.full(7, -0.0), rng.random(5000) * 3.0,
+               rng.choice(_EDGES, 5000), np.array([0.5, -1.0, math.nan, math.inf])]
+    for values in samples:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(lambda: _estimate(values, f, 0.99).mean)
+        assert got == _outcome(lambda: _loop_mean(values, f))
+
+
+def test_bump_whose_denominator_vanishes_still_raises():
+    # at 2, bump:1,2,1e-300 divides 0 by 0: the scalar form's error, as a
+    # cell of run_batch reports it
+    f = bump_function((1.0, 2.0), 1e-300)
+    with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+        _estimate(np.array([0.0, 1.5, 2.0]), f, 0.99)
+    assert _estimate(np.array([0.0, 1.5]), f, 0.99).mean == 0.5
+
+
+def test_array_forms_leave_test_function_equality_alone():
+    assert [fd.name for fd in dataclasses.fields(TestFunction)] == \
+        ["evaluator", "sup_bound", "lip_const", "lower", "upper", "name"]
+    plain = TestFunction(xmin1().evaluator, 1.0, 1.0, 0.0, 1.0, "xmin1")
+    assert xmin1() == plain and hash(xmin1()) == hash(plain)
+    assert repr(xmin1()) == repr(plain)
+    # a copy with another evaluator has no array form
+    halved = dataclasses.replace(xmin1(), evaluator=lambda x: x / 2.0)
+    assert _estimate(np.array([0.5, 3.0]), halved, 0.99).mean == 0.875
 
 
 def test_ball_count_matches_contains_on_the_boundary():
