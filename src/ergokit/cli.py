@@ -445,9 +445,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     blocks = (((k,), (range(1, len(traj) + 1), traj.tau.tolist(), traj.xi.tolist(),
                       traj.index.tolist(), traj.phi.tolist()))
               for k, traj in enumerate(trajectories))
-    # the memo holds the nonzero points the sampler met at least twice, at
-    # most MEMO_NODES of them and none under a moving flow: the state
-    # columns print each of these points from one text
+    # the memo holds the nonzero points the sampler met, at most MEMO_NODES
+    # of them and none under a moving flow: the state columns print each of
+    # these points from one text
     text = {x: _fmt_float(x) for x in model._memo}
     return _write(settings, "simulate", "trajectories-v1",
                   ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"), blocks,
@@ -625,18 +625,23 @@ def _add_common(parser: argparse.ArgumentParser, estimates: bool = True) -> None
     parser.add_argument("--plot", help="write an SVG line chart to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags are matched in full, also by the subparsers, which take this
+    class: a manifest's mode= line fed back as --mode is not --model."""
+
+    def __init__(self, *args, allow_abbrev: bool = False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # flags are matched in full: a manifest's mode= line fed back as --mode
-    # must not be read as --model
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ergokit",
         description="simulation and ergodicity diagnostics for jump processes on the half-line",
-        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"ergokit {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("exact-ctmc", help="closed-form chain tables", allow_abbrev=False)
+    p = commands.add_parser("exact-ctmc", help="closed-form chain tables")
     p.add_argument("--config")
     p.add_argument("--n", help="cascade level (n >= 2)")
     p.add_argument("--t", help="time")
@@ -645,15 +650,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(func=cmd_exact_ctmc)
 
-    p = commands.add_parser("simulate", help="dump jump-chain trajectories", allow_abbrev=False)
+    p = commands.add_parser("simulate", help="dump jump-chain trajectories")
     _add_common(p, estimates=False)
     p.add_argument("--x0", help="initial point")
     p.add_argument("--horizon", help="time horizon")
     p.add_argument("--trajectories", help="number of trajectories")
     p.set_defaults(func=cmd_simulate)
 
-    p = commands.add_parser("estimate", help="Monte Carlo expectation / hit tables",
-                            allow_abbrev=False)
+    p = commands.add_parser("estimate", help="Monte Carlo expectation / hit tables")
     _add_common(p)
     p.add_argument("--x0", help="comma list of initial points")
     p.add_argument("--times", help="comma list of times")
@@ -661,10 +665,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ball", help="hit region <center>,<radius>")
     p.set_defaults(func=cmd_estimate)
 
-    p = commands.add_parser("diagnose", help="ergodicity diagnostics", allow_abbrev=False)
+    p = commands.add_parser("diagnose", help="ergodicity diagnostics")
     sub = p.add_subparsers(dest="subdiagnostic", required=True)
 
-    d = sub.add_parser("ec", help="late-time sensitivity profile near an anchor", allow_abbrev=False)
+    d = sub.add_parser("ec", help="late-time sensitivity profile near an anchor")
     _add_common(d)
     d.add_argument("--f")
     d.add_argument("--z", help="anchor point")
@@ -674,14 +678,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--grid", help="comma list of times inside the window")
     d.set_defaults(func=cmd_diagnose)
 
-    d = sub.add_parser("eprop", help="equicontinuity failure witnesses", allow_abbrev=False)
+    d = sub.add_parser("eprop", help="equicontinuity failure witnesses")
     _add_common(d)
     d.add_argument("--f")
     d.add_argument("--z")
     d.add_argument("--pairs", help="'auto' or comma list of x@t")
     d.set_defaults(func=cmd_diagnose)
 
-    d = sub.add_parser("lowerbound", help="late-time neighborhood hit floor", allow_abbrev=False)
+    d = sub.add_parser("lowerbound", help="late-time neighborhood hit floor")
     _add_common(d)
     d.add_argument("--z")
     d.add_argument("--eps")
@@ -689,15 +693,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--t-grid", dest="t_grid")
     d.set_defaults(func=cmd_diagnose)
 
-    d = sub.add_parser("stability", help="bounded-Lipschitz distance decay", allow_abbrev=False)
+    d = sub.add_parser("stability", help="bounded-Lipschitz distance decay")
     _add_common(d)
     d.add_argument("--z", help="reference point mass location")
     d.add_argument("--initials", help="comma list of initial points")
     d.add_argument("--t-grid", dest="t_grid")
     d.set_defaults(func=cmd_diagnose)
 
-    d = sub.add_parser("assumptions", help="contraction / modulus / budget audits",
-                       allow_abbrev=False)
+    d = sub.add_parser("assumptions", help="contraction / modulus / budget audits")
     _add_common(d)
     d.add_argument("--x-grid", dest="x_grid")
     d.add_argument("--n-trunc", dest="n_trunc")

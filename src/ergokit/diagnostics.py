@@ -260,7 +260,9 @@ def lower_bound_scan(process, z, eps: float, x_grid: Sequence, t_grid: Sequence[
     and the scan minimum over x, all with the largest cell half-width. A
     scan minimum whose lower confidence endpoint stays positive supports
     the hit-probability floor needed for stability; the floor claim is only
-    as strong as the declared grids.
+    as strong as the declared grids. A failed cell gets a ``nan`` row with
+    its error; its start then has no minimum, and the scan minimum is
+    ``nan`` with an error.
     """
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
@@ -278,24 +280,29 @@ def lower_bound_scan(process, z, eps: float, x_grid: Sequence, t_grid: Sequence[
     failures = []
     hw = 0.0
     for c, ((x, t), cell) in enumerate(zip(cells, means)):
+        i = c // len(t_grid)
         if isinstance(cell, str):
-            failures.append((x, t, cell))
+            failures.append((i, x, t, cell))
             continue
         ((m, cell_hw),) = cell
         hw = max(hw, cell_hw)
-        i = c // len(t_grid)
         if i not in by_initial or m < by_initial[i][0]:
             by_initial[i] = (m, t)
+    for i, _, _, _ in failures:
+        by_initial.pop(i, None)
     for i, x in enumerate(x_grid):
         if i in by_initial:
             m, t_at = by_initial[i]
             report.add("hit_prob_min", process.state_label(x), f"{t_at:g}", m, hw)
-    for x, t, error in failures:
+    for _, x, t, error in failures:
         report.add("hit_prob_min", process.state_label(x), f"{t:g}", math.nan, 0.0,
                    error=error)
-    if by_initial:
-        m, t_at = min(by_initial.values())
-        report.add("scan_min", "all", _window_label(t_grid[0], t_grid[-1]), m, hw)
+    window = _window_label(t_grid[0], t_grid[-1])
+    if failures:
+        report.add("scan_min", "all", window, math.nan, 0.0,
+                   error=f"{len(failures)} of {len(cells)} cells failed")
+    else:
+        report.add("scan_min", "all", window, min(by_initial.values())[0], hw)
     return report
 
 

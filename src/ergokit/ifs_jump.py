@@ -54,10 +54,9 @@ PROB_SUM_TOL = 1e-9
 # discards at most 63 unused words.
 BLOCK = 64
 
-# Most points an identity-flow model remembers, counting points visited
-# once and memo nodes (see ``IfsModel._jump_loop``); 4096 nodes of a
-# two-map model take about 2 MB. A full memo stops growing, and the points
-# it lacks take the inline path.
+# Most memo nodes an identity-flow model keeps (see ``IfsModel._jump_loop``);
+# 4096 nodes of a two-map model take about 2 MB. A full memo stops growing,
+# and the points it lacks take the inline path.
 MEMO_NODES = 4096
 
 # Exact-law work is counted in point-steps, the cost of carrying one orbit
@@ -108,13 +107,13 @@ class IfsModel:
     ``maps`` and ``prob_field`` must be pure functions of the point. Under
     the identity flow a trajectory moves only through the points its maps
     produce, so the sampler keeps a memo per model object of the validated
-    weights at each nonzero point and of each map's output there. A first
-    visit marks the point and the second builds its node (see
-    ``_node_at``): an identity-flow model evaluates ``prob_field`` at most
-    twice per distinct nonzero point, and each map at most twice there,
-    while the memo has room (``MEMO_NODES`` points). The memo is private
-    and takes no part in equality, hashing, ``repr`` or pickling; a copy
-    or an unpickled model starts with an empty one.
+    weights at each nonzero point and of each map's output there, built on
+    the point's first visit (see ``_node_at``): an identity-flow model
+    evaluates ``prob_field`` at most once per distinct nonzero point, and
+    each map at most once there, while the memo has room (``MEMO_NODES``
+    points). The memo is private and takes no part in equality, hashing,
+    ``repr`` or pickling; a copy or an unpickled model starts with an
+    empty one.
     """
 
     name: str
@@ -132,16 +131,14 @@ class IfsModel:
         self._reset_memo()
 
     def _reset_memo(self) -> None:
-        # the memo: point -> node (see ``_node_at``), and the points the
-        # jump loop has visited once. Every entry is a function of its point
-        # alone, so threads sharing a model can only repeat work and
-        # overshoot ``MEMO_NODES``.
+        # the memo: point -> node (see ``_node_at``). Every node is a
+        # function of its point alone, so threads sharing a model can only
+        # repeat work and overshoot ``MEMO_NODES``.
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_seen", set())
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_memo"], state["_seen"]
+        del state["_memo"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -188,27 +185,26 @@ class IfsModel:
         point.
 
         Under the identity flow the model remembers the nonzero points it
-        visits, while its memo has room. A first visit marks the point; the
-        second builds its node (see ``_node_at``), from which it and every
-        later visit take the choice by one bisection and the post-jump
-        point from a cache. Any other jump (moving flow, zero, a first
-        visit, or a point missing from a full memo) validates its
-        probability vector inline with plain float arithmetic, with the
-        checks and messages of ``_weights``, because this is the hot path.
-        For the same reason such a jump applies its map inline, with the
-        check and message of ``apply_map``, and a moving flow's pre-jump
-        point is flowed and checked inline, with those of ``_flowed``: an
-        ``ExponentialFlow`` (not a subclass) as ``x * exp(alpha * gap)``,
-        the expression of its ``__call__``, any other flow by calling it.
+        visits, while its memo has room: a point's first visit builds its
+        node (see ``_node_at``), from which every visit takes the choice by
+        one bisection and the post-jump point from a cache. Any other jump
+        (moving flow, zero, or a point missing from a full memo) validates
+        its probability vector inline with plain float arithmetic, because
+        this is the hot path, and hands a vector that fails a check of
+        ``_weights`` to it, which raises. For the same reason such a jump
+        applies its map inline, with the check and message of
+        ``apply_map``, and a moving flow's pre-jump point is flowed and
+        checked inline, with those of ``_flowed``: an ``ExponentialFlow``
+        (not a subclass) as ``x * exp(alpha * gap)``, the expression of its
+        ``__call__``, any other flow by calling it.
         """
         rate = self.rate
         flow = self.flow
         moving = not isinstance(flow, IdentityFlow)
         alpha = flow.alpha if type(flow) is ExponentialFlow else None
         memo = self._memo
-        seen = self._seen
         lookup = memo.get
-        room = 0 if moving else MEMO_NODES - len(memo) - len(seen)
+        room = 0 if moving else MEMO_NODES - len(memo)
         field = self.prob_field
         apply = self.apply_map
         maps = self.maps
@@ -241,8 +237,11 @@ class IfsModel:
             else:
                 pre = x
                 node = lookup(pre)
-                if node is None and pre in seen:  # second visit
+                # 0.0 and -0.0 are one key but keep their sign through the
+                # maps, so zero never enters the memo
+                if node is None and room and pre:
                     node = self._node_at(pre)
+                    room -= 1
             if i == BLOCK:
                 buf = stream.random(BLOCK).tolist()
                 i = 0
@@ -258,33 +257,23 @@ class IfsModel:
                 w = field(pre)
                 if isinstance(w, ndarray):
                     w = w.tolist()
-                if len(w) != n_maps:
-                    raise ValueError(f"prob_field returned {len(w)} weights for "
-                                     f"{n_maps} maps at x={pre!r}")
                 acc = 0.0
                 chosen = 0
                 k = 0
                 for p in w:
                     k += 1
                     if p < 0.0:
-                        raise ValueError(f"negative selection probability {p!r} at "
-                                         f"x={pre!r} in model {self.name!r}")
+                        self._weights(pre, w)  # raises
                     acc += p
                     if chosen == 0 and u < acc:
                         chosen = k
-                if not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
-                    raise ValueError(f"selection probabilities sum to {acc!r} at "
-                                     f"x={pre!r} in model {self.name!r}")
+                if len(w) != n_maps or not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
+                    self._weights(pre, w)  # raises
                 if not chosen:
                     chosen = _fallback(w, pre)
                 x = float(maps[chosen - 1](pre))
                 if not 0.0 <= x < inf:
                     raise self._invalid_map(chosen, pre, x)
-                # 0.0 and -0.0 are one key but keep their sign through the
-                # maps, so zero never enters the memo
-                if room and pre:
-                    seen.add(pre)
-                    room -= 1
             if record is not None:
                 taus(now)
                 xis(pre)
@@ -420,8 +409,7 @@ class IfsModel:
 
     def _node_at(self, x: float) -> tuple:
         """Memo node ``(cum, succ)`` of the point x, from ``_weights(x)``;
-        the memo keeps it when x != 0 and x was visited once or the memo
-        has room.
+        the memo keeps it when x != 0 and the memo has room.
 
         ``cum`` is [0.0] followed by the running sums ``acc += p`` of the
         weights, with +inf from the last map of positive weight on. The
@@ -436,21 +424,22 @@ class IfsModel:
         last = _fallback(w, x)
         cum[last:] = [math.inf] * (len(cum) - last)
         node = cum, [None] * len(cum)
-        memo, seen = self._memo, self._seen
-        if x and (x in seen or len(memo) + len(seen) < MEMO_NODES):
-            seen.discard(x)
+        memo = self._memo
+        if x and len(memo) < MEMO_NODES:
             memo[x] = node
         return node
 
-    def _weights(self, x: float) -> list:
-        """Selection probabilities at x for the audits and the memo nodes,
-        with the checks and messages of the jump loop's inline validation.
-        The items are the field's own, as the jump loop sums them (an
-        ndarray becomes Python floats), so a node built from them selects
-        as the sampler does. The jump loop's first visit to a point sums
-        them inline instead; the second builds the point's node from them.
+    def _weights(self, x: float, w=None) -> list:
+        """Selection probabilities at x, ``prob_field(x)`` unless given as
+        w, for the audits and the memo nodes; raises ``ValueError`` on a
+        vector of the wrong length, a negative weight or a sum off 1. The
+        items are the field's own, as the jump loop's inline path sums them
+        (an ndarray becomes Python floats), so a node built from them
+        selects as that path does. The inline path hands the vector it
+        holds here only to raise.
         """
-        w = self.prob_field(x)
+        if w is None:
+            w = self.prob_field(x)
         if isinstance(w, np.ndarray):
             w = w.tolist()
         if len(w) != len(self.maps):

@@ -569,6 +569,23 @@ def test_abbreviated_flags_are_rejected(capsys, argv):
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
+def test_every_parser_matches_flags_in_full():
+    # the subparsers take the top parser's class, and with it the setting
+    import argparse
+    from ergokit.cli import build_parser
+
+    parsers, found = [build_parser()], []
+    while parsers:
+        parser = parsers.pop()
+        found.append(parser)
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+    # the top parser, exact-ctmc, simulate, estimate, diagnose and its five
+    assert len(found) == 10
+    assert [p.allow_abbrev for p in found] == [False] * 10
+
+
 def test_config_file_lambda_key(tmp_path, capsys):
     cfg = tmp_path / "lam.cfg"
     cfg.write_text("model = halving\nlambda = 2.0\nx0 = 1\nhorizon = 2\n"
@@ -1011,7 +1028,7 @@ def _sampled_halving(monkeypatch):
 
 
 def test_lowerbound_bytes_are_pinned(tmp_path, monkeypatch):
-    # digest of the 0.6.0 table, sampled; from the second visit to a point
+    # digest of the 0.6.0 table, sampled; from the first visit to a point
     # on, every jump of these trajectories runs on the halving model's memo
     _sampled_halving(monkeypatch)
     table = tmp_path / "lb.csv"
@@ -1060,6 +1077,54 @@ def _drift_model(lam):
 
     return IfsModel(name="drift", maps=(halve, stay), prob_field=lambda x: (0.5, 0.5),
                     rate=lam, flow=ExponentialFlow(0.01)), None
+
+
+def _far_nan_model(flow):
+    # halving whose stay map fails past 8
+    from ergokit.ifs_jump import IfsModel
+
+    def halve(x):
+        return x / 2.0
+
+    def stay_or_nan(x):
+        return math.nan if x > 8.0 else x
+
+    def field(x):
+        return (math.exp(-x), 1.0 - math.exp(-x))
+
+    return lambda lam: (IfsModel(name="far-nan", maps=(halve, stay_or_nan), prob_field=field,
+                                 rate=lam, flow=flow, absorbing=(0.0,)), None)
+
+
+@pytest.mark.parametrize("flow, x_grid, t_grid, failed", [
+    # the exact law from 10 fails at once, so both of its cells do
+    ("identity", "1,10", "5,10", [("10", "5"), ("10", "10")]),
+    # a trajectory from 1 drifts past 8 before t = 40, none before t = 2
+    ("exponential", "0.5,1", "2,40", [("1", "40")]),
+], ids=["exact", "sampled"])
+def test_lowerbound_start_with_a_failed_cell_has_no_minimum(capsys, monkeypatch, flow, x_grid,
+                                                            t_grid, failed):
+    # the minimum over the cells that survived is no minimum over the grid:
+    # the start and the scan print nan with an error, the other starts
+    # their minimum
+    from ergokit import cli
+    from ergokit.ifs_jump import ExponentialFlow, IdentityFlow
+
+    flow = IdentityFlow() if flow == "identity" else ExponentialFlow(0.1)
+    monkeypatch.setitem(cli._MODELS, "far-nan", (_far_nan_model(flow), ()))
+    code, out, _ = run_cli(capsys, "diagnose", "lowerbound", "--model", "far-nan", "--z", "0",
+                           "--eps", "0.1", "--x-grid", x_grid, "--t-grid", t_grid,
+                           "--samples", "50")
+    assert code == 1
+    _, _, rows = parse_csv(out)
+    bad = {x for x, _ in failed}
+    starts = [r for r in rows if r["label"] == "hit_prob_min"]
+    assert [(r["x"], r["t"]) for r in starts if r["x"] in bad] == failed
+    assert [r["x"] for r in starts if r["x"] not in bad] == [x_grid.split(",")[0]]
+    for r in starts:
+        assert (r["value"] == "nan") == bool(r["error"]) == (r["x"] in bad)
+    (scan,) = [r for r in rows if r["label"] == "scan_min"]
+    assert scan["value"] == "nan" and scan["error"] == f"{len(failed)} of 4 cells failed"
 
 
 def test_moving_flow_is_sampled(capsys, monkeypatch):

@@ -457,11 +457,15 @@ def test_float_slack_falls_back_to_last_positive_weight():
     (lambda x: (0.5, 0.4), "selection probabilities sum to 0.9"),
 ])
 def test_jump_loop_rejects_bad_selection_probabilities(field, match):
-    model = IfsModel(name="bad", maps=(lambda x: x, lambda x: x), prob_field=field, rate=1.0)
-    with pytest.raises(ValueError, match=match):
-        model.terminal_state(0.5, 50.0, StreamFactory(0).stream(0, 0))
-    with pytest.raises(ValueError, match=match):
-        sample_jump_chain(model, 0.5, 50.0, StreamFactory(0).stream(0, 0))
+    # the identity flow checks the weights as it builds the point's memo
+    # node, a moving flow inline
+    for flow in (IdentityFlow(), ExponentialFlow(0.1)):
+        model = IfsModel(name="bad", maps=(lambda x: x, lambda x: x), prob_field=field,
+                         rate=1.0, flow=flow)
+        with pytest.raises(ValueError, match=match):
+            model.terminal_state(0.5, 50.0, StreamFactory(0).stream(0, 0))
+        with pytest.raises(ValueError, match=match):
+            sample_jump_chain(model, 0.5, 50.0, StreamFactory(0).stream(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +487,8 @@ _MEMO_MODELS = {
 
 @pytest.mark.parametrize("name", sorted(_MEMO_MODELS))
 def test_warm_model_matches_reference_bit_for_bit(name):
-    # one model object for all 200 trajectories: from the second visit to a
-    # point on, its jumps are memo hits
+    # one model object for all 200 trajectories: from the first visit to a
+    # point on, its jumps run on the point's memo node
     model = _MEMO_MODELS[name]()
     factory = StreamFactory(11)
     got, want = [], []
@@ -519,8 +523,8 @@ def test_negative_zero_keeps_its_sign_on_a_warm_model():
 def test_float_slack_fallback_holds_on_every_visit(monkeypatch, memo_nodes):
     # weights sum to 1 - 1e-12 with two zero weights last: a uniform above
     # the sum picks w2, the last map with positive weight, on the first
-    # visit to 0.7 (inline), on the second (which makes the memo node) and
-    # on every later one
+    # visit to 0.7 (which makes the memo node) and on every later one, or
+    # inline on every visit when the memo has no room
     monkeypatch.setattr(ifs_jump, "MEMO_NODES", memo_nodes)
     model = IfsModel(name="slack",
                      maps=(lambda x: 1.0, lambda x: 2.0, lambda x: 3.0, lambda x: 4.0),
@@ -591,8 +595,8 @@ def test_field_return_types_select_as_the_reference(kind):
 
 def test_memo_stops_growing_at_its_cap():
     # maps x/2 and (x+1)/2: past the first few jumps almost every point is
-    # new, so ~10 000 jumps fill the memo (mostly with points visited once)
-    # and 30 000 more add no entries
+    # new, so the first ~10 000 jumps fill the memo (mostly with points
+    # visited once) and 30 000 more add no entries
     model = IfsModel(name="orbit", maps=(lambda x: x / 2.0, lambda x: (x + 1.0) / 2.0),
                      prob_field=lambda x: (0.5, 0.5), rate=1.0)
     tracemalloc.start()
@@ -604,7 +608,7 @@ def test_memo_stops_growing_at_its_cap():
         later, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(model._memo) + len(model._seen) == MEMO_NODES
+    assert len(model._memo) == MEMO_NODES
     assert full < 4 * 2 ** 20
     assert later - full < full / 10
 
@@ -613,18 +617,18 @@ def test_memo_takes_no_part_in_pickling_equality_or_repr():
     warm, _ = example_halving(1.0)
     fresh, _ = example_halving(1.0)
     first = sample_terminals(warm, 5.0, 100.0, 20, 1)
-    assert warm._memo and not fresh._memo and not fresh._seen
+    assert warm._memo and not fresh._memo
     assert pickle.dumps(warm) == pickle.dumps(fresh)
     assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
     clone = pickle.loads(pickle.dumps(warm))
-    assert clone == warm and not clone._memo and not clone._seen
+    assert clone == warm and not clone._memo
     assert _same_bits(sample_terminals(clone, 5.0, 100.0, 20, 1), first)
 
 
 def _assert_nodes_match_their_weights(model):
     # a node is [0.0, running sums ...] with +inf from the last map of
     # positive weight on, and caches each map's output at its point
-    assert model._memo and not set(model._memo) & model._seen
+    assert model._memo
     for x, (cum, succ) in model._memo.items():
         w = model._weights(x)
         want = [0.0] + list(itertools.accumulate(w))
@@ -648,9 +652,9 @@ def test_memo_nodes_are_built_from_the_weights(name):
     _assert_nodes_match_their_weights(model)
 
 
-def test_prob_field_runs_at_most_twice_per_point():
-    # a first visit marks the point and the second builds its node; the
-    # sweep then reads the nodes the sampler built
+def test_prob_field_runs_at_most_once_per_point():
+    # a point's first visit builds its node; the sweep then reads the nodes
+    # the sampler built
     calls = {}
 
     def field(x):
@@ -663,8 +667,8 @@ def test_prob_field_runs_at_most_twice_per_point():
     for k in range(200):
         model.terminal_state((0.3, 1.0, 4.0, 9.0)[k % 4], 40.0, factory.stream(0, k))
     model.exact_laws(4.0, [40.0])
-    assert len(model._memo) + len(model._seen) < MEMO_NODES
-    assert max(n for x, n in calls.items() if x) <= 2
+    assert len(model._memo) < MEMO_NODES
+    assert max(n for x, n in calls.items() if x) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -809,12 +813,12 @@ def _float32_model():
 
 @pytest.mark.parametrize("name", sorted(_MEMO_MODELS) + ["float32"])
 def test_model_warmed_by_exact_laws_matches_reference_bit_for_bit(name):
-    # the sweep builds a memo node on a point's first visit, and records no
-    # point as seen once; the sampler then jumps from those nodes
+    # the sweep builds a memo node on a point's first visit, as the sampler
+    # does; the sampler then jumps from those nodes
     model = _MEMO_MODELS[name]() if name in _MEMO_MODELS else _float32_model()
     for x0 in (0.3, 1.0, 4.0, 9.0):
         model.exact_laws(x0, [40.0])
-    assert model._memo and not model._seen
+    assert model._memo
     factory = StreamFactory(11)
     got, want = [], []
     for k in range(100):

@@ -13,8 +13,11 @@ orbit point through one sweep step):
   the two large orbits, ``b`` from the small one;
 * building an orbit point (its memo node, its field and map values), on
   the never-repeating orbit of the maps x/2 and (x + 1)/2;
-* one sampled jump of ``terminal_state``, on the same orbit (inline
-  selection) and on the built-in halving model (memo hits).
+* one sampled jump of ``terminal_state``, on the same orbit and on the
+  built-in halving model (memo hits). On the orbit every new point gets a
+  memo node until the memo is full, so the line includes the node builds
+  its runs make before then (the warm-up run makes most of them), and
+  inline selection after.
 
 The shipped constants ``SWEEP_STEP_POINTS``, ``NODE_POINTS`` and
 ``JUMP_POINTS`` are these ratios, rounded.
