@@ -54,4 +54,4 @@ from .diagnostics import (
     stability_report,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

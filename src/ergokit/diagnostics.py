@@ -5,9 +5,15 @@ computable; every diagnostic here replaces them by a max or min over an
 explicit, user-declared large-time grid, and labels the window in its
 output so the surrogate's scope is always visible.
 
-A process whose ``exact_laws(x0, times)`` returns ``(law, bound)`` pairs
-answers a start exactly, with certified half-widths; otherwise (None, or no
-such method) the start is sampled. Monte Carlo rows carry
+A process may answer a start exactly, with certified half-widths. The
+diagnostics that need means (``ec_profile``, ``eproperty_witness``,
+``lower_bound_scan``, ``check_c2``) ask ``exact_means(starts, times,
+functionals)`` once per time grid, for every start on it; it returns per
+start None or, per time, the ``(mean, bound)`` of each functional. If that
+call raises, each start is asked alone, and a start that still raises fails
+its own cells. ``stability_report`` needs laws: it asks ``exact_laws(x0,
+times)`` per start for ``(law, bound)`` pairs. A start that gets None, or a
+process without the method, is sampled. Monte Carlo rows carry
 Hoeffding or bounded-difference half-widths; whenever a reported statistic
 aggregates several estimated cells, the cell confidences are combined with
 a union bound so the row's guarantee holds at the declared confidence. A
@@ -20,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -100,29 +106,42 @@ def _raise_failed(cells: list) -> None:
             raise RuntimeError(result)
 
 
-def _split(process, cells: list, sample) -> tuple:
-    """Per ``(x, t)`` cell, its ``(law, bound)`` from ``process.exact_laws``
-    (asked once per distinct start), the error message of a failed call, or
-    what ``sample`` gave it; and whether each cell was exact. ``sample``
-    gets the cells without exact laws in order, as its stream cells 0, 1,
-    ..., and returns one result per cell."""
-    exact_laws = getattr(process, "exact_laws", None)
+def _split(cells: list, exact, sample) -> tuple:
+    """Per ``(x, t)`` cell, what ``exact(starts, times)`` gave it, or what
+    ``sample`` gave it where that is None; and whether each cell was exact.
+    ``exact``, if not None, is asked once per distinct time grid, with the
+    starts on that grid, and returns per start None or a result per time;
+    if it raises, each start is asked alone, and a start that raises again
+    gets its error message at every time. ``sample`` gets the other cells
+    in order, as its stream cells 0, 1, ..., and returns one result per
+    cell."""
     known = [None] * len(cells)
-    if exact_laws is not None:
+    if exact is not None:
         grids: dict = {}
         for x, t in cells:
             grids.setdefault(x, {})[t] = None
+        starts: dict = {}
         for x, grid in grids.items():
+            starts.setdefault(tuple(grid), []).append(x)
+        for times, xs in starts.items():
             try:
-                laws = exact_laws(x, list(grid))
-            except Exception as exc:
-                laws = [f"exact law from x={x}: {exc}"] * len(grid)
-            grids[x] = None if laws is None else dict(zip(grid, laws))
+                answers = exact(xs, list(times))
+            except Exception:
+                answers = [_alone(exact, x, list(times)) for x in xs]
+            for x, got in zip(xs, answers):
+                grids[x] = None if got is None else dict(zip(times, got))
         known = [None if grids[x] is None else grids[x][t] for x, t in cells]
-    sampled = [cell for cell, law in zip(cells, known) if law is None]
+    sampled = [cell for cell, got in zip(cells, known) if got is None]
     results = iter(sample(sampled) if sampled else ())
-    return ([next(results) if law is None else law for law in known],
-            [law is not None for law in known])
+    return ([next(results) if got is None else got for got in known],
+            [got is not None for got in known])
+
+
+def _alone(exact, x, times: list):
+    try:
+        return exact([x], times)[0]
+    except Exception as exc:
+        return [f"exact law from x={x}: {exc}"] * len(times)
 
 
 def _mode(exact: list) -> str:
@@ -131,38 +150,22 @@ def _mode(exact: list) -> str:
     return "mixed" if any(exact) else "monte-carlo"
 
 
-def _law_mean(law: EmpiricalMeasure, bound: float,
-              f: Union[TestFunction, Ball]) -> tuple:
-    """``(mean, half_width)`` of f under an exact law with its bound; the
-    mean of a ball is its hit probability."""
-    if isinstance(f, Ball):
-        inside = np.abs(law.support - f.center) < f.radius
-        return sum(law.weights[inside].tolist()), bound
-    mean = 0.0
-    for x, w in zip(law.support.tolist(), law.weights.tolist()):
-        mean += w * f(x)
-    return mean, bound * max(f.value_bound, abs(f.lower), abs(f.upper))
-
-
 def _means(process, functionals: Sequence, cells: list, mc: McSettings,
            confidence: float) -> tuple:
     """Per ``(x, t)`` cell, the ``(mean, half_width)`` of every functional
     (a ball's mean is its hit probability) or the cell's error message, and
-    whether each cell was exact. Cells without exact laws go to one
+    whether each cell was exact. ``process.exact_means`` answers the starts
+    of a time grid in one call. Cells without exact means go to one
     ``run_batch``, as its stream cells 0, 1, ..., with Hoeffding widths at
     ``confidence``."""
-    results, exact = _split(process, cells,
-                            lambda sampled: run_batch(process, sampled, functionals, mc,
-                                                      confidence))
-    means = []
-    for cell, is_exact in zip(results, exact):
-        if isinstance(cell, str):
-            means.append(cell)
-        elif is_exact:
-            means.append([_law_mean(*cell, fn) for fn in functionals])
-        else:
-            means.append([(est.mean, est.half_width) for est in cell])
-    return means, exact
+    exact_means = getattr(process, "exact_means", None)
+
+    def sample(sampled):
+        return [cell if isinstance(cell, str) else [(est.mean, est.half_width) for est in cell]
+                for cell in run_batch(process, sampled, functionals, mc, confidence)]
+
+    return _split(cells, exact_means and (lambda xs, times: exact_means(xs, times, functionals)),
+                  sample)
 
 
 def _anchor(z) -> float:
@@ -329,7 +332,9 @@ def stability_report(process, initials: Sequence, t_grid: Sequence[float],
         raise ValueError("need at least one initial point")
     mc = mc or McSettings()
     cells = list(product(initials, t_grid))
-    known, exact = _split(process, cells,
+    exact_laws = getattr(process, "exact_laws", None)
+    known, exact = _split(cells, exact_laws and (
+                              lambda xs, times: [exact_laws(x, times) for x in xs]),
                           lambda sampled: sample_cells(process, sampled, mc.n_samples,
                                                        mc.seed, mc.workers))
     report = DiagnosticReport("stability_report", mode=_mode(exact))

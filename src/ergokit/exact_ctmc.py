@@ -28,7 +28,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import EmpiricalMeasure, TestFunction
+from .core import Ball, EmpiricalMeasure, TestFunction
 
 __all__ = [
     "CtmcState",
@@ -130,6 +130,15 @@ def _reachable(i: CtmcState) -> tuple[CtmcState, ...]:
 def semigroup_apply(f: Union[TestFunction, Callable[[float], float]], i: CtmcState, t: float) -> float:
     """Exact expectation of f at time t from state i (at most three terms)."""
     return sum(p * f(j.value) for j, p in _law(i, t))
+
+
+def _mean(law: EmpiricalMeasure, f: Union[TestFunction, Ball]) -> float:
+    if isinstance(f, Ball):
+        return sum(law.weights[np.abs(law.support - f.center) < f.radius].tolist())
+    mean = 0.0
+    for x, w in zip(law.support.tolist(), law.weights.tolist()):
+        mean += w * f(x)
+    return mean
 
 
 def _jumps(i: CtmcState, t: float, draw: Callable[[], float]) -> int:
@@ -235,6 +244,13 @@ class CtmcProcess:
         """``(exact_law(x0, t), 0.0)`` for every t: the closed form's laws,
         with error bound 0."""
         return [(self.exact_law(x0, t), 0.0) for t in times]
+
+    def exact_means(self, starts, times, functionals) -> list:
+        """Per start, per t in times, ``(mean, 0.0)`` of each functional
+        under ``exact_law``, summed in ascending support order; a ball's
+        mean is its hit probability."""
+        return [[[(_mean(law, f), 0.0) for f in functionals]
+                 for law in (self.exact_law(x, t) for t in times)] for x in starts]
 
     @staticmethod
     def state_label(x0: CtmcState) -> str:

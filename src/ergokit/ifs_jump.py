@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import EmpiricalMeasure, as_state
+from .core import Ball, EmpiricalMeasure, as_state
 
 __all__ = [
     "IdentityFlow",
@@ -297,14 +297,12 @@ class IfsModel:
         of its mean at t: ``bound`` adds the dropped Poisson mass to the
         rounding (Higham's gamma_n) of the weights, the sweep and that sum.
         """
+        if len(times) == 0:
+            return []
         if not isinstance(self.flow, IdentityFlow):
             return None
         x = as_state(x0)
-        if not all(0.0 <= t < math.inf for t in times):
-            raise ValueError("time must be a finite nonnegative real")
-        budget = max(ORBIT_BUDGET, BREAK_EVEN_SAMPLES * JUMP_POINTS * self.rate * max(times))
-        windows = [_poisson_window(self.rate * t) for t in times]
-        steps = max(left + len(w) - 1 for left, w, _, _ in windows)
+        windows, steps, budget = self._plan(times)
         orbit = self._orbit(x, steps, budget)
         if orbit is None:
             return None
@@ -344,25 +342,112 @@ class IfsModel:
             laws.append((EmpiricalMeasure(points[charged], law[charged]), bound))
         return laws
 
-    def _orbit(self, x: float, steps: int, budget: float):
+    def exact_means(self, starts, times, functionals) -> list:
+        """Per start, None where ``exact_laws`` would give None, else per t
+        in times the ``(mean, bound)`` of each functional at t, a ball's
+        mean being its hit probability and ``bound`` a bound on its error.
+
+        One orbit graph serves every start: the points within reach of any
+        of them. Kolmogorov's backward recursion u_0 = f, u_(k+1) = P u_k
+        runs once over it, every functional a column, and the mean at t
+        from x is the sum over k of w_k u_k(x), w the ``_poisson_window`` of
+        rate * t. A start is exact when its own orbit fits the budget of
+        ``exact_laws``; if the union fits it, so does every start's.
+
+        The bound. Let f take values in [lo, hi], B = max(hi - lo, |lo|, |hi|),
+        N = len(maps), g(n) Higham's gamma_n, and P the masses of ``_orbit``:
+        its rows sum to 1, but at the points ``steps`` jumps away, which no
+        u_k(x) with k <= steps reads and whose rows are 0. So u_k lies in [lo,
+        hi] where it is read. A step sums N products of a rounded mass and a
+        value, so it computes P u'_k + e with |e| <= g(N + 1) P |u'_k|; hence
+        ||u'_k - u_k|| + ||f|| <= (1 + g(N + 1))^k ||f||, and the sweep is off
+        by at most s B, s = g(right (N + 1)) for a window [left, right] of L
+        steps. The Poisson mass S of the window is at least 1 - ``dropped``, so
+        normalizing the mixture to the window moves the mean by at most dropped
+        B. The mean is summed as a + sum of w_k (u'_k - a), a = u'_mode: with
+        w_k = p_k / S that is the normalized mixture of the u'_k, and a
+        constant sequence gives its constant exactly. Each w_k is within c =
+        g(4 spread + 2) of p_k / S (see ``_poisson_window``) and |u'_k - a| <=
+        (1 + 2s) B, so the weights add c (1 + 2s) B, the L rounded differences
+        and products and their sum g(L + 1) (1 + c) (1 + 2s) B, and the last
+        addition g(1) of the result: ``bound`` is B (e + g(1) (1 + e)), e =
+        dropped + s + (c + g(L + 1) (1 + c)) (1 + 2s).
+        """
+        xs = [as_state(x) for x in starts]
+        if len(times) == 0:
+            return [[] for _ in xs]
+        if not isinstance(self.flow, IdentityFlow):
+            return [None] * len(xs)
+        windows, steps, budget = self._plan(times)
+        fits = xs
+        orbit = self._orbit(xs, steps, budget)
+        if orbit is None:  # each start on its own, as exact_laws decides
+            fits = [x for x in xs if self._orbit(x, steps, budget) is not None]
+            if not fits:
+                return [None] * len(xs)
+            # a start's orbit fits its budget, so the union fits their sum
+            orbit = self._orbit(fits, steps, budget * len(fits))
+        points, dst, mass = orbit
+        rows = dict(zip(dict.fromkeys(fits), range(len(points))))
+        support = np.array(points)
+        scale = [1.0 if isinstance(f, Ball) else max(f.value_bound, abs(f.lower), abs(f.upper))
+                 for f in functionals]
+        # one vector: functional j at point i is entry i * width + j
+        width = len(scale)
+        u = np.array([np.abs(support - f.center) < f.radius if isinstance(f, Ball)
+                      else [f(y) for y in points] for f in functionals], dtype=float).T.ravel()
+        dst = (dst[:, :, None] * width + np.arange(width)).reshape(len(dst), -1)
+        mass = np.repeat(mass, width, axis=1)
+        head = len(rows) * width
+        swept = np.empty((steps + 1, head))
+        for k in range(steps):
+            swept[k] = u[:head]
+            u = (mass * u[dst]).sum(0)
+        swept[steps] = u[:head]
+        at_t = []
+        for t, (left, w, dropped, spread) in zip(times, windows):
+            right = left + len(w) - 1
+            s = _gamma(right * (len(self.maps) + 1))
+            c = _gamma(4 * spread + 2)
+            e = dropped + s + (c + _gamma(len(w) + 1) * (1.0 + c)) * (1.0 + 2.0 * s)
+            bound = e + _gamma(1) * (1.0 + e)
+            a = swept[int(self.rate * t)]  # the mode of _poisson_window
+            means = a + (np.array(w)[:, None] * (swept[left:right + 1] - a)).sum(0)
+            means = means.reshape(len(rows), width).tolist()
+            at_t.append([[(v, bound * b) for v, b in zip(row, scale)] for row in means])
+        return [[by_start[rows[x]] for by_start in at_t] if x in rows else None for x in xs]
+
+    def _plan(self, times) -> tuple:
+        """``(windows, steps, budget)`` of a nonempty time grid: the
+        ``_poisson_window`` of each time, the jumps the latest window
+        reaches and a start's budget in point-steps."""
+        if not all(0.0 <= t < math.inf for t in times):
+            raise ValueError("time must be a finite nonnegative real")
+        windows = [_poisson_window(self.rate * t) for t in times]
+        steps = max(left + len(w) - 1 for left, w, _, _ in windows)
+        return windows, steps, max(ORBIT_BUDGET,
+                                   BREAK_EVEN_SAMPLES * JUMP_POINTS * self.rate * max(times))
+
+    def _orbit(self, x, steps: int, budget: float):
         """``(points, dst, mass)``: the points within ``steps`` jumps of x,
-        x first, where map k takes point i to ``dst[k - 1, i]`` with mass
-        ``mass[k - 1, i]``; None at a node whose running sums are not floats,
-        or as soon as building and sweeping the points found would cost
-        more than ``budget`` point-steps. A first visit builds the point's
-        memo node (see ``_node_at``).
+        a start or a list of starts, the starts first, where map k takes
+        point i to ``dst[k - 1, i]`` with mass ``mass[k - 1, i]``; None at a
+        node whose running sums are not floats, or as soon as building and
+        sweeping the points found would cost more than ``budget``
+        point-steps. A first visit builds the point's memo node (see
+        ``_node_at``).
         Absorbing points are self-loops; zero-mass maps and the points
         ``steps`` jumps away have self-loops of mass 0.
         """
-        room = (budget - SWEEP_STEP_POINTS * steps) // (steps + NODE_POINTS) - 1
+        points = list(dict.fromkeys(x if isinstance(x, list) else [x]))
+        room = (budget - SWEEP_STEP_POINTS * steps) // (steps + NODE_POINTS) - len(points)
         if room < 0:
             return None
         memo, absorbing = self._memo, self.absorbing
         n_maps = len(self.maps)
-        index = {x: 0}
-        points = [x]
+        index = {p: i for i, p in enumerate(points)}
         dst, mass = [], []
-        frontier = [x]
+        frontier = list(points)
         for _ in range(steps):
             reached = []
             for p in frontier:

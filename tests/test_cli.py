@@ -5,12 +5,14 @@ import io
 import itertools
 import json
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import ergokit
 from ergokit.cli import main
+from oracles import halving_hit_probs
 
 
 def run_cli(capsys, *argv):
@@ -1040,14 +1042,70 @@ def test_lowerbound_bytes_are_pinned(tmp_path, monkeypatch):
 
 
 def test_lowerbound_exact_bytes_are_pinned(tmp_path):
-    # digest of the 0.8.0 table, where the halving model answers from its
-    # exact laws
+    # digest of the 0.9.0 table, where the halving model answers from its
+    # backward sweep (test_exact_lowerbound_rows_are_within_their_width_of_the_oracle
+    # checks each row)
     table = tmp_path / "lb.csv"
     assert main(_PINNED_LOWERBOUND + ["--out", str(table)]) == 0
     manifest, _, _ = parse_csv(table.read_text())
     assert manifest["mode"] == "exact"
     assert _digest_without_version(table) == \
-        "da0e6833216cfea629091fdd5ca27d1070bbf3c526b272a814bc2e753f88e771"
+        "c3f6c74d4c9690dd6041c6d314495d47cde00bc21b9680b566f4fce37a253c03"
+
+
+def _within(row, truth):
+    return abs(Decimal(float(row["value"])) - truth) <= Decimal(float(row["half_width"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "lowerbound", "--model", "halving", "--z", "0", "--eps", "0.1",
+     "--x-grid", "0.1,0.5,1,2,5,10", "--t-grid", "100,150,200"],
+    _PINNED_LOWERBOUND,
+], ids=["criterion-7a", "pinned"])
+def test_exact_lowerbound_rows_are_within_their_width_of_the_oracle(tmp_path, argv):
+    # each start's minimum, at its reported t and over the grid, and the
+    # scan minimum, against the decimal uniformized chain
+    table = tmp_path / "lb.csv"
+    assert main(argv + ["--out", str(table)]) == 0
+    manifest, _, rows = parse_csv(table.read_text())
+    assert manifest["mode"] == "exact"
+    times = [float(t) for t in manifest["t_grid"].split(",")]
+    *starts, scan = rows
+    lows = []
+    for row in starts:
+        truth = dict(zip(times, halving_hit_probs(float(row["x"]), float(manifest["eps"]),
+                                                  times)))
+        lows.append(min(truth.values()))
+        assert _within(row, truth[float(row["t"])]) and _within(row, lows[-1])
+    assert scan["label"] == "scan_min" and _within(scan, min(lows))
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "assumptions", "--c2", "true", "--samples", "200"],
+    ["diagnose", "assumptions", "--x-grid", "0.1", "--c2", "true", "--eps", "0.05,0.2",
+     "--c2-x-grid", "0.1,1,3", "--t-search", "64"],
+], ids=["pinned", "two-radii"])
+def test_exact_c2_rows_are_within_their_width_of_the_oracle(tmp_path, argv):
+    # each start's best hit probability, at its reported t and over the
+    # grid, and each radius's floor, against the decimal uniformized chain
+    table = tmp_path / "c2.csv"
+    assert main(argv + ["--out", str(table)]) == 0
+    manifest, _, rows = parse_csv(table.read_text())
+    assert manifest["mode"] == "exact"
+    times = [0.0] + [2.0 ** k for k in range(int(math.log2(float(manifest["t_search"]))) + 1)]
+    starts = manifest["c2_x_grid"].split(",")
+    rows = [r for r in rows if r["label"].startswith("c2_")]
+    for eps in manifest["eps"].split(","):
+        *hits, beta = rows[:len(starts) + 1]
+        rows = rows[len(starts) + 1:]
+        highs = []
+        for row, x in zip(hits, starts):
+            truth = dict(zip(times, halving_hit_probs(float(x), float(eps), times)))
+            highs.append(max(truth.values()))
+            assert row["error"] == "" and _within(row, truth[float(row["t"])])
+            assert _within(row, highs[-1])
+        assert beta["x"] == f"eps={float(eps):g}" and _within(beta, min(highs))
+    assert rows == []
 
 
 def test_lowerbound_over_the_orbit_budget_is_sampled(tmp_path, monkeypatch):
@@ -1228,8 +1286,10 @@ def test_simulate_bytes_on_a_model_warmed_by_another_command(tmp_path, monkeypat
      "c997a1f4c252c862568798cca7a22a45c2cfec7ccb1f98fcfe84a9d6d0619531"),
     (["diagnose", "eprop", "--model", "ctmc"],
      "1582b668e48059196b04aa8080a51fd70c015c369452824fddef187bf5fc8b32"),
+    # 0.9.0: the C2 rows come from the backward sweep (see
+    # test_exact_c2_rows_are_within_their_width_of_the_oracle)
     (["diagnose", "assumptions", "--c2", "true", "--samples", "200"],
-     "a91af6ab4e30e326adaf46476a397b6abedd9dcf7bf9e73231f9615c8b959395"),
+     "acadb1f5814791d0dabdaee4eeca7183016a13a3518688106e5e6d7f4fc4029d"),
 ], ids=["exact-ctmc-p", "exact-ctmc-const", "exact-ctmc-bump-json", "ctmc-estimate",
         "stability-ctmc", "stability-drift", "eprop-ctmc", "assumptions-c2"])
 def test_table_bytes_are_pinned(tmp_path, monkeypatch, argv, digest):

@@ -186,7 +186,7 @@ def test_eprop_width_follows_the_mode():
     exact = eproperty_witness(model, F, 0.0, pairs, mc)
     assert exact.mode == "exact"
     for row, (x, t) in zip(exact.rows, pairs):
-        ((_, bx),), ((_, bz),) = (model.exact_laws(y, [t]) for y in (x, 0.0))
+        bx, bz = (model.exact_means([y], [t], [F])[0][0][0][1] for y in (x, 0.0))
         assert 0.0 < row.half_width == bx + bz < 1e-12
     sampled = eproperty_witness(Sampled(model), F, 0.0, pairs, mc)
     assert sampled.mode == "monte-carlo"
@@ -211,7 +211,7 @@ def test_mixed_mode_when_only_some_starts_are_exact(monkeypatch):
     ec = ec_profile(model, F, 0.0, [0.5], 20.0, 20.0, [20.0], mc)
     eprop = eproperty_witness(model, F, 0.0, [(0.5, 20.0)], mc)
     assert ec.mode == eprop.mode == "mixed"
-    ((_, z_bound),) = model.exact_laws(0.0, [20.0])
+    z_bound = model.exact_means([0.0], [20.0], [F])[0][0][0][1]
     # the sampled cell is stream cell 0, as in a fully sampled run
     sampled = ec_profile(Sampled(model), F, 0.0, [0.5], 20.0, 20.0, [20.0], mc)
     assert ec.rows[0].value == sampled.rows[0].value > 0.0

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ergokit.core import xmin1
+from ergokit.core import Ball, xmin1
 from ergokit.exact_ctmc import (
     CtmcProcess,
     CtmcState,
@@ -14,6 +14,7 @@ from ergokit.exact_ctmc import (
     semigroup_apply,
     transition_prob,
 )
+from ergokit.ifs_jump import IfsModel
 from ergokit.montecarlo import (
     CHUNK,
     StreamFactory,
@@ -274,6 +275,65 @@ def test_exact_law_is_a_probability_measure():
     law = CtmcProcess().exact_law(CtmcState.low(5), 5.0)
     assert float(np.sum(law.weights)) == pytest.approx(1.0, abs=1e-12)
     assert list(law.support) == [0.0, 0.2, 5.0]
+
+
+def test_exact_laws_and_means_of_an_empty_grid_are_empty():
+    chain = CtmcProcess()
+    assert chain.exact_laws(CtmcState.low(3), []) == []
+    assert chain.exact_means([CtmcState.low(3), CtmcState.zero()], [], [F]) == [[], []]
+
+
+def test_exact_means_sum_the_closed_form_laws():
+    # in ascending support order, with bound 0: the sums the diagnostics
+    # made from exact_laws before exact_means
+    chain = CtmcProcess()
+    starts, times = [CtmcState.low(4), CtmcState.high(3), CtmcState.zero()], [0.0, 1.0, 7.5]
+    ball = Ball(0.0, 0.3)
+    means = chain.exact_means(starts, times, [F, ball])
+    for x, at_x in zip(starts, means):
+        for t, ((mean, bound), (hit, hit_bound)) in zip(times, at_x):
+            law = chain.exact_law(x, t)
+            want = 0.0
+            for y, w in zip(law.support.tolist(), law.weights.tolist()):
+                want += w * F(y)
+            assert (mean, bound) == (want, 0.0)
+            assert (hit, hit_bound) == (sum(law.weights[law.support < 0.3].tolist()), 0.0)
+
+
+def _chain_as_jump_system():
+    # kill, stay or invert at rate 1/2: from 1/n invert with chance 2/n, from
+    # n kill with chance 2/n, so each live state is left at rate 1/n
+    def kill(x):
+        return 0.0
+
+    def stay(x):
+        return x
+
+    def invert(x):
+        return 1.0 / x
+
+    def field(x):
+        return (0.0, 1.0 - 2.0 * x, 2.0 * x) if x < 1.0 else (2.0 / x, 1.0 - 2.0 / x, 0.0)
+
+    return IfsModel(name="ctmc-ifs", maps=(kill, stay, invert), prob_field=field, rate=0.5,
+                    absorbing=(0.0,))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 10, 50])
+def test_the_chain_as_a_jump_system_matches_the_closed_form(n):
+    # the two exact engines on one process: xmin1 and a ball at each state,
+    # within the jump system's bound
+    chain, model = CtmcProcess(), _chain_as_jump_system()
+    starts = [CtmcState.low(n), CtmcState.high(n), CtmcState.zero()]
+    times = [0.5, 4.0, float(n), 100.0]
+    functionals = [F] + [Ball(x.value, 0.5 / n) for x in starts]
+    want = chain.exact_means(starts, times, functionals)
+    got = model.exact_means([x.value for x in starts], times, functionals)
+    for at_x, ours in zip(want, got):
+        for cell, our_cell in zip(at_x, ours):
+            for (mean, _), (our_mean, bound) in zip(cell, our_cell):
+                assert 0.0 < bound < 1e-13
+                assert abs(our_mean - mean) <= bound
 
 
 # ---------------------------------------------------------------------------

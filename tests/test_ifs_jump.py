@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ergokit import ifs_jump
+from ergokit.core import Ball, xmin1
 from ergokit.ifs_jump import (
     MEMO_NODES,
     AssumptionSet,
@@ -843,6 +844,78 @@ def test_float32_field_has_no_exact_laws():
     float64 = IfsModel(name="float64", maps=model.maps, rate=1.0,
                        prob_field=lambda x: (0.1, 0.2, 0.7) if x < 1.0 else (0.7, 0.2, 0.1))
     assert float64.exact_laws(0.5, [1e-3]) is not None
+
+
+def test_exact_laws_and_means_of_an_empty_grid_are_empty():
+    model, _ = example_halving(1.0)
+    assert model.exact_laws(1.0, []) == []
+    assert model.exact_means([1.0, 2.0], [], [xmin1()]) == [[], []]
+    assert model.exact_means([], [1.0], [xmin1()]) == []
+
+
+@pytest.mark.parametrize("name, starts, times", [
+    ("halving", [0.1, 0.5, 2.0, 5.0, 10.0, 0.0], [0.0, 3.0, 40.0]),
+    ("flip", [0.2, 0.7, 4.0, 0.0], [0.0, 5.0, 20.0]),
+])
+def test_exact_means_match_the_forward_laws(name, starts, times):
+    # the backward sweep against sums over the forward laws, within the sum
+    # of the two bounds
+    model = _MEMO_MODELS[name]()
+    functionals = [xmin1(), Ball(0.0, 0.1), Ball(2.0, 1.5)]
+    means = model.exact_means(starts, times, functionals)
+    for x, at_x in zip(starts, means):
+        for (law, law_bound), cell in zip(model.exact_laws(x, times), at_x):
+            for f, (mean, bound) in zip(functionals, cell):
+                inside = [f.contains(y) if isinstance(f, Ball) else f(y)
+                          for y in law.support.tolist()]
+                forward = float(np.dot(law.weights, inside))
+                assert 0.0 < bound < 1e-12
+                assert abs(mean - forward) <= bound + law_bound * (1.0 + 1e-12)
+
+
+def test_exact_means_of_a_start_do_not_depend_on_the_others():
+    # every point's step runs the same products in the same order whatever
+    # the graph holds, and a start reads only the points within its reach
+    model, _ = example_halving(1.0)
+    starts, times, f = [10.0, 5.0, 0.3, 2.0, 0.0], [2.0, 50.0, 200.0], [xmin1(), Ball(0.0, 0.1)]
+    together = model.exact_means(starts, times, f)
+    fresh, _ = example_halving(1.0)
+    assert together == [fresh.exact_means([x], times, f)[0] for x in starts]
+
+
+def test_an_absorbing_start_has_its_constant_mean_exactly():
+    model = example_flip(1.0)
+    ((_, (hit, bound)),) = model.exact_means([0.0], [3.0], [xmin1(), Ball(0.0, 0.1)])[0]
+    assert hit == 1.0 and 0.0 < bound < 1e-13
+
+
+@pytest.mark.parametrize("limit", [1, 20, 100, 400])
+def test_exact_means_decide_each_start_as_exact_laws_does(monkeypatch, limit):
+    # a budget of ``limit`` points per start: from 0 the orbit has 1 point,
+    # from 1e-320 13, from 2 and from 3 70 each, and 153 together, so at
+    # 100 the union is too large but each start fits; every start is exact
+    # exactly when exact_laws answers it, and its means are those it gets
+    # alone
+    left, weights, _, _ = ifs_jump._poisson_window(20.0)
+    steps = left + len(weights) - 1
+    monkeypatch.setattr(ifs_jump, "BREAK_EVEN_SAMPLES", 0)
+    budget = ifs_jump.SWEEP_STEP_POINTS * steps + limit * (steps + ifs_jump.NODE_POINTS)
+    monkeypatch.setattr(ifs_jump, "ORBIT_BUDGET", budget)
+    model, _ = example_halving(1.0)
+    starts, f = [0.0, 2.0, 1e-320, 3.0], [xmin1()]
+    means = model.exact_means(starts, [20.0, 5.0], f)
+    assert [m is None for m in means] == [model.exact_laws(x, [20.0, 5.0]) is None
+                                          for x in starts]
+    assert means == [model.exact_means([x], [20.0, 5.0], f)[0] for x in starts]
+    assert any(m is None for m in means) == (limit < 70)
+
+
+def test_exact_means_reject_bad_times_and_sample_a_moving_flow():
+    model, _ = example_halving(1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="time must be a finite nonnegative real"):
+            model.exact_means([1.0], [2.0, t], [xmin1()])
+    assert _expflow_model().exact_means([0.5, 1.0], [1.0], [xmin1()]) == [None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,18 @@ Run from the repository root:
 
     PYTHONPATH=src python tools/orbit_costs.py
 
-It prints, in nanoseconds and in point-steps (the cost of carrying one
-orbit point through one sweep step):
+Each line gives the best of its repeats and, in brackets, their median:
+on a shared machine a slow phase moves the best of a few repeats too, and
+the gap between the two shows how far a line can be trusted. It prints,
+in nanoseconds and in point-steps (the cost of carrying one orbit point
+through one step of the forward sweep of ``exact_laws``):
 
 * the sweep, as ``a * points * steps + b * steps`` on de Bruijn orbits
   (maps 2x and 2x + 1 mod n, every point within log2 n jumps of 0) of 2,
   4096 and 16 384 points, 1054 steps and three times per grid: ``a`` from
   the two large orbits, ``b`` from the small one;
+* one point through one step of the backward sweep of ``exact_means``
+  (one ball), from the same two large orbits;
 * building an orbit point (its memo node, its field and map values), on
   the never-repeating orbit of the maps x/2 and (x + 1)/2;
 * one sampled jump of ``terminal_state``, on the same orbit and on the
@@ -34,24 +39,32 @@ uniforms included), in microseconds, and ``montecarlo._estimate`` of
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
 
 from ergokit import ifs_jump
-from ergokit.core import xmin1
+from ergokit.core import Ball, xmin1
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_halving
 from ergokit.montecarlo import StreamFactory, _estimate, sample_terminals
 
 
 def best(f, repeat=7):
+    """Best and median time of ``repeat`` calls of f, in seconds, as one
+    array: the costs computed from it carry both."""
     times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         f()
         times.append(time.perf_counter() - t0)
-    return min(times)
+    return np.array([min(times), statistics.median(times)])
+
+
+def show(value, fmt):
+    """``value`` (best, median) as ``best (median)``, each in ``fmt``."""
+    return f"{value[0]:{fmt}} ({value[1]:{fmt}})"
 
 
 def half(x):
@@ -82,23 +95,28 @@ def main():
         model = de_bruijn(n)
         left, w, _, _ = ifs_jump._poisson_window(lam_t)
         steps = left + len(w) - 1
+        times = [lam_t / 2, lam_t * 0.75, lam_t]
         build = best(lambda: model._orbit(0.0, steps, 10 ** 12))
-        total = best(lambda: model.exact_laws(0.0, [lam_t / 2, lam_t * 0.75, lam_t]))
-        return steps, total - build
+        forward = best(lambda: model.exact_laws(0.0, times))
+        backward = best(lambda: model.exact_means([0.0], times, [Ball(0.0, 0.5)]))
+        return steps, forward - build, backward - build
 
     # per point-step from the two largest orbits, per step from the smallest
-    steps, small = sweep(2, 800.0)
-    _, large = sweep(4096, 800.0)
-    _, larger = sweep(16384, 800.0)
+    steps, small, _ = sweep(2, 800.0)
+    _, large, large_back = sweep(4096, 800.0)
+    _, larger, larger_back = sweep(16384, 800.0)
     a = (larger - large) / (12288 * steps)
     b = small / steps - 2 * a
-    print(f"sweep: {a * 1e9:.1f} ns per point-step, {b * 1e6:.2f} us per step "
-          f"= {b / a:.0f} points")
+    print(f"sweep: {show(a * 1e9, '.1f')} ns per point-step, {show(b * 1e6, '.2f')} us per "
+          f"step = {show(b / a, '.0f')} points")
+    back = (larger_back - large_back) / (12288 * steps)
+    print(f"backward step: {show(back * 1e9, '.1f')} ns per point = "
+          f"{show(back / a, '.2f')} point-steps")
 
     orbit = IfsModel(name="orbit", maps=(half, half_up), prob_field=even, rate=1.0)
-    node = min(best(lambda: orbit._orbit(0.3, depth, 10 ** 12), 3) / (2 ** (depth + 1) - 1)
-               for depth in (12, 14))
-    print(f"orbit point: {node * 1e6:.2f} us = {node / a:.0f} point-steps")
+    node = min((best(lambda: orbit._orbit(0.3, depth, 10 ** 12), 3) / (2 ** (depth + 1) - 1)
+                for depth in (12, 14)), key=lambda v: v[0])
+    print(f"orbit point: {show(node * 1e6, '.2f')} us = {show(node / a, '.0f')} point-steps")
 
     # the sampled jumps run with the shipped memo, so halving's are memo hits
     ifs_jump.MEMO_NODES = memo_nodes
@@ -106,23 +124,24 @@ def main():
     for name, model, x0 in (("never-repeating", orbit, 0.3), ("halving", halving, 10.0)):
         sample_terminals(model, x0, 200.0, 20, 1)  # warm the memo
         jump = best(lambda: sample_terminals(model, x0, 200.0, 200, 2), 3) / (200 * 200)
-        print(f"sampled jump, {name}: {jump * 1e6:.2f} us = {jump / a:.0f} point-steps")
+        print(f"sampled jump, {name}: {show(jump * 1e6, '.2f')} us = "
+              f"{show(jump / a, '.0f')} point-steps")
 
     moving = IfsModel(name="moving", maps=(half, half_up), prob_field=even, rate=1.0,
                       flow=ExponentialFlow(0.1))
     jump = best(lambda: sample_terminals(moving, 0.3, 200.0, 200, 2), 3) / (200 * 200)
-    print(f"sampled jump, moving flow: {jump * 1e6:.2f} us")
+    print(f"sampled jump, moving flow: {show(jump * 1e6, '.2f')} us")
 
     factory = StreamFactory(2)
     reset = best(lambda: [factory.stream(0, k) for k in range(10000)]) / 10000
-    print(f"stream reset: {reset * 1e6:.2f} us")
+    print(f"stream reset: {show(reset * 1e6, '.2f')} us")
 
     chain, low4 = CtmcProcess(), CtmcState.low(4)
     trajectory = best(lambda: sample_terminals(chain, low4, 4.0, 60000, 2)) / 60000
-    print(f"ctmc trajectory, batch: {trajectory * 1e6:.3f} us")
+    print(f"ctmc trajectory, batch: {show(trajectory * 1e6, '.3f')} us")
     values, f = sample_terminals(chain, low4, 4.0, 60000, 3), xmin1()
     per_value = best(lambda: _estimate(values, f, 0.999)) / 60000
-    print(f"xmin1 estimate: {per_value * 1e9:.1f} ns per value")
+    print(f"xmin1 estimate: {show(per_value * 1e9, '.1f')} ns per value")
 
 
 if __name__ == "__main__":
