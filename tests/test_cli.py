@@ -1329,6 +1329,51 @@ def test_simulate_tables_are_pinned(tmp_path, monkeypatch, argv, csv_digest, jso
         (csv_digest, json_digest)
 
 
+def _expflow_halve(x):
+    return x / 2.0
+
+
+def _expflow_halve_up(x):
+    return (x + 1.0) / 2.0
+
+
+def _expflow_fair(x):
+    return (0.5, 0.5)  # a constant: one tuple object for every call
+
+
+def _expflow_model(lam):
+    # the benchmark's expflow shape, a moving flow with no exact law; its
+    # functions live at module level so that worker processes can unpickle it
+    from ergokit.ifs_jump import ExponentialFlow, IfsModel
+
+    return IfsModel(name="expflow", maps=(_expflow_halve, _expflow_halve_up),
+                    prob_field=_expflow_fair, rate=lam, flow=ExponentialFlow(0.1)), None
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["diagnose", "stability", "--model", "expflow", "--initials", "0,1,2", "--t-grid", "10,20",
+      "--samples", "400", "--seed", "7"],
+     "4b8fdfceb293b2f4ab91836cfb38b7e4da4e622331101bd7e0352a123d01f2a0"),
+    (["estimate", "--model", "expflow", "--x0", "0,1,2", "--times", "10,20", "--f", "xmin1",
+      "--ball", "0.5,0.25", "--samples", "400", "--seed", "7"],
+     "334d7819f4e064db4a593a5a0f19c542a284b6fb1d4d70c424bab08492f514ad"),
+], ids=["stability", "estimate"])
+def test_moving_flow_tables_are_pinned(tmp_path, monkeypatch, argv, digest):
+    # digests of the 0.9.0 tables of a moving flow whose field returns one
+    # constant tuple; the benchmark replays these laws through the sampler
+    # itself, so only these pins see a sampler change that moves them
+    from ergokit import cli
+
+    monkeypatch.setitem(cli._MODELS, "expflow", (_expflow_model, ()))
+    tables = []
+    for workers in ("1", "2"):
+        table = tmp_path / f"w{workers}.csv"
+        assert main(argv + ["--workers", workers, "--out", str(table)]) == 0
+        tables.append(table.read_bytes())
+    assert tables[0] == tables[1]
+    assert _digest_without_version(table) == digest
+
+
 @pytest.mark.parametrize("argv, status, digest", [
     (["--model", "ctmc", "--x0", "low:2,low:4,high:3", "--times", "1,4,16", "--f", "xmin1",
       "--ball", "0,0.1", "--samples", "6000"], 0,
