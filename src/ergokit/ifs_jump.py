@@ -114,6 +114,13 @@ class IfsModel:
     points). The memo is private and takes no part in equality, hashing,
     ``repr`` or pickling; a copy or an unpickled model starts with an
     empty one.
+
+    A Monte Carlo cell runs all its trajectories through one jump loop
+    (``terminal_states_from``), which does its set-up once. Under a moving
+    flow, and wherever the memo has no node, a field that returns one
+    constant tuple of floats is checked and summed on its first jumps in
+    that loop, and each later jump takes its choice from the kept sums by
+    one bisection (see ``_jump_loop``).
     """
 
     name: str
@@ -164,22 +171,35 @@ class IfsModel:
         The stream belongs to this one trajectory and is read ``BLOCK``
         uniforms at a time, so its position after the call is unspecified.
         """
+        return next(self.terminal_states_from(x0, t, (stream,)))
+
+    def terminal_states_from(self, x0: float, t: float, streams):
+        """``terminal_state(x0, t, stream)`` for each stream in turn, as an
+        iterator: one jump loop and one set of checks serve them all, so a
+        Monte Carlo cell pays its set-up once, not once per trajectory.
+
+        A stream is read while its value is computed, before the next one is
+        taken, so an iterator that restarts one generator in place for each
+        trajectory (``StreamFactory.streams``) may supply them. A subclass
+        that overrides ``terminal_state`` must override this too.
+        """
         if not (t >= 0.0 and math.isfinite(t)):
             raise ValueError("time must be a finite nonnegative real")
         x = as_state(x0)
         if t == 0.0:
-            return x
-        return self._jump_loop(x, t, stream, self.absorbing, None)
+            return (x for _ in streams)
+        return self._jump_loop(x, t, streams, self.absorbing, None)
 
-    def _jump_loop(self, x: float, t: float, stream: np.random.Generator, stop: tuple,
-                   record) -> float:
-        """One trajectory from the valid state x up to time t.
+    def _jump_loop(self, x0: float, t: float, streams, stop: tuple, record):
+        """Trajectories from the valid state x0 up to time t, one per stream
+        in ``streams``: yields, in stream order, each one's state at time t
+        or the first state it reaches in ``stop``.
 
-        Returns the state at time t, or the first state reached in ``stop``.
-        A jump takes two uniforms, one for the exponential waiting time and
-        one for the inverse-CDF map choice at the pre-jump point, in the
-        order repeated ``stream.random()`` calls would return them. Flowed
-        points (pre-jump and terminal) and map outputs must be finite and
+        The set-up below runs once for all of them. A jump takes two
+        uniforms, one for the exponential waiting time and one for the
+        inverse-CDF map choice at the pre-jump point, in the order repeated
+        ``stream.random()`` calls would return them. Flowed points
+        (pre-jump and terminal) and map outputs must be finite and
         nonnegative. ``record``, if not None, is four lists that receive
         each jump's time, pre-jump point, map index (1-based) and post-jump
         point.
@@ -197,6 +217,16 @@ class IfsModel:
         checked inline, with those of ``_flowed``: an ``ExponentialFlow``
         (not a subclass) as ``x * exp(alpha * gap)``, the expression of its
         ``__call__``, any other flow by calling it.
+
+        A field that returns one constant vector skips the inline checks:
+        when ``prob_field`` returns the very object that passed them on the
+        latest inline jump, and that object is exactly a ``tuple`` of
+        exactly ``float``s (immutable, and summed as Python floats), its
+        running sums are kept (see ``_running_sums``), and every later jump
+        of any trajectory in ``streams`` that gets the same object back
+        takes its choice from them by one bisection. Any other vector, and
+        every vector that has not passed the checks, takes the inline path,
+        so an invalid vector fails with the message it always had.
         """
         rate = self.rate
         flow = self.flow
@@ -215,71 +245,86 @@ class IfsModel:
         ndarray = np.ndarray
         if record is not None:
             taus, xis, idxs, phis = (lst.append for lst in record)
-        buf = ()
-        i = BLOCK
-        now = 0.0
-        while x not in stop:
-            if i == BLOCK:
-                buf = stream.random(BLOCK).tolist()
-                i = 0
-            gap = -log1p(-buf[i]) / rate
-            i += 1
-            if gap <= 0.0:  # u == 0 draw, probability ~2^-53
-                continue
-            if now + gap > t:
-                return self._flowed(t - now, x) if moving else x
-            now += gap
-            if moving:
-                pre = x * exp(alpha * gap) if alpha is not None else flow(gap, x)
-                if not 0.0 <= pre < inf:
-                    raise self._invalid_flow(gap, x, pre)
-                node = None
-            else:
-                pre = x
-                node = lookup(pre)
-                # 0.0 and -0.0 are one key but keep their sign through the
-                # maps, so zero never enters the memo
-                if node is None and room and pre:
-                    node = self._node_at(pre)
-                    room -= 1
-            if i == BLOCK:
-                buf = stream.random(BLOCK).tolist()
-                i = 0
-            u = buf[i]
-            i += 1
-            if node is not None:
-                cum, succ = node
-                chosen = bisect_right(cum, u)
-                x = succ[chosen]
-                if x is None:
-                    x = succ[chosen] = apply(chosen, pre)
-            else:
-                w = field(pre)
-                if isinstance(w, ndarray):
-                    w = w.tolist()
-                acc = 0.0
-                chosen = 0
-                k = 0
-                for p in w:
-                    k += 1
-                    if p < 0.0:
-                        self._weights(pre, w)  # raises
-                    acc += p
-                    if chosen == 0 and u < acc:
-                        chosen = k
-                if len(w) != n_maps or not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
-                    self._weights(pre, w)  # raises
-                if not chosen:
-                    chosen = _fallback(w, pre)
-                x = float(maps[chosen - 1](pre))
-                if not 0.0 <= x < inf:
-                    raise self._invalid_map(chosen, pre, x)
-            if record is not None:
-                taus(now)
-                xis(pre)
-                idxs(chosen)
-                phis(x)
-        return x
+        # last: the vector that passed the inline checks on the latest
+        # inline jump; held: the constant tuple whose running sums are sums
+        last = held = sums = None
+        for stream in streams:
+            random = stream.random
+            x = x0
+            i = BLOCK
+            now = 0.0
+            while x not in stop:
+                if i == BLOCK:
+                    buf = random(BLOCK).tolist()
+                    i = 0
+                gap = -log1p(-buf[i]) / rate
+                i += 1
+                if gap <= 0.0:  # u == 0 draw, probability ~2^-53
+                    continue
+                if now + gap > t:
+                    if moving:
+                        x = self._flowed(t - now, x)
+                    break
+                now += gap
+                if moving:
+                    pre = x * exp(alpha * gap) if alpha is not None else flow(gap, x)
+                    if not 0.0 <= pre < inf:
+                        raise self._invalid_flow(gap, x, pre)
+                    node = None
+                else:
+                    pre = x
+                    node = lookup(pre)
+                    # 0.0 and -0.0 are one key but keep their sign through
+                    # the maps, so zero never enters the memo
+                    if node is None and room and pre:
+                        node = self._node_at(pre)
+                        room -= 1
+                if i == BLOCK:
+                    buf = random(BLOCK).tolist()
+                    i = 0
+                u = buf[i]
+                i += 1
+                if node is not None:
+                    cum, succ = node
+                    chosen = bisect_right(cum, u)
+                    x = succ[chosen]
+                    if x is None:
+                        x = succ[chosen] = apply(chosen, pre)
+                else:
+                    w = field(pre)
+                    if w is last and w is not held and type(w) is tuple \
+                            and all(type(p) is float for p in w):
+                        held, sums = w, _running_sums(w, pre)
+                    if w is held:
+                        chosen = bisect_right(sums, u)
+                    else:
+                        if isinstance(w, ndarray):
+                            w = w.tolist()
+                        acc = 0.0
+                        chosen = 0
+                        k = 0
+                        for p in w:
+                            k += 1
+                            if p < 0.0:
+                                self._weights(pre, w)  # raises
+                            acc += p
+                            if chosen == 0 and u < acc:
+                                chosen = k
+                        if len(w) != n_maps or \
+                                not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
+                            self._weights(pre, w)  # raises
+                        if not chosen:
+                            chosen = _fallback(w, pre)
+                        last = w
+                    x = float(maps[chosen - 1](pre))
+                    if not 0.0 <= x < inf:
+                        raise self._invalid_map(chosen, pre, x)
+                if record is not None:
+                    taus(now)
+                    xis(pre)
+                    idxs(chosen)
+                    phis(x)
+            yield x
 
     def exact_laws(self, x0: float, times) -> Optional[list]:
         """Time-t laws from x0, one ``(law, bound)`` pair per t in times;
@@ -496,18 +541,11 @@ class IfsModel:
         """Memo node ``(cum, succ)`` of the point x, from ``_weights(x)``;
         the memo keeps it when x != 0 and the memo has room.
 
-        ``cum`` is [0.0] followed by the running sums ``acc += p`` of the
-        weights, with +inf from the last map of positive weight on. The
-        weights are nonnegative and a uniform u lies in [0, 1), so
-        ``bisect_right(cum, u)`` is the inline choice: the first map whose
-        running sum exceeds u, or that last map when float slack leaves u
-        above the sum. ``succ[k]`` caches map k's output at the point,
-        filled the first time map k is taken.
+        ``cum`` is ``_running_sums`` of the weights, so ``bisect_right(cum,
+        u)`` is the inline choice. ``succ[k]`` caches map k's output at the
+        point, filled the first time map k is taken.
         """
-        w = self._weights(x)
-        cum = list(accumulate(w, initial=0.0))
-        last = _fallback(w, x)
-        cum[last:] = [math.inf] * (len(cum) - last)
+        cum = _running_sums(self._weights(x), x)
         node = cum, [None] * len(cum)
         memo = self._memo
         if x and len(memo) < MEMO_NODES:
@@ -592,7 +630,7 @@ def sample_jump_chain(model: IfsModel, x: float, horizon: float,
         raise ValueError("horizon must be a finite nonnegative real")
     x = as_state(x)
     taus, xis, idxs, phis = record = ([], [], [], [])
-    model._jump_loop(x, horizon, stream, (), record)
+    next(model._jump_loop(x, horizon, (stream,), (), record))
     return Trajectory(
         x0=x,
         horizon=float(horizon),
@@ -610,6 +648,19 @@ def _fallback(w, x: float) -> int:
         if w[k - 1] > 0.0:
             return k
     raise RuntimeError(f"degenerate probability vector at x={x!r}")
+
+
+def _running_sums(w, x: float) -> list:
+    """[0.0] followed by the running sums ``acc += p`` of the validated
+    weights w at x, with +inf from the last map of positive weight on. The
+    weights are nonnegative and a uniform u lies in [0, 1), so
+    ``bisect_right`` of u in them is the inline choice: the first map whose
+    running sum exceeds u, or that last map when float slack leaves u above
+    the sum."""
+    cum = list(accumulate(w, initial=0.0))
+    last = _fallback(w, x)
+    cum[last:] = [math.inf] * (len(cum) - last)
+    return cum
 
 
 def _gamma(n: int) -> float:

@@ -18,7 +18,8 @@ double ``(word >> 11) * 2**-53``. ``stream_uniforms`` evaluates that
 formula for many trajectories of one cell in one numpy pass, bit for bit
 equal to the ``StreamFactory`` stream. Processes with a batch form (the
 ``ctmc`` chain) are sampled from it, ``CHUNK`` trajectories at a time;
-the others run their scalar sampler on one stream per trajectory. The
+the others run their scalar sampler on one stream per trajectory, a jump
+system one loop over all the streams of a cell. The
 chain's batch form computes the holding times with numpy's ``log1p``,
 which may differ from ``math.log1p`` by an ulp, and reruns the scalar
 cascade on every row whose holding time, or sum of two, lies within a
@@ -149,6 +150,24 @@ class StreamFactory:
         self._bitgen.state = self._state
         return self._gen
 
+    def streams(self, cell: int, n: int):
+        """``stream(cell, k)`` for k = 0, ..., n - 1, in order, as an
+        iterator; the cell is checked once, here, and each index needs no
+        check. Every item is the one generator restarted in place, so a
+        stream must be read before the next is taken."""
+        counter = self._counter
+        word = _counter_word(cell, "cell")
+        bitgen, state, gen = self._bitgen, self._state, self._gen
+
+        def restarted():
+            for k in range(n):
+                counter[1] = k
+                counter[2] = word
+                bitgen.state = state
+                yield gen
+
+        return restarted()
+
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple:
     """High and low words of the 128-bit products of the constant m and x,
@@ -257,7 +276,9 @@ def sample_terminals(process, x0, t: float, n: int, seed: int, *,
 
     A process with a batch form ``terminal_states(x0, t, uniforms)`` gets
     the first ``batch_draws`` uniforms of each trajectory's stream from
-    ``stream_uniforms``, ``CHUNK`` trajectories at a time; any other process
+    ``stream_uniforms``, ``CHUNK`` trajectories at a time. One with a cell
+    form ``terminal_states_from(x0, t, streams)`` (a jump system) gets the
+    cell's streams in one call and runs its set-up once; any other process
     runs ``terminal_state`` on one stream per trajectory. Any sampler
     failure is re-raised with the offending trajectory index (a batch form
     fails only on inputs every trajectory shares, so that is the first one).
@@ -277,12 +298,18 @@ def sample_terminals(process, x0, t: float, n: int, seed: int, *,
             except Exception as exc:
                 raise RuntimeError(f"trajectory {start} of cell {cell}: {exc}") from exc
         return out
-    factory = StreamFactory(seed)
-    for k in range(n):
-        try:
-            out[k] = process.terminal_state(x0, t, factory.stream(cell, k))
-        except Exception as exc:
-            raise RuntimeError(f"trajectory {k} of cell {cell}: {exc}") from exc
+    streams = StreamFactory(seed).streams(cell, n)
+    k = 0
+    try:
+        if hasattr(process, "terminal_states_from"):
+            values = process.terminal_states_from(x0, t, streams)
+        else:
+            values = (process.terminal_state(x0, t, stream) for stream in streams)
+        for value in values:
+            out[k] = value
+            k += 1
+    except Exception as exc:
+        raise RuntimeError(f"trajectory {k} of cell {cell}: {exc}") from exc
     return out
 
 

@@ -22,7 +22,7 @@ from ergokit.ifs_jump import (
     linear_modulus,
     sample_jump_chain,
 )
-from ergokit.montecarlo import StreamFactory, sample_terminals
+from ergokit.montecarlo import StreamFactory, sample_cells, sample_terminals
 
 from oracles import flip_jump_matrix, poisson_mixture_law
 
@@ -1004,3 +1004,132 @@ def test_exponential_flow_subclass_keeps_its_own_flow():
     assert got != expo
     # a single waiting time past t: the state drifts, it does not grow
     assert drift.terminal_state(1.0, 0.5, _StubStream([0.9])) == 1.0 + 0.3 * 0.5
+
+
+# ---------------------------------------------------------------------------
+# the cell loop: one jump loop over all the trajectories of a cell, and the
+# running sums of a constant weight tuple kept across its jumps
+
+
+_LOW, _HIGH = (0.1, 0.2, 0.7), (0.7, 0.2, 0.1)
+
+
+class _Weights(tuple):
+    pass
+
+
+_CONSTANT_FIELDS = {
+    "constant-tuple": lambda x: _LOW,
+    "alternating-tuples": lambda x: _LOW if x < 1.0 else _HIGH,
+    "fresh-tuple": lambda x: tuple(list(_LOW)),
+    "list": lambda x: list(_LOW),
+    "ndarray": lambda x: np.array(_LOW),
+    # float32 items of _LOW sum to 1 - 7e-9 in float64, which fails the check
+    "float32-ndarray": lambda x: np.array((0.25, 0.25, 0.5), dtype=np.float32),
+    "float32-tuple": (lambda c: lambda x: c)(tuple(np.float32(p) for p in _LOW)),
+    "int-tuple": lambda x: (0, 1, 0) if x < 1.0 else (1, 0, 0),
+    "float64-tuple": (lambda c: lambda x: c)(tuple(np.array(_LOW))),
+    "tuple-subclass": (lambda c: lambda x: c)(_Weights(_LOW)),
+}
+
+
+def _cell_model(field, flow):
+    return IfsModel(name="cell", maps=(lambda x: x / 2.0, lambda x: x, lambda x: 2.0 * x),
+                    prob_field=field, rate=1.5, flow=flow)
+
+
+@pytest.mark.parametrize("flow", ["moving", "full-memo"])
+@pytest.mark.parametrize("kind", sorted(_CONSTANT_FIELDS))
+def test_cell_loop_matches_the_reference_for_each_field_return(monkeypatch, kind, flow):
+    # the inline path runs under a moving flow and, under the identity
+    # flow, once the memo is full; only an exact tuple of exact floats that
+    # the field returns on consecutive jumps keeps its running sums: a
+    # constant builds them once per cell, two alternating tuples whenever
+    # the field switches to the other and keeps it
+    if flow == "full-memo":
+        monkeypatch.setattr(ifs_jump, "MEMO_NODES", 0)
+    builds = []
+    running_sums = ifs_jump._running_sums
+    monkeypatch.setattr(ifs_jump, "_running_sums",
+                        lambda w, x: builds.append(w) or running_sums(w, x))
+    model = _cell_model(_CONSTANT_FIELDS[kind],
+                        ExponentialFlow(0.1) if flow == "moving" else IdentityFlow())
+    for cell, (x0, t) in enumerate([(0.3, 12.0), (4.0, 30.0)]):
+        got = sample_terminals(model, x0, t, 60, 21, cell=cell)
+        factory = StreamFactory(21)
+        want = [_ref_terminal_state(model, x0, t, factory.stream(cell, k)) for k in range(60)]
+        assert _same_bits(got, want)
+    if kind == "constant-tuple":
+        assert builds == [_LOW, _LOW]
+    elif kind == "alternating-tuples":
+        assert builds and all(w is _LOW or w is _HIGH for w in builds)
+    else:
+        assert builds == []
+
+
+@pytest.mark.parametrize("bad, match", [
+    ((1.0,), "prob_field returned 1 weights for 2 maps at x="),
+    ((1.5, -0.5), "negative selection probability -0.5 at x="),
+    ((0.5, 0.4), "selection probabilities sum to 0.9 at x="),
+])
+def test_invalid_constant_tuple_fails_on_its_first_use(bad, match):
+    # (0.5, 0.5) below 4 is kept once it passed the checks; the invalid
+    # constant above 4 never is, and fails at the first pre-jump point
+    # that reaches it, which the valid field's trajectory shows
+    def field(x):
+        return bad if x >= 4.0 else _FAIR
+
+    model = IfsModel(name="bad", maps=(lambda x: x / 2.0, lambda x: 2.0 * x),
+                     prob_field=field, rate=1.0, flow=ExponentialFlow(0.1))
+    fair = IfsModel(name="fair", maps=model.maps, prob_field=lambda x: _FAIR, rate=1.0,
+                    flow=model.flow)
+    for k in range(4):
+        traj = sample_jump_chain(fair, 1.0, 200.0, StreamFactory(2).stream(0, k))
+        if (traj.xi >= 4.0).any():
+            break
+    first = float(traj.xi[traj.xi >= 4.0][0])
+    assert (traj.xi < 4.0).sum() > 2  # the constant was held before it
+    with pytest.raises(RuntimeError,
+                       match=re.escape(f"trajectory {k} of cell 0: {match}{first!r}")):
+        sample_terminals(model, 1.0, 200.0, 4, 2)
+
+
+_FAIR = (0.5, 0.5)
+
+
+def test_map_failure_names_its_trajectory_and_cell():
+    # a moving-flow map fails only at the first pre-jump point of
+    # trajectory 3 of cell 2; the trajectories before it in the cell and
+    # the other cells run through
+    def chain(model, cell, k):
+        return sample_jump_chain(model, 1.0, 10.0, StreamFactory(8).stream(cell, k))
+
+    fair = IfsModel(name="fair", maps=(lambda x: x / 2.0, lambda x: (x + 1.0) / 2.0),
+                    prob_field=lambda x: _FAIR, rate=1.0, flow=ExponentialFlow(0.1))
+    first = chain(fair, 2, 3)
+    fatal, chosen = float(first.xi[0]), first.index[0]
+
+    def guarded(map_):
+        return lambda x: math.nan if x == fatal else map_(x)
+
+    model = IfsModel(name="fatal", maps=tuple(guarded(m) for m in fair.maps),
+                     prob_field=fair.prob_field, rate=1.0, flow=fair.flow)
+    msg = (f"trajectory 3 of cell 2: map w{chosen} of model 'fatal' produced invalid "
+           f"state nan from x={fatal!r}")
+    with pytest.raises(RuntimeError, match=re.escape(msg)):
+        sample_terminals(model, 1.0, 10.0, 6, 8, cell=2)
+    cells = [(1.0, 10.0)] * 3
+    samples = sample_cells(model, cells, 6, 8)
+    assert samples[2] == msg
+    for i in (0, 1):
+        assert _same_bits(samples[i], sample_terminals(fair, 1.0, 10.0, 6, 8, cell=i))
+
+
+def test_cell_loop_reads_no_stream_at_time_zero():
+    class _Untouched:
+        def random(self, size=None):
+            raise AssertionError("read")
+
+    model = _cell_model(lambda x: _LOW, ExponentialFlow(0.1))
+    assert list(model.terminal_states_from(2.5, 0.0, [_Untouched()] * 3)) == [2.5] * 3
+    assert model.terminal_state(-0.0, 0.0, _Untouched()) == 0.0

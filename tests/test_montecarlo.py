@@ -157,6 +157,8 @@ def test_stream_rejects_a_cell_or_trajectory_that_is_no_counter_word(bad):
     with pytest.raises(ValueError, match=r"\btrajectory\b"):
         factory.stream(0, bad)
     with pytest.raises(ValueError, match=r"\bcell\b"):
+        factory.streams(bad, 2)
+    with pytest.raises(ValueError, match=r"\bcell\b"):
         stream_uniforms(1, bad, 0, 2, 1)
     # the scalar sampler and the batch form reject the cell up front
     halving, _ = example_halving(1.0)
@@ -164,6 +166,19 @@ def test_stream_rejects_a_cell_or_trajectory_that_is_no_counter_word(bad):
         x0 = CtmcState.low(2) if process is CTMC else 1.0
         with pytest.raises(ValueError, match=r"\bcell\b"):
             sample_terminals(process, x0, 1.0, 2, 1, cell=bad)
+
+
+@pytest.mark.parametrize("cell", [0, 2 ** 64 - 1])
+def test_cell_streams_restart_like_single_streams(cell):
+    # each stream of a cell is read before the next one is taken; a stream
+    # of another cell taken in between leaves the rest of the cell alone
+    factory, single = StreamFactory(9), StreamFactory(9)
+    got = []
+    for k, stream in enumerate(factory.streams(cell, 4)):
+        got.append(_draws(stream))
+        factory.stream(1, k).random(5)
+    assert got == [_draws(single.stream(cell, k)) for k in range(4)]
+    assert list(factory.streams(cell, 0)) == []
 
 
 def test_stream_uniforms_rejects_a_trajectory_range_of_no_counter_words():

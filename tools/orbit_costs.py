@@ -6,9 +6,13 @@ Run from the repository root:
 
 Each line gives the best of its repeats and, in brackets, their median:
 on a shared machine a slow phase moves the best of a few repeats too, and
-the gap between the two shows how far a line can be trusted. It prints,
-in nanoseconds and in point-steps (the cost of carrying one orbit point
-through one step of the forward sweep of ``exact_laws``):
+the gap between the two shows how far a line can be trusted. Every repeat
+is preceded by the benchmark's fixed piece of pure-Python work
+(``perfbench/child.py``'s ``calibrate``) and scaled, as the benchmark
+scales its commands, by ``REF_CAL_S`` over that work's time, so the times
+are given at one fixed machine speed and a slow phase moves them less.
+It prints, in nanoseconds and in point-steps (the cost of carrying one
+orbit point through one step of the forward sweep of ``exact_laws``):
 
 * the sweep, as ``a * points * steps + b * steps`` on de Bruijn orbits
   (maps 2x and 2x + 1 mod n, every point within log2 n jumps of 0) of 2,
@@ -27,9 +31,13 @@ through one step of the forward sweep of ``exact_laws``):
 The shipped constants ``SWEEP_STEP_POINTS``, ``NODE_POINTS`` and
 ``JUMP_POINTS`` are these ratios, rounded.
 
-Two more lines, in microseconds only, time the Monte Carlo that has no
+Three more lines, in microseconds only, time the Monte Carlo that has no
 exact law: one sampled jump of the same maps under the moving flow
-``ExponentialFlow(0.1)``, and one ``StreamFactory.stream`` reset.
+``ExponentialFlow(0.1)``, whose field returns one constant tuple; one
+trajectory of that model that makes no jump (t = 1e-9), through
+``sample_terminals``, so with its stream reset, its first block of
+uniforms and its share of the cell's set-up; and one ``StreamFactory.stream``
+reset.
 
 The last two time the batch-sampled chain: one ``ctmc`` trajectory from
 ``low:4`` to t = 4 through ``sample_terminals`` (60 000 trajectories,
@@ -40,7 +48,9 @@ uniforms included), in microseconds, and ``montecarlo._estimate`` of
 from __future__ import annotations
 
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -50,15 +60,21 @@ from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_halving
 from ergokit.montecarlo import StreamFactory, _estimate, sample_terminals
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from child import calibrate  # noqa: E402
+from run import REF_CAL_S  # noqa: E402
+
 
 def best(f, repeat=7):
-    """Best and median time of ``repeat`` calls of f, in seconds, as one
-    array: the costs computed from it carry both."""
+    """Best and median time of ``repeat`` calls of f, in seconds at the
+    benchmark's reference machine speed, as one array: the costs computed
+    from it carry both."""
     times = []
     for _ in range(repeat):
+        cal = calibrate()
         t0 = time.perf_counter()
         f()
-        times.append(time.perf_counter() - t0)
+        times.append((time.perf_counter() - t0) * REF_CAL_S / cal)
     return np.array([min(times), statistics.median(times)])
 
 
@@ -131,6 +147,8 @@ def main():
                       flow=ExponentialFlow(0.1))
     jump = best(lambda: sample_terminals(moving, 0.3, 200.0, 200, 2), 3) / (200 * 200)
     print(f"sampled jump, moving flow: {show(jump * 1e6, '.2f')} us")
+    trajectory = best(lambda: sample_terminals(moving, 0.3, 1e-9, 10000, 2)) / 10000
+    print(f"moving-flow trajectory, no jump: {show(trajectory * 1e6, '.2f')} us")
 
     factory = StreamFactory(2)
     reset = best(lambda: [factory.stream(0, k) for k in range(10000)]) / 10000
