@@ -1011,7 +1011,7 @@ def test_exponential_flow_subclass_keeps_its_own_flow():
 # running sums of a constant weight tuple kept across its jumps
 
 
-_LOW, _HIGH = (0.1, 0.2, 0.7), (0.7, 0.2, 0.1)
+_LOW, _HIGH, _FAIR = (0.1, 0.2, 0.7), (0.7, 0.2, 0.1), (0.5, 0.5)
 
 
 class _Weights(tuple):
@@ -1092,9 +1092,6 @@ def test_invalid_constant_tuple_fails_on_its_first_use(bad, match):
     with pytest.raises(RuntimeError,
                        match=re.escape(f"trajectory {k} of cell 0: {match}{first!r}")):
         sample_terminals(model, 1.0, 200.0, 4, 2)
-
-
-_FAIR = (0.5, 0.5)
 
 
 def test_map_failure_names_its_trajectory_and_cell():
