@@ -18,39 +18,25 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import math
 import sys
 from itertools import product
 from types import SimpleNamespace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from . import __version__
-from ._svgplot import line_chart_svg
 from .core import Ball, EmpiricalMeasure, TestFunction, bump_function, constant, xmin1
-from .exact_ctmc import CtmcProcess, CtmcState, parse_ctmc_state, transition_prob
-from .diagnostics import (
-    DiagnosticReport,
+from .montecarlo import (
     McSettings,
-    _anchor,
-    check_b2,
-    check_b3,
-    check_b5,
-    check_c2,
-    ec_profile,
-    eproperty_witness,
-    lower_bound_scan,
-    stability_report,
+    StreamFactory,
+    _check_seed,
+    _time_grid,
+    resolve_workers,
+    run_batch,
 )
-from .ifs_jump import (
-    IfsModel,
-    example_flip,
-    example_halving,
-    halving_tv_modulus,
-    linear_modulus,
-    sample_jump_chain,
-)
-from .montecarlo import StreamFactory, _check_seed, _time_grid, resolve_workers, run_batch
+
+if TYPE_CHECKING:
+    from .diagnostics import DiagnosticReport
 
 
 class CliError(Exception):
@@ -58,13 +44,65 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# entry points imported on first call
+#
+# A command imports only the modules it runs: ``estimate --model ctmc``
+# loads neither ``ifs_jump`` nor ``diagnostics``. The functions below stand
+# for the library functions of the same name. They are globals of this
+# module from import on, and the commands call them through these globals,
+# so replacing ``cli.sample_jump_chain`` (as a tracer or a test does)
+# replaces what ``simulate`` runs.
+
+
+def sample_jump_chain(*args, **kwargs):
+    """``ifs_jump.sample_jump_chain``, imported on first call."""
+    from .ifs_jump import sample_jump_chain
+    return sample_jump_chain(*args, **kwargs)
+
+
+def lower_bound_scan(*args, **kwargs):
+    """``diagnostics.lower_bound_scan``, imported on first call."""
+    from .diagnostics import lower_bound_scan
+    return lower_bound_scan(*args, **kwargs)
+
+
+def stability_report(*args, **kwargs):
+    """``diagnostics.stability_report``, imported on first call."""
+    from .diagnostics import stability_report
+    return stability_report(*args, **kwargs)
+
+
+def example_flip(lam: float):
+    """``ifs_jump.example_flip``, imported on first call."""
+    from .ifs_jump import example_flip
+    return example_flip(lam)
+
+
+def example_halving(lam: float):
+    """``ifs_jump.example_halving``, imported on first call."""
+    from .ifs_jump import example_halving
+    return example_halving(lam)
+
+
+def halving_tv_modulus(s: float) -> float:
+    """``ifs_jump.halving_tv_modulus``, imported on first call."""
+    from .ifs_jump import halving_tv_modulus
+    return halving_tv_modulus(s)
+
+
+# ---------------------------------------------------------------------------
 # model registry
+
+
+def _ctmc(lam: float):
+    from .exact_ctmc import CtmcProcess
+    return CtmcProcess(), None
 
 
 # name -> (builder(lam) -> (process, assume or None), moduli that
 # ``diagnose assumptions`` audits besides the model's own ``assume.omega``)
 _MODELS: dict = {
-    "ctmc": (lambda lam: (CtmcProcess(), None), ()),
+    "ctmc": (_ctmc, ()),
     "flip": (lambda lam: (example_flip(lam), None), ()),
     "halving": (example_halving, (halving_tv_modulus,)),
 }
@@ -91,15 +129,17 @@ def _model(settings: Settings, default: Optional[str] = None):
 
 def _modulus_label(omega) -> str:
     """Audit row label: the formula of a library modulus, else the function name."""
-    if omega is linear_modulus:
+    from . import ifs_jump
+    if omega is ifs_jump.linear_modulus:
         return "omega=s"
-    if omega is halving_tv_modulus:
+    if omega is halving_tv_modulus or omega is ifs_jump.halving_tv_modulus:
         return "omega=2(1-exp(-s))"
     return f"omega={getattr(omega, '__name__', omega)}"
 
 
 def _parse_initial(model_name: str, token: str):
     if model_name == "ctmc":
+        from .exact_ctmc import parse_ctmc_state
         return parse_ctmc_state(token)
     try:
         v = float(token)
@@ -328,6 +368,7 @@ def _format_table(manifest: dict, columns: Sequence[str], rows: Iterable, fmt: s
     if fmt == "csv":
         return _csv_chunks(manifest, columns, rows, blocks, texts or {})
     if fmt == "json":
+        import json
         if blocks:
             rows = (lead + row for lead, cols in rows for row in zip(*cols))
         doc = {
@@ -380,6 +421,7 @@ def _write(settings: Settings, command: str, schema: str, columns: Sequence[str]
         manifest["mode"] = mode
     _emit(_format_table(manifest, columns, rows, fmt, blocks, texts), out)
     if plot:
+        from ._svgplot import line_chart_svg
         title, ylabel, points = chart
         series: dict = {}
         for key, t, value in points:
@@ -407,6 +449,7 @@ def _mc_settings(settings: Settings, default_samples: int = 10_000) -> McSetting
 
 
 def cmd_exact_ctmc(args: argparse.Namespace) -> int:
+    from .exact_ctmc import CtmcProcess, CtmcState, transition_prob
     settings = Settings(args)
     n = settings.get("n", parse=int, required=True)
     if n < 2:
@@ -427,6 +470,7 @@ def cmd_exact_ctmc(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .ifs_jump import IfsModel
     settings = Settings(args)
     name, model, _ = _model(settings)
     if not isinstance(model, IfsModel):
@@ -492,6 +536,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def _auto_pairs(model_name: str):
     if model_name == "ctmc":
+        from .exact_ctmc import CtmcState
         return [(CtmcState.low(n), float(n)) for n in range(2, 51)]
     if model_name == "flip":
         return [(1.0 / n, float(n)) for n in (5, 10, 20)]
@@ -531,6 +576,16 @@ def _report_points(report: DiagnosticReport):
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    from .diagnostics import (
+        DiagnosticReport,
+        _anchor,
+        check_b2,
+        check_b3,
+        check_b5,
+        check_c2,
+        ec_profile,
+        eproperty_witness,
+    )
     sub = args.subdiagnostic
     settings = Settings(args)
     name, process, assume = _model(settings, "halving" if sub == "assumptions" else None)

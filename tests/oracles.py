@@ -129,3 +129,39 @@ def halving_hit_probs(x: float, eps: float, times, rate: float = 1.0) -> list:
                 total += weight * inside[j]
             out.append(+total)
         return out
+
+
+def ctmc_zero_mass(n: int, t: float) -> Decimal:
+    """P_t(1/n -> 0) of the chain in ``exact_ctmc``, to about 60 digits.
+
+    The closed form 1 - e^{-s}(1 + s), s = t/n, cancels for small s, so the
+    mass is summed as e^{-s} times the series sum over k >= 2 of s^k/k!,
+    whose terms are all positive, with ``t`` read exactly.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = Decimal(t) / n
+        term, tail, k = s, Decimal(0), 1
+        while True:
+            k += 1
+            term = term * s / k
+            if tail and term < tail * Decimal("1e-62"):
+                break
+            tail += term
+        return +((-s).exp() * tail)
+
+
+def ctmc_ec_gap_max(n: int, t_lo: float, t_hi: float) -> tuple:
+    """``(t, gap)``: where and how large the chain's largest gap
+    P_t f(1/n) - P_t f(0), f = min(x, 1), is over t in [t_lo, t_hi].
+
+    From 0 the chain stays at 0, so P_t f(0) = 0. From 1/n it is still at
+    1/n with probability e^{-t/n} and at n with (t/n) e^{-t/n}, so the gap
+    is g(t) = e^{-t/n} (1 + t)/n, and g'(t) = e^{-t/n} (n - 1 - t)/n^2: g
+    rises up to t = n - 1 and falls after it.
+    """
+    t = min(max(float(n - 1), t_lo), t_hi)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        gap = (-Decimal(t) / n).exp() * (1 + Decimal(t)) / n
+    return t, float(gap)

@@ -362,3 +362,21 @@ def test_state_parsing_round_trip():
         assert parse_ctmc_state(str(want)) == want
     with pytest.raises(ValueError):
         parse_ctmc_state("mid:4")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="exact_laws takes P_t(1/n -> 0) as 1 - e^{-s} - s e^{-s}, s = t/n, which "
+           "cancels for small s, and claims error bound 0: at low:2, t = 1e-9 it "
+           "gives 4.16e-17 against a true 1.25e-19",
+)
+def test_exact_laws_bound_covers_the_rounding_of_the_zero_mass():
+    from decimal import Decimal
+
+    from oracles import ctmc_zero_mass
+
+    [(law, bound)] = CtmcProcess().exact_laws(CtmcState.low(2), [1e-9])
+    mass = float(law.weights[law.support == 0.0].sum())
+    truth = ctmc_zero_mass(2, 1e-9)
+    assert Decimal("1.2499e-19") < truth < Decimal("1.2501e-19")
+    assert abs(Decimal(mass) - truth) <= Decimal(bound)
