@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import importlib
 import math
 import sys
 from itertools import product
@@ -54,55 +55,52 @@ class CliError(Exception):
 # replaces what ``simulate`` runs.
 
 
+@functools.lru_cache(maxsize=None)
+def _module(name: str):
+    """The library module ``ergokit.<name>``, imported on first use and
+    cached, so a stand-in below pays a cache lookup per call, not an
+    import statement."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 def sample_jump_chain(*args, **kwargs):
     """``ifs_jump.sample_jump_chain``, imported on first call."""
-    from .ifs_jump import sample_jump_chain
-    return sample_jump_chain(*args, **kwargs)
+    return _module("ifs_jump").sample_jump_chain(*args, **kwargs)
 
 
 def lower_bound_scan(*args, **kwargs):
     """``diagnostics.lower_bound_scan``, imported on first call."""
-    from .diagnostics import lower_bound_scan
-    return lower_bound_scan(*args, **kwargs)
+    return _module("diagnostics").lower_bound_scan(*args, **kwargs)
 
 
 def stability_report(*args, **kwargs):
     """``diagnostics.stability_report``, imported on first call."""
-    from .diagnostics import stability_report
-    return stability_report(*args, **kwargs)
+    return _module("diagnostics").stability_report(*args, **kwargs)
 
 
 def example_flip(lam: float):
     """``ifs_jump.example_flip``, imported on first call."""
-    from .ifs_jump import example_flip
-    return example_flip(lam)
+    return _module("ifs_jump").example_flip(lam)
 
 
 def example_halving(lam: float):
     """``ifs_jump.example_halving``, imported on first call."""
-    from .ifs_jump import example_halving
-    return example_halving(lam)
+    return _module("ifs_jump").example_halving(lam)
 
 
 def halving_tv_modulus(s: float) -> float:
     """``ifs_jump.halving_tv_modulus``, imported on first call."""
-    from .ifs_jump import halving_tv_modulus
-    return halving_tv_modulus(s)
+    return _module("ifs_jump").halving_tv_modulus(s)
 
 
 # ---------------------------------------------------------------------------
 # model registry
 
 
-def _ctmc(lam: float):
-    from .exact_ctmc import CtmcProcess
-    return CtmcProcess(), None
-
-
 # name -> (builder(lam) -> (process, assume or None), moduli that
 # ``diagnose assumptions`` audits besides the model's own ``assume.omega``)
 _MODELS: dict = {
-    "ctmc": (_ctmc, ()),
+    "ctmc": (lambda lam: (_module("exact_ctmc").CtmcProcess(), None), ()),
     "flip": (lambda lam: (example_flip(lam), None), ()),
     "halving": (example_halving, (halving_tv_modulus,)),
 }
@@ -129,7 +127,7 @@ def _model(settings: Settings, default: Optional[str] = None):
 
 def _modulus_label(omega) -> str:
     """Audit row label: the formula of a library modulus, else the function name."""
-    from . import ifs_jump
+    ifs_jump = _module("ifs_jump")
     if omega is ifs_jump.linear_modulus:
         return "omega=s"
     if omega is halving_tv_modulus or omega is ifs_jump.halving_tv_modulus:
