@@ -8,7 +8,7 @@ program pays only for the modules it uses: ``ergokit.xmin1`` loads
 imports.
 """
 
-import importlib
+import sys
 
 __version__ = "0.9.0"
 
@@ -32,12 +32,21 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)
 
 
+def _submodule(name: str):
+    """``ergokit.<name>``, imported on first use through ``__import__``,
+    the path an import statement takes, so that ``python -X importtime``
+    lists it; it does not list a module ``importlib.import_module`` loads."""
+    full = f"{__name__}.{name}"
+    __import__(full)
+    return sys.modules[full]
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _submodule(name)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    value = getattr(_submodule(_HOME[name]), name)
     globals()[name] = value  # later lookups skip this hook
     return value
 

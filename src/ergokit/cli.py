@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import importlib
 import math
 import sys
 from itertools import product
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from . import __version__
+from . import __version__, _submodule
 from .core import Ball, EmpiricalMeasure, TestFunction, bump_function, constant, xmin1
 from .montecarlo import (
     McSettings,
@@ -55,12 +54,9 @@ class CliError(Exception):
 # replaces what ``simulate`` runs.
 
 
-@functools.lru_cache(maxsize=None)
-def _module(name: str):
-    """The library module ``ergokit.<name>``, imported on first use and
-    cached, so a stand-in below pays a cache lookup per call, not an
-    import statement."""
-    return importlib.import_module(f"{__package__}.{name}")
+# ``ergokit.<name>``, imported on first use; cached, so a stand-in below
+# pays a cache lookup per call, not an import
+_module = functools.lru_cache(maxsize=None)(_submodule)
 
 
 def sample_jump_chain(*args, **kwargs):

@@ -23,7 +23,6 @@ def test_every_exported_name_resolves(name):
     assert set(exported) <= set(namespace)
 
 
-
 # ---------------------------------------------------------------------------
 # what each entry point loads
 
@@ -35,12 +34,18 @@ def loaded_by(code: str) -> set:
     interpreter that imports ergokit from this checkout."""
     probe = ("import sys\nbefore = set(sys.modules)\n" + code
              + "\nprint(' '.join(sorted(set(sys.modules) - before)))\n")
+    return set(run_fresh("-c", probe).stdout.split())
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports ergokit from
+    this checkout; fails the test unless it exits 0."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=120)
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
-    return set(done.stdout.split())
+    return done
 
 
 def command_loads(*argv: str) -> set:
@@ -99,3 +104,14 @@ def test_every_public_name_is_its_defining_module_object():
 def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         ergokit.nope
+
+
+def test_importtime_lists_the_modules_loaded_on_first_use():
+    # -X importtime reports imports made through __import__ only, so a lazy
+    # import through importlib.import_module would hide the module's cost
+    code = ("import os, ergokit, ergokit.cli\nergokit.xmin1\n"
+            "ergokit.cli.main(['estimate', '--model', 'ctmc', '--x0', 'low:2', '--times', '1',"
+            " '--f', 'xmin1', '--samples', '1', '--out', os.devnull])")
+    stderr = run_fresh("-X", "importtime", "-c", code).stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()}
+    assert {"ergokit.core", "ergokit.montecarlo", "ergokit.exact_ctmc"} <= listed
