@@ -16,9 +16,9 @@ function of its position: word ``d % 4`` of the Philox block for counter
 ``(d // 4 + 1, k, c, 0)`` under key ``(seed, _KEY_SALT)``, read as the
 double ``(word >> 11) * 2**-53``. ``stream_uniforms`` evaluates that
 formula for many trajectories of one cell in one numpy pass, bit for bit
-equal to the ``StreamFactory`` stream. Processes with a batch form (the
-``ctmc`` chain) are sampled from it, ``CHUNK`` trajectories at a time;
-the others run their scalar sampler on one stream per trajectory, a jump
+equal to the ``StreamFactory`` stream; the work the rows share runs once,
+on Python ints. Processes with a batch form (the ``ctmc`` chain) are
+sampled from it, ``CHUNK`` trajectories at a time; the others run their scalar sampler on one stream per trajectory, a jump
 system one loop over all the streams of a cell. The
 chain's batch form computes the holding times with numpy's ``log1p``,
 which may differ from ``math.log1p`` by an ulp, and reruns the scalar
@@ -64,11 +64,11 @@ __all__ = [
 WORKERS_ENV_VAR = "ERGOKIT_WORKERS"
 
 # second key word, a fixed odd constant so key = (seed, salt) is injective in seed
-_KEY_SALT = np.uint64(0x9E3779B97F4A7C15)
+_KEY_SALT = 0x9E3779B97F4A7C15
 
 # trajectories per stream_uniforms call in a batch-sampled cell: bounds the
-# scratch memory of a cell whatever the sample count
-CHUNK = 4096
+# scratch memory of a cell whatever the sample count (about 1.2 MB)
+CHUNK = 8192
 
 # Philox4x64 round multipliers and key increments (Salmon et al., SC'11)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
@@ -76,6 +76,10 @@ _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _PHILOX_ROUNDS = 10
 _MASK64 = (1 << 64) - 1
 _LO32, _SHIFT32, _SHIFT11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+# (m, m & LO32, m >> 32) of both multipliers as a column, and of each
+_MULS = np.array([[_PHILOX_M0], [_PHILOX_M1]], dtype=np.uint64)
+_BY_BOTH = (_MULS, _MULS & _LO32, _MULS >> _SHIFT32)
+_BY_M0, _BY_M1 = ([part[i, 0] for part in _BY_BOTH] for i in (0, 1))
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -169,32 +173,28 @@ class StreamFactory:
         return restarted()
 
 
-def _mulhilo(m: int, x: np.ndarray, hi: np.ndarray, lo: np.ndarray, t: np.ndarray,
+def _mulhilo(m, x: np.ndarray, hi: np.ndarray, lo: np.ndarray, t: np.ndarray,
              u: np.ndarray) -> None:
-    """Write the high and low words of the 128-bit products of the constant
-    m and x to ``hi`` and ``lo``, the high word assembled from 32-bit
-    halves: m_hi x_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32), with
-    mid = (lo_lo >> 32) + (lo_hi & LO32) + (hi_lo & LO32). ``t`` and ``u``
-    are scratch arrays of x's shape; no array is allocated."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    np.right_shift(x, _SHIFT32, out=t)  # x_hi
-    np.multiply(t, m_hi, out=hi)
-    t *= m_lo  # lo_hi
-    np.right_shift(t, _SHIFT32, out=u)
-    hi += u
-    t &= _LO32
-    np.bitwise_and(x, _LO32, out=u)  # x_lo
-    np.multiply(u, m_lo, out=lo)  # lo_lo
+    """Write the high and low words of the 128-bit products m x to ``hi``
+    and ``lo``, m as (m, m & LO32, m >> 32), through no new array: with
+    t = x_hi m_lo + (x_lo m_lo >> 32) and w = (t & LO32) + x_lo m_hi,
+    hi = x_hi m_hi + (t >> 32) + (w >> 32). ``t`` and ``u`` are scratch."""
+    m, m_lo, m_hi = m
+    np.bitwise_and(x, _LO32, out=u)
+    np.multiply(u, m_lo, out=lo)
     lo >>= _SHIFT32
+    np.right_shift(x, _SHIFT32, out=t)
+    np.multiply(t, m_hi, out=hi)
+    t *= m_lo
     t += lo
-    u *= m_hi  # hi_lo
-    np.right_shift(u, _SHIFT32, out=lo)
-    hi += lo
-    u &= _LO32
-    t += u  # mid
+    np.bitwise_and(t, _LO32, out=lo)
     t >>= _SHIFT32
     hi += t
-    np.multiply(x, np.uint64(m), out=lo)  # uint64 array products wrap modulo 2**64
+    u *= m_hi
+    u += lo
+    u >>= _SHIFT32
+    hi += u
+    np.multiply(x, m, out=lo)  # uint64 array products wrap modulo 2**64
 
 
 def stream_uniforms(seed: int, cell: int, start: int, stop: int, draws: int) -> np.ndarray:
@@ -202,48 +202,66 @@ def stream_uniforms(seed: int, cell: int, start: int, stop: int, draws: int) -> 
 
     Row k - start equals ``StreamFactory(seed).stream(cell, k).random(draws)``
     bit for bit: each block of four draws is one Philox4x64-10 evaluation
-    at counter (block + 1, k, cell, 0), vectorised over k. Raises
-    ``ValueError``, naming the argument, unless cell and start are integers
-    in [0, 2**64) and stop one in [start, 2**64].
+    at counter (block + 1, k, cell, 0), vectorised over k. Python ints
+    carry what the rows share: round 0 but one XOR with k, round 1's M1
+    and round 2's M0 product. Later rounds multiply (c0, c2) as one array,
+    and the last round of a block that keeps at most two words computes
+    only c0 and c1. Raises ``ValueError``, naming the argument, unless
+    cell and start are integers in [0, 2**64), stop one in [start, 2**64]
+    and draws a positive integer.
     """
     seed = _check_seed(seed)
     cell = _counter_word(cell, "cell")
     start = _counter_word(start, "start")
     stop = _counter_word(stop, "stop", 2 ** 64 + 1)
-    if not start <= stop or draws < 1:
-        raise ValueError("need 0 <= start <= stop and at least one draw")
-    rows = stop - start
-    blocks = -(-draws // 4)
-    # The rounds run in ten word arrays made once per call, and only the
-    # words drawn are kept. A kernel that allocates its temporaries at
-    # every operation can get fresh pages from malloc, and so page faults,
-    # on every call: about 990 per 9-cell ctmc estimate at 6000 samples,
-    # against about 120 in place.
-    words = np.empty((rows, draws), dtype=np.uint64)
-    c0, c1, c2, c3, hi0, lo0, hi1, lo1, t, u = np.empty((10, rows), dtype=np.uint64)
-    for b in range(blocks):
-        c0.fill(b + 1)
-        c1[:] = np.arange(start, stop, dtype=np.uint64)
-        c2.fill(cell)
-        c3.fill(0)
-        k0, k1 = seed, int(_KEY_SALT)
-        for r in range(_PHILOX_ROUNDS):
-            if r:
-                k0 = (k0 + _PHILOX_W0) & _MASK64
-                k1 = (k1 + _PHILOX_W1) & _MASK64
-            _mulhilo(_PHILOX_M0, c0, hi0, lo0, t, u)
-            _mulhilo(_PHILOX_M1, c2, hi1, lo1, t, u)
-            # (c0, c1, c2, c3) = (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0);
-            # the arrays of c1 and c3 become next round's lo1 and lo0
-            np.bitwise_xor(hi1, c1, out=c0)
-            c0 ^= np.uint64(k0)
-            np.bitwise_xor(hi0, c3, out=c2)
-            c2 ^= np.uint64(k1)
-            c1, lo1, c3, lo0 = lo1, c1, lo0, c3
-        for j, word in enumerate((c0, c1, c2, c3)[:draws - 4 * b]):
-            words[:, 4 * b + j] = word
-    words >>= _SHIFT11
-    return words * (1.0 / 2 ** 53)
+    try:
+        width = operator.index(draws)
+    except TypeError:
+        width = 0
+    if width < 1:
+        raise ValueError(f"draws must be a positive integer, got {draws!r}")
+    if not start <= stop:
+        raise ValueError("need start <= stop")
+    k0 = [(seed + r * _PHILOX_W0) & _MASK64 for r in range(_PHILOX_ROUNDS)]
+    k1 = [(_KEY_SALT + r * _PHILOX_W1) & _MASK64 for r in range(_PHILOX_ROUNDS)]
+    keys = np.array(list(zip(k0, k1)), dtype=np.uint64)[:, :, None]
+    out = np.empty((stop - start, width))
+    # (c0, c2) and (c1, c3) are the rows of x and y. The rounds run in one
+    # pool of arrays per call: temporaries per operation can take fresh
+    # pages from malloc on every call (~990 faults per ctmc estimate).
+    x, y, hi, lo, t, u = np.empty((6, 2, stop - start), dtype=np.uint64)
+    hi_cell, lo_cell = divmod(_PHILOX_M1 * cell, 1 << 64)
+    for b in range(-(-width // 4)):
+        keep = min(4, width - 4 * b)
+        # round 0 of (b + 1, k, cell, 0), and round 1 of the new c0
+        x[0] = np.arange(start, stop, dtype=np.uint64)
+        x[0] ^= np.uint64(hi_cell ^ k0[0])
+        _mulhilo(_BY_M0, x[0], hi[0], lo[0], t[0], u[0])
+        hi0, lo0 = divmod(_PHILOX_M0 * (b + 1), 1 << 64)
+        hi1, lo1 = divmod(_PHILOX_M1 * (hi0 ^ k1[0]), 1 << 64)
+        # round 2 of (hi1 ^ lo_cell ^ k0, lo1, hi[0] ^ lo0 ^ k1, lo[0])
+        np.bitwise_xor(hi[0], np.uint64(lo0 ^ k1[1]), out=x[1])
+        hi0, lo0 = divmod(_PHILOX_M0 * (hi1 ^ lo_cell ^ k0[1]), 1 << 64)
+        _mulhilo(_BY_M1, x[1], hi[1], y[0], t[1], u[1])
+        np.bitwise_xor(hi[1], np.uint64(lo1 ^ k0[2]), out=x[0])
+        np.bitwise_xor(lo[0], np.uint64(hi0 ^ k1[2]), out=x[1])
+        y[1].fill(np.uint64(lo0))
+        for r in range(3, _PHILOX_ROUNDS - (keep <= 2)):
+            _mulhilo(_BY_BOTH, x, hi, lo, t, u)
+            np.bitwise_xor(hi[::-1], y, out=x)  # (hi1 ^ c1, hi0 ^ c3)
+            x ^= keys[r]
+            y, lo = lo[::-1], y  # (lo1, lo0)
+        if keep > 2:
+            words = (x[0], y[0], x[1], y[1])
+        else:
+            _mulhilo(_BY_M1, x[1], hi[1], lo[1], t[1], u[1])
+            np.bitwise_xor(hi[1], y[0], out=x[0])
+            x[0] ^= keys[-1, 0]
+            words = (x[0], lo[1])
+        for j, word in enumerate(words[:keep]):
+            word >>= _SHIFT11
+            np.multiply(word, 2.0 ** -53, out=out[:, 4 * b + j])
+    return out
 
 
 @dataclass(frozen=True)

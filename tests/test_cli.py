@@ -1390,13 +1390,19 @@ def test_moving_flow_tables_are_pinned(tmp_path, monkeypatch, argv, digest):
     (["--model", "ctmc", "--x0", "high:2", "--times", "0,1,50", "--f", "bump:1,2,1e-300",
       "--samples", "200", "--seed", "6"], 1,
      "7a3caf05531a07123bf6db099a05f890d1c42b19a421d40d85bbb0b965a357f4"),
+    (["--model", "ctmc", "--x0", "low:3,high:2", "--times", "2,9", "--f", "xmin1",
+      "--ball", "0,0.3", "--samples", "8197", "--seed", "11"], 0,
+     "f80388ba463be140bb42760ad5701c848f81d91647c190770c76805d0d060bcd"),
 ], ids=["ctmc-xmin1-ball-two-chunks", "ctmc-const", "ctmc-bump", "halving-bump",
-        "ctmc-bump-zero-division"])
+        "ctmc-bump-zero-division", "ctmc-xmin1-ball-chunk-plus-5"])
 def test_estimate_tables_are_pinned(tmp_path, capsys, argv, status, digest):
     # digests of the 0.8.0 estimate tables of each built-in test function,
-    # on the batch-sampled chain (6000 trajectories: two CHUNKs per cell)
-    # and on the sampled halving model; at 2, 1 and 1e-300/4 from 2 the bump
-    # divides 0 by 0, so those cells carry the error and the run exits 1
+    # on the batch-sampled chain and on the sampled halving model; at 2, 1
+    # and 1e-300/4 from 2 the bump divides 0 by 0, so those cells carry the
+    # error and the run exits 1. The first case's 6000 trajectories per cell
+    # took two passes of the Philox kernel at CHUNK = 4096, as its id says,
+    # and take one since CHUNK = 8192; the last case's CHUNK + 5 = 8197 take
+    # two, and its digest was taken at CHUNK = 4096 (three passes)
     tables = []
     for workers in ("1", "2"):
         table = tmp_path / f"w{workers}.csv"

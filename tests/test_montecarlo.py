@@ -198,13 +198,14 @@ def test_stream_accepts_integer_types_and_the_largest_words():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
-@pytest.mark.parametrize("cell", [0, 5, 2 ** 32 + 7])
+@pytest.mark.parametrize("cell", [0, 5, 2 ** 32 + 7, 2 ** 64 - 1])
 def test_stream_uniforms_match_streams_bit_for_bit(seed, cell):
     # trajectories on both sides of a chunk boundary, draws across the
-    # 4-word Philox block
+    # 4-word Philox block and up to block 17, so the rounds the kernel runs
+    # on Python ints see many blocks and the largest words
     factory = StreamFactory(seed)
     start, stop = CHUNK - 3, CHUNK + 3
-    for draws in range(1, 10):
+    for draws in [*range(1, 10), 63, 64, 65]:
         got = stream_uniforms(seed, cell, start, stop, draws)
         want = np.array([factory.stream(cell, k).random(draws) for k in range(start, stop)])
         assert got.shape == (stop - start, draws)
@@ -217,6 +218,21 @@ def test_stream_uniforms_empty_range_and_validation():
         stream_uniforms(3, 1, 7, 6, 2)
     with pytest.raises(ValueError):
         stream_uniforms(3, 1, 0, 6, 0)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.0, 0.5, "2", None])
+def test_stream_uniforms_rejects_draws_that_are_no_positive_integer(bad):
+    # a float count used to fail in numpy's allocation, and None or a string
+    # on a comparison, with a TypeError that did not name draws
+    with pytest.raises(ValueError, match=rf"^draws must be a positive integer, got "
+                                         rf"{re.escape(repr(bad))}$"):
+        stream_uniforms(3, 1, 0, 6, bad)
+
+
+def test_stream_uniforms_accept_integer_types_for_draws():
+    want = stream_uniforms(3, 1, 0, 6, 2)
+    assert stream_uniforms(3, 1, 0, 6, np.int64(2)).tobytes() == want.tobytes()
+    assert stream_uniforms(3, 1, 0, 6, np.uint8(1)).tobytes() == want[:, :1].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,13 @@ trajectory of that model that makes no jump (t = 1e-9), through
 uniforms and its share of the cell's set-up; and one ``StreamFactory.stream``
 reset.
 
-The last two time the batch-sampled chain: one ``ctmc`` trajectory from
-``low:4`` to t = 4 through ``sample_terminals`` (60 000 trajectories,
-uniforms included), in microseconds, and ``montecarlo._estimate`` of
-``xmin1`` over 60 000 values, in nanoseconds per value.
+The last three time the batch-sampled chain: one pass of the Philox
+kernel ``stream_uniforms`` at the benchmark's cell shape (6000
+trajectories, two draws each; ten cells per repeat), in microseconds per
+trajectory; one ``ctmc`` trajectory from ``low:4`` to t = 4 through
+``sample_terminals`` (60 000 trajectories, uniforms included), in
+microseconds; and ``montecarlo._estimate`` of ``xmin1`` over 60 000
+values, in nanoseconds per value.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from ergokit import ifs_jump
 from ergokit.core import Ball, xmin1
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_halving
-from ergokit.montecarlo import StreamFactory, _estimate, sample_terminals
+from ergokit.montecarlo import StreamFactory, _estimate, sample_terminals, stream_uniforms
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from child import calibrate  # noqa: E402
@@ -154,6 +157,8 @@ def main():
     reset = best(lambda: [factory.stream(0, k) for k in range(10000)]) / 10000
     print(f"stream reset: {show(reset * 1e6, '.2f')} us")
 
+    kernel = best(lambda: [stream_uniforms(2, cell, 0, 6000, 2) for cell in range(10)]) / 60000
+    print(f"philox kernel, 6000 x 2 draws: {show(kernel * 1e6, '.3f')} us per trajectory")
     chain, low4 = CtmcProcess(), CtmcState.low(4)
     trajectory = best(lambda: sample_terminals(chain, low4, 4.0, 60000, 2)) / 60000
     print(f"ctmc trajectory, batch: {show(trajectory * 1e6, '.3f')} us")
