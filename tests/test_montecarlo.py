@@ -230,6 +230,7 @@ def test_stream_uniforms_rejects_draws_that_are_no_positive_integer(bad):
 
 
 def test_stream_uniforms_accept_integer_types_for_draws():
+    # np.uint8(1) used to wrap in -draws and fail with an IndexError
     want = stream_uniforms(3, 1, 0, 6, 2)
     assert stream_uniforms(3, 1, 0, 6, np.int64(2)).tobytes() == want.tobytes()
     assert stream_uniforms(3, 1, 0, 6, np.uint8(1)).tobytes() == want[:, :1].tobytes()
