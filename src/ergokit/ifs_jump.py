@@ -25,7 +25,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,13 +103,14 @@ class IfsModel:
     ``rate`` is the jump intensity. ``absorbing`` lists exact fixed points
     at which every map and the flow stall, so samplers may stop early.
 
-    ``maps`` and ``prob_field`` must be pure functions of the point. Under
-    the identity flow a trajectory moves only through the points its maps
-    produce, so the sampler keeps a memo per model object of the validated
-    weights at each nonzero point and of each map's output there, built on
-    the point's first visit (see ``_node_at``): an identity-flow model
-    evaluates ``prob_field`` at most once per distinct nonzero point, and
-    each map at most once there, while the memo has room (``MEMO_NODES``
+    ``maps`` and ``prob_field`` must be pure functions of the point. One
+    rule, ``_running_sums``, validates a probability vector and sums it.
+    Under the identity flow a trajectory moves only through the points its
+    maps produce, so the sampler keeps a memo per model object of the
+    running sums at each nonzero point and of each map's output there,
+    built on the point's first visit (see ``_node_at``): an identity-flow
+    model evaluates ``prob_field`` at most once per distinct nonzero point,
+    and each map at most once there, while the memo has room (``MEMO_NODES``
     points). The memo is private and takes no part in equality, hashing,
     ``repr`` or pickling; a copy or an unpickled model starts with an
     empty one.
@@ -118,9 +118,9 @@ class IfsModel:
     A Monte Carlo cell runs all its trajectories through one jump loop
     (``terminal_states_from``), which does its set-up once. Under a moving
     flow, and wherever the memo has no node, a field that returns one
-    constant tuple of floats is checked and summed on its first jumps in
-    that loop, and each later jump takes its choice from the kept sums by
-    one bisection (see ``_jump_loop``).
+    constant tuple of floats is checked on its first jumps in that loop and
+    summed by ``_running_sums``, and each later jump takes its choice from
+    the kept sums by one bisection (see ``_jump_loop``).
     """
 
     name: str
@@ -210,21 +210,22 @@ class IfsModel:
         one bisection and the post-jump point from a cache. Any other jump
         (moving flow, zero, or a point missing from a full memo) validates
         its probability vector inline with plain float arithmetic, because
-        this is the hot path, and hands a vector that fails a check of
-        ``_weights`` to it, which raises. For the same reason such a jump
-        applies its map inline, with the check and message of
-        ``apply_map``, and a moving flow's pre-jump point is flowed and
-        checked inline, with those of ``_flowed``: an ``ExponentialFlow``
-        (not a subclass) as ``x * exp(alpha * gap)``, the expression of its
-        ``__call__``, any other flow by calling it.
+        this is the hot path. It hands a vector that fails a check, or
+        whose sum float slack leaves below the uniform, to
+        ``_running_sums``, which raises or gives the choice by bisection.
+        For the same reason such a jump applies its map inline, with the
+        check and message of ``apply_map``, and a moving flow's pre-jump
+        point is flowed and checked inline, with those of ``_flowed``: an
+        ``ExponentialFlow`` (not a subclass) as ``x * exp(alpha * gap)``,
+        the expression of its ``__call__``, any other flow by calling it.
 
         A field that returns one constant vector skips the inline checks:
         when ``prob_field`` returns the very object that passed them on the
         latest inline jump, and that object is exactly a ``tuple`` of
         exactly ``float``s (immutable, and summed as Python floats), its
-        running sums are kept (see ``_running_sums``), and every later jump
-        of any trajectory in ``streams`` that gets the same object back
-        takes its choice from them by one bisection. Any other vector, and
+        ``_running_sums`` are kept, and every later jump of any trajectory
+        in ``streams`` that gets the same object back takes its choice
+        from them by one bisection. Any other vector, and
         every vector that has not passed the checks, takes the inline path,
         so an invalid vector fails with the message it always had.
         """
@@ -294,7 +295,7 @@ class IfsModel:
                     w = field(pre)
                     if w is last and w is not held and type(w) is tuple \
                             and all(type(p) is float for p in w):
-                        held, sums = w, _running_sums(w, pre)
+                        held, sums = w, self._running_sums(w, pre)
                     if w is held:
                         chosen = bisect_right(sums, u)
                     else:
@@ -306,15 +307,15 @@ class IfsModel:
                         for p in w:
                             k += 1
                             if p < 0.0:
-                                self._weights(pre, w)  # raises
+                                self._running_sums(w, pre)  # raises
                             acc += p
                             if chosen == 0 and u < acc:
                                 chosen = k
                         if len(w) != n_maps or \
                                 not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
-                            self._weights(pre, w)  # raises
-                        if not chosen:
-                            chosen = _fallback(w, pre)
+                            self._running_sums(w, pre)  # raises
+                        if not chosen:  # float slack left u above the sum
+                            chosen = bisect_right(self._running_sums(w, pre), u)
                         last = w
                     x = float(maps[chosen - 1](pre))
                     if not 0.0 <= x < inf:
@@ -538,45 +539,60 @@ class IfsModel:
                 np.array(mass).reshape(shape).T.copy())
 
     def _node_at(self, x: float) -> tuple:
-        """Memo node ``(cum, succ)`` of the point x, from ``_weights(x)``;
-        the memo keeps it when x != 0 and the memo has room.
+        """Memo node ``(cum, succ)`` of the point x; the memo keeps it when
+        x != 0 and the memo has room.
 
-        ``cum`` is ``_running_sums`` of the weights, so ``bisect_right(cum,
-        u)`` is the inline choice. ``succ[k]`` caches map k's output at the
-        point, filled the first time map k is taken.
+        ``cum`` is ``_running_sums`` of ``prob_field(x)``, so
+        ``bisect_right(cum, u)`` is the inline choice. ``succ[k]`` caches
+        map k's output at the point, filled the first time map k is taken.
         """
-        cum = _running_sums(self._weights(x), x)
+        cum = self._running_sums(self.prob_field(x), x)
         node = cum, [None] * len(cum)
         memo = self._memo
         if x and len(memo) < MEMO_NODES:
             memo[x] = node
         return node
 
-    def _weights(self, x: float, w=None) -> list:
-        """Selection probabilities at x, ``prob_field(x)`` unless given as
-        w, for the audits and the memo nodes; raises ``ValueError`` on a
-        vector of the wrong length, a negative weight or a sum off 1. The
-        items are the field's own, as the jump loop's inline path sums them
-        (an ndarray becomes Python floats), so a node built from them
-        selects as that path does. The inline path hands the vector it
-        holds here only to raise.
+    def _running_sums(self, w, x: float) -> list:
+        """The one rule for a probability vector w at the point x, in one
+        pass over its items (an ndarray's are its ``tolist()``): raises
+        ``ValueError`` on a vector of the wrong length, then on a negative
+        weight, then on a sum off 1, and else returns [0.0] followed by the
+        running sums ``acc += p``, with +inf from the last map of positive
+        weight on. The sums are the jump loop's inline ones, so a uniform u
+        in [0, 1) gives the inline choice as ``bisect_right(cum, u)``: the
+        first map whose running sum exceeds u, or that last map when float
+        slack leaves u above the sum.
         """
-        if w is None:
-            w = self.prob_field(x)
         if isinstance(w, np.ndarray):
             w = w.tolist()
         if len(w) != len(self.maps):
             raise ValueError(f"prob_field returned {len(w)} weights for "
                              f"{len(self.maps)} maps at x={x!r}")
+        cum = [0.0]
         acc = 0.0
-        for p in w:
+        last = 0
+        for k, p in enumerate(w, 1):
             if p < 0.0:
                 raise ValueError(
                     f"negative selection probability {p!r} at x={x!r} in model {self.name!r}")
             acc += p
+            cum.append(acc)
+            if p > 0.0:
+                last = k
         if not (1.0 - PROB_SUM_TOL <= acc <= 1.0 + PROB_SUM_TOL):
             raise ValueError(
                 f"selection probabilities sum to {acc!r} at x={x!r} in model {self.name!r}")
+        cum[last:] = [math.inf] * (len(cum) - last)
+        return cum
+
+    def _weights(self, x: float) -> list:
+        """Selection probabilities ``prob_field(x)`` for the audits, checked
+        by ``_running_sums``; an ndarray's items become Python floats."""
+        w = self.prob_field(x)
+        if isinstance(w, np.ndarray):
+            w = w.tolist()
+        self._running_sums(w, x)
         return list(w)
 
     def _flowed(self, s: float, x: float) -> float:
@@ -639,28 +655,6 @@ def sample_jump_chain(model: IfsModel, x: float, horizon: float,
         index=np.array(idxs, dtype=int),
         phi=np.array(phis, dtype=float),
     )
-
-
-def _fallback(w, x: float) -> int:
-    """The last map (1-based) with positive weight at x, taken when float
-    slack leaves the uniform above the sum of the validated weights."""
-    for k in range(len(w), 0, -1):
-        if w[k - 1] > 0.0:
-            return k
-    raise RuntimeError(f"degenerate probability vector at x={x!r}")
-
-
-def _running_sums(w, x: float) -> list:
-    """[0.0] followed by the running sums ``acc += p`` of the validated
-    weights w at x, with +inf from the last map of positive weight on. The
-    weights are nonnegative and a uniform u lies in [0, 1), so
-    ``bisect_right`` of u in them is the inline choice: the first map whose
-    running sum exceeds u, or that last map when float slack leaves u above
-    the sum."""
-    cum = list(accumulate(w, initial=0.0))
-    last = _fallback(w, x)
-    cum[last:] = [math.inf] * (len(cum) - last)
-    return cum
 
 
 def _gamma(n: int) -> float:

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -1183,6 +1184,47 @@ def test_lowerbound_start_with_a_failed_cell_has_no_minimum(capsys, monkeypatch,
         assert (r["value"] == "nan") == bool(r["error"]) == (r["x"] in bad)
     (scan,) = [r for r in rows if r["label"] == "scan_min"]
     assert scan["value"] == "nan" and scan["error"] == f"{len(failed)} of 4 cells failed"
+
+
+# the error of a far-nan cell whose trajectory reaches the failing map
+_MAP_FAILURE = (r"trajectory \d+ of cell \d+: "
+                r"map w2 of model 'far-nan' produced invalid state nan from x=\S+")
+
+
+def test_stability_failed_cell_has_a_nan_row_and_no_pairs(capsys, monkeypatch):
+    # a trajectory from 1 drifts past 8 before t = 40: that cell prints nan
+    # with its error and joins no pair, while the pairs of the other
+    # starts at t = 40 are still reported
+    from ergokit import cli
+    from ergokit.ifs_jump import ExponentialFlow
+
+    monkeypatch.setitem(cli._MODELS, "far-nan", (_far_nan_model(ExponentialFlow(0.1)), ()))
+    code, out, err = run_cli(capsys, "diagnose", "stability", "--model", "far-nan",
+                             "--initials", "0,0.5,1", "--t-grid", "2,40", "--samples", "50")
+    assert code == 1 and err == ""
+    _, _, rows = parse_csv(out)
+    refs = {(r["x"], r["t"]): r for r in rows if r["label"] == "bl_to_ref"}
+    assert len(refs) == 6
+    for cell, r in refs.items():
+        assert (r["value"] == "nan") == bool(r["error"]) == (cell == ("1", "40"))
+    assert re.fullmatch(_MAP_FAILURE, refs["1", "40"]["error"])
+    assert [(r["x"], r["t"]) for r in rows if r["label"] == "bl_between"] == [
+        ("0|0.5", "2"), ("0|1", "2"), ("0.5|1", "2"), ("0|0.5", "40")]
+
+
+@pytest.mark.parametrize("argv", [
+    ("ec", "--xs", "0.5,1", "--window-start", "2", "--window-end", "40", "--grid", "2,40"),
+    ("eprop", "--pairs", "0.5@2,1@40"),
+], ids=["ec", "eprop"])
+def test_mean_diagnostic_with_a_failed_cell_writes_no_table(capsys, monkeypatch, argv):
+    from ergokit import cli
+    from ergokit.ifs_jump import ExponentialFlow
+
+    monkeypatch.setitem(cli._MODELS, "far-nan", (_far_nan_model(ExponentialFlow(0.1)), ()))
+    code, out, err = run_cli(capsys, "diagnose", argv[0], "--model", "far-nan", "--z", "0",
+                             *argv[1:], "--samples", "50")
+    assert code == 1 and out == ""
+    assert re.fullmatch(f"error: {_MAP_FAILURE}\n", err)
 
 
 def test_moving_flow_is_sampled(capsys, monkeypatch):

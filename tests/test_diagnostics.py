@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,15 +20,23 @@ from ergokit.diagnostics import (
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import (
     AssumptionSet,
+    ExponentialFlow,
     IfsModel,
     example_flip,
     example_halving,
     halving_tv_modulus,
     linear_modulus,
 )
-from ergokit.montecarlo import _estimate, estimate_ptf, hoeffding_half_width, sample_terminals
+from ergokit.montecarlo import (
+    _estimate,
+    estimate_ptf,
+    hoeffding_half_width,
+    sample_cells,
+    sample_terminals,
+)
 
 from oracles import flip_expectation_xmin1
+from test_cli import _MAP_FAILURE, _far_nan_model
 
 F = xmin1()
 CTMC = CtmcProcess()
@@ -571,3 +580,34 @@ def test_mc_settings_validation():
         McSettings(n_samples=0)
     with pytest.raises(ValueError):
         McSettings(confidence=1.0)
+
+
+# ---------------------------------------------------------------------------
+# failed cells of the sampled mean diagnostics
+
+
+_FAILING = {
+    # (the cells the diagnostic samples, in order; the call)
+    "ec_profile": ([(x, t) for x in (0.5, 1.0, 0.0) for t in (2.0, 40.0)],
+                   lambda m, mc: ec_profile(m, F, 0.0, [0.5, 1.0], 2.0, 40.0, [2.0, 40.0], mc)),
+    "eproperty_witness": ([(0.5, 2.0), (0.0, 2.0), (1.0, 40.0), (0.0, 40.0)],
+                          lambda m, mc: eproperty_witness(m, F, 0.0, [(0.5, 2.0), (1.0, 40.0)],
+                                                          mc)),
+    "check_c2": ([(1.0, t) for t in (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)],
+                 lambda m, mc: check_c2(m, 0.0, [0.1], [1.0], 64.0, mc)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAILING))
+def test_sampled_mean_diagnostic_raises_its_first_failed_cell(name):
+    # halving under ExponentialFlow(0.1) whose stay map fails past 8: a
+    # trajectory from 1 gets there before t = 40, none before t = 2
+    model = _far_nan_model(ExponentialFlow(0.1))(1.0)[0]
+    mc = McSettings(n_samples=50)
+    cells, run = _FAILING[name]
+    want = next(r for r in sample_cells(model, cells, mc.n_samples, mc.seed)
+                if isinstance(r, str))
+    assert re.fullmatch(_MAP_FAILURE, want)
+    with pytest.raises(RuntimeError) as info:
+        run(model, mc)
+    assert str(info.value) == want

@@ -442,6 +442,38 @@ def test_zero_uniform_is_skipped_like_the_reference():
     assert traj.tau[0] == -math.log1p(-0.5)
 
 
+_REFILL_MODELS = {
+    "halving-memo": lambda: example_halving(1.0)[0],
+    "expflow-held": lambda: _cell_model(lambda x: _LOW, ExponentialFlow(0.1)),
+    "expflow-inline": lambda: _cell_model(lambda x: tuple(list(_LOW)), ExponentialFlow(0.1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFILL_MODELS))
+def test_map_choice_after_a_skipped_zero_opens_a_new_block(name):
+    # the skipped 0.0 shifts every later jump by one uniform, so the 32nd
+    # jump's gap is the last uniform of the first block of 64 and its map
+    # choice the first of the second; 0.999 then ends the trajectory
+    def values(shift):
+        choices = [(0.37 * k + shift) % 1.0 for k in range(40)]
+        return [0.0] + [u for c in choices for u in (0.01, c)] + [0.999]
+
+    model = _REFILL_MODELS[name]()
+    for shift in (0.0, 0.5):
+        got = model.terminal_state(1.0, 3.0, _StubStream(values(shift)))
+        assert _same_bits([got], [_ref_terminal_state(model, 1.0, 3.0,
+                                                      _StubStream(values(shift)))])
+        traj = sample_jump_chain(model, 1.0, 3.0, _StubStream(values(shift)))
+        tau, xi, index, phi = _ref_jump_chain(model, 1.0, 3.0, _StubStream(values(shift)))
+        assert len(traj) == 40
+        assert _same_bits(traj.tau, tau) and _same_bits(traj.xi, xi)
+        assert _same_bits(traj.phi, phi) and np.array_equal(traj.index, index)
+    streams = [_StubStream(values(0.0)), _StubStream(values(0.5))]
+    want = [_ref_terminal_state(model, 1.0, 3.0, _StubStream(values(shift)))
+            for shift in (0.0, 0.5)]
+    assert _same_bits(list(model.terminal_states_from(1.0, 3.0, streams)), want)
+
+
 def test_float_slack_falls_back_to_last_positive_weight():
     # weights sum to 1 - 1e-12, within tolerance; a uniform above that sum
     # picks the last map with positive weight, here w2
@@ -1049,9 +1081,9 @@ def test_cell_loop_matches_the_reference_for_each_field_return(monkeypatch, kind
     if flow == "full-memo":
         monkeypatch.setattr(ifs_jump, "MEMO_NODES", 0)
     builds = []
-    running_sums = ifs_jump._running_sums
-    monkeypatch.setattr(ifs_jump, "_running_sums",
-                        lambda w, x: builds.append(w) or running_sums(w, x))
+    running_sums = IfsModel._running_sums
+    monkeypatch.setattr(IfsModel, "_running_sums",
+                        lambda self, w, x: builds.append(w) or running_sums(self, w, x))
     model = _cell_model(_CONSTANT_FIELDS[kind],
                         ExponentialFlow(0.1) if flow == "moving" else IdentityFlow())
     for cell, (x0, t) in enumerate([(0.3, 12.0), (4.0, 30.0)]):
