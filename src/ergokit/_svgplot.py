@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+WIDTH, HEIGHT = 720, 460
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
@@ -10,27 +12,32 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "",
-                   width: int = 720, height: int = 460) -> str:
-    """Render named (x, y) series as an SVG line chart.
+def _text(s: str) -> str:
+    """s as XML character data: a text without ``&``, ``<`` or ``>`` keeps
+    its bytes."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
+    """Render named (x, y) series as a ``WIDTH`` by ``HEIGHT`` SVG line chart.
 
     ``series`` is a sequence of ``(name, points)`` with ``points`` a sequence
     of (x, y) pairs. Output bytes depend only on the inputs.
     """
     series = [(name, [(float(x), float(y)) for x, y in pts]) for name, pts in series if pts]
     left, right, top, bottom = 70, 20, 40, 55
-    px0, px1 = left, width - right
-    py0, py1 = height - bottom, top
+    px0, px1 = left, WIDTH - right
+    py0, py1 = HEIGHT - bottom, top
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
-        out.append(f'<text x="{width / 2:g}" y="22" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{title}</text>')
+        out.append(f'<text x="{WIDTH / 2:g}" y="22" text-anchor="middle" '
+                   f'font-family="sans-serif" font-size="15">{_text(title)}</text>')
     if not series:
-        out.append(f'<text x="{width / 2:g}" y="{height / 2:g}" text-anchor="middle" '
+        out.append(f'<text x="{WIDTH / 2:g}" y="{HEIGHT / 2:g}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="13">no data</text></svg>')
         return "\n".join(out) + "\n"
 
@@ -60,12 +67,12 @@ def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "",
         out.append(f'<text x="{px0 - 8}" y="{sy(fy) + 4:.2f}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="11">{_fmt(fy)}</text>')
     if xlabel:
-        out.append(f'<text x="{(px0 + px1) / 2:g}" y="{height - 12}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12">{xlabel}</text>')
+        out.append(f'<text x="{(px0 + px1) / 2:g}" y="{HEIGHT - 12}" text-anchor="middle" '
+                   f'font-family="sans-serif" font-size="12">{_text(xlabel)}</text>')
     if ylabel:
         out.append(f'<text x="16" y="{(py0 + py1) / 2:g}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="12" '
-                   f'transform="rotate(-90 16 {(py0 + py1) / 2:g})">{ylabel}</text>')
+                   f'transform="rotate(-90 16 {(py0 + py1) / 2:g})">{_text(ylabel)}</text>')
     for k, (name, pts) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         if len(pts) == 1:
@@ -78,6 +85,6 @@ def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "",
         out.append(f'<line x1="{px1 - 130}" y1="{ly}" x2="{px1 - 110}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{px1 - 104}" y="{ly + 4}" font-family="sans-serif" '
-                   f'font-size="11">{name}</text>')
+                   f'font-size="11">{_text(name)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

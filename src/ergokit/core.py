@@ -26,6 +26,16 @@ def as_state(x: float) -> float:
     return v
 
 
+def as_time(t: float, name: str = "time") -> float:
+    """The one rule for a time, a horizon or a window end: ``float(t)``,
+    which must be finite and nonnegative. The message names ``name`` and
+    the converted float."""
+    t = float(t)
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValueError(f"{name} must be a finite nonnegative real, got {t!r}")
+    return t
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """A bounded Lipschitz observable with declared metadata.
@@ -117,7 +127,10 @@ class Ball:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError("ball radius must be positive and finite")
 
-    def contains(self, x: float) -> bool:
+    def contains(self, x):
+        """The one hit rule: whether x, a float or a float array, lies in
+        the ball, as a bool or a bool array. Both take the same IEEE
+        operations, so an array's entries are the floats' answers."""
         return abs(x - self.center) < self.radius
 
     @property

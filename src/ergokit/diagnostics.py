@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Ball, EmpiricalMeasure, TestFunction, bl_distance
+from .core import Ball, EmpiricalMeasure, TestFunction, as_time, bl_distance
 from .ifs_jump import AssumptionSet, IfsModel, j_n
 from .montecarlo import McSettings, _time_grid, run_batch, sample_cells
 
@@ -187,7 +187,8 @@ def ec_profile(process, f: TestFunction, z, xs: Sequence, T: float, t_max: float
     late-time window.
 
     For each x the reported value is ``max over grid of |P_t f(x) - P_t f(z)|``
-    with the grid inside ``[T, t_max]``. Values that shrink as x approaches z
+    with the grid inside ``[T, t_max]``, a window of finite nonnegative
+    times. Values that shrink as x approaches z
     are evidence of insensitivity to the initial condition at z; the window
     makes the late-time surrogate explicit. Starts with exact laws are
     answered exactly, the others by Monte Carlo.
@@ -195,7 +196,9 @@ def ec_profile(process, f: TestFunction, z, xs: Sequence, T: float, t_max: float
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("grid empty")
-    if not (0.0 <= T <= t_max):
+    T = as_time(T, "window start")
+    t_max = as_time(t_max, "window end")
+    if T > t_max:
         raise ValueError("window must satisfy 0 <= T <= t_max")
     if grid[0] < T or grid[-1] > t_max:
         raise ValueError("grid must lie inside the window [T, t_max]")
@@ -417,9 +420,10 @@ def check_b5(model: IfsModel, assume: AssumptionSet, n_trunc: int,
              max_words: int = 10 ** 6) -> float:
     """Worst series-budget residual over starting points near the anchor.
 
-    Sums ``omega(J_m(x) |x - z| (rate/(rate - alpha))^m)`` for m from
-    ``m_start`` to ``n_trunc`` and adds a geometric majorant for the tail,
-    extrapolated from the last observed term ratio. The majorant is valid
+    Sums ``omega(J_m(x) |x - z| (rate/(rate - alpha))^m)``, with rate the
+    model's jump intensity, for m from ``m_start`` to ``n_trunc`` and adds
+    a geometric majorant for the tail, extrapolated from the last observed
+    term ratio. The majorant is valid
     when the term arguments keep decaying at no worse than that ratio and
     omega is concave (so it is dominated by secants through the origin);
     for a linear omega under a constant contraction coefficient it is exact.
@@ -431,13 +435,13 @@ def check_b5(model: IfsModel, assume: AssumptionSet, n_trunc: int,
         raise ValueError("x grid empty")
     if n_trunc < assume.m_start:
         raise ValueError("n_trunc must be at least m_start")
-    if not assume.rate > assume.alpha:
+    if not model.rate > assume.alpha:
         raise ValueError("series budget needs rate > alpha")
     omega = omega or assume.omega
     if omega(0.0) != 0.0:
         raise ValueError("omega(0) must equal 0")
     z = assume.anchor
-    kappa = assume.rate / (assume.rate - assume.alpha)
+    kappa = model.rate / (model.rate - assume.alpha)
     budget = 1.0 - assume.gamma
     worst = -math.inf
     for x in x_grid:

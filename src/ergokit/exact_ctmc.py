@@ -28,7 +28,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import Ball, EmpiricalMeasure, TestFunction
+from .core import Ball, EmpiricalMeasure, TestFunction, as_time
 
 __all__ = [
     "CtmcState",
@@ -98,17 +98,10 @@ def parse_ctmc_state(token: str) -> CtmcState:
     raise ValueError(f"cannot parse chain state {token!r} (expected zero, low:N or high:N)")
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"time must be a finite nonnegative real, got {t!r}")
-    return t
-
-
 def _law(i: CtmcState, t: float) -> tuple:
     """The time-t law from i: its reachable ``(state, probability)`` pairs
     in cascade order, so the state after k jumps is entry k."""
-    t = _check_time(t)
+    t = as_time(t)
     zero = CtmcState.zero()
     if i.kind == _ZERO:
         return ((zero, 1.0),)
@@ -134,7 +127,7 @@ def semigroup_apply(f: Union[TestFunction, Callable[[float], float]], i: CtmcSta
 
 def _mean(law: EmpiricalMeasure, f: Union[TestFunction, Ball]) -> float:
     if isinstance(f, Ball):
-        return sum(law.weights[np.abs(law.support - f.center) < f.radius].tolist())
+        return sum(law.weights[f.contains(law.support)].tolist())
     mean = 0.0
     for x, w in zip(law.support.tolist(), law.weights.tolist()):
         mean += w * f(x)
@@ -164,7 +157,7 @@ def sample_path(i: CtmcState, t: float, stream: np.random.Generator) -> CtmcStat
     Each holding time takes one ``stream.random()`` call, so the draw count
     and values are reproducible for a given stream.
     """
-    t = _check_time(t)
+    t = as_time(t)
     if i.kind == _ZERO or t == 0.0:
         return i
     return _reachable(i)[_jumps(i, t, stream.random)]
@@ -180,8 +173,8 @@ def chapman_kolmogorov_residual(n: int, s: float, t: float) -> float:
     """Max absolute entry of P(s+t) - P(s) P(t) on one n-cascade."""
     if n < 2:
         raise ValueError("level index n must be >= 2")
-    s = _check_time(s)
-    t = _check_time(t)
+    s = as_time(s)
+    t = as_time(t)
     return float(np.max(np.abs(_matrix(n, s + t) - _matrix(n, s) @ _matrix(n, t))))
 
 
@@ -213,7 +206,7 @@ class CtmcProcess:
         cascade again, so no row can fall on the other side of t. Errors
         come only from (x0, t), which every trajectory shares.
         """
-        t = _check_time(t)
+        t = as_time(t)
         if x0.kind == _ZERO or t == 0.0:
             return np.full(len(uniforms), x0.value)
         scale = float(-x0.n)  # the conversion that -n * math.log1p(u) makes

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Ball, EmpiricalMeasure, as_state
+from .core import Ball, EmpiricalMeasure, as_state, as_time
 
 __all__ = [
     "IdentityFlow",
@@ -183,8 +183,7 @@ class IfsModel:
         trajectory (``StreamFactory.streams``) may supply them. A subclass
         that overrides ``terminal_state`` must override this too.
         """
-        if not (t >= 0.0 and math.isfinite(t)):
-            raise ValueError("time must be a finite nonnegative real")
+        t = as_time(t)
         x = as_state(x0)
         if t == 0.0:
             return (x for _ in streams)
@@ -440,8 +439,8 @@ class IfsModel:
                  for f in functionals]
         # one vector: functional j at point i is entry i * width + j
         width = len(scale)
-        u = np.array([np.abs(support - f.center) < f.radius if isinstance(f, Ball)
-                      else [f(y) for y in points] for f in functionals], dtype=float).T.ravel()
+        u = np.array([f.contains(support) if isinstance(f, Ball) else [f(y) for y in points]
+                      for f in functionals], dtype=float).T.ravel()
         dst = (dst[:, :, None] * width + np.arange(width)).reshape(len(dst), -1)
         mass = np.repeat(mass, width, axis=1)
         head = len(rows) * width
@@ -467,9 +466,7 @@ class IfsModel:
         """``(windows, steps, budget)`` of a nonempty time grid: the
         ``_poisson_window`` of each time, the jumps the latest window
         reaches and a start's budget in point-steps."""
-        if not all(0.0 <= t < math.inf for t in times):
-            raise ValueError("time must be a finite nonnegative real")
-        windows = [_poisson_window(self.rate * t) for t in times]
+        windows = [_poisson_window(self.rate * as_time(t)) for t in times]
         steps = max(left + len(w) - 1 for left, w, _, _ in windows)
         return windows, steps, max(ORBIT_BUDGET,
                                    BREAK_EVEN_SAMPLES * JUMP_POINTS * self.rate * max(times))
@@ -642,14 +639,13 @@ def sample_jump_chain(model: IfsModel, x: float, horizon: float,
     read ``BLOCK`` uniforms at a time, so its position after the call is
     unspecified.
     """
-    if not (horizon >= 0.0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be a finite nonnegative real")
+    horizon = as_time(horizon, "horizon")
     x = as_state(x)
     taus, xis, idxs, phis = record = ([], [], [], [])
     next(model._jump_loop(x, horizon, (stream,), (), record))
     return Trajectory(
         x0=x,
-        horizon=float(horizon),
+        horizon=horizon,
         tau=np.array(taus, dtype=float),
         xi=np.array(xis, dtype=float),
         index=np.array(idxs, dtype=int),
@@ -757,11 +753,12 @@ class AssumptionSet:
     ``anchor`` is the reference point z, ``r`` the place-dependent
     contraction coefficient with values in (0, 1], ``omega`` a concave
     nondecreasing modulus with omega(0) = 0 bounding the selection
-    probability gap, ``alpha`` the flow expansion rate, and ``rate`` the
-    jump intensity. ``m_start``, ``eta`` and ``gamma`` parametrize the
-    series budget: the tail sum of modulated contraction products from
-    index ``m_start``, over starting points within ``eta`` of the anchor,
-    must stay at or below ``1 - gamma``.
+    probability gap and ``alpha`` the flow expansion rate. ``m_start``,
+    ``eta`` and ``gamma`` parametrize the series budget: the tail sum of
+    modulated contraction products from index ``m_start``, over starting
+    points within ``eta`` of the anchor, must stay at or below
+    ``1 - gamma``. The jump intensity is the model's own ``rate``, which
+    the budget audit ``check_b5`` reads.
     """
 
     anchor: float
@@ -771,7 +768,6 @@ class AssumptionSet:
     eta: float
     gamma: float
     alpha: float
-    rate: float
 
     def __post_init__(self) -> None:
         as_state(self.anchor)
@@ -783,8 +779,6 @@ class AssumptionSet:
             raise ValueError("gamma must lie in (0, 1)")
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
-        if not (self.rate > 0.0):
-            raise ValueError("rate must be positive")
         if self.omega(0.0) != 0.0:
             raise ValueError("omega(0) must equal 0")
 
@@ -833,7 +827,6 @@ def example_halving(lam: float) -> tuple[IfsModel, AssumptionSet]:
         eta=0.125,
         gamma=1.0 - math.exp(0.125) / 4.0,
         alpha=0.0,
-        rate=float(lam),
     )
     return model, assume
 

@@ -421,9 +421,7 @@ def _estimate(values, functional: Union[TestFunction, Ball], confidence: float) 
     in trajectory order, with its Hoeffding half-width."""
     n = len(values)
     if isinstance(functional, Ball):
-        # the IEEE operations of Ball.contains, one array at a time
-        inside = np.abs(values - functional.center) < functional.radius
-        total, bound = int(np.count_nonzero(inside)), 1.0
+        total, bound = int(np.count_nonzero(functional.contains(values))), 1.0
     else:
         bound = functional.value_bound
         total = _array_sum(functional, values)

@@ -1507,7 +1507,7 @@ def test_cli_builtin_model_builders_resolve():
 
     assert isinstance(cli.example_flip(1.0), IfsModel)
     model, assume = cli.example_halving(2.0)
-    assert (model.name, model.rate, assume.rate) == ("halving", 2.0, 2.0)
+    assert (model.name, model.rate) == ("halving", 2.0)
     (omega,) = cli._MODELS["halving"][1]
     assert omega(0.3) == halving_tv_modulus(0.3)
     assert cli._modulus_label(omega) == cli._modulus_label(halving_tv_modulus) \

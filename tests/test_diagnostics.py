@@ -400,7 +400,7 @@ def test_b2_detects_violation():
     model, good = example_halving(1.0)
     stingy = AssumptionSet(anchor=0.0, r=lambda x: 0.9 * (1.0 - math.exp(-x) / 2.0),
                            omega=linear_modulus, m_start=0, eta=good.eta,
-                           gamma=good.gamma, alpha=0.0, rate=1.0)
+                           gamma=good.gamma, alpha=0.0)
     assert check_b2(model, stingy, [1.0]) > 0.0
 
 
@@ -479,7 +479,7 @@ def test_b5_concave_modulus_blows_budget():
 def test_b5_refuses_nondecaying_terms():
     model, good = example_halving(1.0)
     flat = AssumptionSet(anchor=0.0, r=lambda x: 1.0, omega=linear_modulus,
-                         m_start=0, eta=good.eta, gamma=good.gamma, alpha=0.0, rate=1.0)
+                         m_start=0, eta=good.eta, gamma=good.gamma, alpha=0.0)
     with pytest.raises(ValueError, match="decay"):
         check_b5(model, flat, 8, [0.125])
 
@@ -491,7 +491,7 @@ def test_b5_validation():
     with pytest.raises(ValueError):
         check_b5(model, assume, -1, [0.1])
     inflated = AssumptionSet(anchor=0.0, r=assume.r, omega=linear_modulus, m_start=0,
-                             eta=assume.eta, gamma=assume.gamma, alpha=1.0, rate=1.0)
+                             eta=assume.eta, gamma=assume.gamma, alpha=1.0)
     with pytest.raises(ValueError, match="rate"):
         check_b5(model, inflated, 10, [0.1])
 

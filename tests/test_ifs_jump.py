@@ -65,7 +65,7 @@ def test_halving_assumption_constants():
     assert assume.m_start == 0
     assert assume.eta == 0.125
     assert assume.alpha == 0.0
-    assert assume.rate == 2.5
+    assert not hasattr(assume, "rate")  # check_b5 reads the model's rate
     assert assume.gamma == pytest.approx(1.0 - math.exp(0.125) / 4.0, abs=1e-15)
     assert assume.gamma == pytest.approx(0.716713, abs=1e-6)
     assert assume.r(1.0) == pytest.approx(1.0 - math.exp(-1.0) / 2.0, abs=1e-15)
@@ -240,7 +240,7 @@ def test_j_matches_brute_force_on_noncommuting_maps():
     model = IfsModel(name="affine", maps=(w1, w2),
                      prob_field=lambda x: np.array([0.5, 0.5]), rate=1.0)
     assume = AssumptionSet(anchor=0.0, r=r, omega=linear_modulus, m_start=0,
-                           eta=1.0, gamma=0.5, alpha=0.0, rate=1.0)
+                           eta=1.0, gamma=0.5, alpha=0.0)
     for n in range(1, 7):
         for x in (0.0, 0.4, 2.0):
             assert j_n(model, assume, x, n) == pytest.approx(
@@ -251,7 +251,7 @@ def test_j_enumeration_budget_guard():
     model = IfsModel(name="wide", maps=(lambda x: x,) * 3,
                      prob_field=lambda x: np.array([1 / 3] * 3), rate=1.0)
     assume = AssumptionSet(anchor=0.0, r=lambda x: 1.0, omega=linear_modulus,
-                           m_start=0, eta=1.0, gamma=0.5, alpha=0.0, rate=1.0)
+                           m_start=0, eta=1.0, gamma=0.5, alpha=0.0)
     with pytest.raises(ValueError, match="budget"):
         j_n(model, assume, 1.0, 20)
     assert j_n(model, assume, 1.0, 20, max_words=3 ** 20 + 1) == 1.0
@@ -261,7 +261,7 @@ def test_j_rejects_coefficient_above_one():
     model = IfsModel(name="loose", maps=(lambda x: x,),
                      prob_field=lambda x: np.array([1.0]), rate=1.0)
     assume = AssumptionSet(anchor=0.0, r=lambda x: 1.5, omega=linear_modulus,
-                           m_start=0, eta=1.0, gamma=0.5, alpha=0.0, rate=1.0)
+                           m_start=0, eta=1.0, gamma=0.5, alpha=0.0)
     with pytest.raises(ValueError, match="outside"):
         j_n(model, assume, 1.0, 2)
 
@@ -278,10 +278,10 @@ def test_model_requires_positive_rate():
 def test_assumption_set_validation():
     with pytest.raises(ValueError):
         AssumptionSet(anchor=0.0, r=lambda x: 1.0, omega=lambda s: s + 1.0,
-                      m_start=0, eta=1.0, gamma=0.5, alpha=0.0, rate=1.0)
+                      m_start=0, eta=1.0, gamma=0.5, alpha=0.0)
     with pytest.raises(ValueError):
         AssumptionSet(anchor=0.0, r=lambda x: 1.0, omega=linear_modulus,
-                      m_start=0, eta=1.0, gamma=1.5, alpha=0.0, rate=1.0)
+                      m_start=0, eta=1.0, gamma=1.5, alpha=0.0)
 
 
 # ---------------------------------------------------------------------------
