@@ -3,19 +3,14 @@
 from __future__ import annotations
 
 WIDTH, HEIGHT = 720, 460
-
+# XML character data: &, < and > escaped, any other text kept byte for byte
+_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
-
-
-def _text(s: str) -> str:
-    """s as XML character data: a text without ``&``, ``<`` or ``>`` keeps
-    its bytes."""
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
@@ -35,7 +30,7 @@ def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") 
     ]
     if title:
         out.append(f'<text x="{WIDTH / 2:g}" y="22" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{_text(title)}</text>')
+                   f'font-family="sans-serif" font-size="15">{title.translate(_TEXT)}</text>')
     if not series:
         out.append(f'<text x="{WIDTH / 2:g}" y="{HEIGHT / 2:g}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="13">no data</text></svg>')
@@ -68,11 +63,11 @@ def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") 
                    f'font-family="sans-serif" font-size="11">{_fmt(fy)}</text>')
     if xlabel:
         out.append(f'<text x="{(px0 + px1) / 2:g}" y="{HEIGHT - 12}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="12">{_text(xlabel)}</text>')
+                   f'font-family="sans-serif" font-size="12">{xlabel.translate(_TEXT)}</text>')
     if ylabel:
         out.append(f'<text x="16" y="{(py0 + py1) / 2:g}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="12" '
-                   f'transform="rotate(-90 16 {(py0 + py1) / 2:g})">{_text(ylabel)}</text>')
+                   f'transform="rotate(-90 16 {(py0 + py1) / 2:g})">{ylabel.translate(_TEXT)}</text>')
     for k, (name, pts) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         if len(pts) == 1:
@@ -85,6 +80,6 @@ def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") 
         out.append(f'<line x1="{px1 - 130}" y1="{ly}" x2="{px1 - 110}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{px1 - 104}" y="{ly + 4}" font-family="sans-serif" '
-                   f'font-size="11">{_text(name)}</text>')
+                   f'font-size="11">{name.translate(_TEXT)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -27,9 +27,7 @@ def as_state(x: float) -> float:
 
 
 def as_time(t: float, name: str = "time") -> float:
-    """The one rule for a time, a horizon or a window end: ``float(t)``,
-    which must be finite and nonnegative. The message names ``name`` and
-    the converted float."""
+    """Validate a time as ``float(t)`` (finite, nonnegative); the error names ``name``."""
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"{name} must be a finite nonnegative real, got {t!r}")
@@ -128,9 +126,7 @@ class Ball:
             raise ValueError("ball radius must be positive and finite")
 
     def contains(self, x):
-        """The one hit rule: whether x, a float or a float array, lies in
-        the ball, as a bool or a bool array. Both take the same IEEE
-        operations, so an array's entries are the floats' answers."""
+        """The one hit rule: a float, or a float array elementwise, by the same IEEE operations."""
         return abs(x - self.center) < self.radius
 
     @property

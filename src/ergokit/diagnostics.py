@@ -187,8 +187,7 @@ def ec_profile(process, f: TestFunction, z, xs: Sequence, T: float, t_max: float
     late-time window.
 
     For each x the reported value is ``max over grid of |P_t f(x) - P_t f(z)|``
-    with the grid inside ``[T, t_max]``, a window of finite nonnegative
-    times. Values that shrink as x approaches z
+    with the grid inside ``[T, t_max]``. Values that shrink as x approaches z
     are evidence of insensitivity to the initial condition at z; the window
     makes the late-time surrogate explicit. Starts with exact laws are
     answered exactly, the others by Monte Carlo.
@@ -420,10 +419,9 @@ def check_b5(model: IfsModel, assume: AssumptionSet, n_trunc: int,
              max_words: int = 10 ** 6) -> float:
     """Worst series-budget residual over starting points near the anchor.
 
-    Sums ``omega(J_m(x) |x - z| (rate/(rate - alpha))^m)``, with rate the
-    model's jump intensity, for m from ``m_start`` to ``n_trunc`` and adds
-    a geometric majorant for the tail, extrapolated from the last observed
-    term ratio. The majorant is valid
+    Sums ``omega(J_m(x) |x - z| (model.rate/(model.rate - alpha))^m)`` for
+    m from ``m_start`` to ``n_trunc`` and adds a geometric majorant for the
+    tail, extrapolated from the last observed term ratio. The majorant is valid
     when the term arguments keep decaying at no worse than that ratio and
     omega is concave (so it is dominated by secants through the origin);
     for a linear omega under a constant contraction coefficient it is exact.

@@ -753,12 +753,11 @@ class AssumptionSet:
     ``anchor`` is the reference point z, ``r`` the place-dependent
     contraction coefficient with values in (0, 1], ``omega`` a concave
     nondecreasing modulus with omega(0) = 0 bounding the selection
-    probability gap and ``alpha`` the flow expansion rate. ``m_start``,
-    ``eta`` and ``gamma`` parametrize the series budget: the tail sum of
-    modulated contraction products from index ``m_start``, over starting
-    points within ``eta`` of the anchor, must stay at or below
-    ``1 - gamma``. The jump intensity is the model's own ``rate``, which
-    the budget audit ``check_b5`` reads.
+    probability gap and ``alpha`` the flow expansion rate; the jump rate is
+    the model's own. ``m_start``, ``eta`` and ``gamma`` parametrize the
+    series budget: the tail sum of modulated contraction products from
+    index ``m_start``, over starting points within ``eta`` of the anchor,
+    must stay at or below ``1 - gamma``.
     """
 
     anchor: float

@@ -1532,3 +1532,88 @@ def test_exact_ec_gap_max_covers_the_whole_window(capsys):
     t_peak, truth = ctmc_ec_gap_max(5, 0.0, 21.0)
     assert t_peak == 4.0 and truth == pytest.approx(math.exp(-0.8), abs=1e-16)
     assert abs(float(row["value"]) - truth) <= float(row["half_width"])
+
+
+# ---------------------------------------------------------------------------
+# usage errors: exit status 2, one stderr line, no table
+
+_ESTIMATE = ("estimate", "--model", "flip", "--x0", "1", "--times", "1", "--f", "xmin1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("estimate", "--model", "ctmc", "--x0", "low:2", "--times", "1", "--ball", "1"),
+     "bad value for ball: '1' (ball spec is <center>,<radius>)"),
+    (("estimate", "--model", "ctmc", "--times", "1", "--f", "xmin1"),
+     "missing required option --x0"),
+    (_ESTIMATE + ("--lambda", "0"), "bad value for lam: '0' (must be a positive real)"),
+    (("simulate", "--model", "halving", "--x0", "1", "--horizon", "-1"),
+     "bad value for horizon: '-1' (must be a nonnegative real)"),
+    (_ESTIMATE + ("--samples", "0"), "bad value for samples: '0' (must be a positive integer)"),
+    (_ESTIMATE + ("--confidence", "1"),
+     "bad value for confidence: '1' (confidence must lie strictly between 0 and 1)"),
+    (("diagnose", "eprop", "--model", "halving"),
+     "no automatic witness pairs for model 'halving'; pass --pairs"),
+    (("diagnose", "eprop", "--model", "flip", "--pairs", "0.5"),
+     "pair '0.5' must look like x@t"),
+    (("diagnose", "eprop", "--model", "flip", "--pairs", ","), "no pairs given"),
+    (("diagnose", "assumptions", "--model", "flip"),
+     "model 'flip' carries no assumption data to audit"),
+], ids=["ball", "required", "lambda", "horizon", "samples", "confidence", "auto-pairs",
+        "pair-without-at", "no-pairs", "no-assumptions"])
+def test_usage_error_exits_2_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("model = ctmc\nnot a pair\n", "{path}:2: expected 'key = value', got 'not a pair'"),
+    ("model = ctmc\nx0 = low:2\ntimes = 1\nf = xmin1\nsamples = 10\nformat = xml\n",
+     "unknown output format 'xml'; use csv or json"),
+], ids=["no-equals", "format-xml"])
+def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
+    # argparse's choices never see a config file's format
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "estimate", "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {message.format(path=cfg)}\n")
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run_cli(capsys, "estimate", "--config", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config file {missing}: ")
+    assert err.count("\n") == 1
+
+
+def test_empty_pair_items_are_skipped(capsys):
+    argv = ("diagnose", "eprop", "--model", "flip", "--samples", "10")
+    code, out, _ = run_cli(capsys, *argv, "--pairs", "0.5@1,,0.25@2,")
+    assert code == 0
+    assert [(r["x"], r["t"]) for r in parse_csv(out)[2]] == [("0.5", "1"), ("0.25", "2")]
+
+
+def test_plot_leaves_out_failed_rows(tmp_path, capsys, monkeypatch):
+    # start 0 is absorbed; from 1 the one map fails, so that start's row and
+    # scan_min carry errors, and the chart draws only the start-0 row
+    import xml.etree.ElementTree as ET
+
+    from ergokit import cli
+    from ergokit.ifs_jump import IfsModel
+
+    def broken(x):
+        return math.nan
+
+    model = IfsModel(name="broken", maps=(broken,), prob_field=lambda x: (1.0,), rate=1.0,
+                     absorbing=(0.0,))
+    monkeypatch.setitem(cli._MODELS, "broken", (lambda lam: (model, None), ()))
+    svg = tmp_path / "chart.svg"
+    code, out, _ = run_cli(capsys, "diagnose", "lowerbound", "--model", "broken", "--z", "0",
+                           "--x-grid", "0,1", "--t-grid", "1", "--plot", str(svg))
+    assert code == 1
+    rows = parse_csv(out)[2]
+    assert [(r["label"], r["x"], r["error"] != "") for r in rows] == [
+        ("hit_prob_min", "0", False), ("hit_prob_min", "1", True), ("scan_min", "all", True)]
+    names = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert "hit_prob_min 0" in names
+    assert not any(n.startswith(("hit_prob_min 1", "scan_min")) for n in names)

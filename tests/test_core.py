@@ -13,6 +13,8 @@ from ergokit.core import (
     TestFunction,
     _max_signed_pairing,
     _merged_signed_weights,
+    as_state,
+    as_time,
     bl_distance,
     bump_function,
     xmin1,
@@ -306,6 +308,56 @@ def test_ball_membership_is_open():
     ball = Ball(1.0, 0.5)
     assert ball.contains(1.49)
     assert not ball.contains(1.5)
+
+
+def test_ball_contains_an_array_as_its_floats():
+    ball = Ball(1.0, 0.5)
+    points = np.array([0.5, 0.5000000000000001, 1.0, 1.49, 1.5, -0.0])
+    assert ball.contains(points).tolist() == [bool(ball.contains(x)) for x in points.tolist()]
+    assert ball.contains(points).tolist() == [False, True, True, True, False, False]
+
+
+def test_as_state_and_as_time_messages():
+    with pytest.raises(ValueError, match=r"^state point must be a finite nonnegative real, "
+                                         r"got -1$"):
+        as_state(-1)
+    assert as_time(3) == 3.0 and type(as_time(3)) is float
+    with pytest.raises(ValueError, match=r"^time must be a finite nonnegative real, got -1\.0$"):
+        as_time(-1)
+    with pytest.raises(ValueError, match=r"^horizon must be a finite nonnegative real, got nan$"):
+        as_time(math.nan, "horizon")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(sup_bound=0.0, lip_const=1.0), "sup_bound must be a positive real"),
+    (dict(sup_bound=math.inf, lip_const=1.0), "sup_bound must be a positive real"),
+    (dict(sup_bound=1.0, lip_const=-1.0), "lip_const must be a nonnegative real"),
+    (dict(sup_bound=1.0, lip_const=math.nan), "lip_const must be a nonnegative real"),
+    (dict(sup_bound=1.0, lip_const=1.0, lower=0.5, upper=0.25),
+     r"value range must sit inside \[-sup_bound, sup_bound\]"),
+    (dict(sup_bound=1.0, lip_const=1.0, upper=2.0),
+     r"value range must sit inside \[-sup_bound, sup_bound\]"),
+])
+def test_test_function_rejects_bad_metadata(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        TestFunction(abs, **kwargs)
+
+
+@pytest.mark.parametrize("support, weights, message", [
+    ([], [], "matching nonempty 1-d arrays"),
+    ([0.0, 1.0], [1.0], "matching nonempty 1-d arrays"),
+    ([[0.0, 1.0]], [[0.5, 0.5]], "matching nonempty 1-d arrays"),
+    ([-1.0, 1.0], [0.5, 0.5], "support must consist of finite nonnegative reals"),
+    ([0.0, math.inf], [0.5, 0.5], "support must consist of finite nonnegative reals"),
+])
+def test_measure_rejects_bad_shape_or_support(support, weights, message):
+    with pytest.raises(ValueError, match=message):
+        EmpiricalMeasure(np.array(support), np.array(weights))
+
+
+def test_from_samples_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="cannot build a measure from an empty sample"):
+        EmpiricalMeasure.from_samples([])
 
 
 def test_test_function_default_range_is_symmetric():

@@ -137,6 +137,18 @@ def test_ec_rejects_bad_grids():
             ec_profile(process, F, z, [z], 1.0, 10.0, [1.0, math.nan])
 
 
+@pytest.mark.parametrize("T, t_max, message", [
+    (-1.0, 10.0, r"window start must be a finite nonnegative real, got -1\.0"),
+    (math.nan, 10.0, "window start must be a finite nonnegative real, got nan"),
+    (0.0, math.inf, "window end must be a finite nonnegative real, got inf"),
+    (5.0, 2.0, "window must satisfy 0 <= T <= t_max"),
+])
+def test_ec_rejects_bad_windows(T, t_max, message):
+    # an infinite window end used to print an exact row labelled [0,inf]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ec_profile(CTMC, F, CtmcState.zero(), [CtmcState.low(3)], T, t_max, [1.0, 2.0])
+
+
 # ---------------------------------------------------------------------------
 # equicontinuity-failure witnesses
 
@@ -484,6 +496,43 @@ def test_b5_refuses_nondecaying_terms():
         check_b5(model, flat, 8, [0.125])
 
 
+@pytest.mark.parametrize("audit", [
+    lambda model, assume: lower_bound_scan(model, 0.0, 0.1, [], [1.0]),
+    lambda model, assume: check_b2(model, assume, []),
+    lambda model, assume: check_b3(model, assume, []),
+    lambda model, assume: check_b5(model, assume, 4, []),
+], ids=["lowerbound", "b2", "b3", "b5"])
+def test_empty_x_grid_is_rejected(audit):
+    with pytest.raises(ValueError, match="^x grid empty$"):
+        audit(*example_halving(1.0))
+
+
+def test_stability_needs_an_initial_point():
+    with pytest.raises(ValueError, match="^need at least one initial point$"):
+        stability_report(CTMC, [], [1.0], EmpiricalMeasure.point_mass(0.0))
+
+
+def test_b5_rejects_a_modulus_off_zero_and_a_single_positive_term():
+    model, assume = example_halving(1.0)
+    with pytest.raises(ValueError, match=r"^omega\(0\) must equal 0$"):
+        check_b5(model, assume, 4, [0.1], omega=lambda s: s + 1.0)
+    # m_start = 0 = n_trunc leaves one term, omega(|x - z|) > 0
+    with pytest.raises(ValueError, match="^cannot extrapolate the tail from a single "
+                                         "positive term; increase n_trunc$"):
+        check_b5(model, assume, 0, [0.1])
+
+
+def test_b5_reads_the_models_rate():
+    # the budget carries (rate / (rate - alpha))^m with the model's own rate
+    _, assume = example_halving(1.0)
+    expanding = AssumptionSet(anchor=0.0, r=assume.r, omega=linear_modulus, m_start=0,
+                              eta=assume.eta, gamma=assume.gamma, alpha=0.1)
+    with pytest.raises(ValueError, match="rate > alpha"):
+        check_b5(example_halving(0.1)[0], expanding, 10, [0.1])
+    slow, fast = (check_b5(example_halving(lam)[0], expanding, 10, [0.1]) for lam in (1.0, 4.0))
+    assert slow > fast
+
+
 def test_b5_validation():
     model, assume = example_halving(1.0)
     with pytest.raises(ValueError, match="eta"):
@@ -547,6 +596,11 @@ def test_c2_starts_sharing_a_label_keep_their_own_hits():
     first, second = exact.values("c2_first_hit")
     assert first > second
     assert exact.values("c2_beta") == [second]
+
+
+def test_c2_needs_a_radius():
+    with pytest.raises(ValueError, match="^need at least one radius and one start$"):
+        check_c2(example_flip(1.0), 0.0, [], [0.5], 4.0)
 
 
 @pytest.mark.parametrize("t_search", [0.0, -1.0, math.nan, math.inf])

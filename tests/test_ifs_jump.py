@@ -275,6 +275,42 @@ def test_model_requires_positive_rate():
         IfsModel(name="x", maps=(lambda x: x,), prob_field=lambda x: np.array([1.0]), rate=0.0)
 
 
+def test_model_needs_a_map():
+    with pytest.raises(ValueError, match="^a jump system needs at least one map$"):
+        IfsModel(name="x", maps=(), prob_field=lambda x: (), rate=1.0)
+
+
+@pytest.mark.parametrize("horizon", [-1.0, math.inf])
+def test_sample_jump_chain_rejects_a_bad_horizon(horizon):
+    model, _ = example_halving(1.0)
+    with pytest.raises(ValueError, match=f"^horizon must be a finite nonnegative real, "
+                                         f"got {horizon!r}$"):
+        sample_jump_chain(model, 1.0, horizon, StreamFactory(0).stream(0, 0))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("m_start", -1, "m_start must be a nonnegative integer"),
+    ("eta", 0.0, "eta must be positive"),
+    ("alpha", -0.5, "alpha must be nonnegative"),
+])
+def test_assumption_set_rejects_bad_series_data(field, value, message):
+    kwargs = dict(anchor=0.0, r=lambda x: 1.0, omega=linear_modulus, m_start=0, eta=1.0,
+                  gamma=0.5, alpha=0.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AssumptionSet(**kwargs)
+
+
+def test_j_n_rejects_a_negative_length_and_an_orbit_off_the_half_line():
+    model = IfsModel(name="down", maps=(lambda x: x - 2.0,), prob_field=lambda x: (1.0,),
+                     rate=1.0)
+    _, assume = example_halving(1.0)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        j_n(model, assume, 1.0, -1)
+    with pytest.raises(RuntimeError, match=r"^map w1 orbit left the state space at -1\.0$"):
+        j_n(model, assume, 1.0, 2)
+
+
 def test_assumption_set_validation():
     with pytest.raises(ValueError):
         AssumptionSet(anchor=0.0, r=lambda x: 1.0, omega=lambda s: s + 1.0,

@@ -370,6 +370,13 @@ def test_ball_count_matches_contains_on_the_boundary():
     assert est.mean == sum(1 for v in values if ball.contains(v)) / len(values)
 
 
+@pytest.mark.parametrize("process, x0", [(CtmcProcess(), CtmcState.low(2)),
+                                         (example_flip(1.0), 0.5)], ids=["ctmc", "flip"])
+def test_sample_terminals_needs_a_trajectory(process, x0):
+    with pytest.raises(ValueError, match="^need at least one trajectory$"):
+        sample_terminals(process, x0, 1.0, 0, seed=0)
+
+
 def test_sampler_failure_carries_trajectory_index():
     def bad(x):
         return math.nan
