@@ -25,7 +25,8 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from . import __version__, _submodule
-from .core import Ball, EmpiricalMeasure, TestFunction, bump_function, constant, xmin1
+from .core import (Ball, EmpiricalMeasure, TestFunction, as_state, as_time, bump_function,
+                   constant, xmin1)
 from .montecarlo import (
     McSettings,
     StreamFactory,
@@ -114,7 +115,7 @@ def _model(settings: Settings, default: Optional[str] = None):
     """Read ``model`` and ``lambda``; returns the model name, the process
     and its assumption data (or None)."""
     name = settings.get("model", default, required=True)
-    lam = settings.get("lam", 1.0, _positive_float)
+    lam = settings.get("lambda", 1.0, _positive_float)
     if name not in _MODELS:
         raise CliError(f"unknown model {name!r}; available: {', '.join(sorted(_MODELS))}")
     process, assume = _MODELS[name][0](lam)
@@ -132,16 +133,10 @@ def _modulus_label(omega) -> str:
 
 
 def _parse_initial(model_name: str, token: str):
+    """A start point or anchor: a chain state for ``ctmc``, else a state point."""
     if model_name == "ctmc":
-        from .exact_ctmc import parse_ctmc_state
-        return parse_ctmc_state(token)
-    try:
-        v = float(token)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse initial point {token!r}") from exc
-    if not (v >= 0.0 and math.isfinite(v)):
-        raise ValueError(f"initial point must be a finite nonnegative real, got {token!r}")
-    return v
+        return _module("exact_ctmc").parse_ctmc_state(token)
+    return as_state(token)
 
 
 def _starts(settings: Settings, key: str, model_name: str, default=None,
@@ -183,10 +178,6 @@ def _parse_ball(spec: str) -> Ball:
 # configuration file handling
 
 
-# the --lambda flag lands on args.lam (lambda is reserved in Python)
-_KEY_ALIASES = {"lambda": "lam"}
-
-
 def _read_config(path: str) -> dict:
     values: dict = {}
     try:
@@ -199,7 +190,7 @@ def _read_config(path: str) -> dict:
                     raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
                 key, _, val = line.partition("=")
                 key = key.strip().replace("-", "_")
-                values[_KEY_ALIASES.get(key, key)] = val.strip()
+                values[key] = val.strip()
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -217,11 +208,22 @@ def _parse(key: str, raw, parse: Callable):
 # namespace entries that argparse fills and that are not options
 _NOT_OPTIONS = ("command", "subdiagnostic", "func", "config")
 
+# the output formats, for ``--format`` and a config file's ``format`` alike
+_FORMATS = ("csv", "json")
+
+
+def _format(text) -> str:
+    if text not in _FORMATS:
+        raise ValueError(f"must be {' or '.join(_FORMATS)}")
+    return text
+
 
 class Settings:
     """Resolved option lookup: flag value wins, then config file, then default.
 
-    A config file may set exactly the options the command's parser declares.
+    A config file may set exactly the options the command's parser
+    declares, under the names of their flags. ``format`` is read and
+    checked here, before the command does any work.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -231,6 +233,7 @@ class Settings:
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
         self.resolved: dict = {}
+        self.format = self.get("format", "csv", _format)
 
     def get(self, key: str, default=None, parse: Optional[Callable] = None,
             required: bool = False):
@@ -249,15 +252,14 @@ class Settings:
         return value
 
     def manifest(self, command: str, schema: str) -> dict:
-        reverse = {v: k for k, v in _KEY_ALIASES.items()}
         entries = {"command": command, "version": __version__, "schema": schema}
         for key, value in self.resolved.items():
             if key in ("out", "plot", "workers", "config"):
                 continue
             if isinstance(value, (list, tuple)):
-                entries[reverse.get(key, key)] = ",".join(str(v) for v in value)
+                entries[key] = ",".join(str(v) for v in value)
             elif value is not None:
-                entries[reverse.get(key, key)] = str(value)
+                entries[key] = str(value)
         return entries
 
 
@@ -269,13 +271,6 @@ def _positive_float(text) -> float:
     v = float(text)
     if not (v > 0.0 and math.isfinite(v)):
         raise ValueError("must be a positive real")
-    return v
-
-
-def _nonneg_float(text) -> float:
-    v = float(text)
-    if not (v >= 0.0 and math.isfinite(v)):
-        raise ValueError("must be a nonnegative real")
     return v
 
 
@@ -357,24 +352,21 @@ def _csv_chunks(manifest: dict, columns: Sequence[str], rows: Iterable, blocks: 
 def _format_table(manifest: dict, columns: Sequence[str], rows: Iterable, fmt: str,
                   blocks: bool = False, texts: Optional[dict] = None) -> Iterable[str]:
     """The text of a table as chunks: CSV blocks are formatted as the
-    chunks are read, JSON is one document. An unknown format raises at
-    once."""
+    chunks are read, JSON is one document."""
     if fmt == "csv":
         return _csv_chunks(manifest, columns, rows, blocks, texts or {})
-    if fmt == "json":
-        import json
-        if blocks:
-            rows = (lead + row for lead, cols in rows for row in zip(*cols))
-        doc = {
-            "manifest": dict(sorted(manifest.items())),
-            "columns": list(columns),
-            # failed rows carry NaN, which JSON has no literal for; the
-            # error column says why the value is missing
-            "rows": [[None if isinstance(v, float) and math.isnan(v) else v for v in row]
-                     for row in rows],
-        }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n",)
-    raise CliError(f"unknown output format {fmt!r}; use csv or json")
+    import json
+    if blocks:
+        rows = (lead + row for lead, cols in rows for row in zip(*cols))
+    doc = {
+        "manifest": dict(sorted(manifest.items())),
+        "columns": list(columns),
+        # failed rows carry NaN, which JSON has no literal for; the
+        # error column says why the value is missing
+        "rows": [[None if isinstance(v, float) and math.isnan(v) else v for v in row]
+                 for row in rows],
+    }
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n",)
 
 
 def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
@@ -406,14 +398,13 @@ def _write(settings: Settings, command: str, schema: str, columns: Sequence[str]
     ``(series, t, value)``, read only when a chart is asked for. The
     status is 1 if any row has an error, else 0.
     """
-    fmt = settings.get("format", "csv")
     out = settings.get("out", None)
     plot = settings.get("plot", None)
     status = int(columns[-1] == "error" and any(row[-1] for row in rows))
     manifest = settings.manifest(command, schema)
     if mode is not None:
         manifest["mode"] = mode
-    _emit(_format_table(manifest, columns, rows, fmt, blocks, texts), out)
+    _emit(_format_table(manifest, columns, rows, settings.format, blocks, texts), out)
     if plot:
         from ._svgplot import line_chart_svg
         title, ylabel, points = chart
@@ -448,7 +439,7 @@ def cmd_exact_ctmc(args: argparse.Namespace) -> int:
     n = settings.get("n", parse=int, required=True)
     if n < 2:
         raise CliError("n >= 2 required: the chain has no level below 2")
-    t = settings.get("t", 1.0, _nonneg_float)
+    t = settings.get("t", 1.0, as_time)
     f = _function(settings)
     states = (CtmcState.low(n), CtmcState.high(n), CtmcState.zero())
     rows = []
@@ -470,7 +461,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not isinstance(model, IfsModel):
         raise CliError(f"simulate dumps jump-system trajectories; {name} has no map records")
     x0 = settings.get("x0", parse=lambda s: _parse_initial(name, s), required=True)
-    horizon = settings.get("horizon", 10.0, _nonneg_float)
+    horizon = settings.get("horizon", 10.0, as_time)
     count = settings.get("trajectories", 1, _positive_int)
     settings.get("workers", None, _positive_int)  # validated only: simulate runs in one process
     factory = StreamFactory(settings.get("seed", 0, _seed))
@@ -587,8 +578,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         f = _function(settings, "xmin1")
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), required=True)
         xs = _starts(settings, "xs", name)
-        T = settings.get("window_start", 0.0, _nonneg_float)
-        t_max = settings.get("window_end", required=True, parse=_nonneg_float)
+        T = settings.get("window_start", 0.0, as_time)
+        t_max = settings.get("window_end", required=True, parse=as_time)
         grid = settings.get("grid", None, _floats)
         if grid is None:
             grid = [T + (t_max - T) * k / 7 for k in range(8)] if t_max > T else [T]
@@ -617,7 +608,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         t_grid = settings.get("t_grid", parse=_floats, required=True)
         report = stability_report(process, initials, t_grid,
                                   EmpiricalMeasure.point_mass(anchor), _mc_settings(settings))
-    elif sub == "assumptions":
+    else:  # assumptions: the subparsers allow no other name
         if assume is None:
             raise CliError(f"model {name!r} carries no assumption data to audit")
         x_grid = _starts(settings, "x_grid", name, required=False)
@@ -646,8 +637,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             report.rows.extend(c2_report.rows)
             if c2_report.mode != "exact":
                 report.mode = "mixed"
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown diagnostic {sub!r}")
 
     rows = [(r.label, r.x, r.t, r.value, r.half_width, r.error or "") for r in report.rows]
     return _write(settings, f"diagnose-{sub}", "diagnostics-v1", _REPORT_COLUMNS, rows,
@@ -663,14 +652,14 @@ def _add_common(parser: argparse.ArgumentParser, estimates: bool = True) -> None
     only where the command estimates."""
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--model", help="ctmc, flip, halving or a registered custom model")
-    parser.add_argument("--lambda", dest="lam", help="jump rate")
+    parser.add_argument("--lambda", help="jump rate")
     parser.add_argument("--seed", help="master seed (unsigned 64-bit)")
     if estimates:
         parser.add_argument("--samples", help="trajectories per cell")
         parser.add_argument("--confidence", help="confidence level in (0, 1)")
     parser.add_argument("--workers", help="worker processes (default: ERGOKIT_WORKERS or 1)")
     parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
+    parser.add_argument("--format", choices=_FORMATS, help="output format")
     parser.add_argument("--plot", help="write an SVG line chart to this path")
 
 
@@ -696,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", help="time")
     p.add_argument("--f", help="test function (xmin1, const:<c>, bump:<lo>,<hi>,<eps>)")
     p.add_argument("--out")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=_FORMATS)
     p.set_defaults(func=cmd_exact_ctmc)
 
     p = commands.add_parser("simulate", help="dump jump-chain trajectories")

@@ -269,14 +269,13 @@ def lower_bound_scan(process, z, eps: float, x_grid: Sequence, t_grid: Sequence[
     its error; its start then has no minimum, and the scan minimum is
     ``nan`` with an error.
     """
-    if not (eps > 0.0):
-        raise ValueError("eps must be positive")
+    ball = Ball(_anchor(z), eps)
     t_grid = sorted(_time_grid(t_grid))
     if len(x_grid) == 0:
         raise ValueError("x grid empty")
     mc = mc or McSettings()
     cells = list(product(x_grid, t_grid))
-    means, exact = _means(process, (Ball(_anchor(z), eps),), cells, mc,
+    means, exact = _means(process, (ball,), cells, mc,
                           _split_confidence(mc.confidence, len(cells)))
 
     report = DiagnosticReport("lower_bound_scan", mode=_mode(exact))

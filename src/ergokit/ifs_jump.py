@@ -856,7 +856,6 @@ def j_n(model: IfsModel, assume: AssumptionSet, x: float, n: int,
             f"{N}^{n} words exceed the enumeration budget of {max_words}; "
             "raise max_words explicitly if this is intended"
         )
-    maps = model.maps
     r = assume.r
 
     def coeff(pt: float) -> float:
@@ -869,22 +868,18 @@ def j_n(model: IfsModel, assume: AssumptionSet, x: float, n: int,
     if n == 1:
         return base
     best = 0.0
-    # stack entries: (prefix letters, running product over prefixes 0..len-1)
+    # stack entries: (1-based prefix letters, running product over prefixes 0..len-1)
     stack = [((), base)]
     while stack:
         prefix, running = stack.pop()
         if running <= best and best > 0.0:
             continue
         depth = len(prefix) + 1  # prefixes consumed so far
-        for letter in range(N - 1, -1, -1):
+        for letter in range(N, 0, -1):
             # point of the extended prefix: newest letter applied first
-            pt = float(maps[letter](x))
+            pt = model.apply_map(letter, x)
             for idx in reversed(prefix):
-                pt = float(maps[idx](pt))
-            if not math.isfinite(pt) or pt < 0.0:
-                raise RuntimeError(
-                    f"map w{letter + 1} orbit left the state space at {pt!r}"
-                )
+                pt = model.apply_map(idx, pt)
             prod = running * coeff(pt)
             if depth == n - 1:
                 if prod > best:

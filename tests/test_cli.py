@@ -731,7 +731,7 @@ def test_assumptions_rejects_negative_grid_point(capsys, key):
                              *(f"--{k.replace('_', '-')}={v}" for k, v in grids.items()))
     assert code == 2
     assert out == ""
-    assert "initial point must be a finite nonnegative real, got '-5'" in err
+    assert "state point must be a finite nonnegative real, got '-5'" in err
 
 
 @pytest.mark.parametrize("eps", ["-0.1", "0", "nan", "inf", "0.1,-0.2"])
@@ -1545,9 +1545,9 @@ _ESTIMATE = ("estimate", "--model", "flip", "--x0", "1", "--times", "1", "--f", 
      "bad value for ball: '1' (ball spec is <center>,<radius>)"),
     (("estimate", "--model", "ctmc", "--times", "1", "--f", "xmin1"),
      "missing required option --x0"),
-    (_ESTIMATE + ("--lambda", "0"), "bad value for lam: '0' (must be a positive real)"),
+    (_ESTIMATE + ("--lambda", "0"), "bad value for lambda: '0' (must be a positive real)"),
     (("simulate", "--model", "halving", "--x0", "1", "--horizon", "-1"),
-     "bad value for horizon: '-1' (must be a nonnegative real)"),
+     "bad value for horizon: '-1' (time must be a finite nonnegative real, got -1.0)"),
     (_ESTIMATE + ("--samples", "0"), "bad value for samples: '0' (must be a positive integer)"),
     (_ESTIMATE + ("--confidence", "1"),
      "bad value for confidence: '1' (confidence must lie strictly between 0 and 1)"),
@@ -1568,7 +1568,7 @@ def test_usage_error_exits_2_with_one_line(capsys, argv, message):
 @pytest.mark.parametrize("text, message", [
     ("model = ctmc\nnot a pair\n", "{path}:2: expected 'key = value', got 'not a pair'"),
     ("model = ctmc\nx0 = low:2\ntimes = 1\nf = xmin1\nsamples = 10\nformat = xml\n",
-     "unknown output format 'xml'; use csv or json"),
+     "bad value for format: 'xml' (must be csv or json)"),
 ], ids=["no-equals", "format-xml"])
 def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
     # argparse's choices never see a config file's format
@@ -1576,6 +1576,25 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
     cfg.write_text(text)
     code, out, err = run_cli(capsys, "estimate", "--config", str(cfg))
     assert (code, out, err) == (2, "", f"error: {message.format(path=cfg)}\n")
+
+
+def test_config_file_format_is_checked_before_any_cell_is_sampled(tmp_path, capsys, monkeypatch):
+    from ergokit import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_batch", lambda *a, **k: calls.append(a) or [])
+    cfg = tmp_path / "xml.cfg"
+    cfg.write_text("model = ctmc\nx0 = low:2\ntimes = 1\nf = xmin1\nsamples = 10\nformat = xml\n")
+    code, out, err = run_cli(capsys, "estimate", "--config", str(cfg))
+    assert (code, out, err.count("\n"), calls) == (2, "", 1, [])
+
+
+def test_config_file_rejects_the_key_lam(tmp_path, capsys):
+    # the flag is --lambda, so its config key is lambda too
+    cfg = tmp_path / "lam.cfg"
+    cfg.write_text("model = halving\nlam = 2\nx0 = 1\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: unknown config keys: lam\n")
 
 
 def test_unreadable_config_file_exits_2(tmp_path, capsys):

@@ -314,6 +314,17 @@ _HALVING, _ = example_halving(1.0)
 _SMALL_MC = McSettings(n_samples=50, seed=3)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
+def test_scan_radius_is_checked_by_its_ball_before_any_cell_is_sampled(monkeypatch, eps):
+    from ergokit import diagnostics
+
+    calls = []
+    monkeypatch.setattr(diagnostics, "run_batch", lambda *a, **k: calls.append(a) or [])
+    with pytest.raises(ValueError, match="^ball radius must be positive and finite$"):
+        lower_bound_scan(Sampled(_HALVING), 0.0, eps, [0.5], [2.0], _SMALL_MC)
+    assert calls == []
+
+
 @pytest.mark.parametrize("run, grid", [
     (lambda grid: lower_bound_scan(_HALVING, 0.0, 0.3, grid, [2.0, 4.0], _SMALL_MC), [0.5, 1.0]),
     (lambda grid: stability_report(_HALVING, grid, [2.0], EmpiricalMeasure.point_mass(0.0),

@@ -307,8 +307,16 @@ def test_j_n_rejects_a_negative_length_and_an_orbit_off_the_half_line():
     _, assume = example_halving(1.0)
     with pytest.raises(ValueError, match="^n must be nonnegative$"):
         j_n(model, assume, 1.0, -1)
-    with pytest.raises(RuntimeError, match=r"^map w1 orbit left the state space at -1\.0$"):
+    with pytest.raises(RuntimeError, match=r"^map w1 of model 'down' produced invalid state "
+                                           r"-1\.0 from x=1\.0$"):
         j_n(model, assume, 1.0, 2)
+    # the message names the map that left the half-line, not the newest
+    # letter of the word: w2 takes 2 to 0.5, then w1 takes 0.5 to -1
+    model = IfsModel(name="m", maps=(lambda x: x - 1.5, lambda x: x / 4.0),
+                     prob_field=lambda x: (0.5, 0.5), rate=1.0)
+    with pytest.raises(RuntimeError, match=r"^map w1 of model 'm' produced invalid state "
+                                           r"-1\.0 from x=0\.5$"):
+        j_n(model, assume, 2.0, 3)
 
 
 def test_assumption_set_validation():
