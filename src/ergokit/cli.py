@@ -20,7 +20,7 @@ import csv
 import functools
 import math
 import sys
-from itertools import product
+from itertools import chain, product
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
@@ -263,8 +263,13 @@ class Settings:
         return entries
 
 
-def _floats(text) -> list:
-    return [float(p) for p in str(text).split(",") if p.strip()]
+def _list(parse: Callable) -> Callable:
+    """A parser of a comma list: ``parse`` of each nonblank item."""
+    return lambda text: [parse(p) for p in str(text).split(",") if p.strip()]
+
+
+_floats = _list(float)
+_times = _list(as_time)
 
 
 def _positive_float(text) -> float:
@@ -305,59 +310,25 @@ def _confidence(text) -> float:
 # output handling
 
 
-def _fmt_float(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _fmt_cell(v) -> str:
     if isinstance(v, float):
-        return _fmt_float(v)
+        return f"{v:.17g}"
     return "" if v is None else str(v)
 
 
-def _csv_chunks(manifest: dict, columns: Sequence[str], rows: Iterable, blocks: bool,
-                texts: dict):
-    """Yield the CSV text of a table: rows through ``csv.writer``, all in
-    one chunk, or blocks (see ``_write``) one at a time, each with one
-    ``%`` template that prints its cells as ``_fmt_cell``. A block column
-    named in ``texts`` whose floats are found in its text map at least
-    half the time is printed through that map: a float found there takes
-    the map's text, and any other is formatted with ``%.17g`` and not
-    stored."""
-    lines = ["".join(f"# {k}={manifest[k]}\n" for k in sorted(manifest))]
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerow(columns)
-    if not blocks:
-        writer.writerows([_fmt_cell(v) for v in row] for row in rows)
-    yield "".join(lines)
-    if blocks:
-        fmt = "%.17g".__mod__
-        for lead, cols in rows:
-            if len(cols[0]):
-                cols = list(cols)
-                specs = ["%d" if type(col[0]) is int else "%.17g" for col in cols]
-                for j, name in enumerate(columns[len(lead):]):
-                    if name in texts:
-                        found = list(map(texts[name].get, cols[j]))
-                        # a miss printed through the map costs about what a
-                        # hit saves, so a column that misses more often
-                        # than it hits keeps its floats
-                        if 2 * found.count(None) <= len(found):
-                            cols[j] = [t or fmt(v) for t, v in zip(found, cols[j])]
-                            specs[j] = "%s"
-                template = "".join(f"{v}," for v in lead) + ",".join(specs) + "\n"
-                yield "".join(map(template.__mod__, zip(*cols)))
-
-
 def _format_table(manifest: dict, columns: Sequence[str], rows: Iterable, fmt: str,
-                  blocks: bool = False, texts: Optional[dict] = None) -> Iterable[str]:
-    """The text of a table as chunks: CSV blocks are formatted as the
-    chunks are read, JSON is one document."""
+                  chunks: Optional[Iterable[str]] = None) -> Iterable[str]:
+    """The text of a table as chunks. The CSV is its header with its rows
+    through ``csv.writer``, or the header and then the text ``chunks``, as
+    they are read; the JSON is one document."""
     if fmt == "csv":
-        return _csv_chunks(manifest, columns, rows, blocks, texts or {})
+        lines = ["".join(f"# {k}={manifest[k]}\n" for k in sorted(manifest))]
+        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+        writer.writerow(columns)
+        if chunks is None:
+            writer.writerows([_fmt_cell(v) for v in row] for row in rows)
+        return chain(("".join(lines),), chunks or ())
     import json
-    if blocks:
-        rows = (lead + row for lead, cols in rows for row in zip(*cols))
     doc = {
         "manifest": dict(sorted(manifest.items())),
         "columns": list(columns),
@@ -379,24 +350,18 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
 
 
 def _write(settings: Settings, command: str, schema: str, columns: Sequence[str],
-           rows: Iterable, chart=None, mode: Optional[str] = None, blocks: bool = False,
-           texts: Optional[dict] = None) -> int:
+           rows: Iterable, chart=None, mode: Optional[str] = None,
+           chunks: Optional[Iterable[str]] = None) -> int:
     """Write a command's table and its ``--plot`` chart; returns the exit status.
 
     The manifest is taken after every option has been read, so it records
     each one that shapes the output, and the engine ``mode`` when given.
-    ``rows`` is the list of the table's rows. With ``blocks`` it is an
-    iterable of ``(lead, cols)`` blocks of rows instead, read once as the
-    table is written: ``lead`` holds the leading ints every row of the
-    block shares, ``cols`` the other columns as equal-length sequences,
-    each of exact ints or exact floats, and there is no error column.
-    ``texts`` maps a block column's name to a dict from float to its
-    ``%.17g`` text, which the CSV prints for each float it holds; a float
-    it lacks is formatted as usual, so the bytes do not depend on it. The
-    map must not hold zero: 0.0 and -0.0 are one key with two texts.
-    ``chart`` is ``(title, ylabel, points)`` with ``points`` an iterable of
-    ``(series, t, value)``, read only when a chart is asked for. The
-    status is 1 if any row has an error, else 0.
+    ``rows`` is the table's rows. ``chunks``, if given, is their CSV text
+    in pieces, as ``_fmt_cell`` and ``csv.writer`` print them; the CSV
+    reads only these and the JSON only ``rows``, so each may be an
+    iterator read once. ``chart`` is ``(title, ylabel, points)`` with
+    ``points`` an iterable of ``(series, t, value)``, read only when a
+    chart is asked for. The status is 1 if any row has an error, else 0.
     """
     out = settings.get("out", None)
     plot = settings.get("plot", None)
@@ -404,7 +369,7 @@ def _write(settings: Settings, command: str, schema: str, columns: Sequence[str]
     manifest = settings.manifest(command, schema)
     if mode is not None:
         manifest["mode"] = mode
-    _emit(_format_table(manifest, columns, rows, settings.format, blocks, texts), out)
+    _emit(_format_table(manifest, columns, rows, settings.format, chunks), out)
     if plot:
         from ._svgplot import line_chart_svg
         title, ylabel, points = chart
@@ -454,6 +419,44 @@ def cmd_exact_ctmc(args: argparse.Namespace) -> int:
     return _write(settings, "exact-ctmc", "table-v1", _REPORT_COLUMNS, rows)
 
 
+class _EdgeTexts(dict):
+    """The text ``,xi_k,index_k,phi_k\n`` of a ``simulate`` row, keyed by
+    the row's ``(xi, index, phi)`` and kept when xi is in the model's memo.
+    Under the identity flow every jump from such a point took its
+    post-jump point from the point's memo node, so each edge ``(xi, index)``
+    has one ``phi`` and one text, made on its first row. The memo holds no
+    zero (0.0 and -0.0 are one key with two texts). Any other row, and
+    every row under a moving flow, is formatted on its own."""
+
+    def __init__(self, model):
+        moving = not isinstance(model.flow, _module("ifs_jump").IdentityFlow)
+        self.memo = {} if moving else model._memo
+
+    def __missing__(self, row: tuple) -> str:
+        text = ",%.17g,%d,%.17g\n" % row
+        if row[0] in self.memo:
+            self[row] = text
+        return text
+
+
+def _trajectory_chunks(trajectories: Sequence, texts: _EdgeTexts) -> Iterable[str]:
+    """The CSV rows of ``simulate``, one chunk per trajectory. A row joins
+    its ``traj_id,``, its ``k,`` from one list that every trajectory
+    shares, its ``tau_k`` from one ``%`` over the trajectory's times, and
+    its text in ``texts``."""
+    ks: list = []
+    for traj_id, traj in enumerate(trajectories):
+        n = len(traj)
+        ks += [f"{k}," for k in range(len(ks) + 1, n + 1)]
+        pieces = [f"{traj_id},"] * (4 * n)
+        pieces[1::4] = ks[:n]
+        # %.17g prints no comma, so the split gives back each time's text
+        pieces[2::4] = ("%.17g," * n % tuple(traj.tau.tolist())).split(",")[:n]
+        pieces[3::4] = map(texts.__getitem__, zip(traj.xi.tolist(), traj.index.tolist(),
+                                                  traj.phi.tolist()))
+        yield "".join(pieces)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .ifs_jump import IfsModel
     settings = Settings(args)
@@ -470,27 +473,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trajectories = [sample_jump_chain(model, x0, horizon, factory.stream(0, k))
                     for k in range(count)]
 
-    # one block per trajectory, its lists made only as it is written
-    blocks = (((k,), (range(1, len(traj) + 1), traj.tau.tolist(), traj.xi.tolist(),
-                      traj.index.tolist(), traj.phi.tolist()))
-              for k, traj in enumerate(trajectories))
-    # the memo holds the nonzero points the sampler met, at most MEMO_NODES
-    # of them and none under a moving flow: the state columns print each of
-    # these points from one text
-    text = {x: _fmt_float(x) for x in model._memo}
     return _write(settings, "simulate", "trajectories-v1",
-                  ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"), blocks,
+                  ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"),
+                  ((k, j, *row) for k, traj in enumerate(trajectories) for j, row in enumerate(
+                      zip(traj.tau.tolist(), traj.xi.tolist(), traj.index.tolist(),
+                          traj.phi.tolist()), 1)),
                   (f"{name} trajectories", "state",
                    ((f"traj {k}", tau, phi) for k, traj in enumerate(trajectories)
-                    for tau, phi in zip(traj.tau.tolist(), traj.phi.tolist()))), blocks=True,
-                  texts={"xi_k": text, "phi_k": text})
+                    for tau, phi in zip(traj.tau.tolist(), traj.phi.tolist()))),
+                  chunks=_trajectory_chunks(trajectories, _EdgeTexts(model)))
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     settings = Settings(args)
     name, process, _ = _model(settings)
     initials = _starts(settings, "x0", name)
-    times = settings.get("times", parse=_floats, required=True)
+    times = settings.get("times", parse=_times, required=True)
     f = _function(settings)
     functionals = [] if f is None else [f]
     ball_spec = settings.get("ball", None)
@@ -538,7 +536,7 @@ def _parse_pairs(model_name: str, text: str):
             raise CliError(f"pair {chunk!r} must look like x@t")
         xtok, _, ttok = chunk.partition("@")
         pairs.append(_parse("pairs", chunk,
-                            lambda _: (_parse_initial(model_name, xtok), float(ttok))))
+                            lambda _: (_parse_initial(model_name, xtok), as_time(ttok))))
     if not pairs:
         raise CliError("no pairs given")
     return pairs
@@ -580,7 +578,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         xs = _starts(settings, "xs", name)
         T = settings.get("window_start", 0.0, as_time)
         t_max = settings.get("window_end", required=True, parse=as_time)
-        grid = settings.get("grid", None, _floats)
+        grid = settings.get("grid", None, _times)
         if grid is None:
             grid = [T + (t_max - T) * k / 7 for k in range(8)] if t_max > T else [T]
             settings.resolved["grid"] = grid
@@ -599,13 +597,13 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), required=True)
         eps = settings.get("eps", 0.1, _positive_float)
         x_grid = _starts(settings, "x_grid", name)
-        t_grid = settings.get("t_grid", parse=_floats, required=True)
+        t_grid = settings.get("t_grid", parse=_times, required=True)
         report = lower_bound_scan(process, z, eps, x_grid, t_grid, _mc_settings(settings))
     elif sub == "stability":
         z = settings.get("z", parse=lambda s: _parse_initial(name, s), default=None)
         anchor = 0.0 if z is None else _anchor(z)
         initials = _starts(settings, "initials", name)
-        t_grid = settings.get("t_grid", parse=_floats, required=True)
+        t_grid = settings.get("t_grid", parse=_times, required=True)
         report = stability_report(process, initials, t_grid,
                                   EmpiricalMeasure.point_mass(anchor), _mc_settings(settings))
     else:  # assumptions: the subparsers allow no other name
@@ -629,7 +627,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             report.add("b5_residual", label, f"x<={assume.eta:g}",
                        check_b5(process, assume, n_trunc, b5_grid, omega=om), 0.0)
         if settings.get("c2", False, _flag):
-            radii = settings.get("eps", [0.1], _floats)
+            radii = settings.get("eps", [0.1], _list(_positive_float))
             t_search = settings.get("t_search", 512.0, _positive_float)
             c2_grid = _starts(settings, "c2_x_grid", name, [0.25, 1.0, 4.0])
             c2_report = check_c2(process, assume.anchor, radii, c2_grid, t_search,

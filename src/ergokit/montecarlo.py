@@ -46,7 +46,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Ball, TestFunction
+from .core import Ball, TestFunction, as_time
 
 __all__ = [
     "Estimate",
@@ -295,13 +295,11 @@ class Estimate:
 
 
 def _time_grid(times) -> list:
-    """The times as floats, in the given order; raises ``ValueError`` unless
-    there is at least one and each is finite and nonnegative."""
-    grid = [float(t) for t in times]
+    """The times, in the given order, each read by ``core.as_time``; raises
+    ``ValueError`` on an empty grid."""
+    grid = [as_time(t) for t in times]
     if not grid:
         raise ValueError("grid empty")
-    if not all(0.0 <= t < math.inf for t in grid):
-        raise ValueError("times must be finite and nonnegative")
     return grid
 
 

@@ -222,21 +222,49 @@ def test_estimate_non_finite_time_rejected(capsys, t):
     assert "finite" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("ec", "--model", "halving", "--z", "0", "--xs", "0.5", "--window-start", "1",
-     "--window-end", "10", "--grid", "1,nan"),
-    ("ec", "--model", "ctmc", "--z", "zero", "--xs", "low:2", "--window-start", "1",
-     "--window-end", "10", "--grid", "1,nan"),
-    ("lowerbound", "--model", "halving", "--z", "0", "--x-grid", "1", "--t-grid", "1,nan"),
-    ("stability", "--model", "halving", "--initials", "1", "--t-grid", "1,nan"),
-    ("eprop", "--model", "flip", "--pairs", "0.2@nan"),
-    ("eprop", "--model", "ctmc", "--pairs", "low:2@inf"),
+def _bad_time(option, raw, value):
+    return (f"error: bad value for {option}: {raw!r} "
+            f"(time must be a finite nonnegative real, got {value})\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("ec", "--model", "halving", "--z", "0", "--xs", "0.5", "--window-start", "1",
+      "--window-end", "10", "--grid", "1,nan"), _bad_time("grid", "1,nan", "nan")),
+    (("ec", "--model", "ctmc", "--z", "zero", "--xs", "low:2", "--window-start", "1",
+      "--window-end", "10", "--grid", "1,nan"), _bad_time("grid", "1,nan", "nan")),
+    (("lowerbound", "--model", "halving", "--z", "0", "--x-grid", "1", "--t-grid", "1,nan"),
+     _bad_time("t_grid", "1,nan", "nan")),
+    (("stability", "--model", "halving", "--initials", "1", "--t-grid", "1,nan"),
+     _bad_time("t_grid", "1,nan", "nan")),
+    (("eprop", "--model", "flip", "--pairs", "0.2@nan"), _bad_time("pairs", "0.2@nan", "nan")),
+    (("eprop", "--model", "ctmc", "--pairs", "low:2@inf"),
+     _bad_time("pairs", "low:2@inf", "inf")),
 ], ids=["ec-halving", "ec-ctmc", "lowerbound", "stability", "eprop-flip", "eprop-ctmc"])
-def test_diagnose_non_finite_time_rejected(capsys, argv):
-    code, out, err = run_cli(capsys, "diagnose", *argv, "--samples", "20")
+def test_diagnose_non_finite_time_rejected(capsys, argv, err):
+    code, out, got = run_cli(capsys, "diagnose", *argv, "--samples", "20")
     assert code == 2
     assert out == ""
-    assert err == "error: times must be finite and nonnegative\n"
+    assert got == err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("estimate", "--model", "flip", "--x0", "1", "--times", "1,-2", "--f", "xmin1"),
+     _bad_time("times", "1,-2", "-2.0")),
+    (("diagnose", "eprop", "--model", "flip", "--pairs", "0.5@-1"),
+     _bad_time("pairs", "0.5@-1", "-1.0")),
+], ids=["estimate-times", "eprop-pairs"])
+def test_negative_times_name_the_option_and_the_value(capsys, argv, err):
+    code, out, got = run_cli(capsys, *argv, "--samples", "20")
+    assert (code, out, got) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lowerbound", "--model", "halving", "--z", "0", "--x-grid", "1", "--t-grid", "1"),
+    ("assumptions", "--model", "halving", "--c2", "true"),
+], ids=["lowerbound", "assumptions-c2"])
+def test_ball_radius_names_the_option_and_the_value(capsys, argv):
+    code, out, err = run_cli(capsys, "diagnose", *argv, "--eps", "inf", "--samples", "20")
+    assert (code, out, err) == (2, "", "error: bad value for eps: 'inf' (must be a positive real)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +768,7 @@ def test_assumptions_c2_rejects_invalid_radius(capsys, eps):
                              f"--eps={eps}", "--t-search", "2", "--samples", "20")
     assert code == 2
     assert out == ""
-    assert "radius" in err
+    assert err == f"error: bad value for eps: {eps!r} (must be a positive real)\n"
 
 
 def test_assumptions_with_c2_and_radius_list(capsys):
@@ -809,23 +837,61 @@ def test_csv_writer_matches_the_reference_formatter(n_rows):
     assert streamed == _reference_csv(manifest, columns, rows)
 
 
-def test_blocks_match_the_rows_they_hold():
-    # a block's template prints ints past 2**53 with %d and every float as
-    # _fmt_cell does; JSON reads the same blocks as rows
+_SIMULATE_COLUMNS = ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k")
+
+
+def _trajectory(tau, xi, index, phi):
+    import numpy as np
+    from ergokit.ifs_jump import Trajectory
+
+    return Trajectory(x0=0.0, horizon=1.0, tau=np.array(tau, dtype=float),
+                      xi=np.array(xi, dtype=float), index=np.array(index, dtype=np.int64),
+                      phi=np.array(phi, dtype=float))
+
+
+def _simulate_rows(trajectories):
+    return [(k, j, *cells) for k, traj in enumerate(trajectories) for j, cells in enumerate(
+        zip(traj.tau.tolist(), traj.xi.tolist(), traj.index.tolist(), traj.phi.tolist()),
+        start=1)]
+
+
+def _simulate_csv(trajectories, texts):
+    """The table of ``trajectories`` through simulate's writer and through
+    the reference formatter, as a pair."""
     from ergokit import cli
 
     manifest = {"command": "simulate", "seed": "3"}
-    columns = ("traj_id", "k", "tau_k", "big")
-    floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, 2.0 / 3.0]
-    blocks = [((0,), (range(1, 9), floats, [2 ** 70 + j for j in range(8)])),
-              ((1,), (range(1, 1), [], [])),
-              ((2,), (range(1, 2), [1.5], [-7]))]
-    rows = [lead + row for lead, cols in blocks for row in zip(*cols)]
-    streamed = "".join(cli._format_table(manifest, columns, iter(blocks), "csv", blocks=True))
-    assert streamed == _reference_csv(manifest, columns, rows)
-    assert cli._format_table(manifest, columns, iter(blocks), "json", blocks=True) == \
-        cli._format_table(manifest, columns, iter(rows), "json")
+    rows = _simulate_rows(trajectories)
+    chunks = cli._trajectory_chunks(trajectories, texts)
+    return ("".join(cli._format_table(manifest, _SIMULATE_COLUMNS, rows, "csv", chunks)),
+            _reference_csv(manifest, _SIMULATE_COLUMNS, rows))
 
+
+def _sampled(model, x0, horizon, count, seed):
+    from ergokit import cli
+    from ergokit.montecarlo import StreamFactory
+
+    factory = StreamFactory(seed)
+    return [cli.sample_jump_chain(model, x0, horizon, factory.stream(0, k))
+            for k in range(count)]
+
+
+def test_blocks_match_the_rows_they_hold():
+    # a trajectory's block prints int64 indices past 2**53 with %d and every
+    # float as _fmt_cell does, whether its row takes an edge text or not
+    from types import SimpleNamespace
+    from ergokit import cli
+    from ergokit.ifs_jump import IdentityFlow
+
+    floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1, 2.0 / 3.0]
+    big = [2 ** 62 + j for j in range(8)]
+    trajectories = [_trajectory(floats, floats[::-1], big, floats),
+                    _trajectory([], [], [], []),
+                    _trajectory([1.5], [0.1], [7], [2.0 / 3.0]),
+                    _trajectory(floats, floats, big, floats[::-1])]
+    model = SimpleNamespace(flow=IdentityFlow(), _memo={x: None for x in floats if x})
+    streamed, reference = _simulate_csv(trajectories, cli._EdgeTexts(model))
+    assert streamed == reference
 
 
 @pytest.mark.parametrize("states", [[0.0, -0.0, 5e-324, 5e-324, 1e-300, 0.5],
@@ -833,27 +899,98 @@ def test_blocks_match_the_rows_they_hold():
                          ids=["plus-first", "minus-first"])
 def test_state_texts_keep_the_sign_of_zero(states):
     # 0.0 and -0.0 are one dict key, so neither may take the other's text:
-    # through a map that holds the nonzero neighbours of zero, each zero
-    # misses and is formatted with its own sign. The first block's state
-    # columns hit at least half the time and are printed through the map;
-    # the second block's miss more often and keep their floats.
+    # through a memo that holds the nonzero neighbours of zero, each zero
+    # state misses and is formatted with its own sign. The first block's
+    # states mostly take edge texts; the second block's mostly miss.
+    from types import SimpleNamespace
+    from ergokit import cli
+    from ergokit.ifs_jump import IdentityFlow
+
+    memo = {x: None for x in (5e-324, -5e-324, 1e-300, 2e-300)}
+    n = len(states)
+    trajectories = [_trajectory([0.5 * j for j in range(n)], states, [1] * n, states[::-1]),
+                    _trajectory(states, [-0.0, 0.0, 0.0, -0.0, 0.0, 5e-324], [2] * n,
+                                [0.0, 0.75, -0.0, 1.5, 0.0, -0.0])]
+    texts = cli._EdgeTexts(SimpleNamespace(flow=IdentityFlow(), _memo=memo))
+    streamed, reference = _simulate_csv(trajectories, texts)
+    assert streamed == reference
+    assert "-0" in streamed.split(",")
+    assert texts and all(xi in memo for xi, _, _ in texts)
+
+
+def test_warm_halving_model_keeps_the_sign_of_each_zero(tmp_path, monkeypatch):
+    # one halving model serves every run: 1e-322 halves down to +0.0 from a
+    # memo point, -0 stays at -0.0, which the memo never holds. Each table
+    # is the reference formatter's, and -0 and 0 keep their signs.
     from ergokit import cli
 
-    manifest = {"command": "simulate", "seed": "3"}
-    columns = ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k")
-    text = {x: f"{x:.17g}" for x in (5e-324, -5e-324, 1e-300, 2e-300)}
-    n = len(states)
-    blocks = [((0,), (range(1, n + 1), [0.5 * j for j in range(n)], states,
-                      [1] * n, states[::-1])),
-              ((1,), (range(1, n + 1), states, [-0.0, 0.0, 0.0, -0.0, 0.0, 5e-324],
-                      [2] * n, [0.0, 0.75, -0.0, 1.5, 0.0, -0.0]))]
-    rows = [lead + row for lead, cols in blocks for row in zip(*cols)]
-    texts = {"xi_k": text, "phi_k": text}
-    streamed = "".join(cli._format_table(manifest, columns, iter(blocks), "csv", True, texts))
-    assert streamed == _reference_csv(manifest, columns, rows)
-    assert "-0" in streamed.split(",")
-    assert cli._format_table(manifest, columns, iter(blocks), "json", True, texts) == \
-        cli._format_table(manifest, columns, iter(rows), "json")
+    model, assume = cli.example_halving(1.0)
+    monkeypatch.setitem(cli._MODELS, "halving",
+                        (lambda lam: (model, assume), cli._MODELS["halving"][1]))
+    argv = ["simulate", "--model", "halving", "--horizon", "30", "--trajectories", "5",
+            "--seed", "3"]
+    tables = {}
+    for x0 in ("1e-322", "-0", "0", "1e-322"):
+        out = tmp_path / f"{x0}.csv"
+        assert main(argv + [f"--x0={x0}", "--out", str(out)]) == 0
+        fresh, _ = cli.example_halving(1.0)
+        rows = _simulate_rows(_sampled(fresh, float(x0), 30.0, 5, 3))
+        manifest, columns, _ = parse_csv(out.read_text())
+        assert out.read_text() == _reference_csv(manifest, columns, rows)
+        tables[x0] = [line.split(",") for line in out.read_text().splitlines()[len(manifest) + 1:]]
+    assert tables["-0"] and all(row[3] == row[5] == "-0" for row in tables["-0"])
+    assert tables["0"] and all(row[3] == row[5] == "0" for row in tables["0"])
+    assert any(row[3] != "0" and row[5] == "0" for row in tables["1e-322"])
+    texts = cli._EdgeTexts(model)
+    trajectories = _sampled(model, 1e-322, 30.0, 5, 3) + _sampled(model, -0.0, 30.0, 5, 3)
+    streamed, reference = _simulate_csv(trajectories, texts)
+    assert streamed == reference
+    assert texts and all(xi != 0.0 for xi, _, _ in texts)
+
+
+def test_moving_flow_makes_no_edge_text():
+    # under ExponentialFlow(0.1) each row is formatted as it is, even where
+    # the memo holds its pre-jump point
+    from ergokit import cli
+
+    model, _ = _expflow_model(1.0)
+    trajectories = _sampled(model, 0.3, 20.0, 5, 11)
+    for traj in trajectories:
+        for x in traj.xi.tolist():
+            model._node_at(x)
+    assert model._memo
+    texts = cli._EdgeTexts(model)
+    streamed, reference = _simulate_csv(trajectories, texts)
+    assert streamed == reference
+    assert len(texts) == 0
+
+
+def test_edge_texts_stay_within_the_memo_on_a_never_repeating_orbit():
+    # every edge text belongs to a memo point and one of its maps
+    from ergokit import cli
+
+    model, _ = _orbit_model(1.0)
+    trajectories = _sampled(model, 0.3, 200.0, 20, 11)
+    texts = cli._EdgeTexts(model)
+    streamed, reference = _simulate_csv(trajectories, texts)
+    assert streamed == reference
+    assert 0 < len(texts) <= len(model._memo) * len(model.maps)
+    assert all(xi in model._memo for xi, _, _ in texts)
+
+
+@pytest.mark.parametrize("x0", ["5", "-0", "1e-322"])
+def test_simulate_csv_and_json_hold_the_same_rows(tmp_path, x0):
+    argv = ["simulate", "--model", "halving", f"--x0={x0}", "--horizon", "30",
+            "--trajectories", "4", "--seed", "8"]
+    table, doc = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(argv + ["--out", str(table)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(doc)]) == 0
+    lines = [line for line in table.read_text().splitlines() if not line.startswith("#")]
+    rows = json.loads(doc.read_text())["rows"]
+    assert rows and len(rows) == len(lines) - 1
+    assert [[f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
+            for row in rows] == [line.split(",") for line in lines[1:]]
+
 
 def test_csv_error_row_after_clean_rows_exits_one(tmp_path):
     import argparse

@@ -133,7 +133,7 @@ def test_ec_rejects_bad_grids():
     with pytest.raises(ValueError):
         ec_profile(CTMC, F, CtmcState.zero(), [CtmcState.low(2)], 5.0, 10.0, [3.0])
     for process, z in ((CTMC, CtmcState.zero()), (example_flip(1.0), 0.0)):
-        with pytest.raises(ValueError, match="times must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="time must be a finite nonnegative real"):
             ec_profile(process, F, z, [z], 1.0, 10.0, [1.0, math.nan])
 
 
@@ -245,7 +245,7 @@ def test_eprop_requires_pairs():
     with pytest.raises(ValueError):
         eproperty_witness(CTMC, F, CtmcState.zero(), [])
     for process, z in ((CTMC, CtmcState.zero()), (example_flip(1.0), 0.0)):
-        with pytest.raises(ValueError, match="times must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="time must be a finite nonnegative real"):
             eproperty_witness(process, F, z, [(z, 1.0), (z, math.inf)])
 
 
@@ -306,7 +306,7 @@ def test_scan_validation():
         lower_bound_scan(CTMC, CtmcState.zero(), 0.1, [CtmcState.low(2)], [])
     with pytest.raises(ValueError):
         lower_bound_scan(CTMC, CtmcState.zero(), -0.1, [CtmcState.low(2)], [1.0])
-    with pytest.raises(ValueError, match="times must be finite and nonnegative"):
+    with pytest.raises(ValueError, match="time must be a finite nonnegative real"):
         lower_bound_scan(CTMC, CtmcState.zero(), 0.1, [CtmcState.low(2)], [1.0, -1.0])
 
 
@@ -384,7 +384,7 @@ def test_stability_starts_sharing_a_label_keep_their_own_laws():
 @pytest.mark.parametrize("t_grid", [[], [1.0, math.nan], [math.inf], [-1.0]])
 def test_stability_rejects_bad_time_grids(t_grid):
     model = example_flip(1.0)
-    with pytest.raises(ValueError, match="grid empty|times must be finite and nonnegative"):
+    with pytest.raises(ValueError, match="grid empty|time must be a finite nonnegative real"):
         stability_report(model, [0.5], t_grid, EmpiricalMeasure.point_mass(0.0),
                          McSettings(n_samples=10))
 

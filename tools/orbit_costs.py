@@ -39,25 +39,30 @@ trajectory of that model that makes no jump (t = 1e-9), through
 uniforms and its share of the cell's set-up; and one ``StreamFactory.stream``
 reset.
 
-The last three time the batch-sampled chain: one pass of the Philox
+The next three time the batch-sampled chain: one pass of the Philox
 kernel ``stream_uniforms`` at the benchmark's cell shape (6000
 trajectories, two draws each; ten cells per repeat), in microseconds per
 trajectory; one ``ctmc`` trajectory from ``low:4`` to t = 4 through
 ``sample_terminals`` (60 000 trajectories, uniforms included), in
 microseconds; and ``montecarlo._estimate`` of ``xmin1`` over 60 000
 values, in nanoseconds per value.
+
+The last line times ``simulate``'s CSV writer at the benchmark's shape
+(halving from x0 = 5 to horizon 200, 400 trajectories, already sampled):
+the table written to a temporary file, in microseconds per row.
 """
 
 from __future__ import annotations
 
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from ergokit import ifs_jump
+from ergokit import cli, ifs_jump
 from ergokit.core import Ball, xmin1
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_halving
@@ -165,6 +170,17 @@ def main():
     values, f = sample_terminals(chain, low4, 4.0, 60000, 3), xmin1()
     per_value = best(lambda: _estimate(values, f, 0.999)) / 60000
     print(f"xmin1 estimate: {show(per_value * 1e9, '.1f')} ns per value")
+
+    trajectories = [cli.sample_jump_chain(halving, 5.0, 200.0, factory.stream(0, k))
+                    for k in range(400)]
+    columns = ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "simulate.csv")
+        write = best(lambda: cli._emit(cli._format_table(
+            {"command": "simulate"}, columns, (), "csv",
+            cli._trajectory_chunks(trajectories, cli._EdgeTexts(halving))), path))
+    per_row = write / sum(map(len, trajectories))
+    print(f"simulate writer, halving x0 = 5 to t = 200: {show(per_row * 1e6, '.3f')} us per row")
 
 
 if __name__ == "__main__":
