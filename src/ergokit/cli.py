@@ -168,7 +168,7 @@ def _function(settings: Settings, default: Optional[str] = None) -> Optional[Tes
 
 
 def _parse_ball(spec: str) -> Ball:
-    parts = _floats(spec)
+    parts = [float(p) for p in spec.split(",") if p.strip()]
     if len(parts) != 2:
         raise ValueError("ball spec is <center>,<radius>")
     return Ball(parts[0], parts[1])
@@ -264,11 +264,16 @@ class Settings:
 
 
 def _list(parse: Callable) -> Callable:
-    """A parser of a comma list: ``parse`` of each nonblank item."""
-    return lambda text: [parse(p) for p in str(text).split(",") if p.strip()]
+    """A parser of a comma list: ``parse`` of each nonblank item; a list
+    with none raises ``ValueError``."""
+    def parsed(text) -> list:
+        items = [parse(p) for p in str(text).split(",") if p.strip()]
+        if not items:
+            raise ValueError("the list names no value")
+        return items
+    return parsed
 
 
-_floats = _list(float)
 _times = _list(as_time)
 
 
@@ -470,8 +475,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     factory = StreamFactory(settings.get("seed", 0, _seed))
     # every trajectory is sampled before anything is written, so a failure
     # leaves no output
-    trajectories = [sample_jump_chain(model, x0, horizon, factory.stream(0, k))
-                    for k in range(count)]
+    trajectories = [sample_jump_chain(model, x0, horizon, stream)
+                    for stream in factory.streams(0, count)]
 
     return _write(settings, "simulate", "trajectories-v1",
                   ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"),

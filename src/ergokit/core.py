@@ -134,9 +134,13 @@ class Ball:
         return f"ball({self.center:g},{self.radius:g})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalMeasure:
-    """Probability measure with finite support, stored in ascending order."""
+    """Probability measure with finite support, stored in ascending order.
+
+    Compared and hashed by identity: its arrays have no hash, and ``==``
+    on them gives an array, not a truth value.
+    """
 
     support: np.ndarray
     weights: np.ndarray

@@ -47,11 +47,14 @@ __all__ = [
 
 PROB_SUM_TOL = 1e-9
 
-# Uniforms taken from a trajectory's stream per refill. numpy fills a block
-# with the doubles that as many scalar ``random()`` calls would return; a
-# block of 64 costs about as much as three scalar calls, and a trajectory
-# discards at most 63 unused words.
+# Uniforms taken from a trajectory's stream by its first refill. numpy fills
+# a block with the doubles that as many scalar ``random()`` calls would
+# return, and a block of 64 costs about as much as three scalar calls. Each
+# later refill of the same trajectory reads twice as many, up to MAX_BLOCK:
+# one that uses n uniforms makes ceil(log2(n / 64 + 1)) refills while the
+# blocks grow, reads fewer than 2n + 64, and discards at most MAX_BLOCK - 1.
 BLOCK = 64
+MAX_BLOCK = 1024
 
 # Most memo nodes an identity-flow model keeps (see ``IfsModel._jump_loop``);
 # 4096 nodes of a two-map model take about 2 MB. A full memo stops growing,
@@ -168,8 +171,9 @@ class IfsModel:
 
         Stops drawing once the state hits an exact absorbing point; the
         result is identical to interpolating a fully recorded trajectory.
-        The stream belongs to this one trajectory and is read ``BLOCK``
-        uniforms at a time, so its position after the call is unspecified.
+        The stream belongs to this one trajectory and is read in blocks,
+        ``BLOCK`` uniforms first and twice as many on each refill up to
+        ``MAX_BLOCK``, so its position after the call is unspecified.
         """
         return next(self.terminal_states_from(x0, t, (stream,)))
 
@@ -197,8 +201,9 @@ class IfsModel:
         The set-up below runs once for all of them. A jump takes two
         uniforms, one for the exponential waiting time and one for the
         inverse-CDF map choice at the pre-jump point, in the order repeated
-        ``stream.random()`` calls would return them. Flowed points
-        (pre-jump and terminal) and map outputs must be finite and
+        ``stream.random()`` calls would return them; a trajectory reads
+        them in blocks that double from ``BLOCK`` to ``MAX_BLOCK``. Flowed
+        points (pre-jump and terminal) and map outputs must be finite and
         nonnegative. ``record``, if not None, is four lists that receive
         each jump's time, pre-jump point, map index (1-based) and post-jump
         point.
@@ -206,17 +211,21 @@ class IfsModel:
         Under the identity flow the model remembers the nonzero points it
         visits, while its memo has room: a point's first visit builds its
         node (see ``_node_at``), from which every visit takes the choice by
-        one bisection and the post-jump point from a cache. Any other jump
-        (moving flow, zero, or a point missing from a full memo) validates
-        its probability vector inline with plain float arithmetic, because
-        this is the hot path. It hands a vector that fails a check, or
-        whose sum float slack leaves below the uniform, to
-        ``_running_sums``, which raises or gives the choice by bisection.
-        For the same reason such a jump applies its map inline, with the
-        check and message of ``apply_map``, and a moving flow's pre-jump
-        point is flowed and checked inline, with those of ``_flowed``: an
-        ``ExponentialFlow`` (not a subclass) as ``x * exp(alpha * gap)``,
-        the expression of its ``__call__``, any other flow by calling it.
+        one bisection and the post-jump point from a cache. The loop looks
+        a point's node up once per visit, not once per jump: a stay, a jump
+        whose cached post-jump point is the pre-jump point object itself,
+        keeps the node for the next jump. A new object, even an equal one,
+        is looked up again. Any other jump (moving flow, zero, or a point
+        missing from a full memo) validates its probability vector inline
+        with plain float arithmetic, because this is the hot path. It hands
+        a vector that fails a check, or whose sum float slack leaves below
+        the uniform, to ``_running_sums``, which raises or gives the choice
+        by bisection. For the same reason such a jump applies its map
+        inline, with the check and message of ``apply_map``, and a moving
+        flow's pre-jump and terminal points are flowed and checked inline,
+        with the message of ``_invalid_flow``: an ``ExponentialFlow`` (not
+        a subclass) as ``x * exp(alpha * s)``, the expression of its
+        ``__call__``, any other flow by calling it.
 
         A field that returns one constant vector skips the inline checks:
         when ``prob_field`` returns the very object that passed them on the
@@ -251,45 +260,63 @@ class IfsModel:
         for stream in streams:
             random = stream.random
             x = x0
-            i = BLOCK
+            # buf[i] is the next uniform while i < full; the next refill
+            # reads ``size`` of them
+            i = full = 0
+            size = BLOCK
             now = 0.0
+            # the running sums and successors of x's memo node, or None
+            # while x has none or has not been looked up
+            cum = None
             while x not in stop:
-                if i == BLOCK:
-                    buf = random(BLOCK).tolist()
-                    i = 0
+                if i == full:
+                    buf = random(size).tolist()
+                    i, full = 0, size
+                    if size < MAX_BLOCK:
+                        size += size
                 gap = -log1p(-buf[i]) / rate
                 i += 1
                 if gap <= 0.0:  # u == 0 draw, probability ~2^-53
                     continue
-                if now + gap > t:
+                end = now + gap
+                if end > t:
                     if moving:
-                        x = self._flowed(t - now, x)
+                        s = t - now
+                        y = x * exp(alpha * s) if alpha is not None else flow(s, x)
+                        if not 0.0 <= y < inf:
+                            raise self._invalid_flow(s, x, y)
+                        x = y
                     break
-                now += gap
-                if moving:
-                    pre = x * exp(alpha * gap) if alpha is not None else flow(gap, x)
-                    if not 0.0 <= pre < inf:
-                        raise self._invalid_flow(gap, x, pre)
-                    node = None
-                else:
-                    pre = x
-                    node = lookup(pre)
-                    # 0.0 and -0.0 are one key but keep their sign through
-                    # the maps, so zero never enters the memo
-                    if node is None and room and pre:
-                        node = self._node_at(pre)
-                        room -= 1
-                if i == BLOCK:
-                    buf = random(BLOCK).tolist()
-                    i = 0
+                now = end
+                if cum is None:
+                    if moving:
+                        pre = x * exp(alpha * gap) if alpha is not None else flow(gap, x)
+                        if not 0.0 <= pre < inf:
+                            raise self._invalid_flow(gap, x, pre)
+                    else:
+                        pre = x
+                        node = lookup(pre)
+                        # 0.0 and -0.0 are one key but keep their sign
+                        # through the maps, so zero never enters the memo
+                        if node is None and room and pre:
+                            node = self._node_at(pre)
+                            room -= 1
+                        if node is not None:
+                            cum, succ = node
+                if i == full:
+                    buf = random(size).tolist()
+                    i, full = 0, size
+                    if size < MAX_BLOCK:
+                        size += size
                 u = buf[i]
                 i += 1
-                if node is not None:
-                    cum, succ = node
+                if cum is not None:
                     chosen = bisect_right(cum, u)
                     x = succ[chosen]
                     if x is None:
                         x = succ[chosen] = apply(chosen, pre)
+                    if x is not pre:  # moved: the next jump looks x up
+                        cum = None
                 else:
                     w = field(pre)
                     if w is last and w is not held and type(w) is tuple \
@@ -592,13 +619,6 @@ class IfsModel:
         self._running_sums(w, x)
         return list(w)
 
-    def _flowed(self, s: float, x: float) -> float:
-        """Flow x for time s and validate the point reached."""
-        y = self.flow(s, x)
-        if not 0.0 <= y < math.inf:
-            raise self._invalid_flow(s, x, y)
-        return y
-
     def _invalid_flow(self, s: float, x: float, y: float) -> RuntimeError:
         name = getattr(self.flow, "__qualname__", None) or repr(self.flow)
         return RuntimeError(f"flow {name} of model {self.name!r} produced invalid "
@@ -609,12 +629,13 @@ class IfsModel:
         return f"{x0:g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Jump-chain record: arrays over jumps k = 1..K with tau_0 = 0 implicit.
 
     ``tau`` holds jump times (strictly increasing), ``xi`` pre-jump points,
-    ``index`` the chosen map (1-based), ``phi`` post-jump points.
+    ``index`` the chosen map (1-based), ``phi`` post-jump points. Compared
+    and hashed by identity, as ``EmpiricalMeasure`` is.
     """
 
     x0: float
@@ -636,20 +657,21 @@ def sample_jump_chain(model: IfsModel, x: float, horizon: float,
     inverse CDF; the map index at each jump is drawn from the selection
     probabilities evaluated at the pre-jump point. Jumps keep being recorded
     at absorbing points. The stream belongs to this one trajectory and is
-    read ``BLOCK`` uniforms at a time, so its position after the call is
-    unspecified.
+    read in blocks (see ``IfsModel.terminal_state``), so its position after
+    the call is unspecified.
     """
     horizon = as_time(horizon, "horizon")
     x = as_state(x)
     taus, xis, idxs, phis = record = ([], [], [], [])
     next(model._jump_loop(x, horizon, (stream,), (), record))
+    n = len(taus)
     return Trajectory(
         x0=x,
         horizon=horizon,
-        tau=np.array(taus, dtype=float),
-        xi=np.array(xis, dtype=float),
-        index=np.array(idxs, dtype=int),
-        phi=np.array(phis, dtype=float),
+        tau=np.fromiter(taus, float, n),
+        xi=np.fromiter(xis, float, n),
+        index=np.fromiter(idxs, int, n),
+        phi=np.fromiter(phis, float, n),
     )
 
 

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: the
 bounded-Lipschitz oracle is a linear program over the merged support, and
 the jump-chain laws come from truncated Poisson mixtures of discrete
-transition-matrix powers, and the halving hit probabilities from such a
-mixture summed in ``decimal``.
+transition-matrix powers, the halving hit probabilities from such a
+mixture summed in ``decimal``, and the moments of an affine moving-flow
+system from its generator's matrix exponential.
 """
 
 from __future__ import annotations
@@ -129,6 +130,49 @@ def halving_hit_probs(x: float, eps: float, times, rate: float = 1.0) -> list:
                 total += weight * inside[j]
             out.append(+total)
         return out
+
+
+def affine_moments(maps, weights, rate: float, alpha: float, x: float, t: float,
+                   degree: int = 2) -> list:
+    """E_x[X_t^k] for k = 0, ..., degree, as ``Decimal``s, of the jump
+    system with affine maps w_i(y) = a_i y + b_i (``maps`` the pairs (a_i,
+    b_i)), constant weights p_i, a constant jump rate and the flow y -> y
+    e^(alpha s), every number read exactly.
+
+    The generator L y^k = k alpha y^k + rate sum_i p_i ((a_i y + b_i)^k -
+    y^k) maps a polynomial of degree at most ``degree`` to one: on the
+    coefficients of 1, y, ..., y^degree it is the upper-triangular matrix G
+    whose column k is L y^k. So y -> E_y[X_t^k] is the polynomial whose
+    coefficients are column k of e^(tG), here its Taylor series summed
+    with 60 digits until a term falls below 1e-50 past the norm of tG. No
+    term exceeds e^(norm), so about norm / 2.3 of the 60 digits may
+    cancel: at rate 1 and t = 20, some 50 digits remain.
+    """
+    size = degree + 1
+
+    def power(v, n):
+        return v ** n if n else Decimal(1)  # Decimal(0) ** 0 is undefined
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam, a_flow, y, s = (Decimal(v) for v in (rate, alpha, x, t))
+        pairs = [(Decimal(p), Decimal(a), Decimal(b)) for p, (a, b) in zip(weights, maps)]
+        tg = [[Decimal(0)] * size for _ in range(size)]
+        for k in range(size):
+            for j in range(k + 1):
+                tg[j][k] = s * lam * math.comb(k, j) * sum(
+                    p * power(a, j) * power(b, k - j) for p, a, b in pairs)
+            tg[k][k] += s * (k * a_flow - lam)
+        norm = max(sum(abs(v) for v in row) for row in tg)
+        total = [[Decimal(int(i == j)) for j in range(size)] for i in range(size)]
+        term = [row[:] for row in total]
+        n = 0
+        while n <= norm or max(abs(v) for row in term for v in row) >= Decimal("1e-50"):
+            n += 1
+            term = [[sum(term[i][m] * tg[m][j] for m in range(size)) / n for j in range(size)]
+                    for i in range(size)]
+            total = [[u + v for u, v in zip(r, q)] for r, q in zip(total, term)]
+        return [+sum(total[j][k] * power(y, j) for j in range(k + 1)) for k in range(size)]
 
 
 def ctmc_zero_mass(n: int, t: float) -> Decimal:

@@ -210,7 +210,7 @@ def test_estimate_empty_times_rejected(capsys):
     code, _, err = run_cli(capsys, "estimate", "--model", "flip", "--x0", "1",
                            "--times", ",", "--f", "xmin1")
     assert code == 2
-    assert "grid empty" in err
+    assert err == "error: bad value for times: ',' (the list names no value)\n"
 
 
 @pytest.mark.parametrize("t", ["nan", "inf"])
@@ -296,7 +296,27 @@ def test_diagnose_empty_grid_message(capsys):
     code, _, err = run_cli(capsys, "diagnose", "lowerbound", "--model", "halving",
                            "--z", "0", "--x-grid", "1", "--t-grid", ",")
     assert code == 2
-    assert "grid empty" in err
+    assert err == "error: bad value for t_grid: ',' (the list names no value)\n"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("diagnose", "stability", "--model", "flip", "--initials", "1", "--t-grid"), "t_grid"),
+    (("diagnose", "ec", "--model", "flip", "--z", "0", "--xs", "0.1", "--window-start", "1",
+      "--window-end", "2", "--grid"), "grid"),
+    (("diagnose", "assumptions", "--model", "halving", "--c2", "true", "--eps"), "eps"),
+])
+@pytest.mark.parametrize("blank", [",", " , ,"])
+def test_an_empty_comma_list_names_its_option(capsys, argv, option, blank):
+    code, out, err = run_cli(capsys, *argv, blank)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad value for {option}: {blank!r} (the list names no value)\n"
+
+
+def test_an_empty_ball_spec_keeps_its_message(capsys):
+    code, _, err = run_cli(capsys, "estimate", "--model", "flip", "--x0", "1",
+                           "--times", "1", "--ball", ",")
+    assert code == 2
+    assert err == "error: bad value for ball: ',' (ball spec is <center>,<radius>)\n"
 
 
 @pytest.mark.parametrize("pairs, bad", [

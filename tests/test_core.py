@@ -360,6 +360,15 @@ def test_from_samples_rejects_an_empty_sample():
         EmpiricalMeasure.from_samples([])
 
 
+def test_measure_compares_and_hashes_by_identity():
+    # ndarray fields have no hash and no truth value for ==, so the
+    # generated methods used to raise
+    mu, twin = (EmpiricalMeasure.from_samples([0.5, 1, 2]) for _ in range(2))
+    assert np.array_equal(mu.support, twin.support)
+    assert mu == mu and mu != twin
+    assert len({mu, twin, mu}) == 2
+
+
 def test_test_function_default_range_is_symmetric():
     f = TestFunction(lambda x: math.sin(x), sup_bound=1.0, lip_const=1.0)
     assert f.lower == -1.0 and f.upper == 1.0

@@ -24,7 +24,7 @@ from ergokit.ifs_jump import (
 )
 from ergokit.montecarlo import StreamFactory, sample_cells, sample_terminals
 
-from oracles import flip_jump_matrix, poisson_mixture_law
+from oracles import affine_moments, flip_jump_matrix, poisson_mixture_law
 
 
 # ---------------------------------------------------------------------------
@@ -1067,6 +1067,36 @@ def test_map_return_types_under_a_moving_flow_match_the_reference(flow, x0):
     assert any(math.copysign(1.0, v) < 0.0 for v in landed)  # w3 was taken
 
 
+# the expflow shape: maps x/2 and (x + 1)/2, weights 1/2, rate 1, x e^(0.1 s)
+_AFFINE = ((0.5, 0.0), (0.5, 0.5))
+
+
+def test_affine_moments_match_the_closed_forms():
+    # E_x X_t' = 0.1 m1 - (m1 - E w(X)) = 0.25 - 0.4 m1, and from 0
+    # E_0 X_t^2 = 45/88 - (25/24) e^(-0.4 t) + (35/66) e^(-0.55 t)
+    one, m1, m2 = affine_moments(_AFFINE, (0.5, 0.5), 1.0, 0.1, 0.0, 20.0)
+    assert one == 1
+    assert float(m1) == pytest.approx(0.625 * (1.0 - math.exp(-8.0)), rel=1e-14)
+    assert float(m2) == pytest.approx(45 / 88 - 25 / 24 * math.exp(-8.0)
+                                      + 35 / 66 * math.exp(-11.0), rel=1e-14)
+    m1 = affine_moments(_AFFINE, (0.5, 0.5), 1.0, 0.1, 2.0, 10.0, degree=1)[1]
+    assert float(m1) == pytest.approx(0.625 + 1.375 * math.exp(-4.0), rel=1e-14)
+
+
+def test_moving_flow_sampler_matches_the_affine_moments():
+    # an independent check of the moving-flow sampler's law: the first two
+    # sample moments within 5 standard errors of the generator's
+    model = IfsModel(name="expflow", maps=(lambda x: x / 2.0, lambda x: (x + 1.0) / 2.0),
+                     prob_field=lambda x: (0.5, 0.5), rate=1.0, flow=ExponentialFlow(0.1))
+    n = 20000
+    for cell, (x, t) in enumerate(itertools.product((0.0, 2.0), (10.0, 20.0))):
+        want = affine_moments(_AFFINE, (0.5, 0.5), 1.0, 0.1, x, t)
+        values = sample_terminals(model, x, t, n, 2027, cell=cell)
+        for k in (1, 2):
+            v = values ** k
+            assert abs(v.mean() - float(want[k])) < 5.0 * v.std(ddof=1) / math.sqrt(n), (x, t, k)
+
+
 def test_exponential_flow_subclass_keeps_its_own_flow():
     plain = _typed_maps_model(ExponentialFlow(0.3))
     drift = _typed_maps_model(_DriftFlow(0.3))
@@ -1206,3 +1236,156 @@ def test_cell_loop_reads_no_stream_at_time_zero():
     model = _cell_model(lambda x: _LOW, ExponentialFlow(0.1))
     assert list(model.terminal_states_from(2.5, 0.0, [_Untouched()] * 3)) == [2.5] * 3
     assert model.terminal_state(-0.0, 0.0, _Untouched()) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the jump loop's node visits and growing blocks, against the reference
+
+
+class _BlockLog:
+    """Stream wrapper that logs the size of each block read from it."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.stream.random(size)
+
+
+def _assert_both_paths_match(model, x0, t, factory, cell, count):
+    """Terminal states and recorded chains of ``count`` streams of ``cell``
+    equal the reference loop's bit for bit; returns the trajectories and
+    the block sizes each recorded one read."""
+    got, want, trajs, sizes = [], [], [], []
+    for k in range(count):
+        got.append(model.terminal_state(x0, t, factory.stream(cell, k)))
+        want.append(_ref_terminal_state(model, x0, t, factory.stream(cell, k)))
+        log = _BlockLog(factory.stream(cell, k))
+        traj = sample_jump_chain(model, x0, t, log)
+        tau, xi, index, phi = _ref_jump_chain(model, x0, t, factory.stream(cell, k))
+        assert _same_bits(traj.tau, tau) and _same_bits(traj.xi, xi)
+        assert _same_bits(traj.phi, phi)
+        assert traj.index.dtype == index.dtype and np.array_equal(traj.index, index)
+        trajs.append(traj)
+        sizes.append(log.sizes)
+    assert _same_bits(got, want)
+    return trajs, sizes
+
+
+def test_halving_matches_the_reference_across_the_first_refills():
+    # ~300 jumps from 5 to t = 300 read ~600 uniforms: the blocks of 64,
+    # 128 and 256 run out at 64, 192 and 448 uniforms
+    model, _ = example_halving(1.0)
+    trajs, sizes = _assert_both_paths_match(model, 5.0, 300.0, StreamFactory(21), 0, 20)
+    assert all(2 * len(traj) > 448 for traj in trajs)
+    assert all(s == [64, 128, 256, 512] for s in sizes)
+
+
+def test_blocks_stop_growing_at_their_cap():
+    # ~3000 jumps under a moving flow read ~6000 uniforms: five growing
+    # blocks take 1984 of them, and the rest come 1024 at a time
+    model = _expflow_model()
+    _, sizes = _assert_both_paths_match(model, 0.3, 2000.0, StreamFactory(4), 1, 3)
+    assert all(s[:8] == [64, 128, 256, 512] + [1024] * 4 for s in sizes)
+    assert max(map(max, sizes)) == ifs_jump.MAX_BLOCK
+
+
+@pytest.mark.parametrize("x0", [0.3, 1.0, 4.0])
+def test_flip_stays_and_absorption_match_the_reference(x0):
+    model = example_flip(1.3)
+    trajs, _ = _assert_both_paths_match(model, x0, 40.0, StreamFactory(8), 2, 40)
+    index = np.concatenate([traj.index for traj in trajs])
+    assert (index == 2).sum() > 100  # stays
+    assert sum(len(traj) and traj.phi[-1] == 0.0 for traj in trajs) > 5  # absorbed
+
+
+class _CountingMemo(dict):
+    """Memo stand-in that counts the jump loop's lookups."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("stay, new_object", [(lambda x: x, False), (lambda x: x * 1.0, True)],
+                         ids=["same-object", "equal-new-float"])
+def test_a_stay_keeps_its_node_only_for_the_same_point_object(stay, new_object):
+    # a jump looks its point up after a move, and x * 1.0, equal to x but
+    # a new float, moves to that float: the jump after a point's first
+    # stay looks it up again, and the later stays return the cached float
+    model = IfsModel(name="stay", maps=(lambda x: x / 2.0, stay),
+                     prob_field=lambda x: (math.exp(-x), 1.0 - math.exp(-x)), rate=1.0,
+                     absorbing=(0.0,))
+    _assert_both_paths_match(model, 5.0, 60.0, StreamFactory(3), 0, 10)
+    for k in range(10):
+        memo = _CountingMemo()
+        object.__setattr__(model, "_memo", memo)
+        traj = sample_jump_chain(model, 5.0, 60.0, StreamFactory(3).stream(0, k))
+        index, xi = traj.index[:-1].tolist(), traj.xi[:-1].tolist()
+        moves = index.count(1)
+        first_stays = len({x for x, i in zip(xi, index) if i == 2})
+        assert len(index) - moves > first_stays > 0  # points stay more than once
+        assert memo.gets == 1 + moves + (first_stays if new_object else 0)
+
+
+def test_a_full_memo_matches_the_reference(monkeypatch):
+    # three nodes: every later point takes the inline path, stays included
+    monkeypatch.setattr(ifs_jump, "MEMO_NODES", 3)
+    model, _ = example_halving(1.0)
+    _assert_both_paths_match(model, 5.0, 200.0, StreamFactory(6), 0, 20)
+    assert len(model._memo) == 3
+
+
+@pytest.mark.parametrize("name", ["flip", "halving"])
+@pytest.mark.parametrize("x0", [0.0, -0.0])
+def test_a_zero_start_keeps_its_sign(name, x0):
+    # zero has no node: every jump from it is recorded inline, with the
+    # sign of the start
+    model = _REF_MODELS[name]()
+    trajs, _ = _assert_both_paths_match(model, x0, 20.0, StreamFactory(2), 0, 5)
+    assert all(len(traj) > 0 for traj in trajs)
+    phi = np.concatenate([traj.phi for traj in trajs])
+    assert (np.signbit(phi) == (math.copysign(1.0, x0) < 0.0)).all()
+    assert math.copysign(1.0, model.terminal_state(x0, 20.0, StreamFactory(2).stream(0, 0))) \
+        == math.copysign(1.0, x0)
+
+
+@pytest.mark.parametrize("flow", [ExponentialFlow(0.1), _DriftFlow(0.3), lambda t, x: x + 0.2 * t],
+                         ids=["exp", "drift", "function"])
+def test_the_terminal_flow_matches_the_reference(flow):
+    model = IfsModel(name="moving", maps=(lambda x: x / 2.0, lambda x: (x + 1.0) / 2.0),
+                     prob_field=lambda x: (0.5, 0.5), rate=1.5, flow=flow)
+    _assert_both_paths_match(model, 0.7, 9.0, StreamFactory(12), 0, 30)
+
+
+@pytest.mark.parametrize("flow, x0, name, bad", [
+    (ExponentialFlow(100.0), 1e300, "ExponentialFlow(alpha=100.0)", math.inf),
+    (_custom_flow(math.nan), 1.0, None, math.nan),
+    (_custom_flow(-1.0), 1.0, None, -1.0),
+], ids=["exp-overflow", "custom-nan", "custom-negative"])
+def test_a_bad_terminal_point_names_the_flow(flow, x0, name, bad):
+    # the first waiting time, -log(1 - 0.999) ~ 6.9, passes t = 1, so the
+    # flow runs only to the terminal point, for time 1
+    model = IfsModel(name="terminal", maps=(lambda x: x,), prob_field=lambda x: (1.0,),
+                     rate=1.0, flow=flow)
+    msg = re.escape(f"flow {name or flow.__qualname__} of model 'terminal' produced invalid "
+                    f"state {bad!r} from x={x0!r} after time 1.0")
+    with pytest.raises(RuntimeError, match=msg):
+        model.terminal_state(x0, 1.0, _StubStream([0.999]))
+    with pytest.raises(RuntimeError, match=msg):
+        sample_jump_chain(model, x0, 1.0, _StubStream([0.999]))
+
+
+def test_trajectory_compares_and_hashes_by_identity():
+    # ndarray fields have no hash and no truth value for ==, so the
+    # generated methods used to raise
+    model, _ = example_halving(1.0)
+    traj, twin = (sample_jump_chain(model, 5.0, 20.0, StreamFactory(0).stream(0, 0))
+                  for _ in range(2))
+    assert len(traj) > 1 and _same_bits(traj.phi, twin.phi)
+    assert traj == traj and traj != twin
+    assert len({traj, twin, traj}) == 2

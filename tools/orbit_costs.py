@@ -47,9 +47,13 @@ trajectory; one ``ctmc`` trajectory from ``low:4`` to t = 4 through
 microseconds; and ``montecarlo._estimate`` of ``xmin1`` over 60 000
 values, in nanoseconds per value.
 
-The last line times ``simulate``'s CSV writer at the benchmark's shape
-(halving from x0 = 5 to horizon 200, 400 trajectories, already sampled):
-the table written to a temporary file, in microseconds per row.
+The last two lines work at ``simulate``'s benchmark shape (halving from
+x0 = 5 to horizon 200, 400 trajectories). One times ``sample_jump_chain``,
+as the command runs it: a fresh model, one stream per trajectory from
+``StreamFactory.streams`` and each ``Trajectory`` built, in microseconds per
+recorded jump. The other times the CSV writer on those trajectories,
+already sampled: the table written to a temporary file, in microseconds
+per row.
 """
 
 from __future__ import annotations
@@ -171,14 +175,20 @@ def main():
     per_value = best(lambda: _estimate(values, f, 0.999)) / 60000
     print(f"xmin1 estimate: {show(per_value * 1e9, '.1f')} ns per value")
 
-    trajectories = [cli.sample_jump_chain(halving, 5.0, 200.0, factory.stream(0, k))
-                    for k in range(400)]
+    def record():
+        model, _ = example_halving(1.0)
+        return model, [cli.sample_jump_chain(model, 5.0, 200.0, stream)
+                       for stream in factory.streams(0, 400)]
+
+    model, trajectories = record()
+    per_jump = best(record) / sum(map(len, trajectories))
+    print(f"recorded jump, halving x0 = 5 to t = 200: {show(per_jump * 1e6, '.3f')} us")
     columns = ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k")
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "simulate.csv")
         write = best(lambda: cli._emit(cli._format_table(
             {"command": "simulate"}, columns, (), "csv",
-            cli._trajectory_chunks(trajectories, cli._EdgeTexts(halving))), path))
+            cli._trajectory_chunks(trajectories, cli._EdgeTexts(model))), path))
     per_row = write / sum(map(len, trajectories))
     print(f"simulate writer, halving x0 = 5 to t = 200: {show(per_row * 1e6, '.3f')} us per row")
 
