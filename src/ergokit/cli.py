@@ -141,9 +141,10 @@ def _parse_initial(model_name: str, token: str):
 
 def _starts(settings: Settings, key: str, model_name: str, default=None,
             required: bool = True) -> list:
-    """Read a comma list of start points under ``key``, as ``Settings.get``."""
-    return settings.get(key, default, lambda s: [_parse_initial(model_name, p)
-                                                 for p in str(s).split(",")], required)
+    """Read a comma list of start points under ``key``, as ``Settings.get``;
+    blank items are skipped, as in every comma list."""
+    return settings.get(key, default, _list(functools.partial(_parse_initial, model_name)),
+                        required)
 
 
 def _parse_function(spec: str) -> TestFunction:
@@ -444,19 +445,38 @@ class _EdgeTexts(dict):
         return text
 
 
-def _trajectory_chunks(trajectories: Sequence, texts: _EdgeTexts) -> Iterable[str]:
+# expected jump times (rate * horizon * trajectories) from which ``simulate``
+# formats its times with ``_g17``
+KERNEL_JUMPS = 15_000
+
+
+def _percent_texts(arrays: Iterable) -> Iterable[list]:
+    """For each float64 array, the list of ``"%.17g" % v`` over its values,
+    from one ``%`` over the array."""
+    for values in arrays:
+        n = len(values)
+        # %.17g prints no comma, so the split gives back each value's text
+        yield ("%.17g," * n % tuple(values.tolist())).split(",")[:n]
+
+
+def _trajectory_chunks(trajectories: Sequence, texts: _EdgeTexts,
+                       tau_texts: Callable) -> Iterable[str]:
     """The CSV rows of ``simulate``, one chunk per trajectory. A row joins
     its ``traj_id,``, its ``k,`` from one list that every trajectory
-    shares, its ``tau_k`` from one ``%`` over the trajectory's times, and
-    its text in ``texts``."""
+    shares, its ``tau_k`` from ``tau_texts`` over the trajectories' times,
+    and its text in ``texts``. Both ``tau_texts`` give ``"%.17g" % tau``
+    byte for byte: ``_percent_texts`` one ``%`` per trajectory, and
+    ``_g17.g17_texts`` the times of consecutive trajectories a block at a
+    time, exactly in integer arithmetic for times in [1, 2**40) and
+    through ``%`` for the rest."""
     ks: list = []
-    for traj_id, traj in enumerate(trajectories):
+    taus = tau_texts(traj.tau for traj in trajectories)
+    for traj_id, (traj, tau_k) in enumerate(zip(trajectories, taus)):
         n = len(traj)
         ks += [f"{k}," for k in range(len(ks) + 1, n + 1)]
         pieces = [f"{traj_id},"] * (4 * n)
         pieces[1::4] = ks[:n]
-        # %.17g prints no comma, so the split gives back each time's text
-        pieces[2::4] = ("%.17g," * n % tuple(traj.tau.tolist())).split(",")[:n]
+        pieces[2::4] = tau_k
         pieces[3::4] = map(texts.__getitem__, zip(traj.xi.tolist(), traj.index.tolist(),
                                                   traj.phi.tolist()))
         yield "".join(pieces)
@@ -473,6 +493,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     count = settings.get("trajectories", 1, _positive_int)
     settings.get("workers", None, _positive_int)  # validated only: simulate runs in one process
     factory = StreamFactory(settings.get("seed", 0, _seed))
+    # the block kernel costs ~3 ms to import and saves ~0.2 us a time, so a
+    # table of fewer expected jumps keeps one % per trajectory; it is
+    # imported before sampling, so its compile's scratch memory is reused
+    # by the trajectories rather than raising the peak
+    tau_texts = _percent_texts
+    if settings.format == "csv" and model.rate * horizon * count >= KERNEL_JUMPS:
+        tau_texts = _module("_g17").g17_texts
     # every trajectory is sampled before anything is written, so a failure
     # leaves no output
     trajectories = [sample_jump_chain(model, x0, horizon, stream)
@@ -486,7 +513,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                   (f"{name} trajectories", "state",
                    ((f"traj {k}", tau, phi) for k, traj in enumerate(trajectories)
                     for tau, phi in zip(traj.tau.tolist(), traj.phi.tolist()))),
-                  chunks=_trajectory_chunks(trajectories, _EdgeTexts(model)))
+                  chunks=_trajectory_chunks(trajectories, _EdgeTexts(model), tau_texts))
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:

@@ -304,12 +304,24 @@ def test_diagnose_empty_grid_message(capsys):
     (("diagnose", "ec", "--model", "flip", "--z", "0", "--xs", "0.1", "--window-start", "1",
       "--window-end", "2", "--grid"), "grid"),
     (("diagnose", "assumptions", "--model", "halving", "--c2", "true", "--eps"), "eps"),
+    # start lists skip blank items too
+    (("estimate", "--model", "flip", "--times", "1", "--f", "xmin1", "--x0"), "x0"),
+    (("diagnose", "ec", "--model", "flip", "--z", "0", "--window-end", "2", "--xs"), "xs"),
+    (("diagnose", "lowerbound", "--model", "halving", "--z", "0", "--t-grid", "1",
+      "--x-grid"), "x_grid"),
+    (("diagnose", "stability", "--model", "flip", "--t-grid", "1", "--initials"), "initials"),
 ])
 @pytest.mark.parametrize("blank", [",", " , ,"])
 def test_an_empty_comma_list_names_its_option(capsys, argv, option, blank):
     code, out, err = run_cli(capsys, *argv, blank)
     assert (code, out) == (2, "")
     assert err == f"error: bad value for {option}: {blank!r} (the list names no value)\n"
+
+
+def test_a_blank_list_item_is_skipped_in_start_and_time_lists(capsys):
+    argv = ("estimate", "--model", "flip", "--f", "xmin1", "--samples", "50")
+    assert run_cli(capsys, *argv, "--x0", "1,,2", "--times", "1,,2") == \
+        run_cli(capsys, *argv, "--x0", "1,2", "--times", "1,2")
 
 
 def test_an_empty_ball_spec_keeps_its_message(capsys):
@@ -877,14 +889,18 @@ def _simulate_rows(trajectories):
 
 def _simulate_csv(trajectories, texts):
     """The table of ``trajectories`` through simulate's writer and through
-    the reference formatter, as a pair."""
+    the reference formatter, as a pair; the writer's table is the same
+    with either ``tau_k`` formatter."""
     from ergokit import cli
+    from ergokit._g17 import g17_texts
 
     manifest = {"command": "simulate", "seed": "3"}
     rows = _simulate_rows(trajectories)
-    chunks = cli._trajectory_chunks(trajectories, texts)
-    return ("".join(cli._format_table(manifest, _SIMULATE_COLUMNS, rows, "csv", chunks)),
-            _reference_csv(manifest, _SIMULATE_COLUMNS, rows))
+    streamed = ["".join(cli._format_table(manifest, _SIMULATE_COLUMNS, rows, "csv",
+                                          cli._trajectory_chunks(trajectories, texts, taus)))
+                for taus in (cli._percent_texts, g17_texts)]
+    assert streamed[0] == streamed[1]
+    return streamed[0], _reference_csv(manifest, _SIMULATE_COLUMNS, rows)
 
 
 def _sampled(model, x0, horizon, count, seed):
@@ -1171,6 +1187,28 @@ def test_simulate_edge_values_match_the_reference_formatter(tmp_path, monkeypatc
     manifest, columns, _ = parse_csv(table.read_text())
     assert table.read_text() == _reference_csv(manifest, columns, rows)
     assert _digest_without_version(doc) == digest
+
+
+@pytest.mark.parametrize("model, x0", [("halving", "5"), ("flip", "1"), ("edge", "2"),
+                                       ("edge", "-0"), ("expflow", "0.3")])
+def test_simulate_bytes_do_not_depend_on_the_tau_formatter(tmp_path, monkeypatch, model, x0):
+    # a table of KERNEL_JUMPS expected jump times or more formats its times
+    # with the block kernel, a smaller one with one % per trajectory
+    from ergokit import cli
+
+    monkeypatch.setitem(cli._MODELS, "edge", (_edge_model, ()))
+    monkeypatch.setitem(cli._MODELS, "expflow", (_expflow_model, ()))
+    argv = ["simulate", "--model", model, f"--x0={x0}", "--horizon", "60",
+            "--trajectories", "30", "--seed", "2"]
+    tables = []
+    for kernel_jumps in (math.inf, 0):
+        monkeypatch.setattr(cli, "KERNEL_JUMPS", kernel_jumps)
+        out = tmp_path / f"{kernel_jumps}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+        monkeypatch.setattr(cli, "_percent_texts", None)  # the kernel runs next
+    assert len(tables[0].splitlines()) > 100
+    assert tables[0] == tables[1]
 
 
 _PINNED_LOWERBOUND = ["diagnose", "lowerbound", "--model", "halving", "--z", "0", "--eps", "0.1",

@@ -74,8 +74,19 @@ def test_halving_simulate_loads_neither_diagnostics_nor_the_chain():
     loaded = command_loads("simulate", "--model", "halving", "--x0", "5", "--horizon", "20",
                            "--trajectories", "3")
     assert "ergokit.ifs_jump" in loaded
+    # 60 expected jump times: one % per trajectory, no block kernel
     assert not {"ergokit.diagnostics", "ergokit.exact_ctmc", "ergokit._svgplot",
-                "json"} & loaded
+                "ergokit._g17", "json"} & loaded
+
+
+def test_a_large_simulate_table_loads_the_tau_kernel():
+    # rate 20 * horizon 20 * 40 trajectories = 16 000 expected jump times
+    argv = ("simulate", "--model", "halving", "--lambda", "20", "--x0", "5", "--horizon", "20",
+            "--trajectories", "40")
+    loaded = command_loads(*argv)
+    assert {"ergokit.ifs_jump", "ergokit._g17"} <= loaded
+    assert not {"ergokit.diagnostics", "ergokit.exact_ctmc"} & loaded
+    assert "ergokit._g17" not in command_loads(*argv, "--format", "json")
 
 
 def test_json_and_plot_load_their_writers():

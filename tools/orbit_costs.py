@@ -8,9 +8,12 @@ Each line gives the best of its repeats and, in brackets, their median:
 on a shared machine a slow phase moves the best of a few repeats too, and
 the gap between the two shows how far a line can be trusted. Every repeat
 is preceded by the benchmark's fixed piece of pure-Python work
-(``perfbench/child.py``'s ``calibrate``) and scaled, as the benchmark
-scales its commands, by ``REF_CAL_S`` over that work's time, so the times
-are given at one fixed machine speed and a slow phase moves them less.
+(``perfbench/child.py``'s ``calibrate``), so the times are given, as the
+benchmark gives its commands, at one fixed machine speed: the median is
+that of the repeats each scaled by ``REF_CAL_S`` over its own calibration,
+and the best is the fastest raw time scaled by ``REF_CAL_S`` over the
+median calibration. (A repeat's own ratio would let one slow calibration
+make its repeat read fast: 0.36 us "best" against a 0.69 us median.)
 It prints, in nanoseconds and in point-steps (the cost of carrying one
 orbit point through one step of the forward sweep of ``exact_laws``):
 
@@ -47,13 +50,16 @@ trajectory; one ``ctmc`` trajectory from ``low:4`` to t = 4 through
 microseconds; and ``montecarlo._estimate`` of ``xmin1`` over 60 000
 values, in nanoseconds per value.
 
-The last two lines work at ``simulate``'s benchmark shape (halving from
-x0 = 5 to horizon 200, 400 trajectories). One times ``sample_jump_chain``,
-as the command runs it: a fresh model, one stream per trajectory from
-``StreamFactory.streams`` and each ``Trajectory`` built, in microseconds per
-recorded jump. The other times the CSV writer on those trajectories,
-already sampled: the table written to a temporary file, in microseconds
-per row.
+The last four lines work at ``simulate``'s benchmark shape (halving from
+x0 = 5 to horizon 200, 400 trajectories, about 80 000 jump times). One times
+``sample_jump_chain``, as the command runs it: a fresh model, one stream per
+trajectory from ``StreamFactory.streams`` and each ``Trajectory`` built, in
+microseconds per recorded jump. Two time the ``tau_k`` texts of those
+trajectories' times, in nanoseconds per time: one ``%`` per trajectory
+(``cli._percent_texts``) and the block kernel (``_g17.g17_texts``). The last
+times the CSV writer on the trajectories, already sampled, with the block
+kernel as the command runs it at this size: the table written to a
+temporary file, in microseconds per row.
 """
 
 from __future__ import annotations
@@ -62,11 +68,13 @@ import statistics
 import sys
 import tempfile
 import time
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 
 from ergokit import cli, ifs_jump
+from ergokit._g17 import g17_texts
 from ergokit.core import Ball, xmin1
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_halving
@@ -79,15 +87,17 @@ from run import REF_CAL_S  # noqa: E402
 
 def best(f, repeat=7):
     """Best and median time of ``repeat`` calls of f, in seconds at the
-    benchmark's reference machine speed, as one array: the costs computed
-    from it carry both."""
-    times = []
+    benchmark's reference machine speed (see the module docstring), as one
+    array: the costs computed from it carry both."""
+    times, cals = [], []
     for _ in range(repeat):
-        cal = calibrate()
+        cals.append(calibrate())
         t0 = time.perf_counter()
         f()
-        times.append((time.perf_counter() - t0) * REF_CAL_S / cal)
-    return np.array([min(times), statistics.median(times)])
+        times.append(time.perf_counter() - t0)
+    scaled = [t * REF_CAL_S / cal for t, cal in zip(times, cals)]
+    return np.array([min(times) * REF_CAL_S / statistics.median(cals),
+                     statistics.median(scaled)])
 
 
 def show(value, fmt):
@@ -181,15 +191,21 @@ def main():
                        for stream in factory.streams(0, 400)]
 
     model, trajectories = record()
-    per_jump = best(record) / sum(map(len, trajectories))
+    jumps = sum(map(len, trajectories))
+    per_jump = best(record) / jumps
     print(f"recorded jump, halving x0 = 5 to t = 200: {show(per_jump * 1e6, '.3f')} us")
+    taus = [traj.tau for traj in trajectories]
+    for name, tau_texts in (("one % per trajectory", cli._percent_texts),
+                            ("block kernel", g17_texts)):
+        per_text = best(lambda: deque(tau_texts(taus), maxlen=0)) / jumps
+        print(f"tau_k text, {name}, {jumps} times: {show(per_text * 1e9, '.0f')} ns")
     columns = ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k")
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "simulate.csv")
         write = best(lambda: cli._emit(cli._format_table(
             {"command": "simulate"}, columns, (), "csv",
-            cli._trajectory_chunks(trajectories, cli._EdgeTexts(model))), path))
-    per_row = write / sum(map(len, trajectories))
+            cli._trajectory_chunks(trajectories, cli._EdgeTexts(model), g17_texts)), path))
+    per_row = write / jumps
     print(f"simulate writer, halving x0 = 5 to t = 200: {show(per_row * 1e6, '.3f')} us per row")
 
 
