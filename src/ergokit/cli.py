@@ -141,8 +141,8 @@ def _parse_initial(model_name: str, token: str):
 
 def _starts(settings: Settings, key: str, model_name: str, default=None,
             required: bool = True) -> list:
-    """Read a comma list of start points under ``key``, as ``Settings.get``;
-    blank items are skipped, as in every comma list."""
+    """Read a comma list of start points under ``key``, as ``Settings.get``
+    and by the rule of every comma list (``_list``)."""
     return settings.get(key, default, _list(functools.partial(_parse_initial, model_name)),
                         required)
 
@@ -265,13 +265,16 @@ class Settings:
 
 
 def _list(parse: Callable) -> Callable:
-    """A parser of a comma list: ``parse`` of each nonblank item; a list
-    with none raises ``ValueError``."""
+    """A parser of a comma list: ``parse`` of each item. A list with no
+    nonblank item, or with a blank one among others (``1,,2``, most likely
+    a typo), raises ``ValueError``."""
     def parsed(text) -> list:
-        items = [parse(p) for p in str(text).split(",") if p.strip()]
+        items = [p for p in str(text).split(",") if p.strip()]
         if not items:
             raise ValueError("the list names no value")
-        return items
+        if len(items) < str(text).count(",") + 1:
+            raise ValueError("the list has a blank item")
+        return [parse(p) for p in items]
     return parsed
 
 
@@ -446,7 +449,10 @@ class _EdgeTexts(dict):
 
 
 # expected jump times (rate * horizon * trajectories) from which ``simulate``
-# formats its times with ``_g17``
+# formats its times with ``_g17``: its import and first call cost ~3.8 ms
+# at the benchmark's reference speed (one 200-jump trajectory's setup_s,
+# 0.1100 -> 0.1137 s with the kernel always on), and it saves ~0.33 us a
+# time there, so it is repaid from ~11 000 times on
 KERNEL_JUMPS = 15_000
 
 
@@ -493,10 +499,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     count = settings.get("trajectories", 1, _positive_int)
     settings.get("workers", None, _positive_int)  # validated only: simulate runs in one process
     factory = StreamFactory(settings.get("seed", 0, _seed))
-    # the block kernel costs ~3 ms to import and saves ~0.2 us a time, so a
-    # table of fewer expected jumps keeps one % per trajectory; it is
-    # imported before sampling, so its compile's scratch memory is reused
-    # by the trajectories rather than raising the peak
+    # a table of fewer expected jumps than KERNEL_JUMPS keeps one % per
+    # trajectory; the kernel is imported before sampling, so that the
+    # scratch memory of its compile is reused by the trajectories rather
+    # than raising the peak
     tau_texts = _percent_texts
     if settings.format == "csv" and model.rate * horizon * count >= KERNEL_JUMPS:
         tau_texts = _module("_g17").g17_texts

@@ -304,7 +304,7 @@ def test_diagnose_empty_grid_message(capsys):
     (("diagnose", "ec", "--model", "flip", "--z", "0", "--xs", "0.1", "--window-start", "1",
       "--window-end", "2", "--grid"), "grid"),
     (("diagnose", "assumptions", "--model", "halving", "--c2", "true", "--eps"), "eps"),
-    # start lists skip blank items too
+    # start lists follow the same rule
     (("estimate", "--model", "flip", "--times", "1", "--f", "xmin1", "--x0"), "x0"),
     (("diagnose", "ec", "--model", "flip", "--z", "0", "--window-end", "2", "--xs"), "xs"),
     (("diagnose", "lowerbound", "--model", "halving", "--z", "0", "--t-grid", "1",
@@ -318,10 +318,13 @@ def test_an_empty_comma_list_names_its_option(capsys, argv, option, blank):
     assert err == f"error: bad value for {option}: {blank!r} (the list names no value)\n"
 
 
-def test_a_blank_list_item_is_skipped_in_start_and_time_lists(capsys):
-    argv = ("estimate", "--model", "flip", "--f", "xmin1", "--samples", "50")
-    assert run_cli(capsys, *argv, "--x0", "1,,2", "--times", "1,,2") == \
-        run_cli(capsys, *argv, "--x0", "1,2", "--times", "1,2")
+@pytest.mark.parametrize("option, other", [("x0", "times"), ("times", "x0")])
+@pytest.mark.parametrize("blank", ["1,,2", "1,2,", ",1", "1, ,2"])
+def test_a_blank_item_in_a_start_or_time_list_is_refused(capsys, option, other, blank):
+    code, out, err = run_cli(capsys, "estimate", "--model", "flip", "--f", "xmin1",
+                             "--samples", "50", f"--{other}", "1,2", f"--{option}", blank)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad value for {option}: {blank!r} (the list has a blank item)\n"
 
 
 def test_an_empty_ball_spec_keeps_its_message(capsys):
@@ -889,18 +892,19 @@ def _simulate_rows(trajectories):
 
 def _simulate_csv(trajectories, texts):
     """The table of ``trajectories`` through simulate's writer and through
-    the reference formatter, as a pair; the writer's table is the same
-    with either ``tau_k`` formatter."""
+    the reference formatter, as a pair. The writer's table is made with
+    either ``tau_k`` formatter, and each must equal the reference."""
     from ergokit import cli
     from ergokit._g17 import g17_texts
 
     manifest = {"command": "simulate", "seed": "3"}
     rows = _simulate_rows(trajectories)
-    streamed = ["".join(cli._format_table(manifest, _SIMULATE_COLUMNS, rows, "csv",
-                                          cli._trajectory_chunks(trajectories, texts, taus)))
-                for taus in (cli._percent_texts, g17_texts)]
-    assert streamed[0] == streamed[1]
-    return streamed[0], _reference_csv(manifest, _SIMULATE_COLUMNS, rows)
+    reference = _reference_csv(manifest, _SIMULATE_COLUMNS, rows)
+    for taus in (g17_texts, cli._percent_texts):
+        chunks = cli._trajectory_chunks(trajectories, texts, taus)
+        streamed = "".join(cli._format_table(manifest, _SIMULATE_COLUMNS, rows, "csv", chunks))
+        assert streamed == reference
+    return streamed, reference
 
 
 def _sampled(model, x0, horizon, count, seed):
@@ -1189,26 +1193,32 @@ def test_simulate_edge_values_match_the_reference_formatter(tmp_path, monkeypatc
     assert _digest_without_version(doc) == digest
 
 
+@pytest.mark.parametrize("kernel_jumps", [math.inf, 0])
 @pytest.mark.parametrize("model, x0", [("halving", "5"), ("flip", "1"), ("edge", "2"),
                                        ("edge", "-0"), ("expflow", "0.3")])
-def test_simulate_bytes_do_not_depend_on_the_tau_formatter(tmp_path, monkeypatch, model, x0):
+def test_simulate_tau_texts_match_the_reference_formatter(tmp_path, monkeypatch, model, x0,
+                                                          kernel_jumps):
     # a table of KERNEL_JUMPS expected jump times or more formats its times
-    # with the block kernel, a smaller one with one % per trajectory
+    # with the block kernel, a smaller one with one % per trajectory; 30
+    # trajectories, so the kernel formats times of several together
     from ergokit import cli
 
     monkeypatch.setitem(cli._MODELS, "edge", (_edge_model, ()))
     monkeypatch.setitem(cli._MODELS, "expflow", (_expflow_model, ()))
-    argv = ["simulate", "--model", model, f"--x0={x0}", "--horizon", "60",
-            "--trajectories", "30", "--seed", "2"]
-    tables = []
-    for kernel_jumps in (math.inf, 0):
-        monkeypatch.setattr(cli, "KERNEL_JUMPS", kernel_jumps)
-        out = tmp_path / f"{kernel_jumps}.csv"
-        assert main(argv + ["--out", str(out)]) == 0
-        tables.append(out.read_bytes())
-        monkeypatch.setattr(cli, "_percent_texts", None)  # the kernel runs next
-    assert len(tables[0].splitlines()) > 100
-    assert tables[0] == tables[1]
+    monkeypatch.setattr(cli, "KERNEL_JUMPS", kernel_jumps)
+    if kernel_jumps == 0:
+        monkeypatch.setattr(cli, "_percent_texts", None)
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--model", model, f"--x0={x0}", "--horizon", "60",
+                 "--trajectories", "30", "--seed", "2", "--out", str(out)]) == 0
+    text = out.read_text()
+    manifest, columns, rows = parse_csv(text)
+    assert len(rows) > 1000
+    # %.17g texts read back to their doubles, so the reference formatter
+    # writes the same table from the values read
+    cells = [(int(r["traj_id"]), int(r["k"]), float(r["tau_k"]), float(r["xi_k"]),
+              int(r["index_k"]), float(r["phi_k"])) for r in rows]
+    assert text == _reference_csv(manifest, columns, cells)
 
 
 _PINNED_LOWERBOUND = ["diagnose", "lowerbound", "--model", "halving", "--z", "0", "--eps", "0.1",
