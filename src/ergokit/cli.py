@@ -112,10 +112,12 @@ def register_model(name: str, builder: Callable) -> None:
 
 
 def _model(settings: Settings, default: Optional[str] = None):
-    """Read ``model`` and ``lambda``; returns the model name, the process
-    and its assumption data (or None)."""
+    """Read ``model`` and, but for the chain ``ctmc``, ``lambda``; returns
+    the model name, the process and its assumption data (or None)."""
     name = settings.get("model", default, required=True)
-    lam = settings.get("lambda", 1.0, _positive_float)
+    if name == "ctmc" and settings.get("lambda") is not None:
+        raise CliError("model ctmc is a chain with no jump rate; drop lambda")
+    lam = None if name == "ctmc" else settings.get("lambda", 1.0, _positive_float)
     if name not in _MODELS:
         raise CliError(f"unknown model {name!r}; available: {', '.join(sorted(_MODELS))}")
     process, assume = _MODELS[name][0](lam)
@@ -408,7 +410,7 @@ def _mc_settings(settings: Settings, default_samples: int = 10_000) -> McSetting
 
 
 def cmd_exact_ctmc(args: argparse.Namespace) -> int:
-    from .exact_ctmc import CtmcProcess, CtmcState, transition_prob
+    from .exact_ctmc import CtmcState, semigroup_apply, transition_prob
     settings = Settings(args)
     n = settings.get("n", parse=int, required=True)
     if n < 2:
@@ -416,15 +418,11 @@ def cmd_exact_ctmc(args: argparse.Namespace) -> int:
     t = settings.get("t", 1.0, as_time)
     f = _function(settings)
     states = (CtmcState.low(n), CtmcState.high(n), CtmcState.zero())
-    rows = []
     if f is None:
-        for i in states:
-            for j in states:
-                rows.append(("p", f"{i}->{j}", f"{t:g}", transition_prob(i, j, t), 0.0, ""))
+        rows = [("p", f"{i}->{j}", f"{t:g}", transition_prob(i, j, t), 0.0, "")
+                for i in states for j in states]
     else:
-        proc = CtmcProcess()
-        for i in states:
-            rows.append(("ptf", str(i), f"{t:g}", proc.exact_expectation(f, i, t), 0.0, ""))
+        rows = [("ptf", str(i), f"{t:g}", semigroup_apply(f, i, t), 0.0, "") for i in states]
     return _write(settings, "exact-ctmc", "table-v1", _REPORT_COLUMNS, rows)
 
 

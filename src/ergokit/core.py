@@ -297,8 +297,6 @@ def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     support, d = _merged_signed_weights(mu, nu)
     if not np.any(d):
         return 0.0
-    if support.size == 1:
-        return 0.0
     value = _max_signed_pairing(support, d)
     return min(max(value, 0.0), 2.0)
 

@@ -9,9 +9,10 @@ states. The transition probabilities are available in closed form:
     p(n -> n)     = exp(-t/n)          p(n -> 0)   = 1 - exp(-t/n)
     p(1/n -> 0)   = the complement of the two entries above
 
-and every other pair has probability 0. The closed form makes this chain
-the exact oracle for the Monte Carlo machinery: the same quantities can be
-computed to machine precision and estimated by simulation.
+and every other pair has probability 0. The closed form is the chain's
+reference, but 1 - e^{-s} - s e^{-s}, s = t/n, cancels for small s. The
+exact rows of the diagnostics therefore come from the jump-system sweep,
+which counts its truncation and rounding (``CtmcProcess.exact_laws``).
 
 The chain converges to the point mass at 0 from every start, yet the gap
 ``P_t f(1/n) - P_t f(0)`` evaluated at t = n equals ``exp(-1) (1 + 1/n)``
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from functools import lru_cache
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import Ball, EmpiricalMeasure, TestFunction, as_time
+from .core import TestFunction, as_time
 
 __all__ = [
     "CtmcState",
@@ -125,13 +127,24 @@ def semigroup_apply(f: Union[TestFunction, Callable[[float], float]], i: CtmcSta
     return sum(p * f(j.value) for j, p in _law(i, t))
 
 
-def _mean(law: EmpiricalMeasure, f: Union[TestFunction, Ball]) -> float:
-    if isinstance(f, Ball):
-        return sum(law.weights[f.contains(law.support)].tolist())
-    mean = 0.0
-    for x, w in zip(law.support.tolist(), law.weights.tolist()):
-        mean += w * f(x)
-    return mean
+def _invert(x: float) -> float:
+    # from 1/n, onto n itself: 1.0 / (1.0 / n) misses it for some n, 49 the first
+    return float(round(1.0 / x))
+
+
+def _jump_field(x: float) -> tuple:
+    return (0.0, 1.0 - 2.0 * x, 2.0 * x) if x < 1.0 else (2.0 / x, 1.0 - 2.0 / x, 0.0)
+
+
+@lru_cache(maxsize=None)
+def _jump_system():
+    """The chain as kill, stay or invert at rate 1/2: from 1/n invert with
+    chance 2/n, from n kill with chance 2/n. Built on first use, so that
+    sampling the chain does not import ``ifs_jump``."""
+    from .ifs_jump import IfsModel, _flip_kill, _stay
+
+    return IfsModel(name="ctmc", maps=(_flip_kill, _stay, _invert), prob_field=_jump_field,
+                    rate=0.5, absorbing=(0.0,))
 
 
 def _jumps(i: CtmcState, t: float, draw: Callable[[], float]) -> int:
@@ -180,11 +193,9 @@ def chapman_kolmogorov_residual(n: int, s: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class CtmcProcess:
-    """Process handle used by the Monte Carlo and diagnostics layers.
-
-    Exposes trajectory sampling plus the exact closed-form quantities, so
-    callers can choose estimation or exact evaluation.
-    """
+    """Process handle used by the Monte Carlo and diagnostics layers: its
+    trajectories, the closed-form ``exact_expectation``, and ``exact_laws``
+    and ``exact_means`` from the sweep, for estimation or exact evaluation."""
 
     name: str = "ctmc"
     # uniforms per trajectory that terminal_states reads (at most two holding times)
@@ -227,23 +238,13 @@ class CtmcProcess:
     def exact_expectation(self, f, x0: CtmcState, t: float) -> float:
         return semigroup_apply(f, x0, t)
 
-    def exact_law(self, x0: CtmcState, t: float) -> EmpiricalMeasure:
-        """The time-t distribution from x0 as a discrete measure."""
-        pts = {j.value: p for j, p in _law(x0, t)}
-        support = np.array(sorted(pts))
-        return EmpiricalMeasure(support, np.array([pts[s] for s in support]))
-
-    def exact_laws(self, x0: CtmcState, times) -> list:
-        """``(exact_law(x0, t), 0.0)`` for every t: the closed form's laws,
-        with error bound 0."""
-        return [(self.exact_law(x0, t), 0.0) for t in times]
+    def exact_laws(self, x0: CtmcState, times) -> Optional[list]:
+        """``IfsModel.exact_laws`` of the chain's jump system from x0."""
+        return _jump_system().exact_laws(x0.value, times)
 
     def exact_means(self, starts, times, functionals) -> list:
-        """Per start, per t in times, ``(mean, 0.0)`` of each functional
-        under ``exact_law``, summed in ascending support order; a ball's
-        mean is its hit probability."""
-        return [[[(_mean(law, f), 0.0) for f in functionals]
-                 for law in (self.exact_law(x, t) for t in times)] for x in starts]
+        """``IfsModel.exact_means`` of the chain's jump system."""
+        return _jump_system().exact_means([x.value for x in starts], times, functionals)
 
     @staticmethod
     def state_label(x0: CtmcState) -> str:

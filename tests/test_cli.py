@@ -1524,15 +1524,15 @@ def test_simulate_bytes_on_a_model_warmed_by_another_command(tmp_path, monkeypat
      "22993d8d3cc3e2f639e1d8761c80ba27a85542fae1b85d04541df63c95422140"),
     (["estimate", "--model", "ctmc", "--x0", "low:2,low:4,high:3", "--times", "1,4,16",
       "--f", "xmin1", "--ball", "0,0.1", "--samples", "600"],
-     "e813c56e06f12d7dfe142dcfa559e55d73a46b69debf0f03bc6242e3524ffe2e"),
+     "06b4d73e410d1add855d8c67a7f8b5d03037bb95e782a76ece3395db385ef21f"),
     (["diagnose", "stability", "--model", "ctmc", "--initials", "low:2,high:3",
       "--t-grid", "1,4", "--samples", "200", "--seed", "5"],
-     "e319aeac049d599d373513c42b02d49d7cf1601d6a7434ccd7e48719ef8aa3eb"),
+     "4224a941cbfba97667e0b843f7eabf49bf23b0ca8d8b118262c8aad93506efee"),
     (["diagnose", "stability", "--model", "drift", "--initials", "0.5,2",
       "--t-grid", "2,4", "--samples", "200", "--seed", "5"],
      "c997a1f4c252c862568798cca7a22a45c2cfec7ccb1f98fcfe84a9d6d0619531"),
     (["diagnose", "eprop", "--model", "ctmc"],
-     "1582b668e48059196b04aa8080a51fd70c015c369452824fddef187bf5fc8b32"),
+     "764ba8b4393304f9c9d15bccd60cbc37f6474354913b18f44c3acec476b463f1"),
     # 0.9.0: the C2 rows come from the backward sweep (see
     # test_exact_c2_rows_are_within_their_width_of_the_oracle)
     (["diagnose", "assumptions", "--c2", "true", "--samples", "200"],
@@ -1541,7 +1541,10 @@ def test_simulate_bytes_on_a_model_warmed_by_another_command(tmp_path, monkeypat
         "stability-ctmc", "stability-drift", "eprop-ctmc", "assumptions-c2"])
 def test_table_bytes_are_pinned(tmp_path, monkeypatch, argv, digest):
     # digests of the 0.8.0 tables: the chain's closed form, its sampled
-    # estimates and the diagnostics on the ctmc, halving and drift models
+    # estimates and the diagnostics on the ctmc, halving and drift models.
+    # 0.10.0: ctmc manifests carry no lambda, and the chain's exact rows
+    # come from the sweep (see
+    # test_chain_exact_rows_are_within_their_width_of_the_closed_form)
     from ergokit import cli
 
     monkeypatch.setitem(cli._MODELS, "drift", (_drift_model, ()))
@@ -1624,22 +1627,22 @@ def test_moving_flow_tables_are_pinned(tmp_path, monkeypatch, argv, digest):
 @pytest.mark.parametrize("argv, status, digest", [
     (["--model", "ctmc", "--x0", "low:2,low:4,high:3", "--times", "1,4,16", "--f", "xmin1",
       "--ball", "0,0.1", "--samples", "6000"], 0,
-     "f81ecc3241af896d7b89ba263ee3cdbd74a66f4b73a57a36e751c32b7d4a6a14"),
+     "31473acacd7db829786ab3538f9f81764e1ee1613263a9631fff06c2e09f247b"),
     (["--model", "ctmc", "--x0", "low:2,high:3", "--times", "1,4", "--f", "const:3",
       "--samples", "500", "--seed", "4"], 0,
-     "eea28d5657bd8fefc949be12caf2bc16ebadb311557cb6180877a842fdb2d282"),
+     "84c7ed86cf72a2877e5d298f2524bdce78ca3344df6427c2625d0d63840ffd9b"),
     (["--model", "ctmc", "--x0", "low:2,low:4,high:3", "--times", "1,4,16",
       "--f", "bump:0,1,0.5", "--samples", "500", "--seed", "4"], 0,
-     "a288842fb2c57db29e5bfbee6502a5e95e152d0beb133fa1c5b915feedf20aa8"),
+     "9b8f29fc4cefb3488d79571de63a2c81e6e0303d178e8f3616852c69e62ba83b"),
     (["--model", "halving", "--x0", "0.5,2", "--times", "5,20", "--f", "bump:0,0.5,0.2",
       "--samples", "300", "--seed", "3"], 0,
      "73141423e8584a6021f56db78b05b5babea9623c06062a1c33188b34d29a5395"),
     (["--model", "ctmc", "--x0", "high:2", "--times", "0,1,50", "--f", "bump:1,2,1e-300",
       "--samples", "200", "--seed", "6"], 1,
-     "7a3caf05531a07123bf6db099a05f890d1c42b19a421d40d85bbb0b965a357f4"),
+     "fb9dba67d7ffcc66a6a9a912d32a1a846840be68ae676a67537f9a49c8b147af"),
     (["--model", "ctmc", "--x0", "low:3,high:2", "--times", "2,9", "--f", "xmin1",
       "--ball", "0,0.3", "--samples", "8197", "--seed", "11"], 0,
-     "f80388ba463be140bb42760ad5701c848f81d91647c190770c76805d0d060bcd"),
+     "61fe2f31e805a174571f72e1d9cde40fa7bfb11dcb5f880f928eff4066411e82"),
 ], ids=["ctmc-xmin1-ball-two-chunks", "ctmc-const", "ctmc-bump", "halving-bump",
         "ctmc-bump-zero-division", "ctmc-xmin1-ball-chunk-plus-5"])
 def test_estimate_tables_are_pinned(tmp_path, capsys, argv, status, digest):
@@ -1649,7 +1652,8 @@ def test_estimate_tables_are_pinned(tmp_path, capsys, argv, status, digest):
     # error and the run exits 1. The first case's 6000 trajectories per cell
     # took two passes of the Philox kernel at CHUNK = 4096, as its id says,
     # and take one since CHUNK = 8192; the last case's CHUNK + 5 = 8197 take
-    # two, and its digest was taken at CHUNK = 4096 (three passes)
+    # two, and its digest was taken at CHUNK = 4096 (three passes). The
+    # ctmc digests moved in 0.10.0 only by the manifest's lambda line
     tables = []
     for workers in ("1", "2"):
         table = tmp_path / f"w{workers}.csv"
@@ -1792,6 +1796,59 @@ def test_config_file_format_is_checked_before_any_cell_is_sampled(tmp_path, caps
     cfg.write_text("model = ctmc\nx0 = low:2\ntimes = 1\nf = xmin1\nsamples = 10\nformat = xml\n")
     code, out, err = run_cli(capsys, "estimate", "--config", str(cfg))
     assert (code, out, err.count("\n"), calls) == (2, "", 1, [])
+
+
+def test_ctmc_refuses_a_jump_rate_given_as_a_flag(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--model", "ctmc", "--x0", "low:2",
+                             "--times", "1", "--f", "xmin1", "--lambda", "7")
+    assert (code, out, err) == (2, "", "error: model ctmc is a chain with no jump rate; "
+                                       "drop lambda\n")
+
+
+def test_ctmc_refuses_a_jump_rate_given_in_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "ctmc.cfg"
+    cfg.write_text("model = ctmc\nlambda = 1\nx0 = low:2\ntimes = 1\nf = xmin1\n")
+    code, out, err = run_cli(capsys, "estimate", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: model ctmc is a chain with no jump rate; "
+                                       "drop lambda\n")
+
+
+def _closed_chain_law(token, t):
+    """The chain's time-t law from a state token, by its closed form."""
+    from ergokit.core import EmpiricalMeasure
+    from ergokit.exact_ctmc import CtmcState, parse_ctmc_state, transition_prob
+
+    x = parse_ctmc_state(token)
+    ys = [CtmcState.zero()] + ([CtmcState.low(x.n), CtmcState.high(x.n)] if x.n else [])
+    law = sorted((y.value, transition_prob(x, y, t)) for y in ys)
+    return EmpiricalMeasure([v for v, _ in law], [p for _, p in law])
+
+
+@pytest.mark.parametrize("argv", [
+    ("stability", "--initials", "low:2,high:3,low:49,high:93", "--t-grid", "1,4,49,93"),
+    ("eprop",),
+    ("eprop", "--pairs", "low:49@49,low:93@93,high:49@49,low:2@1e-9"),
+], ids=["stability", "eprop-auto", "eprop-49-93"])
+def test_chain_exact_rows_are_within_their_width_of_the_closed_form(capsys, argv):
+    # every exact row of the chain comes from the jump-system sweep: a
+    # width above 0 that covers its distance to the closed form
+    from ergokit.core import EmpiricalMeasure, bl_distance, xmin1
+    from ergokit.exact_ctmc import parse_ctmc_state, semigroup_apply
+
+    code, out, _ = run_cli(capsys, "diagnose", *argv, "--model", "ctmc")
+    manifest, _, rows = parse_csv(out)
+    assert (code, manifest["mode"]) == (0, "exact")
+    assert rows
+    for row in rows:
+        t = float(row["t"])
+        if row["label"] == "witness":
+            truth = semigroup_apply(xmin1(), parse_ctmc_state(row["x"]), t)
+        else:
+            laws = [_closed_chain_law(x, t) for x in row["x"].split("|")]
+            truth = bl_distance(laws[0], laws[1] if len(laws) == 2
+                                else EmpiricalMeasure.point_mass(0.0))
+        assert 0.0 < float(row["half_width"])
+        assert abs(float(row["value"]) - truth) <= float(row["half_width"])
 
 
 def test_config_file_rejects_the_key_lam(tmp_path, capsys):

@@ -99,6 +99,15 @@ def test_bl_positive_for_distinct_measures(seed):
     assert bl_distance(measure(support, w1), measure(support, w2)) > 0.0
 
 
+@pytest.mark.parametrize("x", [0.0, 0.5, 3.0])
+def test_bl_between_one_point_measures_is_their_weight_gap(x):
+    # f = 1 on the common point pairs to the weight gap, and no 1-bounded f
+    # does better
+    gap = 2.0 ** -42
+    assert bl_distance(measure([x], [1.0]), measure([x], [1.0 - gap])) == gap
+    assert bl_distance(measure([x], [1.0 - gap]), measure([x], [1.0])) == gap
+
+
 def reference_max_signed_pairing(support, d):
     # The breakpoint-array form of the same dynamic programme, rebuilt with
     # numpy at every support point (O(n * breakpoints)); kept as the

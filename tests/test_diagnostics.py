@@ -17,7 +17,7 @@ from ergokit.diagnostics import (
     lower_bound_scan,
     stability_report,
 )
-from ergokit.exact_ctmc import CtmcProcess, CtmcState
+from ergokit.exact_ctmc import CtmcProcess, CtmcState, semigroup_apply
 from ergokit.ifs_jump import (
     AssumptionSet,
     ExponentialFlow,
@@ -55,6 +55,12 @@ class Sampled:
             self.batch_draws = process.batch_draws
 
 
+def _closed_gap(x, grid):
+    """max over grid of |P_t F(x) - P_t F(0)| on the chain, by its closed form."""
+    return max(abs(semigroup_apply(F, x, t) - semigroup_apply(F, CtmcState.zero(), t))
+               for t in grid)
+
+
 # ---------------------------------------------------------------------------
 # late-time sensitivity profile
 
@@ -68,7 +74,10 @@ def test_ec_exact_profile_matches_closed_form(n):
     closed = max(math.exp(-t / n) * (1.0 + t) / n for t in grid)
     assert psi == pytest.approx(closed, abs=1e-15)
     assert psi <= 11.0 * math.exp(-10.0)
-    assert report.rows[0].half_width == 0.0
+    # the sweep's rows count their rounding: a width above 0 that covers
+    # the distance to the closed form
+    assert 0.0 < report.rows[0].half_width
+    assert abs(psi - _closed_gap(CtmcState.low(n), grid)) <= report.rows[0].half_width
 
 
 def test_ec_exact_profile_zero_at_anchor():
@@ -122,8 +131,9 @@ def test_ec_sampled_chain_brackets_the_exact_profile():
     sampled = ec_profile(Sampled(CTMC), F, z, xs, 2.0, 4.0, grid,
                          McSettings(n_samples=4_000, seed=19))
     assert [(r.label, r.x, r.t) for r in sampled.rows] == [(r.label, r.x, r.t) for r in exact.rows]
-    for e, m in zip(exact.rows, sampled.rows):
-        assert e.half_width == 0.0 < m.half_width
+    for x, e, m in zip(xs, exact.rows, sampled.rows):
+        assert 0.0 < e.half_width < m.half_width
+        assert abs(e.value - _closed_gap(x, grid)) <= e.half_width
         assert abs(m.value - e.value) <= m.half_width
 
 
@@ -193,8 +203,9 @@ def test_eprop_sampled_chain_brackets_the_exact_witnesses():
     sampled = eproperty_witness(Sampled(CTMC), F, CtmcState.zero(), pairs,
                                 McSettings(n_samples=4_000, seed=37))
     assert [(r.x, r.t) for r in sampled.rows] == [(r.x, r.t) for r in exact.rows]
-    for e, m in zip(exact.rows, sampled.rows):
-        assert e.half_width == 0.0 < m.half_width
+    for (x, t), e, m in zip(pairs, exact.rows, sampled.rows):
+        assert 0.0 < e.half_width < m.half_width
+        assert abs(e.value - _closed_gap(x, [t])) <= e.half_width
         assert abs(m.value - e.value) <= m.half_width
 
 

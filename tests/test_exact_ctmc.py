@@ -1,4 +1,6 @@
 import math
+import pickle
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,13 +10,13 @@ from ergokit.core import Ball, xmin1
 from ergokit.exact_ctmc import (
     CtmcProcess,
     CtmcState,
+    _jump_system,
     chapman_kolmogorov_residual,
     parse_ctmc_state,
     sample_path,
     semigroup_apply,
     transition_prob,
 )
-from ergokit.ifs_jump import IfsModel
 from ergokit.montecarlo import (
     CHUNK,
     StreamFactory,
@@ -22,6 +24,7 @@ from ergokit.montecarlo import (
     sample_terminals,
     stream_uniforms,
 )
+from oracles import ctmc_zero_mass
 
 F = xmin1()
 
@@ -271,69 +274,46 @@ def test_batch_sampled_cell_memory_stays_near_its_output():
     assert peak < out.nbytes + 2_000_000
 
 
-def test_exact_law_is_a_probability_measure():
-    law = CtmcProcess().exact_law(CtmcState.low(5), 5.0)
-    assert float(np.sum(law.weights)) == pytest.approx(1.0, abs=1e-12)
-    assert list(law.support) == [0.0, 0.2, 5.0]
-
-
 def test_exact_laws_and_means_of_an_empty_grid_are_empty():
     chain = CtmcProcess()
     assert chain.exact_laws(CtmcState.low(3), []) == []
     assert chain.exact_means([CtmcState.low(3), CtmcState.zero()], [], [F]) == [[], []]
 
 
-def test_exact_means_sum_the_closed_form_laws():
-    # in ascending support order, with bound 0: the sums the diagnostics
-    # made from exact_laws before exact_means
-    chain = CtmcProcess()
-    starts, times = [CtmcState.low(4), CtmcState.high(3), CtmcState.zero()], [0.0, 1.0, 7.5]
-    ball = Ball(0.0, 0.3)
-    means = chain.exact_means(starts, times, [F, ball])
-    for x, at_x in zip(starts, means):
-        for t, ((mean, bound), (hit, hit_bound)) in zip(times, at_x):
-            law = chain.exact_law(x, t)
-            want = 0.0
-            for y, w in zip(law.support.tolist(), law.weights.tolist()):
-                want += w * F(y)
-            assert (mean, bound) == (want, 0.0)
-            assert (hit, hit_bound) == (sum(law.weights[law.support < 0.3].tolist()), 0.0)
-
-
-def _chain_as_jump_system():
-    # kill, stay or invert at rate 1/2: from 1/n invert with chance 2/n, from
-    # n kill with chance 2/n, so each live state is left at rate 1/n
-    def kill(x):
-        return 0.0
-
-    def stay(x):
-        return x
-
-    def invert(x):
-        return 1.0 / x
-
-    def field(x):
-        return (0.0, 1.0 - 2.0 * x, 2.0 * x) if x < 1.0 else (2.0 / x, 1.0 - 2.0 / x, 0.0)
-
-    return IfsModel(name="ctmc-ifs", maps=(kill, stay, invert), prob_field=field, rate=0.5,
-                    absorbing=(0.0,))
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 7, 10, 50])
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 10, 49, 50, 93, 1000])
 def test_the_chain_as_a_jump_system_matches_the_closed_form(n):
-    # the two exact engines on one process: xmin1 and a ball at each state,
-    # within the jump system's bound
-    chain, model = CtmcProcess(), _chain_as_jump_system()
+    # the sweep behind the exact rows against the chain's reference: xmin1
+    # and a ball at each state, from each start, within the sweep's bound;
+    # the zero mass from 1/n against the decimal oracle, as the closed form
+    # cancels there
     starts = [CtmcState.low(n), CtmcState.high(n), CtmcState.zero()]
-    times = [0.5, 4.0, float(n), 100.0]
-    functionals = [F] + [Ball(x.value, 0.5 / n) for x in starts]
-    want = chain.exact_means(starts, times, functionals)
-    got = model.exact_means([x.value for x in starts], times, functionals)
-    for at_x, ours in zip(want, got):
-        for cell, our_cell in zip(at_x, ours):
-            for (mean, _), (our_mean, bound) in zip(cell, our_cell):
-                assert 0.0 < bound < 1e-13
-                assert abs(our_mean - mean) <= bound
+    times = [1e-9, 0.5, 4.0, float(n), 100.0]
+    balls = [Ball(y.value, 0.5 / n) for y in starts]
+    means = CtmcProcess().exact_means(starts, times, [F] + balls)
+    for x, at_x in zip(starts, means):
+        for t, ((mean, bound), *hits) in zip(times, at_x):
+            assert 0.0 < bound < 1e-12
+            assert abs(mean - semigroup_apply(F, x, t)) <= bound
+            for y, (hit, hit_bound) in zip(starts, hits):
+                assert hit_bound == bound
+                assert abs(hit - transition_prob(x, y, t)) <= bound
+                if x.kind == "low" and y.kind == "zero":
+                    assert abs(Decimal(hit) - ctmc_zero_mass(n, t)) <= Decimal(bound)
+
+
+@pytest.mark.parametrize("n", [49, 93])
+def test_the_chain_laws_land_on_the_states_themselves(n):
+    # 1.0 / (1.0 / n) is 49.00000000000001 at 49 and 92.99999999999999 at 93
+    assert 1.0 / (1.0 / n) != n
+    [(law, bound)] = CtmcProcess().exact_laws(CtmcState.low(n), [float(n)])
+    assert law.support.tolist() == [0.0, 1.0 / n, float(n)]
+    assert 0.0 < bound
+
+
+def test_the_chain_jump_system_is_built_once_and_pickles():
+    model = _jump_system()
+    assert _jump_system() is model
+    assert pickle.loads(pickle.dumps(model)) == model
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +351,8 @@ def test_state_parsing_round_trip():
         parse_ctmc_state("mid:4")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="exact_laws takes P_t(1/n -> 0) as 1 - e^{-s} - s e^{-s}, s = t/n, which "
-           "cancels for small s, and claims error bound 0: at low:2, t = 1e-9 it "
-           "gives 4.16e-17 against a true 1.25e-19",
-)
 def test_exact_laws_bound_covers_the_rounding_of_the_zero_mass():
-    from decimal import Decimal
-
-    from oracles import ctmc_zero_mass
-
+    # the closed form 1 - e^{-s} - s e^{-s}, s = t/n, gives 4.16e-17 here
     [(law, bound)] = CtmcProcess().exact_laws(CtmcState.low(2), [1e-9])
     mass = float(law.weights[law.support == 0.0].sum())
     truth = ctmc_zero_mass(2, 1e-9)

@@ -48,7 +48,11 @@ trajectories, two draws each; ten cells per repeat), in microseconds per
 trajectory; one ``ctmc`` trajectory from ``low:4`` to t = 4 through
 ``sample_terminals`` (60 000 trajectories, uniforms included), in
 microseconds; and ``montecarlo._estimate`` of ``xmin1`` over 60 000
-values, in nanoseconds per value.
+values, in nanoseconds per value. Two more time one exact law of the
+chain from ``low:10`` through the jump-system sweep, at t = 100 and
+t = 10 000, in milliseconds: the sweep takes about t/2 steps (the chain's
+jump system runs at rate 1/2), so the cost grows with t, where the closed
+form it replaced cost the same at every t.
 
 The last four lines work at ``simulate``'s benchmark shape (halving from
 x0 = 5 to horizon 200, 400 trajectories, about 80 000 jump times). One times
@@ -184,6 +188,9 @@ def main():
     values, f = sample_terminals(chain, low4, 4.0, 60000, 3), xmin1()
     per_value = best(lambda: _estimate(values, f, 0.999)) / 60000
     print(f"xmin1 estimate: {show(per_value * 1e9, '.1f')} ns per value")
+    for t in (1e2, 1e4):
+        law = best(lambda: chain.exact_laws(CtmcState.low(10), [t]), 3)
+        print(f"ctmc exact law, low:10 at t = {t:g}: {show(law * 1e3, '.2f')} ms")
 
     def record():
         model, _ = example_halving(1.0)
