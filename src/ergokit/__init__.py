@@ -20,7 +20,7 @@ _EXPORTS = {
                    "parse_ctmc_state", "sample_path", "semigroup_apply", "transition_prob"),
     "ifs_jump": ("AssumptionSet", "ExponentialFlow", "IdentityFlow", "IfsModel", "Trajectory",
                  "example_flip", "example_halving", "halving_tv_modulus", "j_n",
-                 "linear_modulus", "sample_jump_chain"),
+                 "linear_modulus", "sample_jump_chain", "sample_jump_chains"),
     "montecarlo": ("Estimate", "McSettings", "StreamFactory", "estimate_ptf",
                    "hoeffding_half_width", "run_batch", "sample_terminals"),
     "diagnostics": ("DiagnosticReport", "ReportRow", "check_b2", "check_b3", "check_b5",

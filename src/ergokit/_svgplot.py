@@ -17,9 +17,11 @@ def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") 
     """Render named (x, y) series as a ``WIDTH`` by ``HEIGHT`` SVG line chart.
 
     ``series`` is a sequence of ``(name, points)`` with ``points`` a sequence
-    of (x, y) pairs. Output bytes depend only on the inputs.
+    of (x, y) pairs, read as floats where they are used rather than copied,
+    so a chart of many points holds them once. Output bytes depend only on
+    the inputs.
     """
-    series = [(name, [(float(x), float(y)) for x, y in pts]) for name, pts in series if pts]
+    series = [(name, pts) for name, pts in series if pts]
     left, right, top, bottom = 70, 20, 40, 55
     px0, px1 = left, WIDTH - right
     py0, py1 = HEIGHT - bottom, top
@@ -36,19 +38,20 @@ def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") 
                    f'font-family="sans-serif" font-size="13">no data</text></svg>')
         return "\n".join(out) + "\n"
 
-    xs = [x for _, pts in series for x, _ in pts]
-    ys = [y for _, pts in series for _, y in pts]
-    xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
+    xmin = min(float(x) for _, pts in series for x, _ in pts)
+    xmax = max(float(x) for _, pts in series for x, _ in pts)
+    ymin = min(float(y) for _, pts in series for _, y in pts)
+    ymax = max(float(y) for _, pts in series for _, y in pts)
     if xmax == xmin:
         xmin, xmax = xmin - 0.5, xmax + 0.5
     if ymax == ymin:
         ymin, ymax = ymin - 0.5, ymax + 0.5
 
     def sx(x: float) -> float:
-        return px0 + (x - xmin) / (xmax - xmin) * (px1 - px0)
+        return px0 + (float(x) - xmin) / (xmax - xmin) * (px1 - px0)
 
     def sy(y: float) -> float:
-        return py0 + (y - ymin) / (ymax - ymin) * (py1 - py0)
+        return py0 + (float(y) - ymin) / (ymax - ymin) * (py1 - py0)
 
     out.append(f'<line x1="{px0}" y1="{py0}" x2="{px1}" y2="{py0}" stroke="black"/>')
     out.append(f'<line x1="{px0}" y1="{py0}" x2="{px0}" y2="{py1}" stroke="black"/>')

@@ -51,7 +51,7 @@ class CliError(Exception):
 # loads neither ``ifs_jump`` nor ``diagnostics``. The functions below stand
 # for the library functions of the same name. They are globals of this
 # module from import on, and the commands call them through these globals,
-# so replacing ``cli.sample_jump_chain`` (as a tracer or a test does)
+# so replacing ``cli.sample_jump_chains`` (as a tracer or a test does)
 # replaces what ``simulate`` runs.
 
 
@@ -61,8 +61,13 @@ _module = functools.lru_cache(maxsize=None)(_submodule)
 
 
 def sample_jump_chain(*args, **kwargs):
-    """``ifs_jump.sample_jump_chain``, imported on first call."""
+    """``ifs_jump.sample_jump_chain``, imported on first call; no command runs it."""
     return _module("ifs_jump").sample_jump_chain(*args, **kwargs)
+
+
+def sample_jump_chains(*args, **kwargs):
+    """``ifs_jump.sample_jump_chains``, imported on first call."""
+    return _module("ifs_jump").sample_jump_chains(*args, **kwargs)
 
 
 def lower_bound_scan(*args, **kwargs):
@@ -436,8 +441,8 @@ class _EdgeTexts(dict):
     every row under a moving flow, is formatted on its own."""
 
     def __init__(self, model):
-        moving = not isinstance(model.flow, _module("ifs_jump").IdentityFlow)
-        self.memo = {} if moving else model._memo
+        identity = isinstance(model.flow, _module("ifs_jump").IdentityFlow)
+        self.memo = model._memo if identity else {}
 
     def __missing__(self, row: tuple) -> str:
         text = ",%.17g,%d,%.17g\n" % row
@@ -463,26 +468,25 @@ def _percent_texts(arrays: Iterable) -> Iterable[list]:
         yield ("%.17g," * n % tuple(values.tolist())).split(",")[:n]
 
 
-def _trajectory_chunks(trajectories: Sequence, texts: _EdgeTexts,
+def _trajectory_chunks(records: Sequence, texts: _EdgeTexts,
                        tau_texts: Callable) -> Iterable[str]:
-    """The CSV rows of ``simulate``, one chunk per trajectory. A row joins
-    its ``traj_id,``, its ``k,`` from one list that every trajectory
-    shares, its ``tau_k`` from ``tau_texts`` over the trajectories' times,
-    and its text in ``texts``. Both ``tau_texts`` give ``"%.17g" % tau``
-    byte for byte: ``_percent_texts`` one ``%`` per trajectory, and
-    ``_g17.g17_texts`` the times of consecutive trajectories a block at a
-    time, exactly in integer arithmetic for times in [1, 2**40) and
-    through ``%`` for the rest."""
+    """The CSV rows of ``simulate``, one chunk per trajectory's records
+    (see ``ifs_jump.sample_jump_chains``). A row joins its ``traj_id,``, its
+    ``k,`` from one list that every trajectory shares, its ``tau_k`` from
+    ``tau_texts`` over the times, and its text in ``texts``. Both
+    ``tau_texts`` give ``"%.17g" % tau`` byte for byte: ``_percent_texts``
+    one ``%`` per trajectory, and ``_g17.g17_texts`` the times of
+    consecutive trajectories a block at a time, exactly in integer
+    arithmetic for times in [1, 2**40) and through ``%`` for the rest."""
     ks: list = []
-    taus = tau_texts(traj.tau for traj in trajectories)
-    for traj_id, (traj, tau_k) in enumerate(zip(trajectories, taus)):
-        n = len(traj)
+    taus = tau_texts(tau for tau, _, _, _ in records)
+    for traj_id, ((_, xi, index, phi), tau_k) in enumerate(zip(records, taus)):
+        n = len(xi)
         ks += [f"{k}," for k in range(len(ks) + 1, n + 1)]
         pieces = [f"{traj_id},"] * (4 * n)
         pieces[1::4] = ks[:n]
         pieces[2::4] = tau_k
-        pieces[3::4] = map(texts.__getitem__, zip(traj.xi.tolist(), traj.index.tolist(),
-                                                  traj.phi.tolist()))
+        pieces[3::4] = map(texts.__getitem__, zip(xi, index, phi))
         yield "".join(pieces)
 
 
@@ -498,26 +502,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     settings.get("workers", None, _positive_int)  # validated only: simulate runs in one process
     factory = StreamFactory(settings.get("seed", 0, _seed))
     # a table of fewer expected jumps than KERNEL_JUMPS keeps one % per
-    # trajectory; the kernel is imported before sampling, so that the
-    # scratch memory of its compile is reused by the trajectories rather
-    # than raising the peak
+    # trajectory; the kernel is imported before sampling, so the trajectories
+    # reuse the scratch memory of its compile instead of raising the peak
     tau_texts = _percent_texts
     if settings.format == "csv" and model.rate * horizon * count >= KERNEL_JUMPS:
         tau_texts = _module("_g17").g17_texts
-    # every trajectory is sampled before anything is written, so a failure
-    # leaves no output
-    trajectories = [sample_jump_chain(model, x0, horizon, stream)
-                    for stream in factory.streams(0, count)]
-
+    # every trajectory is sampled before anything is written: a failure writes nothing
+    records = list(sample_jump_chains(model, x0, horizon, factory.streams(0, count)))
     return _write(settings, "simulate", "trajectories-v1",
                   ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k"),
-                  ((k, j, *row) for k, traj in enumerate(trajectories) for j, row in enumerate(
-                      zip(traj.tau.tolist(), traj.xi.tolist(), traj.index.tolist(),
-                          traj.phi.tolist()), 1)),
+                  ((k, j, *row) for k, (tau, *lists) in enumerate(records)
+                   for j, row in enumerate(zip(tau.tolist(), *lists), 1)),
                   (f"{name} trajectories", "state",
-                   ((f"traj {k}", tau, phi) for k, traj in enumerate(trajectories)
-                    for tau, phi in zip(traj.tau.tolist(), traj.phi.tolist()))),
-                  chunks=_trajectory_chunks(trajectories, _EdgeTexts(model), tau_texts))
+                   ((f"traj {k}", t, x) for k, (tau, _, _, phi) in enumerate(records)
+                    for t, x in zip(tau.tolist(), phi))),
+                  chunks=_trajectory_chunks(records, _EdgeTexts(model), tau_texts))
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:

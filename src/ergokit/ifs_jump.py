@@ -40,6 +40,7 @@ __all__ = [
     "example_flip",
     "example_halving",
     "sample_jump_chain",
+    "sample_jump_chains",
     "j_n",
     "linear_modulus",
     "halving_tv_modulus",
@@ -191,12 +192,14 @@ class IfsModel:
         x = as_state(x0)
         if t == 0.0:
             return (x for _ in streams)
-        return self._jump_loop(x, t, streams, self.absorbing, None)
+        return self._jump_loop(x, t, streams, self.absorbing, False)
 
-    def _jump_loop(self, x0: float, t: float, streams, stop: tuple, record):
+    def _jump_loop(self, x0: float, t: float, streams, stop: tuple, record: bool):
         """Trajectories from the valid state x0 up to time t, one per stream
         in ``streams``: yields, in stream order, each one's state at time t
-        or the first state it reaches in ``stop``.
+        or the first state it reaches in ``stop``; with ``record``, its
+        records instead, four new lists of each jump's time, pre-jump point,
+        map index (1-based) and post-jump point.
 
         The set-up below runs once for all of them. A jump takes two
         uniforms, one for the exponential waiting time and one for the
@@ -204,9 +207,7 @@ class IfsModel:
         ``stream.random()`` calls would return them; a trajectory reads
         them in blocks that double from ``BLOCK`` to ``MAX_BLOCK``. Flowed
         points (pre-jump and terminal) and map outputs must be finite and
-        nonnegative. ``record``, if not None, is four lists that receive
-        each jump's time, pre-jump point, map index (1-based) and post-jump
-        point.
+        nonnegative.
 
         Under the identity flow the model remembers the nonzero points it
         visits, while its memo has room: a point's first visit builds its
@@ -252,12 +253,13 @@ class IfsModel:
         exp = math.exp
         inf = math.inf
         ndarray = np.ndarray
-        if record is not None:
-            taus, xis, idxs, phis = (lst.append for lst in record)
         # last: the vector that passed the inline checks on the latest
         # inline jump; held: the constant tuple whose running sums are sums
         last = held = sums = None
         for stream in streams:
+            if record:
+                rec = [], [], [], []
+                taus, xis, idxs, phis = (lst.append for lst in rec)
             random = stream.random
             x = x0
             # buf[i] is the next uniform while i < full; the next refill
@@ -346,12 +348,12 @@ class IfsModel:
                     x = float(maps[chosen - 1](pre))
                     if not 0.0 <= x < inf:
                         raise self._invalid_map(chosen, pre, x)
-                if record is not None:
+                if record:
                     taus(now)
                     xis(pre)
                     idxs(chosen)
                     phis(x)
-            yield x
+            yield rec if record else x
 
     def exact_laws(self, x0: float, times) -> Optional[list]:
         """Time-t laws from x0, one ``(law, bound)`` pair per t in times;
@@ -651,7 +653,8 @@ class Trajectory:
 
 def sample_jump_chain(model: IfsModel, x: float, horizon: float,
                       stream: np.random.Generator) -> Trajectory:
-    """Sample one trajectory and record every jump up to the horizon.
+    """Sample one trajectory and record every jump up to the horizon: the
+    one-stream case of ``sample_jump_chains``, as a ``Trajectory``.
 
     Waiting times are i.i.d. exponential with the model rate, drawn by
     inverse CDF; the map index at each jump is drawn from the selection
@@ -660,19 +663,36 @@ def sample_jump_chain(model: IfsModel, x: float, horizon: float,
     read in blocks (see ``IfsModel.terminal_state``), so its position after
     the call is unspecified.
     """
+    (tau, xi, index, phi), = sample_jump_chains(model, x, horizon, (stream,))
+    n = len(tau)
+    return Trajectory(x0=as_state(x), horizon=as_time(horizon, "horizon"), tau=tau,
+                      xi=np.fromiter(xi, float, n), index=np.fromiter(index, int, n),
+                      phi=np.fromiter(phi, float, n))
+
+
+def sample_jump_chains(model: IfsModel, x: float, horizon: float, streams):
+    """``sample_jump_chain(model, x, horizon, stream)`` for each stream in
+    turn, as an iterator over the trajectories' records: one jump loop
+    serves them all, as ``IfsModel.terminal_states_from`` serves a Monte
+    Carlo cell, so a stream may be restarted in place for each trajectory.
+
+    A trajectory's records are ``(tau, xi, index, phi)``: its jump times as
+    a float64 array, and the loop's own lists of its pre-jump points (Python
+    floats), map indices (1-based ints) and post-jump points (Python floats).
+    Where the memo serves a jump, its points are the memo's float objects,
+    so on a model that revisits its points (halving) a list of them takes
+    no more memory than an array.
+    """
     horizon = as_time(horizon, "horizon")
-    x = as_state(x)
-    taus, xis, idxs, phis = record = ([], [], [], [])
-    next(model._jump_loop(x, horizon, (stream,), (), record))
-    n = len(taus)
-    return Trajectory(
-        x0=x,
-        horizon=horizon,
-        tau=np.fromiter(taus, float, n),
-        xi=np.fromiter(xis, float, n),
-        index=np.fromiter(idxs, int, n),
-        phi=np.fromiter(phis, float, n),
-    )
+    records = model._jump_loop(as_state(x), horizon, streams, (), True)
+    flow = model.flow
+    if isinstance(flow, IdentityFlow) or type(flow) is ExponentialFlow:
+        return ((np.fromiter(tau, float, len(tau)), xi, index, phi)
+                for tau, xi, index, phi in records)
+    # any other flow is called by the loop, and its pre-jump points are
+    # what it returned: floats of another type become Python floats
+    return ((np.fromiter(tau, float, len(tau)), np.fromiter(xi, float, len(xi)).tolist(),
+             index, phi) for tau, xi, index, phi in records)
 
 
 def _gamma(n: int) -> float:

@@ -892,16 +892,19 @@ def _simulate_rows(trajectories):
 
 def _simulate_csv(trajectories, texts):
     """The table of ``trajectories`` through simulate's writer and through
-    the reference formatter, as a pair. The writer's table is made with
-    either ``tau_k`` formatter, and each must equal the reference."""
+    the reference formatter, as a pair. The writer reads each trajectory as
+    ``sample_jump_chains`` records it, and its table is made with either
+    ``tau_k`` formatter; each must equal the reference."""
     from ergokit import cli
     from ergokit._g17 import g17_texts
 
     manifest = {"command": "simulate", "seed": "3"}
     rows = _simulate_rows(trajectories)
     reference = _reference_csv(manifest, _SIMULATE_COLUMNS, rows)
+    records = [(traj.tau, traj.xi.tolist(), traj.index.tolist(), traj.phi.tolist())
+               for traj in trajectories]
     for taus in (g17_texts, cli._percent_texts):
-        chunks = cli._trajectory_chunks(trajectories, texts, taus)
+        chunks = cli._trajectory_chunks(records, texts, taus)
         streamed = "".join(cli._format_table(manifest, _SIMULATE_COLUMNS, rows, "csv", chunks))
         assert streamed == reference
     return streamed, reference
@@ -1114,6 +1117,28 @@ def test_simulate_peak_memory_stays_near_the_output_size(tmp_path, monkeypatch, 
     # rows are formatted and written a trajectory at a time, so nothing holds the
     # whole table: about 2x the file, against ~8x when every row was kept
     assert peak < 3 * out.stat().st_size
+
+
+def test_simulate_chart_holds_its_points_once(tmp_path):
+    # --plot keeps one (tau_k, phi_k) pair per row for the chart, and the
+    # chart reads them where it draws them: about 110 bytes a row more than
+    # the table alone, against about 220 when it copied every series
+    import tracemalloc
+
+    argv = ["simulate", "--model", "halving", "--x0", "5", "--horizon", "200",
+            "--trajectories", "50", "--out", str(tmp_path / "t.csv")]
+    peaks = []
+    for plot in ([], ["--plot", str(tmp_path / "t.svg")]):
+        assert main(argv + plot) == 0  # imports and first calls are not counted
+        tracemalloc.start()
+        try:
+            assert main(argv + plot) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    _, _, rows = parse_csv((tmp_path / "t.csv").read_text())
+    assert len(rows) > 5000
+    assert peaks[1] - peaks[0] < 160 * len(rows)
 
 
 def _digest_without_version(path):
@@ -1579,6 +1604,31 @@ def test_simulate_tables_are_pinned(tmp_path, monkeypatch, argv, csv_digest, jso
         (csv_digest, json_digest)
 
 
+@pytest.mark.parametrize("argv, csv_digest, json_digest", [
+    (["--model", "halving", "--x0", "5", "--horizon", "200", "--trajectories", "400",
+      "--seed", "3"],
+     "e990f3a38e68091b87581df81e3416b14053bb9d2595d9820923a2a75f1adff8",
+     "57dd527e41f02ac26b7051b32ac0a4e5ec3fc54c6791ebb4621622bb9ae5b557"),
+    (["--model", "expflow", "--x0", "0.3", "--horizon", "50", "--trajectories", "320",
+      "--seed", "4"],
+     "7c8cfb9c5966dca580494a1a1951a8644d248c4071317a7ca596a9900fd3c906",
+     "d12bb01a0e7bf614ac51f591e6fb487d2b608a676ae35fb515ccd40aa347638a"),
+], ids=["halving-benchmark", "expflow"])
+def test_large_simulate_tables_are_pinned(tmp_path, monkeypatch, argv, csv_digest,
+                                          json_digest):
+    # digests of 0.10.0 tables past KERNEL_JUMPS expected jump times (80 000
+    # and 16 000), whose CSV times come from the block kernel: the
+    # benchmark's halving table and a moving flow's
+    from ergokit import cli
+
+    monkeypatch.setitem(cli._MODELS, "expflow", (_expflow_model, ()))
+    table, doc = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(["simulate", *argv, "--out", str(table)]) == 0
+    assert main(["simulate", *argv, "--format", "json", "--out", str(doc)]) == 0
+    assert (_digest_without_version(table), _digest_without_version(doc)) == \
+        (csv_digest, json_digest)
+
+
 def _expflow_halve(x):
     return x / 2.0
 
@@ -1687,13 +1737,13 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, argv):
 @pytest.mark.parametrize("name, argv", [
     ("run_batch", ["estimate", "--model", "ctmc", "--x0", "low:2", "--times", "1",
                    "--f", "xmin1", "--samples", "20"]),
-    ("sample_jump_chain", ["simulate", "--model", "halving", "--x0", "5", "--horizon", "20",
-                           "--trajectories", "3"]),
+    ("sample_jump_chains", ["simulate", "--model", "halving", "--x0", "5", "--horizon", "20",
+                            "--trajectories", "3"]),
     ("lower_bound_scan", ["diagnose", "lowerbound", "--model", "halving", "--z", "0",
                           "--x-grid", "1", "--t-grid", "5"]),
     ("stability_report", ["diagnose", "stability", "--model", "flip", "--initials", "0",
                           "--t-grid", "2", "--samples", "20"]),
-], ids=["run_batch", "sample_jump_chain", "lower_bound_scan", "stability_report"])
+], ids=["run_batch", "sample_jump_chains", "lower_bound_scan", "stability_report"])
 def test_commands_call_entry_points_through_cli_globals(tmp_path, monkeypatch, name, argv):
     # the modules behind them load on first call; a replacement set on cli
     # is still the function the command runs

@@ -98,7 +98,8 @@ def test_json_and_plot_load_their_writers():
 
 def test_traced_entry_points_are_cli_globals_from_import_on():
     # a tracer wraps these through the module dict, not through getattr
-    names = ("sample_jump_chain", "run_batch", "lower_bound_scan", "stability_report")
+    names = ("sample_jump_chain", "sample_jump_chains", "run_batch", "lower_bound_scan",
+             "stability_report")
     code = ("import ergokit.cli as cli\n"
             f"assert all(n in cli.__dict__ for n in {names!r}), sorted(cli.__dict__)")
     assert "ergokit.cli" in loaded_by(code)

@@ -21,6 +21,7 @@ from ergokit.ifs_jump import (
     j_n,
     linear_modulus,
     sample_jump_chain,
+    sample_jump_chains,
 )
 from ergokit.montecarlo import StreamFactory, sample_cells, sample_terminals
 
@@ -454,6 +455,63 @@ def test_jump_chain_matches_reference_bit_for_bit(name, x0, horizon):
             assert traj.index.dtype == index.dtype and np.array_equal(traj.index, index)
             if x0 == 0.0 and name != "expflow" and horizon >= 7.0:
                 assert len(traj) > 0
+
+
+class _Float32Flow:
+    """A flow that the jump loop calls: x * exp(t / 50), as a float32."""
+
+    def __call__(self, t, x):
+        return np.float32(x * math.exp(t / 50.0))
+
+
+def _recorder_model(name):
+    # a fresh model, so each recorder starts with an empty memo
+    from test_cli import _drift_model, _edge_model, _orbit_model
+
+    if name == "float32-flow":
+        return IfsModel(name=name, maps=(lambda x: x / 2.0, lambda x: x),
+                        prob_field=lambda x: (0.5, 0.5), rate=1.0, flow=_Float32Flow())
+    builders = {"halving": example_halving, "flip": lambda lam: (example_flip(lam), None),
+                "orbit": _orbit_model, "drift": _drift_model, "edge": _edge_model}
+    return builders[name](1.0)[0]
+
+
+@pytest.mark.parametrize("name, x0", [("halving", 5.0), ("halving", 0.0), ("flip", 0.7),
+                                      ("flip", -0.0), ("orbit", 0.3), ("drift", 2.0),
+                                      ("edge", 2.0), ("edge", -0.0), ("float32-flow", 1.0)])
+@pytest.mark.parametrize("horizon", [0.0, 0.2, 60.0])
+def test_cell_records_equal_one_stream_chains_bit_for_bit(name, x0, horizon):
+    # one jump loop over a cell's streams, with one memo and one set of kept
+    # sums, records what a loop per stream records, and the reference too:
+    # at horizon 0 no trajectory jumps, at 0.2 most do not
+    cell, single = _recorder_model(name), _recorder_model(name)
+    factory = StreamFactory(5)
+    records = list(sample_jump_chains(cell, x0, horizon, factory.streams(2, 40)))
+    assert len(records) == 40
+    for k, (tau, xi, index, phi) in enumerate(records):
+        traj = sample_jump_chain(single, x0, horizon, factory.stream(2, k))
+        ref = _ref_jump_chain(_recorder_model(name), x0, horizon, factory.stream(2, k))
+        assert type(tau) is np.ndarray and tau.dtype == np.float64
+        assert {type(v) for v in xi + phi} <= {float} and {type(j) for j in index} <= {int}
+        for got, one, want in zip((tau, xi, index, phi),
+                                  (traj.tau, traj.xi, traj.index, traj.phi), ref):
+            assert _same_bits(got, one) and _same_bits(got, want)
+    jumps = [len(tau) for tau, _, _, _ in records]
+    if horizon == 0.0:
+        assert not any(jumps)
+    else:
+        assert 0 < sum(jumps) and (horizon > 1.0 or 0 in jumps)
+    if name == "edge" and horizon > 1.0:
+        assert {"-0.0", "5e-324", "1e+308"} <= {repr(x) for _, _, _, phi in records for x in phi}
+
+
+def test_cell_recorder_checks_its_arguments_before_it_samples():
+    # the horizon, then the start, as sample_jump_chain checks them
+    model = example_halving(1.0)[0]
+    with pytest.raises(ValueError, match="horizon must be"):
+        sample_jump_chains(model, -1.0, -1.0, iter(()))
+    with pytest.raises(ValueError, match="state point must be"):
+        sample_jump_chains(model, -1.0, 1.0, iter(()))
 
 
 class _StubStream:
