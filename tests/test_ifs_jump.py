@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -493,6 +494,9 @@ def test_cell_records_equal_one_stream_chains_bit_for_bit(name, x0, horizon):
         ref = _ref_jump_chain(_recorder_model(name), x0, horizon, factory.stream(2, k))
         assert type(tau) is np.ndarray and tau.dtype == np.float64
         assert {type(v) for v in xi + phi} <= {float} and {type(j) for j in index} <= {int}
+        # no spare room: the lists of a whole table stay as small as arrays
+        exact = sys.getsizeof([None] * len(tau))
+        assert [sys.getsizeof(lst) for lst in (xi, index, phi)] == [exact] * 3
         for got, one, want in zip((tau, xi, index, phi),
                                   (traj.tau, traj.xi, traj.index, traj.phi), ref):
             assert _same_bits(got, one) and _same_bits(got, want)
