@@ -17,9 +17,9 @@ def line_chart_svg(series, title: str = "", xlabel: str = "", ylabel: str = "") 
     """Render named (x, y) series as a ``WIDTH`` by ``HEIGHT`` SVG line chart.
 
     ``series`` is a sequence of ``(name, points)`` with ``points`` a sequence
-    of (x, y) pairs, read as floats where they are used rather than copied,
-    so a chart of many points holds them once. Output bytes depend only on
-    the inputs.
+    of (x, y) pairs, read as floats where they are used, not copied: a
+    chart of many points holds them once. Output bytes depend only on the
+    inputs.
     """
     series = [(name, pts) for name, pts in series if pts]
     left, right, top, bottom = 70, 20, 40, 55

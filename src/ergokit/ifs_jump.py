@@ -689,8 +689,8 @@ def sample_jump_chains(model: IfsModel, x: float, horizon: float, streams):
     # points are what it returned: floats of another type become Python floats
     called = not isinstance(model.flow, IdentityFlow) and type(model.flow) is not ExponentialFlow
     # each list is copied at its exact size: grown by appends, it has up to
-    # an eighth spare, which a whole table's lists would hold (0.2 MB of RSS
-    # on the benchmark's 80 000 jumps)
+    # an eighth spare, which a whole table's lists would hold (about 0.2 MB
+    # of resident memory over 80 000 jumps)
     return ((np.fromiter(tau, float, len(tau)),
              np.fromiter(xi, float, len(xi)).tolist() if called else xi[:], index[:], phi[:])
             for tau, xi, index, phi in records)

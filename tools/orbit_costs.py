@@ -54,16 +54,21 @@ t = 10 000, in milliseconds: the sweep takes about t/2 steps (the chain's
 jump system runs at rate 1/2), so the cost grows with t, where the closed
 form it replaced cost the same at every t.
 
-The last four lines work at ``simulate``'s benchmark shape (halving from
+The last five lines work at ``simulate``'s benchmark shape (halving from
 x0 = 5 to horizon 200, 400 trajectories, about 80 000 jump times). One times
-``sample_jump_chain``, as the command runs it: a fresh model, one stream per
-trajectory from ``StreamFactory.streams`` and each ``Trajectory`` built, in
-microseconds per recorded jump. Two time the ``tau_k`` texts of those
-trajectories' times, in nanoseconds per time: one ``%`` per trajectory
-(``cli._percent_texts``) and the block kernel (``_g17.g17_texts``). The last
-times the CSV writer on the trajectories, already sampled, with the block
-kernel as the command runs it at this size: the table written to a
-temporary file, in microseconds per row.
+``sample_jump_chains``, as the command runs it: a fresh model and one jump
+loop over the 400 streams of ``StreamFactory.streams``, each trajectory's
+records handed over as the loop yields them, in microseconds per recorded
+jump. One times, in microseconds per trajectory, the part of that which
+does not grow with the jumps: 10 000 trajectories to t = 1e-9, which make
+no jump, through that one loop (a stream reset, a first block of uniforms,
+four new record lists and a times array each) and, for comparison, through
+``sample_jump_chain`` per stream (a loop set up and a ``Trajectory`` built
+each). Two time the ``tau_k`` texts of the recorded times, in nanoseconds
+per time: one ``%`` per trajectory (``cli._percent_texts``) and the block
+kernel (``_g17.g17_texts``). The last times the CSV writer on the records,
+already sampled, with the block kernel as the command runs it at this
+size: the table written to a temporary file, in microseconds per row.
 """
 
 from __future__ import annotations
@@ -192,16 +197,21 @@ def main():
         law = best(lambda: chain.exact_laws(CtmcState.low(10), [t]), 3)
         print(f"ctmc exact law, low:10 at t = {t:g}: {show(law * 1e3, '.2f')} ms")
 
-    def record():
+    def record(horizon=200.0, count=400):
         model, _ = example_halving(1.0)
-        return model, [cli.sample_jump_chain(model, 5.0, 200.0, stream)
-                       for stream in factory.streams(0, 400)]
+        return model, list(cli.sample_jump_chains(model, 5.0, horizon,
+                                                  factory.streams(0, count)))
 
-    model, trajectories = record()
-    jumps = sum(map(len, trajectories))
+    model, records = record()
+    taus = [tau for tau, _, _, _ in records]
+    jumps = sum(map(len, taus))
     per_jump = best(record) / jumps
     print(f"recorded jump, halving x0 = 5 to t = 200: {show(per_jump * 1e6, '.3f')} us")
-    taus = [traj.tau for traj in trajectories]
+    cell = best(lambda: record(1e-9, 10000)) / 10000
+    one = best(lambda: [cli.sample_jump_chain(model, 5.0, 1e-9, stream)
+                        for stream in factory.streams(0, 10000)]) / 10000
+    print(f"recorded trajectory, no jump: {show(cell * 1e6, '.2f')} us in one loop, "
+          f"{show(one * 1e6, '.2f')} us a loop each")
     for name, tau_texts in (("one % per trajectory", cli._percent_texts),
                             ("block kernel", g17_texts)):
         per_text = best(lambda: deque(tau_texts(taus), maxlen=0)) / jumps
@@ -211,7 +221,7 @@ def main():
         path = str(Path(tmp) / "simulate.csv")
         write = best(lambda: cli._emit(cli._format_table(
             {"command": "simulate"}, columns, (), "csv",
-            cli._trajectory_chunks(trajectories, cli._EdgeTexts(model), g17_texts)), path))
+            cli._trajectory_chunks(records, cli._EdgeTexts(model), g17_texts)), path))
     per_row = write / jumps
     print(f"simulate writer, halving x0 = 5 to t = 200: {show(per_row * 1e6, '.3f')} us per row")
 
