@@ -10,7 +10,7 @@ imports.
 
 import sys
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
@@ -18,9 +18,9 @@ _EXPORTS = {
              "constant", "xmin1"),
     "exact_ctmc": ("CtmcProcess", "CtmcState", "chapman_kolmogorov_residual",
                    "parse_ctmc_state", "sample_path", "semigroup_apply", "transition_prob"),
-    "ifs_jump": ("AssumptionSet", "ExponentialFlow", "IdentityFlow", "IfsModel", "Trajectory",
+    "ifs_jump": ("AssumptionSet", "ExponentialFlow", "IdentityFlow", "IfsModel",
                  "example_flip", "example_halving", "halving_tv_modulus", "j_n",
-                 "linear_modulus", "sample_jump_chain", "sample_jump_chains"),
+                 "linear_modulus", "sample_jump_chains"),
     "montecarlo": ("Estimate", "McSettings", "StreamFactory", "estimate_ptf",
                    "hoeffding_half_width", "run_batch", "sample_terminals"),
     "diagnostics": ("DiagnosticReport", "ReportRow", "check_b2", "check_b3", "check_b5",

@@ -60,9 +60,11 @@ class CliError(Exception):
 _module = functools.lru_cache(maxsize=None)(_submodule)
 
 
-def sample_jump_chain(*args, **kwargs):
-    """``ifs_jump.sample_jump_chain``, imported on first call; no command runs it."""
-    return _module("ifs_jump").sample_jump_chain(*args, **kwargs)
+def sample_jump_chain(model, x, horizon, stream):
+    """One trajectory's jump times, whose ``len()`` is its jump count. No
+    command runs it; it is kept for ``perfbench/child.py::_probes`` until
+    the benchmark traces ``sample_jump_chains`` (ROADMAP item 21)."""
+    return next(sample_jump_chains(model, x, horizon, (stream,)))[0]
 
 
 def sample_jump_chains(*args, **kwargs):

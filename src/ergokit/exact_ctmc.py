@@ -201,15 +201,13 @@ class CtmcProcess:
     # uniforms per trajectory that terminal_states reads (at most two holding times)
     batch_draws = 2
 
-    def terminal_state(self, x0: CtmcState, t: float, stream: np.random.Generator) -> float:
-        return sample_path(x0, t, stream).value
-
     def terminal_states(self, x0: CtmcState, t: float, uniforms: np.ndarray) -> np.ndarray:
-        """Batch form of ``terminal_state``, one trajectory per row of uniforms.
+        """State at time t of one trajectory from x0 per row of uniforms.
 
         Row k holds the first ``batch_draws`` uniforms of trajectory k's
         stream; the cascade reads them in order, exactly as ``sample_path``
-        draws them, so each value equals ``terminal_state`` on that stream.
+        draws them, so each value equals ``sample_path(x0, t, stream).value``
+        on that stream.
         The holding times of all rows are computed as arrays, with numpy's
         ``log1p``, which can differ from ``math.log1p`` by an ulp; a row
         whose first holding time, or sum of both, lies within a relative

@@ -35,11 +35,9 @@ __all__ = [
     "IdentityFlow",
     "ExponentialFlow",
     "IfsModel",
-    "Trajectory",
     "AssumptionSet",
     "example_flip",
     "example_halving",
-    "sample_jump_chain",
     "sample_jump_chains",
     "j_n",
     "linear_modulus",
@@ -167,26 +165,18 @@ class IfsModel:
         return RuntimeError(
             f"map w{index} of model {self.name!r} produced invalid state {y!r} from x={x!r}")
 
-    def terminal_state(self, x0: float, t: float, stream: np.random.Generator) -> float:
-        """State at time t of one trajectory from x0; trajectory not recorded.
-
-        Stops drawing once the state hits an exact absorbing point; the
-        result is identical to interpolating a fully recorded trajectory.
-        The stream belongs to this one trajectory and is read in blocks,
-        ``BLOCK`` uniforms first and twice as many on each refill up to
-        ``MAX_BLOCK``, so its position after the call is unspecified.
-        """
-        return next(self.terminal_states_from(x0, t, (stream,)))
-
     def terminal_states_from(self, x0: float, t: float, streams):
-        """``terminal_state(x0, t, stream)`` for each stream in turn, as an
-        iterator: one jump loop and one set of checks serve them all, so a
-        Monte Carlo cell pays its set-up once, not once per trajectory.
+        """State at time t of one trajectory from x0 per stream, in stream
+        order, as an iterator: one jump loop and one set of checks serve
+        them all, so a Monte Carlo cell pays its set-up once.
 
-        A stream is read while its value is computed, before the next one is
-        taken, so an iterator that restarts one generator in place for each
-        trajectory (``StreamFactory.streams``) may supply them. A subclass
-        that overrides ``terminal_state`` must override this too.
+        A trajectory stops drawing at an exact absorbing point; the result
+        is that of its fully recorded trajectory. A stream belongs to one
+        trajectory and is read in blocks, ``BLOCK`` uniforms first and twice
+        as many on each refill up to ``MAX_BLOCK``, so its position after is
+        unspecified. It is read before the next one is taken, so
+        ``StreamFactory.streams``, which restarts one generator in place for
+        each trajectory, may supply them.
         """
         t = as_time(t)
         x = as_state(x0)
@@ -631,50 +621,16 @@ class IfsModel:
         return f"{x0:g}"
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Jump-chain record: arrays over jumps k = 1..K with tau_0 = 0 implicit.
-
-    ``tau`` holds jump times (strictly increasing), ``xi`` pre-jump points,
-    ``index`` the chosen map (1-based), ``phi`` post-jump points. Compared
-    and hashed by identity, as ``EmpiricalMeasure`` is.
-    """
-
-    x0: float
-    horizon: float
-    tau: np.ndarray
-    xi: np.ndarray
-    index: np.ndarray
-    phi: np.ndarray
-
-    def __len__(self) -> int:
-        return self.tau.size
-
-
-def sample_jump_chain(model: IfsModel, x: float, horizon: float,
-                      stream: np.random.Generator) -> Trajectory:
-    """Sample one trajectory and record every jump up to the horizon: the
-    one-stream case of ``sample_jump_chains``, as a ``Trajectory``.
+def sample_jump_chains(model: IfsModel, x: float, horizon: float, streams):
+    """Sample one trajectory from x per stream, recording every jump up to
+    the horizon, and yield each one's records in stream order: one jump
+    loop serves them all, as ``IfsModel.terminal_states_from`` serves a
+    Monte Carlo cell, and reads the streams as it does.
 
     Waiting times are i.i.d. exponential with the model rate, drawn by
     inverse CDF; the map index at each jump is drawn from the selection
-    probabilities evaluated at the pre-jump point. Jumps keep being recorded
-    at absorbing points. The stream belongs to this one trajectory and is
-    read in blocks (see ``IfsModel.terminal_state``), so its position after
-    the call is unspecified.
-    """
-    (tau, xi, index, phi), = sample_jump_chains(model, x, horizon, (stream,))
-    n = len(tau)
-    return Trajectory(x0=as_state(x), horizon=as_time(horizon, "horizon"), tau=tau,
-                      xi=np.fromiter(xi, float, n), index=np.fromiter(index, int, n),
-                      phi=np.fromiter(phi, float, n))
-
-
-def sample_jump_chains(model: IfsModel, x: float, horizon: float, streams):
-    """``sample_jump_chain(model, x, horizon, stream)`` for each stream in
-    turn, as an iterator over the trajectories' records: one jump loop
-    serves them all, as ``IfsModel.terminal_states_from`` serves a Monte
-    Carlo cell, so a stream may be restarted in place for each trajectory.
+    probabilities at the pre-jump point. Jumps keep being recorded at
+    absorbing points.
 
     A trajectory's records are ``(tau, xi, index, phi)``: its jump times as
     a float64 array, and lists of its pre-jump points (Python floats), map

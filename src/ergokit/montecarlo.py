@@ -17,10 +17,10 @@ function of its position: word ``d % 4`` of the Philox block for counter
 double ``(word >> 11) * 2**-53``. ``stream_uniforms`` evaluates that
 formula for many trajectories of one cell in one numpy pass, bit for bit
 equal to the ``StreamFactory`` stream; the work the rows share runs once,
-on Python ints. Processes with a batch form (the ``ctmc`` chain) are
-sampled from it, ``CHUNK`` trajectories at a time; the others run their scalar sampler on one stream per trajectory, a jump
-system one loop over all the streams of a cell. The
-chain's batch form computes the holding times with numpy's ``log1p``,
+on Python ints. A process samples in one of two forms: a batch form (the
+``ctmc`` chain) from those uniforms, ``CHUNK`` trajectories at a time, or
+a cell form (a jump system) in one loop over all the streams of a cell.
+The chain's batch form computes the holding times with numpy's ``log1p``,
 which may differ from ``math.log1p`` by an ulp, and reruns the scalar
 cascade on every row whose holding time, or sum of two, lies within a
 relative 2**-40 of t: no row can cross t, so each terminal state is the
@@ -321,22 +321,26 @@ def sample_terminals(process, x0, t: float, n: int, seed: int, *,
                      cell: int = 0) -> np.ndarray:
     """Terminal states of n independent trajectories, in trajectory order.
 
-    A process with a batch form ``terminal_states(x0, t, uniforms)`` gets
-    the first ``batch_draws`` uniforms of each trajectory's stream from
-    ``stream_uniforms``, ``CHUNK`` trajectories at a time. One with a cell
-    form ``terminal_states_from(x0, t, streams)`` (a jump system) gets the
-    cell's streams in one call and runs its set-up once; any other process
-    runs ``terminal_state`` on one stream per trajectory. Any sampler
+    A process samples in one of two forms. A batch form
+    ``terminal_states(x0, t, uniforms)`` (the ``ctmc`` chain) gets the
+    first ``batch_draws`` uniforms of each trajectory's stream from
+    ``stream_uniforms``, ``CHUNK`` trajectories at a time. A cell form
+    ``terminal_states_from(x0, t, streams)`` (a jump system) gets the
+    cell's streams in one call and runs its set-up once. Any sampler
     failure is re-raised with the offending trajectory index (a batch form
     fails only on inputs every trajectory shares, so that is the first one).
-    A cell that is not an integer in [0, 2**64) raises ``ValueError``
-    before any sampling.
+    A process with neither form, or a cell that is not an integer in
+    [0, 2**64), raises ``ValueError`` before any sampling.
     """
     if n < 1:
         raise ValueError("need at least one trajectory")
     cell = _counter_word(cell, "cell")
+    batch = hasattr(process, "terminal_states")
+    if not (batch or hasattr(process, "terminal_states_from")):
+        raise ValueError("a process needs a batch form terminal_states(x0, t, uniforms) "
+                         "or a cell form terminal_states_from(x0, t, streams)")
     out = np.empty(n)
-    if hasattr(process, "terminal_states"):
+    if batch:
         for start in range(0, n, CHUNK):
             stop = min(start + CHUNK, n)
             uniforms = stream_uniforms(seed, cell, start, stop, process.batch_draws)
@@ -348,11 +352,7 @@ def sample_terminals(process, x0, t: float, n: int, seed: int, *,
     streams = StreamFactory(seed).streams(cell, n)
     k = 0
     try:
-        if hasattr(process, "terminal_states_from"):
-            values = process.terminal_states_from(x0, t, streams)
-        else:
-            values = (process.terminal_state(x0, t, stream) for stream in streams)
-        for value in values:
+        for value in process.terminal_states_from(x0, t, streams):
             out[k] = value
             k += 1
     except Exception as exc:

@@ -876,18 +876,15 @@ _SIMULATE_COLUMNS = ("traj_id", "k", "tau_k", "xi_k", "index_k", "phi_k")
 
 
 def _trajectory(tau, xi, index, phi):
+    """A trajectory's records as ``sample_jump_chains`` yields them."""
     import numpy as np
-    from ergokit.ifs_jump import Trajectory
 
-    return Trajectory(x0=0.0, horizon=1.0, tau=np.array(tau, dtype=float),
-                      xi=np.array(xi, dtype=float), index=np.array(index, dtype=np.int64),
-                      phi=np.array(phi, dtype=float))
+    return np.array(tau, dtype=float), list(xi), list(index), list(phi)
 
 
 def _simulate_rows(trajectories):
-    return [(k, j, *cells) for k, traj in enumerate(trajectories) for j, cells in enumerate(
-        zip(traj.tau.tolist(), traj.xi.tolist(), traj.index.tolist(), traj.phi.tolist()),
-        start=1)]
+    return [(k, j, *cells) for k, (tau, *lists) in enumerate(trajectories)
+            for j, cells in enumerate(zip(tau.tolist(), *lists), start=1)]
 
 
 def _simulate_csv(trajectories, texts):
@@ -901,21 +898,20 @@ def _simulate_csv(trajectories, texts):
     manifest = {"command": "simulate", "seed": "3"}
     rows = _simulate_rows(trajectories)
     reference = _reference_csv(manifest, _SIMULATE_COLUMNS, rows)
-    records = [(traj.tau, traj.xi.tolist(), traj.index.tolist(), traj.phi.tolist())
-               for traj in trajectories]
     for taus in (g17_texts, cli._percent_texts):
-        chunks = cli._trajectory_chunks(records, texts, taus)
+        chunks = cli._trajectory_chunks(trajectories, texts, taus)
         streamed = "".join(cli._format_table(manifest, _SIMULATE_COLUMNS, rows, "csv", chunks))
         assert streamed == reference
     return streamed, reference
 
 
 def _sampled(model, x0, horizon, count, seed):
-    from ergokit import cli
+    """``count`` trajectories' records, each from a jump loop of its own."""
+    from ergokit.ifs_jump import sample_jump_chains
     from ergokit.montecarlo import StreamFactory
 
     factory = StreamFactory(seed)
-    return [cli.sample_jump_chain(model, x0, horizon, factory.stream(0, k))
+    return [next(sample_jump_chains(model, x0, horizon, (factory.stream(0, k),)))
             for k in range(count)]
 
 
@@ -998,8 +994,8 @@ def test_moving_flow_makes_no_edge_text():
 
     model, _ = _expflow_model(1.0)
     trajectories = _sampled(model, 0.3, 20.0, 5, 11)
-    for traj in trajectories:
-        for x in traj.xi.tolist():
+    for _, xi, _, _ in trajectories:
+        for x in xi:
             model._node_at(x)
     assert model._memo
     texts = cli._EdgeTexts(model)
@@ -1193,7 +1189,6 @@ def test_simulate_edge_values_match_the_reference_formatter(tmp_path, monkeypatc
     # each trajectory is written as one block; its bytes are those of every
     # row through csv.writer, and the JSON is the 0.8.0 one
     from ergokit import cli
-    from ergokit.montecarlo import StreamFactory
 
     monkeypatch.setitem(cli._MODELS, "edge", (_edge_model, ()))
     argv = ["simulate", "--model", "edge", f"--x0={x0}", "--horizon", horizon,
@@ -1201,14 +1196,7 @@ def test_simulate_edge_values_match_the_reference_formatter(tmp_path, monkeypatc
     table, doc = tmp_path / "t.csv", tmp_path / "t.json"
     assert main(argv + ["--out", str(table)]) == 0
     assert main(argv + ["--format", "json", "--out", str(doc)]) == 0
-    model, _ = _edge_model(1.0)
-    factory = StreamFactory(2)
-    rows = []
-    for k in range(6):
-        traj = cli.sample_jump_chain(model, float(x0), float(horizon), factory.stream(0, k))
-        rows += [(k, j, *cells) for j, cells in enumerate(
-            zip(traj.tau.tolist(), traj.xi.tolist(), traj.index.tolist(), traj.phi.tolist()),
-            start=1)]
+    rows = _simulate_rows(_sampled(_edge_model(1.0)[0], float(x0), float(horizon), 6, 2))
     if horizon == "0":
         assert rows == []
     else:
@@ -1760,6 +1748,22 @@ def test_commands_call_entry_points_through_cli_globals(tmp_path, monkeypatch, n
     assert calls
 
 
+def test_probe_entry_point_gives_one_trajectorys_jump_times():
+    # perfbench's traced probe calls cli.sample_jump_chain and counts len()
+    # of its result as the trajectory's jumps
+    from ergokit import cli
+    from ergokit.ifs_jump import example_halving, sample_jump_chains
+    from ergokit.montecarlo import StreamFactory
+
+    model, _ = example_halving(1.0)
+    factory = StreamFactory(4)
+    for k in range(5):
+        got = cli.sample_jump_chain(model, 5.0, 100.0, factory.stream(1, k))
+        tau, xi, _, _ = next(sample_jump_chains(model, 5.0, 100.0, (factory.stream(1, k),)))
+        assert got.dtype == tau.dtype and got.tobytes() == tau.tobytes()
+        assert len(got) == len(xi) > 0
+
+
 def test_cli_builtin_model_builders_resolve():
     from ergokit import cli
     from ergokit.ifs_jump import IfsModel, halving_tv_modulus
@@ -1778,7 +1782,7 @@ def test_cli_builtin_model_builders_resolve():
     strict=True,
     reason="ec_gap_max takes its maximum over the grid 0, 3, ..., 21 only, although its t "
            "column names the window [0,21]: the gap peaks at t = 4, between grid times, "
-           "and the exact row claims half-width 0",
+           "and the exact row's half-width, 8.8e-14, covers only its rounding",
 )
 def test_exact_ec_gap_max_covers_the_whole_window(capsys):
     from oracles import ctmc_ec_gap_max

@@ -44,15 +44,16 @@ CTMC = CtmcProcess()
 
 class Sampled:
     """A process without its exact laws: diagnostics must sample it, with
-    its batch form if it has one."""
+    its batch form or its cell form, whichever it has."""
 
     def __init__(self, process):
         self.name = process.name
         self.state_label = process.state_label
-        self.terminal_state = process.terminal_state
         if hasattr(process, "terminal_states"):
             self.terminal_states = process.terminal_states
             self.batch_draws = process.batch_draws
+        if hasattr(process, "terminal_states_from"):
+            self.terminal_states_from = process.terminal_states_from
 
 
 def _closed_gap(x, grid):

@@ -175,7 +175,8 @@ def test_sample_path_marginal_matches_table():
 def test_process_terminal_state_embeds_sampled_state():
     proc = CtmcProcess()
     factory = StreamFactory(5)
-    a = proc.terminal_state(CtmcState.low(3), 3.0, factory.stream(0, 0))
+    uniforms = factory.stream(0, 0).random((1, proc.batch_draws))
+    a = proc.terminal_states(CtmcState.low(3), 3.0, uniforms)[0]
     b = sample_path(CtmcState.low(3), 3.0, factory.stream(0, 0)).value
     assert a == b
 
@@ -249,7 +250,7 @@ def test_batch_sampled_cell_matches_scalar_terminal_states():
     # more trajectories than one chunk, so the cell is sampled in two passes
     proc, factory, n = CtmcProcess(), StreamFactory(2 ** 64 - 1), CHUNK + 5
     got = sample_terminals(proc, CtmcState.low(3), 3.0, n, 2 ** 64 - 1, cell=2)
-    want = [proc.terminal_state(CtmcState.low(3), 3.0, factory.stream(2, k)) for k in range(n)]
+    want = [sample_path(CtmcState.low(3), 3.0, factory.stream(2, k)).value for k in range(n)]
     assert got.tobytes() == np.array(want).tobytes()
 
 

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import math
 import pickle
 import re
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -21,12 +23,11 @@ from ergokit.ifs_jump import (
     halving_tv_modulus,
     j_n,
     linear_modulus,
-    sample_jump_chain,
     sample_jump_chains,
 )
 from ergokit.montecarlo import StreamFactory, sample_cells, sample_terminals
 
-from oracles import affine_moments, flip_jump_matrix, poisson_mixture_law
+from oracles import affine_moments, flip_jump_matrix, poisson_mixture_law, uniformized_mean
 
 
 # ---------------------------------------------------------------------------
@@ -83,26 +84,41 @@ def test_moduli():
 # trajectory sampling
 
 
+_Chain = collections.namedtuple("_Chain", "tau xi index phi")
+
+
+def _chain(model, x, horizon, stream):
+    """One trajectory's records from ``sample_jump_chains``, each as an array."""
+    tau, xi, index, phi = next(sample_jump_chains(model, x, horizon, (stream,)))
+    return _Chain(tau, np.array(xi, dtype=float), np.array(index, dtype=int),
+                  np.array(phi, dtype=float))
+
+
+def _terminal(model, x0, t, stream):
+    """One trajectory's state at time t from ``terminal_states_from``."""
+    return next(model.terminal_states_from(x0, t, (stream,)))
+
+
 def test_zero_horizon_has_no_jumps():
-    traj = sample_jump_chain(example_flip(1.0), 0.7, 0.0, StreamFactory(0).stream(0, 0))
-    assert len(traj) == 0
-    assert traj.x0 == 0.7
+    traj = _chain(example_flip(1.0), 0.7, 0.0, StreamFactory(0).stream(0, 0))
+    assert len(traj.tau) == 0
+    assert _terminal(example_flip(1.0), 0.7, 0.0, StreamFactory(0).stream(0, 0)) == 0.7
 
 
 def test_flip_from_zero_stays_at_zero():
     model = example_flip(1.0)
-    traj = sample_jump_chain(model, 0.0, 20.0, StreamFactory(1).stream(0, 0))
-    assert len(traj) > 0
+    traj = _chain(model, 0.0, 20.0, StreamFactory(1).stream(0, 0))
+    assert len(traj.tau) > 0
     assert np.all(traj.phi == 0.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_trajectory_invariants(seed):
     model = example_flip(1.3)
-    traj = sample_jump_chain(model, 0.8, 15.0, StreamFactory(seed).stream(0, 0))
+    traj = _chain(model, 0.8, 15.0, StreamFactory(seed).stream(0, 0))
     assert np.all(np.diff(np.concatenate([[0.0], traj.tau])) > 0.0)
-    assert traj.tau.size == 0 or traj.tau[-1] <= traj.horizon
-    prev = traj.x0
+    assert traj.tau.size == 0 or traj.tau[-1] <= 15.0
+    prev = 0.8
     for tau, xi, idx, phi in zip(traj.tau, traj.xi, traj.index, traj.phi):
         assert xi == prev  # identity flow
         assert phi == model.maps[idx - 1](xi)
@@ -115,7 +131,7 @@ def test_flip_orbit_stays_on_three_points(x):
     model = example_flip(1.0)
     orbit = np.array([0.0, x, 1.0 / x])
     for seed in range(30):
-        traj = sample_jump_chain(model, x, 30.0, StreamFactory(seed).stream(1, seed))
+        traj = _chain(model, x, 30.0, StreamFactory(seed).stream(1, seed))
         for phi in traj.phi:
             assert np.min(np.abs(orbit - phi)) <= 4e-16 * max(phi, 1.0)
 
@@ -126,7 +142,7 @@ def test_jump_counts_are_poisson():
     model = example_flip(lam)
     total = 0
     for k in range(n):
-        total += len(sample_jump_chain(model, 1.0, horizon, factory.stream(0, k)))
+        total += len(_chain(model, 1.0, horizon, factory.stream(0, k)).tau)
     mean = total / n
     sigma = math.sqrt(lam * horizon / n)
     assert abs(mean - lam * horizon) <= 3.0 * sigma
@@ -138,17 +154,17 @@ def test_halving_long_run_absorption():
     factory = StreamFactory(123)
     small = 0
     for k in range(1000):
-        small += model.terminal_state(1.0, 1e4, factory.stream(0, k)) < 1e-3
+        small += _terminal(model, 1.0, 1e4, factory.stream(0, k)) < 1e-3
     assert small / 1000 >= 0.99
 
 
 def test_terminal_state_matches_recorded_trajectory():
     model, _ = example_halving(0.7)
     for seed in range(20):
-        a = model.terminal_state(1.0, 12.0, StreamFactory(seed).stream(2, 0))
-        traj = sample_jump_chain(model, 1.0, 12.0, StreamFactory(seed).stream(2, 0))
+        a = _terminal(model, 1.0, 12.0, StreamFactory(seed).stream(2, 0))
+        traj = _chain(model, 1.0, 12.0, StreamFactory(seed).stream(2, 0))
         # identity flow: the state at the horizon is the last post-jump point
-        assert a == (traj.phi[-1] if len(traj) else traj.x0)
+        assert a == (traj.phi[-1] if len(traj.tau) else 1.0)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
@@ -157,7 +173,7 @@ def test_terminal_state_rejects_non_finite_or_negative_time(t):
     # return 0 instead of failing
     model, _ = example_halving(1.0)
     with pytest.raises(ValueError, match="finite nonnegative"):
-        model.terminal_state(1.0, t, StreamFactory(0).stream(0, 0))
+        _terminal(model, 1.0, t, StreamFactory(0).stream(0, 0))
 
 
 def test_map_failure_names_the_map():
@@ -166,7 +182,7 @@ def test_map_failure_names_the_map():
 
     model = IfsModel(name="bad", maps=(bad,), prob_field=lambda x: np.array([1.0]), rate=1.0)
     with pytest.raises(RuntimeError, match="w1"):
-        model.terminal_state(0.5, 10.0, StreamFactory(0).stream(0, 0))
+        _terminal(model, 0.5, 10.0, StreamFactory(0).stream(0, 0))
 
 
 def test_overflowing_pre_jump_point_names_the_flow():
@@ -174,9 +190,9 @@ def test_overflowing_pre_jump_point_names_the_flow():
                      rate=1.0, flow=ExponentialFlow(100.0))
     # the first waiting time, -log(1 - 0.5), lands well before t = 50
     with pytest.raises(RuntimeError, match=r"flow ExponentialFlow.*'blowup'.*from x=1e\+300"):
-        model.terminal_state(1e300, 50.0, _StubStream([0.5, 0.5]))
+        _terminal(model, 1e300, 50.0, _StubStream([0.5, 0.5]))
     with pytest.raises(RuntimeError, match=r"flow ExponentialFlow.*'blowup'"):
-        sample_jump_chain(model, 1e300, 50.0, _StubStream([0.5, 0.5]))
+        _chain(model, 1e300, 50.0, _StubStream([0.5, 0.5]))
 
 
 def test_flow_semigroup_property():
@@ -287,7 +303,7 @@ def test_sample_jump_chain_rejects_a_bad_horizon(horizon):
     model, _ = example_halving(1.0)
     with pytest.raises(ValueError, match=f"^horizon must be a finite nonnegative real, "
                                          f"got {horizon!r}$"):
-        sample_jump_chain(model, 1.0, horizon, StreamFactory(0).stream(0, 0))
+        _chain(model, 1.0, horizon, StreamFactory(0).stream(0, 0))
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -435,7 +451,7 @@ def test_terminal_state_matches_reference_bit_for_bit(name, x0, t):
     for seed in (0, 1, 77):
         factory = StreamFactory(seed)
         for k in range(20):
-            got.append(model.terminal_state(x0, t, factory.stream(3, k)))
+            got.append(_terminal(model, x0, t, factory.stream(3, k)))
             want.append(_ref_terminal_state(model, x0, t, factory.stream(3, k)))
     assert _same_bits(got, want)
 
@@ -449,13 +465,13 @@ def test_jump_chain_matches_reference_bit_for_bit(name, x0, horizon):
     for seed in (0, 1, 77):
         factory = StreamFactory(seed)
         for k in range(10):
-            traj = sample_jump_chain(model, x0, horizon, factory.stream(1, k))
+            traj = _chain(model, x0, horizon, factory.stream(1, k))
             tau, xi, index, phi = _ref_jump_chain(model, x0, horizon, factory.stream(1, k))
             assert _same_bits(traj.tau, tau) and _same_bits(traj.xi, xi)
             assert _same_bits(traj.phi, phi)
             assert traj.index.dtype == index.dtype and np.array_equal(traj.index, index)
             if x0 == 0.0 and name != "expflow" and horizon >= 7.0:
-                assert len(traj) > 0
+                assert len(traj.tau) > 0
 
 
 class _Float32Flow:
@@ -490,7 +506,7 @@ def test_cell_records_equal_one_stream_chains_bit_for_bit(name, x0, horizon):
     records = list(sample_jump_chains(cell, x0, horizon, factory.streams(2, 40)))
     assert len(records) == 40
     for k, (tau, xi, index, phi) in enumerate(records):
-        traj = sample_jump_chain(single, x0, horizon, factory.stream(2, k))
+        traj = _chain(single, x0, horizon, factory.stream(2, k))
         ref = _ref_jump_chain(_recorder_model(name), x0, horizon, factory.stream(2, k))
         assert type(tau) is np.ndarray and tau.dtype == np.float64
         assert {type(v) for v in xi + phi} <= {float} and {type(j) for j in index} <= {int}
@@ -510,7 +526,7 @@ def test_cell_records_equal_one_stream_chains_bit_for_bit(name, x0, horizon):
 
 
 def test_cell_recorder_checks_its_arguments_before_it_samples():
-    # the horizon, then the start, as sample_jump_chain checks them
+    # the horizon, then the start
     model = example_halving(1.0)[0]
     with pytest.raises(ValueError, match="horizon must be"):
         sample_jump_chains(model, -1.0, -1.0, iter(()))
@@ -539,9 +555,9 @@ def test_zero_uniform_is_skipped_like_the_reference():
     # uniform is the waiting time, and the one after it picks the map
     model, _ = example_halving(1.0)
     values = [0.0, 0.5, 0.2, 0.0, 0.0, 0.3, 0.9, 0.999]
-    got = model.terminal_state(1.0, 3.0, _StubStream(values))
+    got = _terminal(model, 1.0, 3.0, _StubStream(values))
     assert got == _ref_terminal_state(model, 1.0, 3.0, _StubStream(values))
-    traj = sample_jump_chain(model, 1.0, 3.0, _StubStream(values))
+    traj = _chain(model, 1.0, 3.0, _StubStream(values))
     tau, xi, index, phi = _ref_jump_chain(model, 1.0, 3.0, _StubStream(values))
     assert _same_bits(traj.tau, tau) and _same_bits(traj.phi, phi)
     assert traj.index.tolist() == index.tolist() == [1, 2]
@@ -566,12 +582,12 @@ def test_map_choice_after_a_skipped_zero_opens_a_new_block(name):
 
     model = _REFILL_MODELS[name]()
     for shift in (0.0, 0.5):
-        got = model.terminal_state(1.0, 3.0, _StubStream(values(shift)))
+        got = _terminal(model, 1.0, 3.0, _StubStream(values(shift)))
         assert _same_bits([got], [_ref_terminal_state(model, 1.0, 3.0,
                                                       _StubStream(values(shift)))])
-        traj = sample_jump_chain(model, 1.0, 3.0, _StubStream(values(shift)))
+        traj = _chain(model, 1.0, 3.0, _StubStream(values(shift)))
         tau, xi, index, phi = _ref_jump_chain(model, 1.0, 3.0, _StubStream(values(shift)))
-        assert len(traj) == 40
+        assert len(traj.tau) == 40
         assert _same_bits(traj.tau, tau) and _same_bits(traj.xi, xi)
         assert _same_bits(traj.phi, phi) and np.array_equal(traj.index, index)
     streams = [_StubStream(values(0.0)), _StubStream(values(0.5))]
@@ -586,7 +602,7 @@ def test_float_slack_falls_back_to_last_positive_weight():
     model = IfsModel(name="slack", maps=(lambda x: 1.0, lambda x: 2.0, lambda x: 3.0),
                      prob_field=lambda x: (0.5, 0.5 - 1e-12, 0.0), rate=1.0)
     values = [0.5, 1.0 - 1e-13, 0.999]
-    assert model.terminal_state(0.7, 1.0, _StubStream(values)) == 2.0
+    assert _terminal(model, 0.7, 1.0, _StubStream(values)) == 2.0
     assert _ref_terminal_state(model, 0.7, 1.0, _StubStream(values)) == 2.0
 
 
@@ -602,9 +618,9 @@ def test_jump_loop_rejects_bad_selection_probabilities(field, match):
         model = IfsModel(name="bad", maps=(lambda x: x, lambda x: x), prob_field=field,
                          rate=1.0, flow=flow)
         with pytest.raises(ValueError, match=match):
-            model.terminal_state(0.5, 50.0, StreamFactory(0).stream(0, 0))
+            _terminal(model, 0.5, 50.0, StreamFactory(0).stream(0, 0))
         with pytest.raises(ValueError, match=match):
-            sample_jump_chain(model, 0.5, 50.0, StreamFactory(0).stream(0, 0))
+            _chain(model, 0.5, 50.0, StreamFactory(0).stream(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +649,9 @@ def test_warm_model_matches_reference_bit_for_bit(name):
     got, want = [], []
     for k in range(200):
         x0 = (0.3, 1.0, 4.0, 9.0)[k % 4]
-        got.append(model.terminal_state(x0, 40.0, factory.stream(0, k)))
+        got.append(_terminal(model, x0, 40.0, factory.stream(0, k)))
         want.append(_ref_terminal_state(model, x0, 40.0, factory.stream(0, k)))
-        traj = sample_jump_chain(model, x0, 40.0, factory.stream(1, k))
+        traj = _chain(model, x0, 40.0, factory.stream(1, k))
         tau, xi, index, phi = _ref_jump_chain(model, x0, 40.0, factory.stream(1, k))
         assert _same_bits(traj.tau, tau) and _same_bits(traj.xi, xi)
         assert _same_bits(traj.phi, phi) and np.array_equal(traj.index, index)
@@ -648,14 +664,14 @@ def test_negative_zero_keeps_its_sign_on_a_warm_model():
     # successors of +0.0 and turn phi into [0, 0, ...]
     model, _ = example_halving(1.0)
     factory = StreamFactory(5)
-    plus = sample_jump_chain(model, 0.0, 7.0, factory.stream(0, 0))
-    minus = sample_jump_chain(model, -0.0, 7.0, factory.stream(0, 1))
+    plus = _chain(model, 0.0, 7.0, factory.stream(0, 0))
+    minus = _chain(model, -0.0, 7.0, factory.stream(0, 1))
     tau, xi, index, phi = _ref_jump_chain(model, -0.0, 7.0, factory.stream(0, 1))
-    assert len(plus) > 0 and len(minus) > 0
+    assert len(plus.tau) > 0 and len(minus.tau) > 0
     assert not np.signbit(plus.phi).any() and np.signbit(minus.phi).all()
     assert _same_bits(minus.xi, xi) and _same_bits(minus.phi, phi)
-    assert model.terminal_state(-0.0, 7.0, factory.stream(0, 2)) == 0.0
-    assert math.copysign(1.0, model.terminal_state(-0.0, 7.0, factory.stream(0, 2))) == -1.0
+    assert _terminal(model, -0.0, 7.0, factory.stream(0, 2)) == 0.0
+    assert math.copysign(1.0, _terminal(model, -0.0, 7.0, factory.stream(0, 2))) == -1.0
 
 
 @pytest.mark.parametrize("memo_nodes", [MEMO_NODES, 0], ids=["memo", "inline"])
@@ -671,7 +687,7 @@ def test_float_slack_fallback_holds_on_every_visit(monkeypatch, memo_nodes):
     for u, want in [(1.0 - 1e-13, 2.0), (1.0 - 1e-13, 2.0), (0.25, 1.0), (0.75, 2.0),
                     (1.0 - 1e-13, 2.0)]:
         values = [0.5, u, 0.999]
-        assert model.terminal_state(0.7, 1.0, _StubStream(values)) == want
+        assert _terminal(model, 0.7, 1.0, _StubStream(values)) == want
         assert _ref_terminal_state(model, 0.7, 1.0, _StubStream(values)) == want
     assert len(model._memo) == (1 if memo_nodes else 0)
 
@@ -690,9 +706,9 @@ def test_bad_selection_probabilities_fail_on_every_visit(monkeypatch, memo_nodes
                      prob_field=lambda x: bad if x == 0.25 else (1.0, 0.0), rate=1.0)
     for k in range(3):
         with pytest.raises(ValueError, match=match):
-            model.terminal_state(1.0, 50.0, StreamFactory(0).stream(0, k))
+            _terminal(model, 1.0, 50.0, StreamFactory(0).stream(0, k))
         with pytest.raises(ValueError, match=match):
-            sample_jump_chain(model, 1.0, 50.0, StreamFactory(0).stream(1, k))
+            _chain(model, 1.0, 50.0, StreamFactory(0).stream(1, k))
     assert sorted(model._memo) == ([0.5, 1.0] if memo_nodes else [])
 
 
@@ -720,13 +736,13 @@ def test_field_return_types_select_as_the_reference(kind):
                      prob_field=field, rate=1.0)
     factory = StreamFactory(4)
     for k in range(200):
-        traj = sample_jump_chain(model, 0.5, 30.0, factory.stream(0, k))
+        traj = _chain(model, 0.5, 30.0, factory.stream(0, k))
         tau, xi, index, phi = _ref_jump_chain(model, 0.5, 30.0, factory.stream(0, k))
         assert _same_bits(traj.xi, xi) and _same_bits(traj.phi, phi)
         assert np.array_equal(traj.index, index)
     for _ in range(2):
         values = [0.5, 0.1000000001, 0.5]
-        traj = sample_jump_chain(model, 0.5, 1.0, _StubStream(values))
+        traj = _chain(model, 0.5, 1.0, _StubStream(values))
         ref = _ref_jump_chain(model, 0.5, 1.0, _StubStream(values))
         assert traj.index.tolist() == ref[2].tolist() == [2]
     assert 0.5 in model._memo and 1.0 in model._memo
@@ -784,7 +800,7 @@ def test_memo_nodes_are_built_from_the_weights(name):
     model = _MEMO_MODELS[name]()
     for x0 in (0.3, 1.0, 4.0, 9.0):
         sample_terminals(model, x0, 40.0, 50, 3)
-        sample_jump_chain(model, x0, 40.0, StreamFactory(3).stream(1, 0))
+        _chain(model, x0, 40.0, StreamFactory(3).stream(1, 0))
     _assert_nodes_match_their_weights(model)
     for x0 in (0.2, 2.5, 9.0):
         model.exact_laws(x0, [10.0, 40.0])
@@ -804,7 +820,7 @@ def test_prob_field_runs_at_most_once_per_point():
                      prob_field=field, rate=1.0)
     factory = StreamFactory(6)
     for k in range(200):
-        model.terminal_state((0.3, 1.0, 4.0, 9.0)[k % 4], 40.0, factory.stream(0, k))
+        _terminal(model, (0.3, 1.0, 4.0, 9.0)[k % 4], 40.0, factory.stream(0, k))
     model.exact_laws(4.0, [40.0])
     assert len(model._memo) < MEMO_NODES
     assert max(n for x, n in calls.items() if x) == 1
@@ -962,12 +978,12 @@ def test_model_warmed_by_exact_laws_matches_reference_bit_for_bit(name):
     got, want = [], []
     for k in range(100):
         x0 = (0.3, 1.0, 4.0, 9.0)[k % 4]
-        got.append(model.terminal_state(x0, 40.0, factory.stream(0, k)))
+        got.append(_terminal(model, x0, 40.0, factory.stream(0, k)))
         want.append(_ref_terminal_state(model, x0, 40.0, factory.stream(0, k)))
     assert _same_bits(got, want)
     if name == "float32":  # the first jump from 0.5 at u = 0.1000000001 takes w2
         values = [0.5, 0.1000000001, 0.5]
-        traj = sample_jump_chain(model, 0.5, 1.0, _StubStream(values))
+        traj = _chain(model, 0.5, 1.0, _StubStream(values))
         assert 0.5 in model._memo and traj.index.tolist() == [2]
 
 
@@ -976,7 +992,7 @@ def test_float32_field_has_no_exact_laws():
     # u = 0.1 it takes w2, while a float64 sweep would give w1 the mass
     # 0.1000000015 > 0.1: the law it samples is left to sampling
     model = _float32_model()
-    traj = sample_jump_chain(model, 0.5, 1.0, _StubStream([0.5, 0.1, 0.5]))
+    traj = _chain(model, 0.5, 1.0, _StubStream([0.5, 0.1, 0.5]))
     assert traj.index.tolist() == [2]
     assert model.exact_laws(0.5, [1e-3]) is None
     float64 = IfsModel(name="float64", maps=model.maps, rate=1.0,
@@ -1056,6 +1072,33 @@ def test_exact_means_reject_bad_times_and_sample_a_moving_flow():
     assert _expflow_model().exact_means([0.5, 1.0], [1.0], [xmin1()]) == [None, None]
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_random_finite_orbit_means_lie_within_their_bounds(seed):
+    # 0 and up to 7 dyadic points in [1/16, 4], 2 to 4 lookup-table maps,
+    # and weights in 64ths: their running sums are exact, so the masses the
+    # sweep reads are the weights the oracle reads
+    rng = np.random.default_rng(seed)
+    grid = np.arange(1, 65) / 16.0
+    points = [0.0] + sorted(rng.choice(grid, int(rng.integers(1, 8)), replace=False).tolist())
+    where = {x: i for i, x in enumerate(points)}
+    n_maps = int(rng.integers(2, 5))
+    table = rng.integers(0, len(points), (n_maps, len(points))).tolist()
+    weights = [tuple((np.diff([0, *np.sort(rng.integers(0, 65, n_maps - 1)), 64]) / 64.0)
+                     .tolist()) for _ in points]
+    rate = float(rng.choice([0.3, 1.0, 2.5, 7.0]))
+    model = IfsModel(name="random", rate=rate, prob_field=lambda x: weights[where[x]],
+                     maps=tuple((lambda x, row=row: points[row[where[x]]]) for row in table))
+    ball = Ball(float(rng.choice(points)), 0.3)
+    values = [xmin1(), lambda y: float(ball.contains(y))]
+    times = [0.01, 0.7, 3.0, 20.0]
+    rows = model.exact_means(points, times, [values[0], ball])
+    for x, by_time in zip(points, rows):
+        for t, by_functional in zip(times, by_time):
+            for f, (value, half_width) in zip(values, by_functional):
+                truth = uniformized_mean(points, table, weights, rate, x, t, f)
+                assert 0.0 < half_width and abs(Decimal(value) - truth) <= half_width, (x, t)
+
+
 # ---------------------------------------------------------------------------
 # moving flows: the jump loop's flow and map checks and messages
 
@@ -1083,9 +1126,9 @@ def test_invalid_custom_flow_names_the_flow(bad):
     msg = re.escape(f"flow {flow.__qualname__} of model 'custom' produced invalid state "
                     f"{bad!r} from x=1.0 after time {-math.log1p(-0.5)!r}")
     with pytest.raises(RuntimeError, match=msg):
-        model.terminal_state(1.0, 50.0, _StubStream([0.5, 0.5]))
+        _terminal(model, 1.0, 50.0, _StubStream([0.5, 0.5]))
     with pytest.raises(RuntimeError, match=msg):
-        sample_jump_chain(model, 1.0, 50.0, _StubStream([0.5, 0.5]))
+        _chain(model, 1.0, 50.0, _StubStream([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("flow", [ExponentialFlow(0.1), _DriftFlow(0.1)], ids=["exp", "drift"])
@@ -1097,9 +1140,9 @@ def test_invalid_map_output_names_the_map_under_a_moving_flow(flow, bad):
     pre = flow(-math.log1p(-0.5), 1.0)
     msg = re.escape(f"map w2 of model 'moving' produced invalid state {bad!r} from x={pre!r}")
     with pytest.raises(RuntimeError, match=msg):
-        model.terminal_state(1.0, 50.0, _StubStream([0.5, 0.9]))
+        _terminal(model, 1.0, 50.0, _StubStream([0.5, 0.9]))
     with pytest.raises(RuntimeError, match=msg):
-        sample_jump_chain(model, 1.0, 50.0, _StubStream([0.5, 0.9]))
+        _chain(model, 1.0, 50.0, _StubStream([0.5, 0.9]))
 
 
 def _typed_maps_model(flow):
@@ -1117,9 +1160,9 @@ def test_map_return_types_under_a_moving_flow_match_the_reference(flow, x0):
     factory = StreamFactory(9)
     got, want, landed = [], [], []
     for k in range(40):
-        got.append(model.terminal_state(x0, 12.0, factory.stream(2, k)))
+        got.append(_terminal(model, x0, 12.0, factory.stream(2, k)))
         want.append(_ref_terminal_state(model, x0, 12.0, factory.stream(2, k)))
-        traj = sample_jump_chain(model, x0, 12.0, factory.stream(2, k))
+        traj = _chain(model, x0, 12.0, factory.stream(2, k))
         tau, xi, index, phi = _ref_jump_chain(model, x0, 12.0, factory.stream(2, k))
         assert _same_bits(traj.tau, tau) and _same_bits(traj.xi, xi)
         assert _same_bits(traj.phi, phi) and np.array_equal(traj.index, index)
@@ -1165,13 +1208,13 @@ def test_exponential_flow_subclass_keeps_its_own_flow():
     factory = StreamFactory(5)
     got, want, expo = [], [], []
     for k in range(40):
-        got.append(drift.terminal_state(4.0, 12.0, factory.stream(0, k)))
+        got.append(_terminal(drift, 4.0, 12.0, factory.stream(0, k)))
         want.append(_ref_terminal_state(drift, 4.0, 12.0, factory.stream(0, k)))
-        expo.append(plain.terminal_state(4.0, 12.0, factory.stream(0, k)))
+        expo.append(_terminal(plain, 4.0, 12.0, factory.stream(0, k)))
     assert _same_bits(got, want)
     assert got != expo
     # a single waiting time past t: the state drifts, it does not grow
-    assert drift.terminal_state(1.0, 0.5, _StubStream([0.9])) == 1.0 + 0.3 * 0.5
+    assert _terminal(drift, 1.0, 0.5, _StubStream([0.9])) == 1.0 + 0.3 * 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -1252,7 +1295,7 @@ def test_invalid_constant_tuple_fails_on_its_first_use(bad, match):
     fair = IfsModel(name="fair", maps=model.maps, prob_field=lambda x: _FAIR, rate=1.0,
                     flow=model.flow)
     for k in range(4):
-        traj = sample_jump_chain(fair, 1.0, 200.0, StreamFactory(2).stream(0, k))
+        traj = _chain(fair, 1.0, 200.0, StreamFactory(2).stream(0, k))
         if (traj.xi >= 4.0).any():
             break
     first = float(traj.xi[traj.xi >= 4.0][0])
@@ -1267,7 +1310,7 @@ def test_map_failure_names_its_trajectory_and_cell():
     # trajectory 3 of cell 2; the trajectories before it in the cell and
     # the other cells run through
     def chain(model, cell, k):
-        return sample_jump_chain(model, 1.0, 10.0, StreamFactory(8).stream(cell, k))
+        return _chain(model, 1.0, 10.0, StreamFactory(8).stream(cell, k))
 
     fair = IfsModel(name="fair", maps=(lambda x: x / 2.0, lambda x: (x + 1.0) / 2.0),
                     prob_field=lambda x: _FAIR, rate=1.0, flow=ExponentialFlow(0.1))
@@ -1297,7 +1340,7 @@ def test_cell_loop_reads_no_stream_at_time_zero():
 
     model = _cell_model(lambda x: _LOW, ExponentialFlow(0.1))
     assert list(model.terminal_states_from(2.5, 0.0, [_Untouched()] * 3)) == [2.5] * 3
-    assert model.terminal_state(-0.0, 0.0, _Untouched()) == 0.0
+    assert _terminal(model, -0.0, 0.0, _Untouched()) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1322,10 +1365,10 @@ def _assert_both_paths_match(model, x0, t, factory, cell, count):
     the block sizes each recorded one read."""
     got, want, trajs, sizes = [], [], [], []
     for k in range(count):
-        got.append(model.terminal_state(x0, t, factory.stream(cell, k)))
+        got.append(_terminal(model, x0, t, factory.stream(cell, k)))
         want.append(_ref_terminal_state(model, x0, t, factory.stream(cell, k)))
         log = _BlockLog(factory.stream(cell, k))
-        traj = sample_jump_chain(model, x0, t, log)
+        traj = _chain(model, x0, t, log)
         tau, xi, index, phi = _ref_jump_chain(model, x0, t, factory.stream(cell, k))
         assert _same_bits(traj.tau, tau) and _same_bits(traj.xi, xi)
         assert _same_bits(traj.phi, phi)
@@ -1341,7 +1384,7 @@ def test_halving_matches_the_reference_across_the_first_refills():
     # 128 and 256 run out at 64, 192 and 448 uniforms
     model, _ = example_halving(1.0)
     trajs, sizes = _assert_both_paths_match(model, 5.0, 300.0, StreamFactory(21), 0, 20)
-    assert all(2 * len(traj) > 448 for traj in trajs)
+    assert all(2 * len(traj.tau) > 448 for traj in trajs)
     assert all(s == [64, 128, 256, 512] for s in sizes)
 
 
@@ -1360,7 +1403,7 @@ def test_flip_stays_and_absorption_match_the_reference(x0):
     trajs, _ = _assert_both_paths_match(model, x0, 40.0, StreamFactory(8), 2, 40)
     index = np.concatenate([traj.index for traj in trajs])
     assert (index == 2).sum() > 100  # stays
-    assert sum(len(traj) and traj.phi[-1] == 0.0 for traj in trajs) > 5  # absorbed
+    assert sum(len(traj.tau) and traj.phi[-1] == 0.0 for traj in trajs) > 5  # absorbed
 
 
 class _CountingMemo(dict):
@@ -1386,7 +1429,7 @@ def test_a_stay_keeps_its_node_only_for_the_same_point_object(stay, new_object):
     for k in range(10):
         memo = _CountingMemo()
         object.__setattr__(model, "_memo", memo)
-        traj = sample_jump_chain(model, 5.0, 60.0, StreamFactory(3).stream(0, k))
+        traj = _chain(model, 5.0, 60.0, StreamFactory(3).stream(0, k))
         index, xi = traj.index[:-1].tolist(), traj.xi[:-1].tolist()
         moves = index.count(1)
         first_stays = len({x for x, i in zip(xi, index) if i == 2})
@@ -1409,10 +1452,10 @@ def test_a_zero_start_keeps_its_sign(name, x0):
     # sign of the start
     model = _REF_MODELS[name]()
     trajs, _ = _assert_both_paths_match(model, x0, 20.0, StreamFactory(2), 0, 5)
-    assert all(len(traj) > 0 for traj in trajs)
+    assert all(len(traj.tau) > 0 for traj in trajs)
     phi = np.concatenate([traj.phi for traj in trajs])
     assert (np.signbit(phi) == (math.copysign(1.0, x0) < 0.0)).all()
-    assert math.copysign(1.0, model.terminal_state(x0, 20.0, StreamFactory(2).stream(0, 0))) \
+    assert math.copysign(1.0, _terminal(model, x0, 20.0, StreamFactory(2).stream(0, 0))) \
         == math.copysign(1.0, x0)
 
 
@@ -1437,17 +1480,6 @@ def test_a_bad_terminal_point_names_the_flow(flow, x0, name, bad):
     msg = re.escape(f"flow {name or flow.__qualname__} of model 'terminal' produced invalid "
                     f"state {bad!r} from x={x0!r} after time 1.0")
     with pytest.raises(RuntimeError, match=msg):
-        model.terminal_state(x0, 1.0, _StubStream([0.999]))
+        _terminal(model, x0, 1.0, _StubStream([0.999]))
     with pytest.raises(RuntimeError, match=msg):
-        sample_jump_chain(model, x0, 1.0, _StubStream([0.999]))
-
-
-def test_trajectory_compares_and_hashes_by_identity():
-    # ndarray fields have no hash and no truth value for ==, so the
-    # generated methods used to raise
-    model, _ = example_halving(1.0)
-    traj, twin = (sample_jump_chain(model, 5.0, 20.0, StreamFactory(0).stream(0, 0))
-                  for _ in range(2))
-    assert len(traj) > 1 and _same_bits(traj.phi, twin.phi)
-    assert traj == traj and traj != twin
-    assert len({traj, twin, traj}) == 2
+        _chain(model, x0, 1.0, _StubStream([0.999]))

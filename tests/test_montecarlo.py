@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ergokit import montecarlo
 from ergokit.core import Ball, TestFunction, bump_function, constant, xmin1
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_flip, example_halving
@@ -396,6 +397,32 @@ def test_overflowing_flow_fails_instead_of_returning_inf():
         sample_terminals(model, 1e10, 100.0, 20, seed=0)
     with pytest.raises(RuntimeError, match=msg):
         estimate_ptf(model, 1e10, 100.0, F, 20, seed=0)
+
+
+class _ScalarOnly:
+    """A process with a one-trajectory sampler but neither sampler form."""
+
+    name = "scalar-only"
+
+    def terminal_state(self, x0, t, stream):
+        return x0
+
+
+def test_a_process_without_a_sampler_form_fails_before_any_stream(monkeypatch):
+    def drawn(*args, **kwargs):
+        raise AssertionError("a stream was drawn")
+
+    for owner, name in ((StreamFactory, "stream"), (StreamFactory, "streams"),
+                        (montecarlo, "stream_uniforms")):
+        monkeypatch.setattr(owner, name, drawn)
+    msg = ("a process needs a batch form terminal_states(x0, t, uniforms) "
+           "or a cell form terminal_states_from(x0, t, streams)")
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        sample_terminals(_ScalarOnly(), 1.0, 2.0, 10, 0, cell=3)
+    cells = [(1.0, 2.0), (0.5, 1.0)]
+    for workers in (1, 2):
+        assert run_batch(_ScalarOnly(), cells, (F,), McSettings(10, 0, workers=workers),
+                         0.999) == [msg, msg]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ orbit point through one step of the forward sweep of ``exact_laws``):
   (one ball), from the same two large orbits;
 * building an orbit point (its memo node, its field and map values), on
   the never-repeating orbit of the maps x/2 and (x + 1)/2;
-* one sampled jump of ``terminal_state``, on the same orbit and on the
+* one sampled jump of ``sample_terminals``, on the same orbit and on the
   built-in halving model (memo hits). On the orbit every new point gets a
   memo node until the memo is full, so the line includes the node builds
   its runs make before then (the warm-up run makes most of them), and
@@ -62,11 +62,10 @@ records handed over as the loop yields them, in microseconds per recorded
 jump. One times, in microseconds per trajectory, the part of that which
 does not grow with the jumps: 10 000 trajectories to t = 1e-9, which make
 no jump, through that one loop (a stream reset, a first block of uniforms,
-four new record lists and a times array each) and, for comparison, through
-``sample_jump_chain`` per stream (a loop set up and a ``Trajectory`` built
-each). Two time the ``tau_k`` texts of the recorded times, in nanoseconds
-per time: one ``%`` per trajectory (``cli._percent_texts``) and the block
-kernel (``_g17.g17_texts``). The last times the CSV writer on the records,
+four new record lists and a times array each). Two time the ``tau_k``
+texts of the recorded times, in nanoseconds per time: one ``%`` per
+trajectory (``cli._percent_texts``) and the block kernel
+(``_g17.g17_texts``). The last times the CSV writer on the records,
 already sampled, with the block kernel as the command runs it at this
 size: the table written to a temporary file, in microseconds per row.
 """
@@ -208,10 +207,7 @@ def main():
     per_jump = best(record) / jumps
     print(f"recorded jump, halving x0 = 5 to t = 200: {show(per_jump * 1e6, '.3f')} us")
     cell = best(lambda: record(1e-9, 10000)) / 10000
-    one = best(lambda: [cli.sample_jump_chain(model, 5.0, 1e-9, stream)
-                        for stream in factory.streams(0, 10000)]) / 10000
-    print(f"recorded trajectory, no jump: {show(cell * 1e6, '.2f')} us in one loop, "
-          f"{show(one * 1e6, '.2f')} us a loop each")
+    print(f"recorded trajectory, no jump: {show(cell * 1e6, '.2f')} us in one loop")
     for name, tau_texts in (("one % per trajectory", cli._percent_texts),
                             ("block kernel", g17_texts)):
         per_text = best(lambda: deque(tau_texts(taus), maxlen=0)) / jumps
