@@ -10,14 +10,15 @@ imports.
 
 import sys
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
     "core": ("Ball", "EmpiricalMeasure", "TestFunction", "bl_distance", "bump_function",
              "constant", "xmin1"),
     "exact_ctmc": ("CtmcProcess", "CtmcState", "chapman_kolmogorov_residual",
-                   "parse_ctmc_state", "sample_path", "semigroup_apply", "transition_prob"),
+                   "parse_ctmc_state", "sample_path", "semigroup_apply", "semigroup_bound",
+                   "transition_bound", "transition_prob"),
     "ifs_jump": ("AssumptionSet", "ExponentialFlow", "IdentityFlow", "IfsModel",
                  "example_flip", "example_halving", "halving_tv_modulus", "j_n",
                  "linear_modulus", "sample_jump_chains"),

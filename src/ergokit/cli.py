@@ -417,7 +417,7 @@ def _mc_settings(settings: Settings, default_samples: int = 10_000) -> McSetting
 
 
 def cmd_exact_ctmc(args: argparse.Namespace) -> int:
-    from .exact_ctmc import CtmcState, semigroup_apply, transition_prob
+    from .exact_ctmc import CtmcState, semigroup_bound, transition_bound
     settings = Settings(args)
     n = settings.get("n", parse=int, required=True)
     if n < 2:
@@ -426,10 +426,10 @@ def cmd_exact_ctmc(args: argparse.Namespace) -> int:
     f = _function(settings)
     states = (CtmcState.low(n), CtmcState.high(n), CtmcState.zero())
     if f is None:
-        rows = [("p", f"{i}->{j}", f"{t:g}", transition_prob(i, j, t), 0.0, "")
+        rows = [("p", f"{i}->{j}", f"{t:g}", *transition_bound(i, j, t), "")
                 for i in states for j in states]
     else:
-        rows = [("ptf", str(i), f"{t:g}", semigroup_apply(f, i, t), 0.0, "") for i in states]
+        rows = [("ptf", str(i), f"{t:g}", *semigroup_bound(f, i, t), "") for i in states]
     return _write(settings, "exact-ctmc", "table-v1", _REPORT_COLUMNS, rows)
 
 

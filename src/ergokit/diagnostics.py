@@ -113,8 +113,8 @@ def _split(cells: list, exact, sample) -> tuple:
     starts on that grid, and returns per start None or a result per time;
     if it raises, each start is asked alone, and a start that raises again
     gets its error message at every time. ``sample`` gets the other cells
-    in order, as its stream cells 0, 1, ..., and returns one result per
-    cell."""
+    in order, as the cells of one ``sample_cells`` batch (whose starts or
+    cells key its streams), and returns one result per cell."""
     known = [None] * len(cells)
     if exact is not None:
         grids: dict = {}
@@ -155,9 +155,9 @@ def _means(process, functionals: Sequence, cells: list, mc: McSettings,
     """Per ``(x, t)`` cell, the ``(mean, half_width)`` of every functional
     (a ball's mean is its hit probability) or the cell's error message, and
     whether each cell was exact. ``process.exact_means`` answers the starts
-    of a time grid in one call. Cells without exact means go to one
-    ``run_batch``, as its stream cells 0, 1, ..., with Hoeffding widths at
-    ``confidence``."""
+    of a time grid in one call. Cells without exact means go, in order, to
+    one ``run_batch``, which keys their streams as ``sample_cells`` does,
+    with Hoeffding widths at ``confidence``."""
     exact_means = getattr(process, "exact_means", None)
 
     def sample(sampled):

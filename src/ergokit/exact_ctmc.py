@@ -10,9 +10,11 @@ states. The transition probabilities are available in closed form:
     p(1/n -> 0)   = the complement of the two entries above
 
 and every other pair has probability 0. The closed form is the chain's
-reference, but 1 - e^{-s} - s e^{-s}, s = t/n, cancels for small s. The
-exact rows of the diagnostics therefore come from the jump-system sweep,
-which counts its truncation and rounding (``CtmcProcess.exact_laws``).
+reference, evaluated without cancellation (1 - e^{-s} as ``-expm1(-s)``,
+and for s < 1 the complement as a positive series), each computed entry
+with a bound on its rounding (``transition_bound``, ``semigroup_bound``).
+The exact rows of the diagnostics come from the jump-system sweep, which
+counts its truncation and rounding (``CtmcProcess.exact_laws``).
 
 The chain converges to the point mass at 0 from every start, yet the gap
 ``P_t f(1/n) - P_t f(0)`` evaluated at t = n equals ``exp(-1) (1 + 1/n)``
@@ -30,19 +32,22 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import TestFunction, as_time
+from .core import TestFunction, _gamma, as_time
 
 __all__ = [
     "CtmcState",
     "CtmcProcess",
     "transition_prob",
+    "transition_bound",
     "semigroup_apply",
+    "semigroup_bound",
     "sample_path",
     "chapman_kolmogorov_residual",
     "parse_ctmc_state",
 ]
 
 _ZERO, _LOW, _HIGH = "zero", "low", "high"
+_U, _ETA = 2.0 ** -53, 2.0 ** -1074  # unit roundoff, smallest subnormal
 
 
 @dataclass(frozen=True)
@@ -101,30 +106,109 @@ def parse_ctmc_state(token: str) -> CtmcState:
 
 
 def _law(i: CtmcState, t: float) -> tuple:
-    """The time-t law from i: its reachable ``(state, probability)`` pairs
-    in cascade order, so the state after k jumps is entry k."""
+    """The time-t law from i: its reachable ``(state, probability,
+    half_width)`` triples in cascade order, so the state after k jumps is
+    entry k; the widths are derived in ``transition_bound``."""
     t = as_time(t)
     zero = CtmcState.zero()
     if i.kind == _ZERO:
-        return ((zero, 1.0),)
-    decay = math.exp(-t / i.n)
+        return ((zero, 1.0, 0.0),)
+    s = t / i.n
+    decay = math.exp(-s)
+    gone = -math.expm1(-s)
+    # past s ~ 746 decay is 0, and a relative width of it does not matter
+    widths = [math.expm1(min(_gamma(4) * (1.0 + s), 1.0)) * decay + 2.0 * _ETA,
+              _gamma(5) * gone + 3.0 * _ETA]
     if i.kind == _HIGH:
-        return ((i, decay), (zero, 1.0 - decay))
-    hop = (t / i.n) * decay
-    return ((i, decay), (CtmcState.high(i.n), hop), (zero, 1.0 - decay - hop))
+        law = ((i, decay), (zero, gone))
+    else:
+        hop = s * decay
+        widths.insert(1, math.expm1(min(_gamma(8) * (1.0 + s), 1.0)) * hop
+                      + (2.0 + 2.0 * s) * _ETA)
+        if s < 1.0:
+            term, tail, k = s * s / 2.0, 0.0, 2
+            while term > _U * tail:
+                tail += term
+                k += 1
+                term = term * s / k
+            dead = decay * tail
+            widths[2] = _gamma(3 * k + 8) * dead + (k + 3) * _ETA
+        else:
+            dead = gone - hop
+            widths[2] += widths[1] + _gamma(2) * dead
+        law = ((i, decay), (CtmcState.high(i.n), hop), (zero, dead))
+    return tuple((j, p, w if t else 0.0) for (j, p), w in zip(law, widths))
 
 
 def transition_prob(i: CtmcState, j: CtmcState, t: float) -> float:
-    return dict(_law(i, t)).get(j, 0.0)
+    return transition_bound(i, j, t)[0]
+
+
+def transition_bound(i: CtmcState, j: CtmcState, t: float) -> tuple:
+    """``(P_t(i -> j), half_width)``: the closed form as computed and a bound
+    on its distance to the true probability, 0 only where the entry is
+    exact (t = 0, a start at zero, an unreachable j).
+
+    With u = 2**-53, eta = 2**-1074 and g(k) Higham's gamma_k, each
+    operation rounds by a relative u, and where its result is subnormal by
+    at most eta/2 instead; ``exp`` and ``expm1`` are taken to be within one
+    ulp (glibc's documented bound): a relative 2u, or eta. Then s = t/n is
+    s(1 + a) + b, |a| <= g(2), |b| <= eta/2, and every entry below moves by
+    at most |s' - s| times its derivative in s, which is at most 1 (at
+    most 2 times the entry, relatively, for the complement q).
+
+    * e^{-s}: the relative error is at most (2u + e^{g(2) s} - 1)/(1 - 2u)
+      <= expm1(g(4)(1 + s)), plus 2 eta for b and underflow.
+    * 1 - e^{-s} = ``-expm1(-s)``, concave with value 0 at 0, so a relative
+      error a of s moves it by at most a relatively: g(4) in all, g(5)
+      relative to the computed value, plus 3 eta.
+    * s e^{-s}, one product: the two errors above and one rounding make
+      expm1(g(8)(1 + s)), plus (2 + 2s) eta, as s scales e^{-s}'s eta.
+    * q = 1 - e^{-s}(1 + s). For s < 1, q = e^{-s} times the sum over
+      j >= 2 of s^j/j!, summed while the next term exceeds u times the
+      sum (the rest is then below twice that, as s/j < 1/2). Term j takes
+      2j - 3 roundings and the sum of the k - 2 terms k - 3 more; with the
+      rest, the factor e^{-s}, the last product and the error of s (q's
+      relative condition s^2 e^{-s}/q is at most 2) that is under
+      g(3k + 8), plus (k + 3) eta for the terms that underflow. For s >= 1,
+      q = (1 - e^{-s}) - s e^{-s}, at least 1 - 2/e, and the error is at
+      most the two widths above plus one rounding of q.
+
+    Each width is itself computed with a few roundings, which the spare
+    terms of each gamma cover.
+    """
+    for state, p, width in _law(i, t):
+        if state == j:
+            return p, width
+    return 0.0, 0.0
 
 
 def _reachable(i: CtmcState) -> tuple[CtmcState, ...]:
-    return tuple(j for j, _ in _law(i, 0.0))
+    return tuple(j for j, _, _ in _law(i, 0.0))
 
 
 def semigroup_apply(f: Union[TestFunction, Callable[[float], float]], i: CtmcState, t: float) -> float:
     """Exact expectation of f at time t from state i (at most three terms)."""
-    return sum(p * f(j.value) for j, p in _law(i, t))
+    return sum(p * f(j.value) for j, p, _ in _law(i, t))
+
+
+def semigroup_bound(f: Union[TestFunction, Callable[[float], float]], i: CtmcState,
+                    t: float) -> tuple:
+    """``(semigroup_apply(f, i, t), half_width)``: the half-width bounds the
+    distance to the mean, under the true law, of f's values as computed at
+    the states' floats (the sweep's rows mean the same). With m terms y_j =
+    f(x_j) and probabilities p_j within w_j, it is the sum of w_j |y_j|,
+    plus g(m + 1) times the sum of |p_j y_j| for the m products and their
+    sum (Python's ``sum`` of floats adds left to right, or since 3.12 with
+    compensation, which is no worse), plus m eta for products that
+    underflow; 0 where every w_j is (t = 0 or a start at zero)."""
+    law = [(p, width, f(j.value)) for j, p, width in _law(i, t)]
+    value = sum(p * y for p, _, y in law)
+    if not any(width for _, width, _ in law):
+        return value, 0.0
+    return value, (sum(width * abs(y) for _, width, y in law)
+                   + _gamma(len(law) + 1) * sum(abs(p * y) for p, _, y in law)
+                   + len(law) * _ETA)
 
 
 def _invert(x: float) -> float:

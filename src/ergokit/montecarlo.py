@@ -1,15 +1,20 @@
 """Batch trajectory estimation with rigorous confidence widths.
 
-Determinism contract: trajectory k of cell c draws from a Philox stream
-whose 256-bit counter block starts at (0, k, c, 0) under a key derived from
-the master seed alone. Streams are therefore disjoint by construction, any
-(cell, trajectory) pair is reproducible in isolation, and results cannot
-depend on how work is scheduled. Reductions always run in trajectory order
-inside a cell and in declared cell order across a batch, so a batch output
-is bitwise identical for any worker count. ``sample_cells`` is the one
-place where cells get their streams, and ``run_batch`` the one place where
-sampled cells become estimates: every batch estimate and Monte Carlo
-diagnostic reduces its (initial, time) cells through it.
+Determinism contract: trajectory k of stream cell c draws from a Philox
+stream whose 256-bit counter block starts at (0, k, c, 0) under a key
+derived from the master seed alone. Streams are therefore disjoint by
+construction, any (cell, trajectory) pair is reproducible in isolation,
+and results cannot depend on how work is scheduled. ``sample_cells`` is
+the one place where (initial, time) cells get their streams: a batch-form
+process (the ``ctmc`` chain) samples each distinct start once, from stream
+cell s for the start at position s in order of first appearance, and its
+paths give the state at every time of that start; a cell-form process (a
+jump system) samples cell i of the batch from stream cell i. Reductions
+always run in trajectory order inside a cell and in declared cell order
+across a batch, so a batch output is bitwise identical for any worker
+count. ``run_batch`` is the one place where sampled cells become
+estimates: every batch estimate and Monte Carlo diagnostic reduces its
+cells through it.
 
 Philox4x64-10 is counter based, so draw d of stream (seed, c, k) is a pure
 function of its position: word ``d % 4`` of the Philox block for counter
@@ -18,8 +23,9 @@ double ``(word >> 11) * 2**-53``. ``stream_uniforms`` evaluates that
 formula for many trajectories of one cell in one numpy pass, bit for bit
 equal to the ``StreamFactory`` stream; the work the rows share runs once,
 on Python ints. A process samples in one of two forms: a batch form (the
-``ctmc`` chain) from those uniforms, ``CHUNK`` trajectories at a time, or
-a cell form (a jump system) in one loop over all the streams of a cell.
+``ctmc`` chain) from those uniforms, ``CHUNK`` trajectories at a time, each
+chunk serving every time of its start, or a cell form (a jump system) in
+one loop over all the streams of a cell.
 The chain's batch form computes the holding times with numpy's ``log1p``,
 which may differ from ``math.log1p`` by an ulp, and reruns the scalar
 cascade on every row whose holding time, or sum of two, lies within a
@@ -339,16 +345,12 @@ def sample_terminals(process, x0, t: float, n: int, seed: int, *,
     if not (batch or hasattr(process, "terminal_states_from")):
         raise ValueError("a process needs a batch form terminal_states(x0, t, uniforms) "
                          "or a cell form terminal_states_from(x0, t, streams)")
-    out = np.empty(n)
     if batch:
-        for start in range(0, n, CHUNK):
-            stop = min(start + CHUNK, n)
-            uniforms = stream_uniforms(seed, cell, start, stop, process.batch_draws)
-            try:
-                out[start:stop] = process.terminal_states(x0, t, uniforms)
-            except Exception as exc:
-                raise RuntimeError(f"trajectory {start} of cell {cell}: {exc}") from exc
+        out, = _batch_terminals(process, x0, (t,), n, seed, cell)
+        if isinstance(out, Exception):
+            raise out
         return out
+    out = np.empty(n)
     streams = StreamFactory(seed).streams(cell, n)
     k = 0
     try:
@@ -360,40 +362,79 @@ def sample_terminals(process, x0, t: float, n: int, seed: int, *,
     return out
 
 
-def _sample_cell(job):
-    process, x0, t, n, seed, cell = job
+def _batch_terminals(process, x0, times, n: int, seed: int, cell: int) -> list:
+    """Per time, the states of the n >= 1 trajectories (seed, cell, k) of a
+    batch form from x0, or the ``RuntimeError`` of a time at which
+    ``terminal_states`` raised: each chunk's uniforms serve every time."""
+    outs = [np.empty(n) for _ in times]
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        uniforms = stream_uniforms(seed, cell, start, stop, process.batch_draws)
+        for j, t in enumerate(times):
+            if isinstance(outs[j], np.ndarray):
+                try:
+                    outs[j][start:stop] = process.terminal_states(x0, t, uniforms)
+                except Exception as exc:
+                    outs[j] = RuntimeError(f"trajectory {start} of cell {cell}: {exc}")
+                    outs[j].__cause__ = exc
+    return outs
+
+
+def _sample_job(job) -> list:
+    """Per time of one ``sample_cells`` job, its states or error message."""
+    process, x0, times, n, seed, key = job
     try:
-        return sample_terminals(process, x0, t, n, seed, cell=cell)
+        if len(times) > 1 and n >= 1:  # else sample_terminals raises on n
+            return [out if isinstance(out, np.ndarray) else str(out)
+                    for out in _batch_terminals(process, x0, times, n, seed, key)]
+        return [sample_terminals(process, x0, t, n, seed, cell=key) for t in times]
     except Exception as exc:
-        return str(exc)
+        return [str(exc)] * len(times)
 
 
 def sample_cells(process, cells, n: int, seed: int, workers: Optional[int] = None) -> list:
     """Terminal states of n trajectories from every ``(x0, t)`` cell, in cell order.
 
-    Cell i draws ``sample_terminals(process, x0, t, n, seed, cell=i)``. A
-    failed cell yields its error message in place of the array and never
-    aborts its siblings. Cells are self-contained, so the result is bitwise
-    independent of the worker count. Worker processes need the process by
-    pickle; one that does not pickle raises ``ValueError`` before any pool
-    is opened.
+    A batch form samples each start once: the cells of the start at
+    position s among the distinct starts (told apart by ``==``, in order of
+    first appearance) draw ``sample_terminals(process, x0, t, n, seed,
+    cell=s)``, from one block of uniforms for all their times, so equal
+    starts share their samples and distinct starts are independent. Under
+    a cell form, cell i draws ``sample_terminals(process, x0, t, n, seed,
+    cell=i)``. A failed cell yields its error message in place of the array
+    and never aborts its siblings. A job, a start or a cell, is
+    self-contained, so the result is bitwise independent of the worker
+    count. Worker processes need the process by pickle; one that does not
+    pickle raises ``ValueError`` before any pool is opened.
     """
     workers = resolve_workers(workers)
-    jobs = [(process, x0, t, n, seed, i) for i, (x0, t) in enumerate(cells)]
+    cells = list(cells)
+    batch = hasattr(process, "terminal_states")
+    groups: dict = {}  # the cell indices of each job, a start or a cell
+    for i, (x0, _) in enumerate(cells):
+        groups.setdefault(x0 if batch else i, []).append(i)
+    jobs = [(process, cells[idx[0]][0], tuple(cells[i][1] for i in idx), n, seed, key)
+            for key, idx in enumerate(groups.values())]
     if workers == 1 or len(jobs) <= 1:
-        return [_sample_cell(job) for job in jobs]
-    try:
-        pickle.dumps(process)
-    except Exception as exc:
-        name = getattr(process, "name", type(process).__name__)
-        raise ValueError(f"model {name!r} cannot be sent to worker processes ({exc}); "
-                         "use one worker or a module-level builder") from exc
-    # imported here: the pool machinery costs a fresh interpreter ~10 ms,
-    # which a one-worker run never needs
-    from concurrent.futures import ProcessPoolExecutor
+        done = [_sample_job(job) for job in jobs]
+    else:
+        try:
+            pickle.dumps(process)
+        except Exception as exc:
+            name = getattr(process, "name", type(process).__name__)
+            raise ValueError(f"model {name!r} cannot be sent to worker processes ({exc}); "
+                             "use one worker or a module-level builder") from exc
+        # imported here: the pool machinery costs a fresh interpreter ~10 ms,
+        # which a one-worker run never needs
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(_sample_cell, jobs))
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            done = list(pool.map(_sample_job, jobs))
+    results = [None] * len(cells)
+    for idx, values in zip(groups.values(), done):
+        for i, cell in zip(idx, values):
+            results[i] = cell
+    return results
 
 
 def _array_sum(functional: TestFunction, values: np.ndarray) -> Optional[float]:

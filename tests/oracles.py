@@ -4,8 +4,8 @@ Everything here deliberately avoids the library's own code paths: the
 bounded-Lipschitz oracle is a linear program over the merged support, and
 the jump-chain laws come from truncated Poisson mixtures of discrete
 transition-matrix powers, the halving hit probabilities from such a
-mixture summed in ``decimal``, the means of a finite jump system by its
-uniformized series in ``decimal``, and the moments of an affine moving-flow
+mixture summed in ``decimal``, the chain's closed form in ``decimal``, the
+means of a finite jump system by its uniformized series in ``decimal``, and the moments of an affine moving-flow
 system from its generator's matrix exponential.
 """
 
@@ -225,6 +225,26 @@ def ctmc_zero_mass(n: int, t: float) -> Decimal:
                 break
             tail += term
         return +((-s).exp() * tail)
+
+
+def ctmc_closed_form(n: int, t: float) -> dict:
+    """P_t(x -> y) of the chain in ``exact_ctmc`` on the n-cascade, keyed by
+    the label pair, e.g. ``("low:3", "zero")``, as ``Decimal``s.
+
+    It evaluates the closed form itself, 1 - e^{-s}(1 + s) and 1 - e^{-s}
+    included, s = t/n with t read exactly, with 60 digits to spare over the
+    about 2 log10(1/s) that the cancellation costs.
+    """
+    low, high, zero = f"low:{n}", f"high:{n}", "zero"
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ctx.prec += 2 * max(0, -(Decimal(t) / n).adjusted())
+        s = Decimal(t) / n
+        decay = (-s).exp()
+        law = {(low, low): decay, (low, high): s * decay, (low, zero): 1 - decay * (1 + s),
+               (high, high): decay, (high, zero): 1 - decay, (zero, zero): Decimal(1)}
+        return {(x, y): +law.get((x, y), Decimal(0))
+                for x in (low, high, zero) for y in (low, high, zero)}
 
 
 def ctmc_ec_gap_max(n: int, t_lo: float, t_hi: float) -> tuple:

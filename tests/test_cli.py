@@ -13,7 +13,7 @@ import pytest
 
 import ergokit
 from ergokit.cli import main
-from oracles import halving_hit_probs
+from oracles import ctmc_closed_form, halving_hit_probs
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +59,23 @@ def test_exact_ctmc_identity_at_time_zero(capsys):
     assert probs["low:2->low:2"] == 1.0
     assert probs["low:2->zero"] == 0.0
     assert probs["high:2->high:2"] == 1.0
+
+
+def test_exact_ctmc_small_time_rows_do_not_cancel(capsys):
+    # the closed form as 1 - e^{-s} - s e^{-s} printed 4.1620185505707211e-17
+    # for low:2->zero and 5.000000413701855e-10 for high:2->zero, width 0
+    code, out, _ = run_cli(capsys, "exact-ctmc", "--n", "2", "--t", "1e-9")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    truth = ctmc_closed_form(2, 1e-9)
+    for row in rows:
+        value, width = Decimal(row["value"]), Decimal(row["half_width"])
+        assert abs(value - truth[tuple(row["x"].split("->"))]) <= width
+        assert (width > 0) == (row["x"] not in ("high:2->low:2", "zero->low:2",
+                                                "zero->high:2", "zero->zero"))
+    rows = {row["x"]: float(row["value"]) for row in rows}
+    assert rows["low:2->zero"] == pytest.approx(1.25e-19, rel=1e-9)
+    assert rows["high:2->zero"] == pytest.approx(4.99999999875e-10, rel=1e-15)
 
 
 def test_exact_ctmc_rejects_low_level(capsys):
@@ -1530,14 +1547,14 @@ def test_simulate_bytes_on_a_model_warmed_by_another_command(tmp_path, monkeypat
 
 @pytest.mark.parametrize("argv, digest", [
     (["exact-ctmc", "--n", "3", "--t", "2"],
-     "2cfbd96dd26744ffc9a42c3e0fd281e62d4ccda30cdc6aa46281a2afe9633b79"),
+     "773bd956f68ac7667ee038a94b6a91a4347df62bb18b0989f6fefe32d70e5576"),
     (["exact-ctmc", "--n", "5", "--t", "0.7", "--f", "const:3"],
-     "fa683977b44d0440d59db85015dc08dc97cd5f0090b578bf3ce2932e750524b6"),
+     "92994172795bec39b0c5c9489aae42e08346949a0d80a4113f72c7a5cfc955ba"),
     (["exact-ctmc", "--n", "3", "--t", "2", "--f", "bump:0,1,0.5", "--format", "json"],
-     "22993d8d3cc3e2f639e1d8761c80ba27a85542fae1b85d04541df63c95422140"),
+     "aa762d67a90cde2f43b37e595bd4257d133b1eb7e89666b2a9f6f45f77c180db"),
     (["estimate", "--model", "ctmc", "--x0", "low:2,low:4,high:3", "--times", "1,4,16",
       "--f", "xmin1", "--ball", "0,0.1", "--samples", "600"],
-     "06b4d73e410d1add855d8c67a7f8b5d03037bb95e782a76ece3395db385ef21f"),
+     "eeebe0bb9f715bd36897b2d637a119e3fa63485a64e89619ce44a3dca5bc307f"),
     (["diagnose", "stability", "--model", "ctmc", "--initials", "low:2,high:3",
       "--t-grid", "1,4", "--samples", "200", "--seed", "5"],
      "4224a941cbfba97667e0b843f7eabf49bf23b0ca8d8b118262c8aad93506efee"),
@@ -1557,7 +1574,10 @@ def test_table_bytes_are_pinned(tmp_path, monkeypatch, argv, digest):
     # estimates and the diagnostics on the ctmc, halving and drift models.
     # 0.10.0: ctmc manifests carry no lambda, and the chain's exact rows
     # come from the sweep (see
-    # test_chain_exact_rows_are_within_their_width_of_the_closed_form)
+    # test_chain_exact_rows_are_within_their_width_of_the_closed_form).
+    # 0.12.0: the chain is sampled once per start (stream key (seed, start
+    # position, k)), which moved ctmc-estimate, and every rounded entry of
+    # exact-ctmc carries its rounding bound as its half-width
     from ergokit import cli
 
     monkeypatch.setitem(cli._MODELS, "drift", (_drift_model, ()))
@@ -1665,13 +1685,13 @@ def test_moving_flow_tables_are_pinned(tmp_path, monkeypatch, argv, digest):
 @pytest.mark.parametrize("argv, status, digest", [
     (["--model", "ctmc", "--x0", "low:2,low:4,high:3", "--times", "1,4,16", "--f", "xmin1",
       "--ball", "0,0.1", "--samples", "6000"], 0,
-     "31473acacd7db829786ab3538f9f81764e1ee1613263a9631fff06c2e09f247b"),
+     "cd0e00e483a49f682fb5c5b2627b8ef4f6ebf0c80099c46e02f03772f5595227"),
     (["--model", "ctmc", "--x0", "low:2,high:3", "--times", "1,4", "--f", "const:3",
       "--samples", "500", "--seed", "4"], 0,
      "84c7ed86cf72a2877e5d298f2524bdce78ca3344df6427c2625d0d63840ffd9b"),
     (["--model", "ctmc", "--x0", "low:2,low:4,high:3", "--times", "1,4,16",
       "--f", "bump:0,1,0.5", "--samples", "500", "--seed", "4"], 0,
-     "9b8f29fc4cefb3488d79571de63a2c81e6e0303d178e8f3616852c69e62ba83b"),
+     "5a0ba0d979701c23f47cb75c593ce144fca7a2f8bfb215d4a6350389340aba63"),
     (["--model", "halving", "--x0", "0.5,2", "--times", "5,20", "--f", "bump:0,0.5,0.2",
       "--samples", "300", "--seed", "3"], 0,
      "73141423e8584a6021f56db78b05b5babea9623c06062a1c33188b34d29a5395"),
@@ -1680,7 +1700,7 @@ def test_moving_flow_tables_are_pinned(tmp_path, monkeypatch, argv, digest):
      "fb9dba67d7ffcc66a6a9a912d32a1a846840be68ae676a67537f9a49c8b147af"),
     (["--model", "ctmc", "--x0", "low:3,high:2", "--times", "2,9", "--f", "xmin1",
       "--ball", "0,0.3", "--samples", "8197", "--seed", "11"], 0,
-     "61fe2f31e805a174571f72e1d9cde40fa7bfb11dcb5f880f928eff4066411e82"),
+     "97ef120deb9d853b1042bc70338aa869fe1d2aa3649a8f3441a9b37348f9af2a"),
 ], ids=["ctmc-xmin1-ball-two-chunks", "ctmc-const", "ctmc-bump", "halving-bump",
         "ctmc-bump-zero-division", "ctmc-xmin1-ball-chunk-plus-5"])
 def test_estimate_tables_are_pinned(tmp_path, capsys, argv, status, digest):
@@ -1691,7 +1711,10 @@ def test_estimate_tables_are_pinned(tmp_path, capsys, argv, status, digest):
     # took two passes of the Philox kernel at CHUNK = 4096, as its id says,
     # and take one since CHUNK = 8192; the last case's CHUNK + 5 = 8197 take
     # two, and its digest was taken at CHUNK = 4096 (three passes). The
-    # ctmc digests moved in 0.10.0 only by the manifest's lambda line
+    # ctmc digests moved in 0.10.0 only by the manifest's lambda line, and
+    # in 0.12.0 where the chain, now sampled once per start, draws a cell
+    # from a new stream: every cell but those of the first start at its
+    # first time, and those whose values every stream gives (const, t = 0)
     tables = []
     for workers in ("1", "2"):
         table = tmp_path / f"w{workers}.csv"

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ergokit.core import Ball, xmin1
+from ergokit.core import Ball, bump_function, constant, xmin1
 from ergokit.exact_ctmc import (
     CtmcProcess,
     CtmcState,
@@ -15,6 +15,8 @@ from ergokit.exact_ctmc import (
     parse_ctmc_state,
     sample_path,
     semigroup_apply,
+    semigroup_bound,
+    transition_bound,
     transition_prob,
 )
 from ergokit.montecarlo import (
@@ -24,7 +26,7 @@ from ergokit.montecarlo import (
     sample_terminals,
     stream_uniforms,
 )
-from oracles import ctmc_zero_mass
+from oracles import ctmc_closed_form, ctmc_zero_mass
 
 F = xmin1()
 
@@ -72,6 +74,63 @@ def test_rows_sum_to_one(n, t):
     for i in row_states:
         total = sum(transition_prob(i, j, t) for j in row_states)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def _rounded(i, j):
+    """Whether the table computes P(i -> j) for t > 0: every pair but those
+    from zero and the unreachable one, high -> low, which are exact."""
+    return i.kind != "zero" and not (i.kind == "high" and j.kind == "low")
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-5, 0.01, 0.5, 1.0, 3.0, 50.0])
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_closed_form_rows_are_within_their_width_of_the_decimal_truth(n, s):
+    t = s * n
+    truth = ctmc_closed_form(n, t)
+    for i in states(n):
+        for j in states(n):
+            p, width = transition_bound(i, j, t)
+            assert p == transition_prob(i, j, t)
+            assert abs(Decimal(p) - truth[str(i), str(j)]) <= Decimal(width)
+            assert (width > 0.0) == _rounded(i, j)
+            # a few ulps, not a blanket width
+            assert width <= 1e-13 * p + 1e-300
+    for f in (xmin1(), constant(3.0), bump_function((0.0, 1.0), 0.5)):
+        for i in states(n):
+            value, width = semigroup_bound(f, i, t)
+            assert value == semigroup_apply(f, i, t)
+            want = sum(truth[str(i), str(j)] * Decimal(f(j.value)) for j in states(n))
+            assert abs(Decimal(value) - want) <= Decimal(width)
+            assert (width > 0.0) == (i.kind != "zero")
+
+
+def test_closed_form_zero_masses_at_small_times_do_not_cancel():
+    # 1 - e^{-s} - s e^{-s} gave 4.16e-17 here, and 1 - e^{-s} 5.0000004e-10
+    low2, high2, zero = states(2)
+    truth = ctmc_closed_form(2, 1e-9)
+    assert Decimal("1.2499e-19") < truth["low:2", "zero"] < Decimal("1.2501e-19")
+    for i in (low2, high2):
+        p, width = transition_bound(i, zero, 1e-9)
+        assert abs(Decimal(p) - truth[str(i), "zero"]) <= Decimal(p) * Decimal(1e-15)
+        assert 0.0 < width <= 1e-14 * p
+
+
+def test_closed_form_widths_are_zero_at_time_zero():
+    for i in states(4):
+        for j in states(4):
+            assert transition_bound(i, j, 0.0) == (float(i == j), 0.0)
+        assert semigroup_bound(F, i, 0.0) == (F(i.value), 0.0)
+
+
+def test_closed_form_widths_cover_underflow():
+    # e^{-s} and s e^{-s} underflow past s ~ 745; the widths still cover them
+    for n, t in ((2, 1500.0), (3, 2200.0), (2, 5e-324), (5, 1e-310)):
+        truth = ctmc_closed_form(n, t)
+        for i in states(n):
+            for j in states(n):
+                p, width = transition_bound(i, j, t)
+                assert abs(Decimal(p) - truth[str(i), str(j)]) <= Decimal(width)
+                assert (width > 0.0) == _rounded(i, j)
 
 
 def test_absorption_is_monotone_in_time():

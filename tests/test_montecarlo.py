@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ergokit import montecarlo
-from ergokit.core import Ball, TestFunction, bump_function, constant, xmin1
+from ergokit.core import Ball, EmpiricalMeasure, TestFunction, bump_function, constant, xmin1
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_flip, example_halving
 from ergokit.montecarlo import (
@@ -480,7 +480,8 @@ def test_batch_shape_and_declared_order():
     for (x0, t), cell in zip(cells, results):
         assert [est.value_bound for est in cell] == [F.value_bound, 1.0]
         assert all(est.n_samples == 200 and est.confidence == 0.99 for est in cell)
-    # cell i is stream cell i: declared order, not sorted by start or time
+    # the first start in declared order draws stream cell 0, not sorted by
+    # start or time
     flipped = run_batch(CTMC, cells[::-1], (F,), McSettings(200, 99), 0.99)
     assert flipped[0][0] == estimate_ptf(CTMC, *cells[-1], F, 200, 99, cell=0,
                                          confidence=0.99)
@@ -531,17 +532,102 @@ def test_batch_functional_failure_fails_only_its_cell():
 
 
 def test_batch_functionals_share_each_cell():
-    cells = [(x0, t) for x0 in (CtmcState.low(2), CtmcState.high(3)) for t in (1.0, 4.0)]
+    starts = (CtmcState.low(2), CtmcState.high(3))
+    cells = [(x0, t) for x0 in starts for t in (1.0, 4.0)]
     ball = Ball(0.0, 0.1)
     results = run_batch(CTMC, cells, (F, ball), McSettings(400, 21), 0.999)
     assert len(results) == 4
     for j, (x0, t) in enumerate(cells):
-        # cell j of the grid feeds both functionals
-        assert results[j] == [estimate_ptf(CTMC, x0, t, F, 400, 21, cell=j),
-                              _estimate(sample_terminals(CTMC, x0, t, 400, 21, cell=j), ball,
+        # the cell of start s feeds both functionals from stream cell s
+        s = starts.index(x0)
+        assert results[j] == [estimate_ptf(CTMC, x0, t, F, 400, 21, cell=s),
+                              _estimate(sample_terminals(CTMC, x0, t, 400, 21, cell=s), ball,
                                         0.999)]
     single = run_batch(CTMC, cells, (F,), McSettings(400, 21), 0.999)
     assert [cell[:1] for cell in results] == single
+
+
+# ---------------------------------------------------------------------------
+# the chain is sampled once per start
+
+
+# three starts, each at its times in another order, interleaved
+CHAIN_CELLS = [(CtmcState.low(2), 4.0), (CtmcState.high(3), 16.0), (CtmcState.low(2), 1.0),
+               (CtmcState.low(5), 0.5), (CtmcState.high(3), 1.0), (CtmcState.low(5), 16.0),
+               (CtmcState.low(2), 16.0), (CtmcState.low(5), 4.0), (CtmcState.high(3), 0.0)]
+CHAIN_STARTS = [CtmcState.low(2), CtmcState.high(3), CtmcState.low(5)]
+
+
+@pytest.mark.parametrize("order", [range(9), range(8, -1, -1), (4, 0, 8, 2, 6, 1, 3, 7, 5)],
+                         ids=["declared", "reversed", "shuffled"])
+def test_chain_cells_draw_the_streams_of_their_start(order):
+    # two chunks: the uniforms of each chunk serve every time of a start
+    cells = [CHAIN_CELLS[i] for i in order]
+    starts = list(dict.fromkeys(x0 for x0, _ in cells))
+    samples = sample_cells(CTMC, cells, CHUNK + 5, 8)
+    for (x0, t), got in zip(cells, samples):
+        want = sample_terminals(CTMC, x0, t, CHUNK + 5, 8, cell=starts.index(x0))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_chain_cells_bitwise_identical_across_worker_counts():
+    serial = sample_cells(CTMC, CHAIN_CELLS, 300, 12, workers=1)
+    parallel = sample_cells(CTMC, CHAIN_CELLS, 300, 12, workers=2)
+    assert [a.tobytes() for a in serial] == [b.tobytes() for b in parallel]
+
+
+def test_equal_chain_starts_share_their_samples():
+    cells = [(CtmcState.low(2), 1.0), (CtmcState.high(3), 1.0), (CtmcState.low(2), 4.0),
+             (CtmcState.low(2), 1.0)]
+    samples = sample_cells(CTMC, cells, 200, 3)
+    assert samples[3].tobytes() == samples[0].tobytes()
+    assert samples[1].tobytes() == \
+        sample_terminals(CTMC, CtmcState.high(3), 1.0, 200, 3, cell=1).tobytes()
+
+
+class _FailsAtTwo(CtmcProcess):
+    """The chain, whose batch form raises at t = 2 on the second chunk."""
+
+    def terminal_states(self, x0, t, uniforms):
+        if t == 2.0 and len(uniforms) < CHUNK:
+            raise ValueError("no states at t = 2")
+        return super().terminal_states(x0, t, uniforms)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_batch_failure_at_one_time_fails_only_that_cell(workers):
+    process = _FailsAtTwo()
+    cells = [(CtmcState.low(2), 1.0), (CtmcState.high(3), 2.0), (CtmcState.high(3), 1.0),
+             (CtmcState.low(2), 2.0), (CtmcState.high(3), 4.0)]
+    samples = sample_cells(process, cells, CHUNK + 5, 4, workers=workers)
+    assert samples[1] == f"trajectory {CHUNK} of cell 1: no states at t = 2"
+    assert samples[3] == f"trajectory {CHUNK} of cell 0: no states at t = 2"
+    for i, s in ((0, 0), (2, 1), (4, 1)):
+        want = sample_terminals(CTMC, *cells[i], CHUNK + 5, 4, cell=s)
+        assert samples[i].tobytes() == want.tobytes()
+
+
+def test_jump_system_cells_keep_their_cell_streams_in_stability_report(monkeypatch):
+    # the contract a replay of a stability report relies on: under a cell
+    # form, cell i of initials x sorted times draws stream cell i
+    from ergokit import diagnostics
+
+    model = IfsModel(name="moving", maps=(lambda x: x / 2.0, lambda x: x / 2.0 + 1.0),
+                     prob_field=lambda x: (0.5, 0.5), rate=1.0, flow=ExponentialFlow(0.1))
+    seen = []
+
+    def recorded(process, cells, n, seed, workers=None):
+        seen.append((cells, sample_cells(process, cells, n, seed, workers)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(diagnostics, "sample_cells", recorded)
+    diagnostics.stability_report(model, [0.0, 2.0, 0.0], [3.0, 1.0],
+                                 EmpiricalMeasure.point_mass(0.0), McSettings(50, 6))
+    (cells, samples), = seen
+    assert cells == [(x, t) for x in (0.0, 2.0, 0.0) for t in (1.0, 3.0)]
+    for i, ((x, t), got) in enumerate(zip(cells, samples)):
+        assert got.tobytes() == sample_terminals(model, x, t, 50, 6, cell=i).tobytes()
+    assert samples[0].tobytes() != samples[4].tobytes()
 
 
 def test_time_grid_and_mc_settings_validation():
