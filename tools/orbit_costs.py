@@ -47,8 +47,12 @@ kernel ``stream_uniforms`` at the benchmark's cell shape (6000
 trajectories, two draws each; ten cells per repeat), in microseconds per
 trajectory; one ``ctmc`` trajectory from ``low:4`` to t = 4 through
 ``sample_terminals`` (60 000 trajectories, uniforms included), in
-microseconds; and ``montecarlo._estimate`` of ``xmin1`` over 60 000
-values, in nanoseconds per value. Two more time one exact law of the
+microseconds; one start as ``estimate`` samples it, ``low:4`` at the
+benchmark's times 1, 4 and 16 through ``sample_cells`` (one block of
+uniforms serves the three times; 6000 trajectories, ten starts per
+repeat), in microseconds per trajectory and time; and
+``montecarlo._estimate`` of ``xmin1`` over 60 000 values, in nanoseconds
+per value. Two more time one exact law of the
 chain from ``low:10`` through the jump-system sweep, at t = 100 and
 t = 10 000, in milliseconds: the sweep takes about t/2 steps (the chain's
 jump system runs at rate 1/2), so the cost grows with t, where the closed
@@ -86,7 +90,8 @@ from ergokit._g17 import g17_texts
 from ergokit.core import Ball, xmin1
 from ergokit.exact_ctmc import CtmcProcess, CtmcState
 from ergokit.ifs_jump import ExponentialFlow, IfsModel, example_halving
-from ergokit.montecarlo import StreamFactory, _estimate, sample_terminals, stream_uniforms
+from ergokit.montecarlo import (StreamFactory, _estimate, sample_cells, sample_terminals,
+                                 stream_uniforms)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from child import calibrate  # noqa: E402
@@ -189,6 +194,10 @@ def main():
     chain, low4 = CtmcProcess(), CtmcState.low(4)
     trajectory = best(lambda: sample_terminals(chain, low4, 4.0, 60000, 2)) / 60000
     print(f"ctmc trajectory, batch: {show(trajectory * 1e6, '.3f')} us")
+    start = [(low4, t) for t in (1.0, 4.0, 16.0)]
+    cell = best(lambda: [sample_cells(chain, start, 6000, seed) for seed in range(10)]) / 180000
+    print(f"ctmc start at 3 times, sample_cells: {show(cell * 1e6, '.3f')} us per trajectory "
+          "and time")
     values, f = sample_terminals(chain, low4, 4.0, 60000, 3), xmin1()
     per_value = best(lambda: _estimate(values, f, 0.999)) / 60000
     print(f"xmin1 estimate: {show(per_value * 1e9, '.1f')} ns per value")
