@@ -34,6 +34,11 @@ def as_time(t: float, name: str = "time") -> float:
     return t
 
 
+def _gamma(n: int) -> float:
+    """Higham's gamma_n: the relative error bound of n rounded operations."""
+    return n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """A bounded Lipschitz observable with declared metadata.

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import TestFunction, as_time
+from .core import TestFunction, _gamma, as_time
 
 __all__ = [
     "CtmcState",
@@ -48,12 +48,6 @@ __all__ = [
 
 _ZERO, _LOW, _HIGH = "zero", "low", "high"
 _U, _ETA = 2.0 ** -53, 2.0 ** -1074  # unit roundoff, smallest subnormal
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n, as ``ifs_jump._gamma``, which this module does
-    not import (sampling the chain loads no ``ifs_jump``)."""
-    return n * _U / (1.0 - n * _U)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Ball, EmpiricalMeasure, as_state, as_time
+from .core import Ball, EmpiricalMeasure, _gamma, as_state, as_time
 
 __all__ = [
     "IdentityFlow",
@@ -660,11 +660,6 @@ def _handed_over(records, flow):
                 np.fromiter(xi, float, len(xi)).tolist() if called else xi[:], index[:], phi[:])
         del tau, xi, index, phi
         yield copy
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n: the relative error bound of n rounded operations."""
-    return n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
 
 
 def _poisson_tail(lam: float, a: int) -> float:

@@ -2,13 +2,19 @@
 
 Determinism contract: trajectory k of stream cell c draws from a Philox
 stream whose 256-bit counter block starts at (0, k, c, 0) under a key
-derived from the master seed alone, so streams are disjoint and results
-cannot depend on how work is scheduled. ``sample_cells`` is the one place
-where (initial, time) cells get their streams (see there), and
-``run_batch`` the one place where sampled cells become estimates.
-Reductions run in trajectory order inside a cell and in declared cell
-order across a batch, so a batch output is bitwise identical for any
-worker count.
+derived from the master seed alone. Streams are therefore disjoint by
+construction, any (cell, trajectory) pair is reproducible in isolation,
+and results cannot depend on how work is scheduled. ``sample_cells`` is
+the one place where (initial, time) cells get their streams: a batch-form
+process (the ``ctmc`` chain) samples each distinct start once, from stream
+cell s for the start at position s in order of first appearance, and its
+paths give the state at every time of that start; a cell-form process (a
+jump system) samples cell i of the batch from stream cell i. Reductions
+always run in trajectory order inside a cell and in declared cell order
+across a batch, so a batch output is bitwise identical for any worker
+count. ``run_batch`` is the one place where sampled cells become
+estimates: every batch estimate and Monte Carlo diagnostic reduces its
+cells through it.
 
 Philox4x64-10 is counter based, so draw d of stream (seed, c, k) is a pure
 function of its position: word ``d % 4`` of the Philox block for counter
@@ -389,14 +395,17 @@ def _sample_job(job) -> list:
 def sample_cells(process, cells, n: int, seed: int, workers: Optional[int] = None) -> list:
     """Terminal states of n trajectories from every ``(x0, t)`` cell, in cell order.
 
-    A batch form samples each distinct start once (one block of uniforms
-    serves all its times): the start at position s, in order of first
-    appearance, draws ``sample_terminals(process, x0, t, n, seed, cell=s)``.
-    Under a cell form, cell i draws ``cell=i``. A failed cell yields its
-    error message and never aborts its siblings. Jobs (starts or cells) are
+    A batch form samples each start once: the cells of the start at
+    position s among the distinct starts (told apart by ``==``, in order of
+    first appearance) draw ``sample_terminals(process, x0, t, n, seed,
+    cell=s)``, from one block of uniforms for all their times, so equal
+    starts share their samples and distinct starts are independent. Under
+    a cell form, cell i draws ``sample_terminals(process, x0, t, n, seed,
+    cell=i)``. A failed cell yields its error message in place of the array
+    and never aborts its siblings. A job, a start or a cell, is
     self-contained, so the result is bitwise independent of the worker
-    count. A process that does not pickle raises ``ValueError`` before any
-    pool is opened.
+    count. Worker processes need the process by pickle; one that does not
+    pickle raises ``ValueError`` before any pool is opened.
     """
     workers = resolve_workers(workers)
     cells = list(cells)
