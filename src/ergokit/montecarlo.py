@@ -5,16 +5,11 @@ stream whose 256-bit counter block starts at (0, k, c, 0) under a key
 derived from the master seed alone. Streams are therefore disjoint by
 construction, any (cell, trajectory) pair is reproducible in isolation,
 and results cannot depend on how work is scheduled. ``sample_cells`` is
-the one place where (initial, time) cells get their streams: a batch-form
-process (the ``ctmc`` chain) samples each distinct start once, from stream
-cell s for the start at position s in order of first appearance, and its
-paths give the state at every time of that start; a cell-form process (a
-jump system) samples cell i of the batch from stream cell i. Reductions
-always run in trajectory order inside a cell and in declared cell order
-across a batch, so a batch output is bitwise identical for any worker
-count. ``run_batch`` is the one place where sampled cells become
-estimates: every batch estimate and Monte Carlo diagnostic reduces its
-cells through it.
+the one place where (initial, time) cells get their streams, keyed by
+start under a batch form and by cell under a cell form, and ``run_batch``
+the one place where sampled cells become estimates. Reductions always run
+in trajectory order inside a cell and in declared cell order across a
+batch, so a batch output is bitwise identical for any worker count.
 
 Philox4x64-10 is counter based, so draw d of stream (seed, c, k) is a pure
 function of its position: word ``d % 4`` of the Philox block for counter
@@ -25,16 +20,11 @@ equal to the ``StreamFactory`` stream; the work the rows share runs once,
 on Python ints. A process samples in one of two forms: a batch form (the
 ``ctmc`` chain) from those uniforms, ``CHUNK`` trajectories at a time, each
 chunk serving every time of its start, or a cell form (a jump system) in
-one loop over all the streams of a cell.
-The chain's batch form computes the holding times with numpy's ``log1p``,
-which may differ from ``math.log1p`` by an ulp, and reruns the scalar
-cascade on every row whose holding time, or sum of two, lies within a
-relative 2**-40 of t: no row can cross t, so each terminal state is the
-one ``sample_path`` gives. The built-in test functions (``xmin1``,
-``constant``, ``bump_function``) are evaluated over a cell's samples as
-one array, with the scalar evaluator's IEEE operations, and summed by
-``np.cumsum``, which adds left to right as the per-value loop of a
-user's test function does.
+one loop over all the streams of a cell. The built-in test functions
+(``xmin1``, ``constant``, ``bump_function``) are evaluated over a cell's
+samples as one array, with the scalar evaluator's IEEE operations, and
+summed by ``np.cumsum``, which adds left to right as the per-value loop
+of a user's test function does.
 
 Confidence half-widths use the Hoeffding bound for means of variables with
 a known range, never a normal approximation: conservative but valid at
@@ -363,20 +353,18 @@ def sample_terminals(process, x0, t: float, n: int, seed: int, *,
 
 
 def _batch_terminals(process, x0, times, n: int, seed: int, cell: int) -> list:
-    """Per time, the states of the n >= 1 trajectories (seed, cell, k) of a
-    batch form from x0, or the ``RuntimeError`` of a time at which
-    ``terminal_states`` raised: each chunk's uniforms serve every time."""
+    """Per time, a batch form's states of trajectories (seed, cell, k),
+    k < n, from x0, or the error that time raised."""
     outs = [np.empty(n) for _ in times]
     for start in range(0, n, CHUNK):
-        stop = min(start + CHUNK, n)
-        uniforms = stream_uniforms(seed, cell, start, stop, process.batch_draws)
+        uniforms = stream_uniforms(seed, cell, start, min(start + CHUNK, n), process.batch_draws)
         for j, t in enumerate(times):
-            if isinstance(outs[j], np.ndarray):
-                try:
-                    outs[j][start:stop] = process.terminal_states(x0, t, uniforms)
-                except Exception as exc:
-                    outs[j] = RuntimeError(f"trajectory {start} of cell {cell}: {exc}")
-                    outs[j].__cause__ = exc
+            try:
+                if isinstance(outs[j], np.ndarray):
+                    outs[j][start:start + CHUNK] = process.terminal_states(x0, t, uniforms)
+            except Exception as exc:
+                outs[j] = RuntimeError(f"trajectory {start} of cell {cell}: {exc}")
+                outs[j].__cause__ = exc
     return outs
 
 
@@ -384,10 +372,10 @@ def _sample_job(job) -> list:
     """Per time of one ``sample_cells`` job, its states or error message."""
     process, x0, times, n, seed, key = job
     try:
-        if len(times) > 1 and n >= 1:  # else sample_terminals raises on n
-            return [out if isinstance(out, np.ndarray) else str(out)
-                    for out in _batch_terminals(process, x0, times, n, seed, key)]
-        return [sample_terminals(process, x0, t, n, seed, cell=key) for t in times]
+        if len(times) == 1 or n < 1:  # a cell form's job has one time
+            return [sample_terminals(process, x0, times[0], n, seed, cell=key)]
+        return [out if isinstance(out, np.ndarray) else str(out)
+                for out in _batch_terminals(process, x0, times, n, seed, key)]
     except Exception as exc:
         return [str(exc)] * len(times)
 
@@ -395,17 +383,15 @@ def _sample_job(job) -> list:
 def sample_cells(process, cells, n: int, seed: int, workers: Optional[int] = None) -> list:
     """Terminal states of n trajectories from every ``(x0, t)`` cell, in cell order.
 
-    A batch form samples each start once: the cells of the start at
-    position s among the distinct starts (told apart by ``==``, in order of
-    first appearance) draw ``sample_terminals(process, x0, t, n, seed,
-    cell=s)``, from one block of uniforms for all their times, so equal
-    starts share their samples and distinct starts are independent. Under
-    a cell form, cell i draws ``sample_terminals(process, x0, t, n, seed,
-    cell=i)``. A failed cell yields its error message in place of the array
-    and never aborts its siblings. A job, a start or a cell, is
+    Under a batch form, the cells of the start at position s among the
+    distinct starts (by ``==``, in order of first appearance) equal
+    ``sample_terminals(process, x0, t, n, seed, cell=s)``, one block of
+    uniforms serving all their times; under a cell form, cell i equals
+    ``sample_terminals(..., cell=i)``. A failed cell yields its error
+    message and never aborts its siblings. Jobs (starts or cells) are
     self-contained, so the result is bitwise independent of the worker
-    count. Worker processes need the process by pickle; one that does not
-    pickle raises ``ValueError`` before any pool is opened.
+    count. A process that does not pickle raises ``ValueError`` before any
+    pool opens.
     """
     workers = resolve_workers(workers)
     cells = list(cells)
