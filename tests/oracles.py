@@ -5,8 +5,9 @@ bounded-Lipschitz oracle is a linear program over the merged support, and
 the jump-chain laws come from truncated Poisson mixtures of discrete
 transition-matrix powers, the halving hit probabilities from such a
 mixture summed in ``decimal``, the chain's closed form in ``decimal``, the
-means of a finite jump system by its uniformized series in ``decimal``, and the moments of an affine moving-flow
-system from its generator's matrix exponential.
+means of a finite jump system by its uniformized series in ``decimal``,
+and the moments of an affine moving-flow system from its generator's
+matrix exponential.
 """
 
 from __future__ import annotations
