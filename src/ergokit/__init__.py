@@ -10,7 +10,7 @@ imports.
 
 import sys
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {

@@ -422,6 +422,9 @@ def cmd_exact_ctmc(args: argparse.Namespace) -> int:
     n = settings.get("n", parse=int, required=True)
     if n < 2:
         raise CliError("n >= 2 required: the chain has no level below 2")
+    if n > sys.float_info.max:
+        raise CliError(f"n <= {sys.float_info.max!r} required: the chain's times scale "
+                       "with the float t / n")
     t = settings.get("t", 1.0, as_time)
     f = _function(settings)
     states = (CtmcState.low(n), CtmcState.high(n), CtmcState.zero())

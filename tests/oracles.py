@@ -1,7 +1,8 @@
 """Independent reference computations used by the tests.
 
 Everything here deliberately avoids the library's own code paths: the
-bounded-Lipschitz oracle is a linear program over the merged support, and
+bounded-Lipschitz oracles are a linear program over the merged support and
+a dynamic programme over it in exact rational arithmetic, and
 the jump-chain laws come from truncated Poisson mixtures of discrete
 transition-matrix powers, the halving hit probabilities from such a
 mixture summed in ``decimal``, the chain's closed form in ``decimal``, the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
@@ -41,6 +43,38 @@ def bl_lp(mu_support, mu_weights, nu_support, nu_weights) -> float:
     res = linprog(-d, A_ub=A.tocsr(), b_ub=b, bounds=[(-1.0, 1.0)] * m, method="highs")
     assert res.status == 0, res.message
     return -res.fun
+
+
+def bl_exact(mu_support, mu_weights, nu_support, nu_weights) -> Fraction:
+    """The value of ``bl_lp`` exactly, for the float measures as given (small
+    supports only). V(phi), the best partial sum with f = phi at the current
+    point, is concave and piecewise linear on [-1, 1]. It is kept as its
+    knots and carried point by point: widened by the gap around its peak,
+    clipped to [-1, 1], then raised by d * phi."""
+    d: dict = {}
+    for support, weights, sign in ((mu_support, mu_weights, 1), (nu_support, nu_weights, -1)):
+        for x, w in zip(np.asarray(support, float).tolist(), np.asarray(weights, float).tolist()):
+            d[Fraction(x)] = d.get(Fraction(x), 0) + sign * Fraction(w)
+    one = Fraction(1)
+    knots = [(-one, Fraction(0)), (one, Fraction(0))]
+    prev = min(d)
+    for x in sorted(d):
+        gap, prev = x - prev, x
+        top = max(v for _, v in knots)
+        peak = [i for i, (_, v) in enumerate(knots) if v == top]
+        knots = ([(p - gap, v) for p, v in knots[:peak[0] + 1]]
+                 + [(p + gap, v) for p, v in knots[peak[-1]:]])
+        knots = ([(-one, _knot_value(knots, -one))] + [(p, v) for p, v in knots if -1 < p < 1]
+                 + [(one, _knot_value(knots, one))])
+        knots = [(p, v + d[x] * p) for p, v in knots]
+    return max(v for _, v in knots)
+
+
+def _knot_value(knots, phi):
+    for (p0, v0), (p1, v1) in zip(knots, knots[1:]):
+        if p0 <= phi <= p1:
+            return v0 if p1 == p0 else v0 + (v1 - v0) * (phi - p0) / (p1 - p0)
+    raise ValueError(f"{phi} outside the knots")
 
 
 def poisson_mixture_law(jump_matrix: np.ndarray, start: int, lam: float, t: float,

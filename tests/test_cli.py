@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -82,6 +83,15 @@ def test_exact_ctmc_rejects_low_level(capsys):
     code, _, err = run_cli(capsys, "exact-ctmc", "--n", "1")
     assert code == 2
     assert "n >= 2" in err
+
+
+def test_exact_ctmc_rejects_a_level_past_the_float_range(capsys):
+    # the chain's time scale t / n needs n as a float
+    code, out, err = run_cli(capsys, "exact-ctmc", "--n", "1" + "0" * 400)
+    assert code == 2 and out == ""
+    assert "n <= " in err
+    code, out, _ = run_cli(capsys, "exact-ctmc", "--n", str(int(sys.float_info.max)))
+    assert code == 0 and "low:" in out
 
 
 def test_exact_ctmc_has_no_plot_option(tmp_path, capsys):
@@ -1560,7 +1570,7 @@ def test_simulate_bytes_on_a_model_warmed_by_another_command(tmp_path, monkeypat
      "4224a941cbfba97667e0b843f7eabf49bf23b0ca8d8b118262c8aad93506efee"),
     (["diagnose", "stability", "--model", "drift", "--initials", "0.5,2",
       "--t-grid", "2,4", "--samples", "200", "--seed", "5"],
-     "c997a1f4c252c862568798cca7a22a45c2cfec7ccb1f98fcfe84a9d6d0619531"),
+     "565c9c42ff61d7663319173cbe3aead422e276d06383e4ba110f0c2b04cd0eba"),
     (["diagnose", "eprop", "--model", "ctmc"],
      "764ba8b4393304f9c9d15bccd60cbc37f6474354913b18f44c3acec476b463f1"),
     # 0.9.0: the C2 rows come from the backward sweep (see
@@ -1577,7 +1587,9 @@ def test_table_bytes_are_pinned(tmp_path, monkeypatch, argv, digest):
     # test_chain_exact_rows_are_within_their_width_of_the_closed_form).
     # 0.12.0: the chain is sampled once per start (stream key (seed, start
     # position, k)), which moved ctmc-estimate, and every rounded entry of
-    # exact-ctmc carries its rounding bound as its half-width
+    # exact-ctmc carries its rounding bound as its half-width.
+    # 0.13.0: bl_distance's closed form moved the last digits of a
+    # stability-drift bl_to_ref value
     from ergokit import cli
 
     monkeypatch.setitem(cli._MODELS, "drift", (_drift_model, ()))
@@ -1661,7 +1673,7 @@ def _expflow_model(lam):
 @pytest.mark.parametrize("argv, digest", [
     (["diagnose", "stability", "--model", "expflow", "--initials", "0,1,2", "--t-grid", "10,20",
       "--samples", "400", "--seed", "7"],
-     "4b8fdfceb293b2f4ab91836cfb38b7e4da4e622331101bd7e0352a123d01f2a0"),
+     "035171ab95d8a71cfddfc57c056e81fa4d9d79b14b077e9320847f9932165f17"),
     (["estimate", "--model", "expflow", "--x0", "0,1,2", "--times", "10,20", "--f", "xmin1",
       "--ball", "0.5,0.25", "--samples", "400", "--seed", "7"],
      "334d7819f4e064db4a593a5a0f19c542a284b6fb1d4d70c424bab08492f514ad"),
@@ -1669,7 +1681,9 @@ def _expflow_model(lam):
 def test_moving_flow_tables_are_pinned(tmp_path, monkeypatch, argv, digest):
     # digests of the 0.9.0 tables of a moving flow whose field returns one
     # constant tuple; the benchmark replays these laws through the sampler
-    # itself, so only these pins see a sampler change that moves them
+    # itself, so only these pins see a sampler change that moves them.
+    # 0.13.0: bl_distance's closed form moved the last digits of the
+    # stability table's bl_to_ref and bl_between values
     from ergokit import cli
 
     monkeypatch.setitem(cli._MODELS, "expflow", (_expflow_model, ()))

@@ -2,15 +2,19 @@ import ast
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ergokit import core
 from ergokit.core import (
+    WEIGHT_TOL,
     Ball,
     EmpiricalMeasure,
     TestFunction,
+    _gamma,
     _max_signed_pairing,
     _merged_signed_weights,
     as_state,
@@ -20,7 +24,7 @@ from ergokit.core import (
     xmin1,
 )
 
-from oracles import bl_lp
+from oracles import bl_exact, bl_lp
 
 
 def measure(support, weights):
@@ -221,6 +225,162 @@ def test_bl_matches_reference_dp_on_continuous_samples(seed):
     mu = EmpiricalMeasure.from_samples(rng.exponential(rng.uniform(0.2, 2.0), size=m))
     nu = EmpiricalMeasure.from_samples(rng.exponential(rng.uniform(0.2, 2.0), size=k))
     check_bl(mu, nu, lp=False)
+
+
+# ---------------------------------------------------------------------------
+# bl_distance's closed form: where the greedy potential fits in [-1, 1], and
+# the dynamic programme where it does not
+
+
+@pytest.fixture
+def dp_calls(monkeypatch):
+    """The (support, d) of every call bl_distance makes to the dynamic programme."""
+    calls = []
+
+    def spy(support, d):
+        calls.append((support, d))
+        return _max_signed_pairing(support, d)
+
+    monkeypatch.setattr(core, "_max_signed_pairing", spy)
+    return calls
+
+
+def closed_form_bound(mu, nu):
+    # the rounding bound that bl_distance's docstring derives for its closed form
+    support, d = _merged_signed_weights(mu, nu)
+    n, total = support.size, float(np.abs(d).sum())
+    width = float(support[-1] - support[0])
+    return (_gamma(2 * n + 4) * (4.0 * total * width + 2.0 * total)
+            + 2.0 * abs(math.fsum(d.tolist())) * width)
+
+
+def check_fitted(mu, nu):
+    got = bl_distance(mu, nu)
+    truth = bl_exact(mu.support, mu.weights, nu.support, nu.weights)
+    assert abs(Fraction(got) - truth) <= closed_form_bound(mu, nu)
+    assert got == pytest.approx(bl_lp(mu.support, mu.weights, nu.support, nu.weights),
+                                abs=1e-9)
+    return got
+
+
+def check_refused(mu, nu, dp_calls):
+    got = bl_distance(mu, nu)
+    assert len(dp_calls) == 1
+    assert got == min(max(_max_signed_pairing(*dp_calls[0]), 0.0), 2.0)
+    assert got == pytest.approx(bl_lp(mu.support, mu.weights, nu.support, nu.weights),
+                                abs=1e-9)
+    return got
+
+
+def random_measure(rng, grid, size):
+    return measure(np.sort(rng.choice(grid, size=size, replace=False)),
+                   rng.dirichlet(np.ones(size)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bl_closed_form_fits_inside_a_width_below_two(seed, dp_calls):
+    # a potential spans at most the support's width, so every input on
+    # [0, 1.9] fits; the grid makes shared atoms common
+    rng = np.random.default_rng(1000 + seed)
+    grid = np.linspace(0.0, 1.9, 40)
+    m, k = rng.integers(1, 25, size=2)
+    check_fitted(random_measure(rng, grid, m), random_measure(rng, grid, k))
+    assert dp_calls == []
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bl_closed_form_on_shared_atoms(seed, dp_calls):
+    # the same atoms with other weights (d is a difference at each), and
+    # with a few atoms of each measure's own
+    rng = np.random.default_rng(1100 + seed)
+    atoms = np.sort(rng.uniform(0.0, 1.5, size=12))
+    mu = measure(atoms, rng.dirichlet(np.ones(12)))
+    check_fitted(mu, measure(atoms, rng.dirichlet(np.ones(12))))
+    own = np.sort(np.concatenate([atoms[::2], rng.uniform(0.0, 1.5, size=4)]))
+    check_fitted(mu, measure(own, rng.dirichlet(np.ones(own.size))))
+    assert dp_calls == []
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_bl_closed_form_with_masses_unequal_within_tolerance(seed, sign, dp_calls):
+    # the total r of d is about 1e-12, so its side of the potential counts
+    rng = np.random.default_rng(1200 + seed)
+    grid = np.linspace(0.0, 1.9, 40)
+    mu, nu = random_measure(rng, grid, 15), random_measure(rng, grid, 9)
+    scale = 1.0 + sign * 0.4 * WEIGHT_TOL
+    mu = measure(mu.support, mu.weights * scale)
+    nu = measure(nu.support, nu.weights / scale)
+    assert abs(math.fsum(_merged_signed_weights(mu, nu)[1].tolist())) > 0.5 * WEIGHT_TOL
+    check_fitted(mu, nu)
+    check_fitted(nu, mu)
+    assert dp_calls == []
+
+
+@pytest.mark.parametrize("x, y, weight, want", [
+    (0.5, 0.5, 1.0 - 2.0 ** -42, 2.0 ** -42),
+    (0.0, 1.25, 1.0, 1.25),
+    (3.0, 1.0 + 2.0 ** -40, 1.0, 2.0 - 2.0 ** -40),
+    # unequal masses: f = 1 on the heavier side, and the potential shifted
+    # off its end value when that is not the extreme on that side
+    (1.5, 0.0, 1.0 - 1e-13, 1.5 - 0.5e-13),
+    (0.0, 1.5, 1.0 - 1e-13, 1.5 - 0.5e-13),
+    (1.5, 0.0, 1.0 + 1e-13, 1.5 + 1e-13),
+    (0.0, 1.5, 1.0 + 1e-13, 1.5 + 1e-13),
+])
+def test_bl_closed_form_on_one_point_measures(x, y, weight, want, dp_calls):
+    assert check_fitted(measure([x], [1.0]), measure([y], [weight])) == pytest.approx(want, abs=1e-15)
+    assert dp_calls == []
+
+
+def test_bl_closed_form_keeps_the_potential_flat_where_the_running_sum_is_zero(dp_calls):
+    # S is -1/2, 0, -1/2 on gaps 0.75, 1, 0.75: a step on the middle gap too
+    # would make the potential span 2.5
+    mu = measure([0.75, 2.5], [0.5, 0.5])
+    nu = measure([0.0, 1.75], [0.5, 0.5])
+    assert check_fitted(mu, nu) == 0.75
+    assert dp_calls == []
+
+
+def test_bl_closed_form_just_below_a_span_of_two(dp_calls):
+    # against a point mass at 0 the potential rises monotonically across
+    # the whole support, so it spans the support's width
+    top = 2.0 - 2.0 ** -30
+    support = np.concatenate([np.linspace(0.1, 1.9, 30), [top]])
+    mu = measure(support, np.full(support.size, 1.0 / support.size))
+    got = check_fitted(mu, EmpiricalMeasure.point_mass(0.0))
+    assert dp_calls == []
+    assert got == pytest.approx(float(np.dot(mu.weights, mu.support)), abs=1e-15)
+    assert bl_distance(measure([0.0], [1.0]), measure([top], [1.0])) == top
+
+
+@pytest.mark.parametrize("top", [2.0, 2.0 + 2.0 ** -30, 2.37])
+def test_bl_refused_at_a_span_of_two_or_more_is_the_dp_value(top, dp_calls):
+    support = np.concatenate([np.linspace(0.1, 1.9, 30), [top]])
+    mu = measure(support, np.full(support.size, 1.0 / support.size))
+    got = check_refused(mu, EmpiricalMeasure.point_mass(0.0), dp_calls)
+    assert got == pytest.approx(float(np.dot(mu.weights, np.minimum(support, 2.0))), abs=1e-15)
+
+
+def test_bl_refused_point_masses_two_apart(dp_calls):
+    # a span of exactly 2 fits in exact arithmetic, but not with the margin
+    assert check_refused(measure([0.0], [1.0]), measure([2.0], [1.0]), dp_calls) == 2.0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bl_either_branch_on_wide_supports(seed, dp_calls):
+    # on [0, 4] some potentials fit and others do not; a refused input
+    # gets the dynamic programme's value bit for bit
+    rng = np.random.default_rng(1300 + seed)
+    grid = np.linspace(0.0, 4.0, 50)
+    m, k = rng.integers(1, 20, size=2)
+    mu, nu = random_measure(rng, grid, m), random_measure(rng, grid, k)
+    got = bl_distance(mu, nu)
+    if dp_calls:
+        dp_calls.clear()
+        check_refused(mu, nu, dp_calls)
+    else:
+        assert check_fitted(mu, nu) == got
 
 
 # ---------------------------------------------------------------------------
