@@ -178,9 +178,12 @@ def _function(settings: Settings, default: Optional[str] = None) -> Optional[Tes
 
 
 def _parse_ball(spec: str) -> Ball:
-    parts = [float(p) for p in spec.split(",") if p.strip()]
+    items = spec.split(",")
+    parts = [float(p) for p in items if p.strip()]
     if len(parts) != 2:
         raise ValueError("ball spec is <center>,<radius>")
+    if len(items) != 2:
+        raise ValueError("the list has a blank item")
     return Ball(parts[0], parts[1])
 
 
@@ -567,18 +570,15 @@ def _auto_pairs(model_name: str):
 
 
 def _parse_pairs(model_name: str, text: str):
+    if not str(text).replace(",", "").strip():
+        raise CliError("no pairs given")
     pairs = []
-    for chunk in str(text).split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _parse("pairs", text, _list(str.strip)):
         if "@" not in chunk:
             raise CliError(f"pair {chunk!r} must look like x@t")
         xtok, _, ttok = chunk.partition("@")
         pairs.append(_parse("pairs", chunk,
                             lambda _: (_parse_initial(model_name, xtok), as_time(ttok))))
-    if not pairs:
-        raise CliError("no pairs given")
     return pairs
 
 

@@ -195,6 +195,8 @@ def ec_profile(process, f: TestFunction, z, xs: Sequence, T: float, t_max: float
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("grid empty")
+    if len(xs) == 0:
+        raise ValueError("need at least one start")
     T = as_time(T, "window start")
     t_max = as_time(t_max, "window end")
     if T > t_max:

@@ -361,6 +361,24 @@ def test_an_empty_ball_spec_keeps_its_message(capsys):
     assert err == "error: bad value for ball: ',' (ball spec is <center>,<radius>)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("diagnose", "eprop", "--model", "flip", "--pairs", "0.2@5,,0.1@10"),
+    ("diagnose", "eprop", "--model", "flip", "--pairs", "0.2@5,"),
+    ("diagnose", "eprop", "--model", "flip", "--pairs", " ,0.2@5"),
+    ("diagnose", "eprop", "--model", "flip", "--pairs", "0.5@1,,0.25@2,"),
+    ("estimate", "--model", "flip", "--x0", "1", "--times", "1", "--ball", "0,,0.5"),
+    ("estimate", "--model", "flip", "--x0", "1", "--times", "1", "--ball", "0,0.5,"),
+], ids=["pairs-inner", "pairs-trailing", "pairs-leading", "pairs-inner-and-trailing",
+        "ball-inner", "ball-trailing"])
+def test_a_blank_item_in_pairs_or_a_ball_is_refused(capsys, argv):
+    # as in every other comma list; earlier 0.13.0 builds skipped a blank
+    # pair and read a ball past a blank item
+    code, out, err = run_cli(capsys, *argv, "--samples", "50")
+    option, raw = argv[-2][2:], argv[-1]
+    assert (code, out) == (2, "")
+    assert err == f"error: bad value for {option}: {raw!r} (the list has a blank item)\n"
+
+
 @pytest.mark.parametrize("pairs, bad", [
     ("0.2@abc", "0.2@abc"),
     ("0.2@5,x@3", "x@3"),
@@ -1299,6 +1317,27 @@ def test_lowerbound_exact_bytes_are_pinned(tmp_path):
         "c3f6c74d4c9690dd6041c6d314495d47cde00bc21b9680b566f4fce37a253c03"
 
 
+_PINNED_EC = ["diagnose", "ec", "--model", "halving", "--z", "0", "--xs", "0.5,1,2",
+              "--window-start", "5", "--window-end", "20", "--grid", "5,10,20",
+              "--samples", "200", "--seed", "5"]
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("exact", "13b900c9c254cac0621af7fc389ac06dca73a33350df7e7b1758fe361a374ea3"),
+    ("monte-carlo", "75f37751d494cc0d3cd3ab0eb690726084fbdb6ca58d98fd13457e81427c58fd"),
+])
+def test_ec_bytes_are_pinned(tmp_path, monkeypatch, mode, digest):
+    # digests of the 0.13.0 ec tables: one row per start, in the order of
+    # --xs, from the backward sweep or from sampling
+    if mode == "monte-carlo":
+        _sampled_halving(monkeypatch)
+    table = tmp_path / "ec.csv"
+    assert main(_PINNED_EC + ["--out", str(table)]) == 0
+    manifest, _, _ = parse_csv(table.read_text())
+    assert manifest["mode"] == mode
+    assert _digest_without_version(table) == digest
+
+
 def _within(row, truth):
     return abs(Decimal(float(row["value"])) - truth) <= Decimal(float(row["half_width"]))
 
@@ -1429,6 +1468,34 @@ def test_lowerbound_start_with_a_failed_cell_has_no_minimum(capsys, monkeypatch,
         assert (r["value"] == "nan") == bool(r["error"]) == (r["x"] in bad)
     (scan,) = [r for r in rows if r["label"] == "scan_min"]
     assert scan["value"] == "nan" and scan["error"] == f"{len(failed)} of 4 cells failed"
+
+
+@pytest.mark.parametrize("flow, x_grid, t_grid, digest", [
+    ("identity", "1,10", "5,10",
+     "7b6ade9dd471ed953b9ff26e07cf9f078d502d90ef89cd0eebd8924c0325b70a"),
+    ("exponential", "0.5,1", "2,40",
+     "185aaf4e281ebeac7ce248dd6f516d8e659fdf88682e7e73172ffcd92e6733ce"),
+    # the failed start comes first on an unsorted time grid: its rows still
+    # follow the other starts' minima
+    ("identity", "10,1,0.5", "10,5",
+     "8353c58d4fbb6f9da8db12c2bfc318e811ec60f06dbb2fc758c700201b1efe62"),
+], ids=["exact", "sampled", "exact-failed-first"])
+def test_lowerbound_failed_cell_bytes_are_pinned(tmp_path, monkeypatch, flow, x_grid, t_grid,
+                                                 digest):
+    # digests of the 0.13.0 tables of
+    # test_lowerbound_start_with_a_failed_cell_has_no_minimum: the minima of
+    # the starts without a failure, then one row per failed cell, then the
+    # scan row
+    from ergokit import cli
+    from ergokit.ifs_jump import ExponentialFlow, IdentityFlow
+
+    flow = IdentityFlow() if flow == "identity" else ExponentialFlow(0.1)
+    monkeypatch.setitem(cli._MODELS, "far-nan", (_far_nan_model(flow), ()))
+    table = tmp_path / "lb.csv"
+    assert main(["diagnose", "lowerbound", "--model", "far-nan", "--z", "0", "--eps", "0.1",
+                 "--x-grid", x_grid, "--t-grid", t_grid, "--samples", "50",
+                 "--out", str(table)]) == 1
+    assert _digest_without_version(table) == digest
 
 
 # the error of a far-nan cell whose trajectory reaches the failing map
@@ -1956,13 +2023,6 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read config file {missing}: ")
     assert err.count("\n") == 1
-
-
-def test_empty_pair_items_are_skipped(capsys):
-    argv = ("diagnose", "eprop", "--model", "flip", "--samples", "10")
-    code, out, _ = run_cli(capsys, *argv, "--pairs", "0.5@1,,0.25@2,")
-    assert code == 0
-    assert [(r["x"], r["t"]) for r in parse_csv(out)[2]] == [("0.5", "1"), ("0.25", "2")]
 
 
 def test_plot_leaves_out_failed_rows(tmp_path, capsys, monkeypatch):

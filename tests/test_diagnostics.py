@@ -148,6 +148,13 @@ def test_ec_rejects_bad_grids():
             ec_profile(process, F, z, [z], 1.0, 10.0, [1.0, math.nan])
 
 
+def test_ec_needs_a_start():
+    # as lower_bound_scan and check_c2 do: no row labelled exact from the
+    # anchor's cells alone
+    with pytest.raises(ValueError, match="^need at least one start$"):
+        ec_profile(CTMC, F, CtmcState.zero(), [], 1.0, 10.0, [1.0, 2.0])
+
+
 @pytest.mark.parametrize("T, t_max, message", [
     (-1.0, 10.0, r"window start must be a finite nonnegative real, got -1\.0"),
     (math.nan, 10.0, "window start must be a finite nonnegative real, got nan"),
@@ -640,6 +647,38 @@ def test_c2_radius_monotone_via_shared_trajectories():
     report = check_c2(model, 0.0, [0.05, 0.2], [1.0], 64.0, mc)
     betas = report.values("c2_beta")
     assert betas[1] >= betas[0]
+
+
+class _Tied:
+    """An exact process whose hit probability from x at time t is
+    ``probs[t] / x``, so that grid times tie."""
+
+    name = "tied"
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def state_label(self, x):
+        return f"{x:g}"
+
+    def exact_means(self, starts, times, functionals):
+        return [[[(self.probs[t] / x, 0.0) for _ in functionals] for t in times]
+                for x in starts]
+
+
+def test_extreme_rows_name_the_first_grid_time_that_attains_them():
+    # the lowest probability ties at t = 2 and 3, the highest at t = 2 and
+    # 4: each start's row names t = 2, whatever the order of the grid given
+    scan = lower_bound_scan(_Tied({1.0: 0.5, 2.0: 0.25, 3.0: 0.25, 4.0: 0.75}), 0.0, 0.1,
+                            [1.0, 2.0], [3.0, 4.0, 2.0, 1.0])
+    assert scan.mode == "exact"
+    assert [(r.x, r.t, r.value) for r in scan.rows] == [
+        ("1", "2", 0.25), ("2", "2", 0.125), ("all", "[1,4]", 0.125)]
+    c2 = check_c2(_Tied({0.0: 0.0, 1.0: 0.25, 2.0: 0.5, 4.0: 0.5, 8.0: 0.125}), 0.0, [0.1],
+                  [1.0, 2.0], 8.0)
+    assert c2.mode == "exact"
+    assert [(r.x, r.t, r.value) for r in c2.rows] == [
+        ("1", "2", 0.5), ("2", "2", 0.25), ("eps=0.1", "<=8", 0.25)]
 
 
 # ---------------------------------------------------------------------------
