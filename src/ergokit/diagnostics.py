@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -168,6 +168,18 @@ def _means(process, functionals: Sequence, cells: list, mc: McSettings,
                   sample)
 
 
+def _rows(cells: list, n_t: int) -> list:
+    """A start-major cell list cut into its starts' rows of ``n_t`` cells."""
+    return [cells[i:i + n_t] for i in range(0, len(cells), n_t)]
+
+
+def _extreme(pick: Callable, values: list, times: Sequence) -> tuple:
+    """``pick(values)``, ``min`` or ``max``, and the first of ``times``
+    that attains it: the time that labels a row reporting a grid extreme."""
+    value = pick(values)
+    return value, times[values.index(value)]
+
+
 def _anchor(z) -> float:
     """Position of an anchor given as a chain state or a point."""
     return z.value if hasattr(z, "value") else float(z)
@@ -210,13 +222,12 @@ def ec_profile(process, f: TestFunction, z, xs: Sequence, T: float, t_max: float
     means, exact = _means(process, (f,), cells, mc,
                           _split_confidence(mc.confidence, len(cells)))
     _raise_failed(means)
-    n_t = len(grid)
-    z_row = means[len(xs) * n_t:]
+    *rows, z_row = _rows(means, len(grid))
     window = _window_label(T, t_max)
     report = DiagnosticReport("ec_profile", mode=_mode(exact))
-    for i, x in enumerate(xs):
+    for x, row in zip(xs, rows):
         gap, hw = 0.0, 0.0
-        for ((mx, hx),), ((mz, hz),) in zip(means[i * n_t:(i + 1) * n_t], z_row):
+        for ((mx, hx),), ((mz, hz),) in zip(row, z_row):
             gap = max(gap, abs(mx - mz))
             hw = max(hw, hx + hz)
         report.add("ec_gap_max", process.state_label(x), window, gap, hw)
@@ -281,26 +292,14 @@ def lower_bound_scan(process, z, eps: float, x_grid: Sequence, t_grid: Sequence[
                           _split_confidence(mc.confidence, len(cells)))
 
     report = DiagnosticReport("lower_bound_scan", mode=_mode(exact))
-    # keyed by position in x_grid: distinct starts may share a label
-    by_initial: dict = {}
-    failures = []
-    hw = 0.0
-    for c, ((x, t), cell) in enumerate(zip(cells, means)):
-        i = c // len(t_grid)
-        if isinstance(cell, str):
-            failures.append((i, x, t, cell))
-            continue
-        ((m, cell_hw),) = cell
-        hw = max(hw, cell_hw)
-        if i not in by_initial or m < by_initial[i][0]:
-            by_initial[i] = (m, t)
-    for i, _, _, _ in failures:
-        by_initial.pop(i, None)
-    for i, x in enumerate(x_grid):
-        if i in by_initial:
-            m, t_at = by_initial[i]
+    failures = [(x, t, cell) for (x, t), cell in zip(cells, means) if isinstance(cell, str)]
+    hw = max([0.0] + [cell[0][1] for cell in means if not isinstance(cell, str)])
+    # read by position in x_grid: distinct starts may share a label
+    for x, row in zip(x_grid, _rows(means, len(t_grid))):
+        if not any(isinstance(cell, str) for cell in row):
+            m, t_at = _extreme(min, [cell[0][0] for cell in row], t_grid)
             report.add("hit_prob_min", process.state_label(x), f"{t_at:g}", m, hw)
-    for _, x, t, error in failures:
+    for x, t, error in failures:
         report.add("hit_prob_min", process.state_label(x), f"{t:g}", math.nan, 0.0,
                    error=error)
     window = _window_label(t_grid[0], t_grid[-1])
@@ -308,7 +307,7 @@ def lower_bound_scan(process, z, eps: float, x_grid: Sequence, t_grid: Sequence[
         report.add("scan_min", "all", window, math.nan, 0.0,
                    error=f"{len(failures)} of {len(cells)} cells failed")
     else:
-        report.add("scan_min", "all", window, min(by_initial.values())[0], hw)
+        report.add("scan_min", "all", window, min(report.values("hit_prob_min")), hw)
     return report
 
 
@@ -359,15 +358,11 @@ def stability_report(process, initials: Sequence, t_grid: Sequence[float],
         laws.append(law)
         report.add("bl_to_ref", label, f"{t:g}", bl_distance(law[0], reference), width(law))
     labels = [process.state_label(x) for x in initials]
-    n_t = len(t_grid)
-    for c, t in enumerate(t_grid):
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                a, b = laws[i * n_t + c], laws[j * n_t + c]
-                if a is None or b is None:
-                    continue
-                report.add("bl_between", f"{labels[i]}|{labels[j]}", f"{t:g}",
-                           bl_distance(a[0], b[0]), width(a, b))
+    for t, column in zip(t_grid, zip(*_rows(laws, len(t_grid)))):
+        for (la, a), (lb, b) in combinations(zip(labels, column), 2):
+            if a is not None and b is not None:
+                report.add("bl_between", f"{la}|{lb}", f"{t:g}", bl_distance(a[0], b[0]),
+                           width(a, b))
     return report
 
 
@@ -493,26 +488,21 @@ def check_c2(process, z, eps_list: Sequence[float], x_grid: Sequence,
     while t <= t_search:
         t_grid.append(t)
         t *= 2.0
-    n_cells = len(x_grid) * len(t_grid)
-    conf_cell = _split_confidence(mc.confidence, n_cells)
-    cells, exact = _means(process, balls, list(product(x_grid, t_grid)), mc, conf_cell)
+    cells, exact = _means(process, balls, list(product(x_grid, t_grid)), mc,
+                          _split_confidence(mc.confidence, len(x_grid) * len(t_grid)))
     _raise_failed(cells)
     hw = max(cell_hw for cell in cells for _, cell_hw in cell)
 
     report = DiagnosticReport("check_c2", mode=_mode(exact))
-    n_t = len(t_grid)
     for b, ball in enumerate(balls):
         best = []
-        for i, x in enumerate(x_grid):
-            label = process.state_label(x)
-            probs = [(cell[b][0], t) for cell, t in zip(cells[i * n_t:(i + 1) * n_t], t_grid)]
-            m_x = max(p for p, _ in probs)
+        for x, row in zip(x_grid, _rows(cells, len(t_grid))):
+            m_x, t_first = _extreme(max, [cell[b][0] for cell in row], t_grid)
             best.append(m_x)
             if m_x <= 0.0:
-                report.add("c2_first_hit", label, f">{t_search:g}", 0.0, hw,
+                report.add("c2_first_hit", process.state_label(x), f">{t_search:g}", 0.0, hw,
                            error="no hit within t_search")
-                continue
-            t_first = min(t for p, t in probs if p >= m_x)
-            report.add("c2_first_hit", label, f"{t_first:g}", m_x, hw)
+            else:
+                report.add("c2_first_hit", process.state_label(x), f"{t_first:g}", m_x, hw)
         report.add("c2_beta", f"eps={ball.radius:g}", f"<={t_search:g}", min(best), hw)
     return report
