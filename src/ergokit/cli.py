@@ -178,11 +178,10 @@ def _function(settings: Settings, default: Optional[str] = None) -> Optional[Tes
 
 
 def _parse_ball(spec: str) -> Ball:
-    items = spec.split(",")
-    parts = [float(p) for p in items if p.strip()]
+    parts = [float(p) for p in spec.split(",") if p.strip()]
     if len(parts) != 2:
         raise ValueError("ball spec is <center>,<radius>")
-    if len(items) != 2:
+    if spec.count(",") != 1:
         raise ValueError("the list has a blank item")
     return Ball(parts[0], parts[1])
 

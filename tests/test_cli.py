@@ -371,8 +371,7 @@ def test_an_empty_ball_spec_keeps_its_message(capsys):
 ], ids=["pairs-inner", "pairs-trailing", "pairs-leading", "pairs-inner-and-trailing",
         "ball-inner", "ball-trailing"])
 def test_a_blank_item_in_pairs_or_a_ball_is_refused(capsys, argv):
-    # as in every other comma list; earlier 0.13.0 builds skipped a blank
-    # pair and read a ball past a blank item
+    # as in every other comma list: a blank item is most likely a typo
     code, out, err = run_cli(capsys, *argv, "--samples", "50")
     option, raw = argv[-2][2:], argv[-1]
     assert (code, out) == (2, "")
